@@ -15,16 +15,17 @@ batched gain path (:meth:`GroupBeamPlanner.plan_groups`).
 ``MultiApCodingGroupMapper`` — maps each AP's allocation onto coding
 units independently (Problem 4 per AP).
 
-``MultiApTransmitter`` — runs one per-user transmitter pass per AP (APs
-transmit concurrently on separated beams, so frame airtime is the *max*
-over APs, not the sum), then spends each secondary AP's leftover deadline
-on **cross-AP coded repair**: fresh fountain symbols for its backup
-users' still-undecoded scheduled units, drawn from the same per-unit
-symbol streams, so the rateless decoder combines symbols from both APs
-exactly as arXiv:1711.06154's network-coded multi-link streaming
-predicts.  Per-AP blockage (``FaultEvent.ap``) attenuates only the
-tagged AP's links, which is what turns a blocked LoS into a handover
-plus repair — failover as an emergent scenario.
+``MultiApTransmitter`` — runs one transmitter pass per AP into one shared
+receiver state (APs transmit concurrently on separated beams, so frame
+airtime is the *max* over APs, not the sum), then spends each secondary
+AP's leftover deadline on **cross-AP coded repair**: fresh fountain
+symbols for its backup users' still-undecoded scheduled units, drawn from
+the same per-unit symbol streams and recorded into the same state, so
+symbols from both APs combine at the receiver exactly as
+arXiv:1711.06154's network-coded multi-link streaming predicts.  Per-AP
+blockage (``FaultEvent.ap``) attenuates only the tagged AP's links, which
+is what turns a blocked LoS into a handover plus repair — failover as an
+emergent scenario.
 
 Sessions without a topology never construct any of this; the single-AP
 pipeline is untouched and bit-identical to previous versions.
@@ -44,8 +45,8 @@ from ..transport.association import ApAssociationPolicy
 from ..transport.transmitter import (
     GROUP_SWITCH_OVERHEAD_S,
     HEADER_BYTES,
+    Receivers,
     TransmissionResult,
-    UserReception,
 )
 from .pipeline import (
     FrameContext,
@@ -217,13 +218,14 @@ class MultiApCodingGroupMapper:
 
 
 class MultiApTransmitter:
-    """One per-user transmitter pass per AP, then cross-AP coded repair.
+    """One transmitter pass per AP, then cross-AP coded repair.
 
     APs run on separated boresights/beams, so their passes are concurrent:
     the frame's airtime is the maximum per-AP clock.  Each pass reuses the
     single-AP :class:`FrameTransmitter` verbatim over that AP's channel
-    view and AP-scoped fault view, forced onto the per-user reception path
-    (``allow_cohort=False``) because repair mutates individual decoders.
+    view and AP-scoped fault view.  Users are partitioned by primary AP,
+    so the passes and the repair all record into one receiver state for
+    the frame, closed once after repair.
     """
 
     name = "transmit"
@@ -244,7 +246,8 @@ class MultiApTransmitter:
         ctx.true_state = true_state
         budget_s = config.frame_budget_s
 
-        receptions: Dict[int, UserReception] = {}
+        transmitter = streamer.transmitter
+        receivers = transmitter.open_frame(ctx.encoder, ctx.users)
         ap_airtime = [0.0] * n_aps
         packets_sent = 0
         packets_dropped = 0
@@ -263,7 +266,7 @@ class MultiApTransmitter:
             faults_ap = (
                 session.faults.for_ap(ap) if session.faults is not None else None
             )
-            result = streamer.transmitter.transmit(
+            result = transmitter.transmit(
                 ctx.encoder,
                 assignments,
                 allocation.groups,
@@ -273,30 +276,23 @@ class MultiApTransmitter:
                 rate_limits_bytes_per_s=limits,
                 active_users=users_ap,
                 faults=faults_ap,
-                allow_cohort=False,
+                receivers=receivers,
             )
-            for user in users_ap:
-                if user in result.receptions:
-                    receptions[user] = result.receptions[user]
             ap_airtime[ap] = result.airtime_s
             packets_sent += result.packets_sent
             packets_dropped += result.packets_dropped_at_queue
             rounds = max(rounds, result.feedback_rounds_used)
         ctx.rate_limits = rate_limits
 
-        repaired = self._cross_ap_repair(
-            ctx, session, receptions, true_state, ap_airtime, budget_s
+        packets_sent += self._cross_ap_repair(
+            ctx, session, receivers, true_state, ap_airtime, budget_s
         )
-        packets_sent += repaired
+        transmitter.close_frame(receivers)
 
         airtime = max(ap_airtime) if ap_airtime else 0.0
-        ctx.result = TransmissionResult(
-            receptions=receptions,
-            airtime_s=min(airtime, budget_s),
-            packets_sent=packets_sent,
-            packets_dropped_at_queue=packets_dropped,
-            feedback_rounds_used=rounds,
-            cohort=None,
+        ctx.result = TransmissionResult.of(
+            receivers, min(airtime, budget_s), packets_sent, packets_dropped,
+            rounds,
         )
         ctx.deadline_met = airtime <= budget_s + 1e-9
 
@@ -304,7 +300,7 @@ class MultiApTransmitter:
         self,
         ctx: FrameContext,
         session: "StreamSession",
-        receptions: Dict[int, UserReception],
+        receivers: Receivers,
         true_state: "ChannelState",
         ap_airtime: List[float],
         budget_s: float,
@@ -314,9 +310,10 @@ class MultiApTransmitter:
         For every user with a viable repair plan, its secondary AP walks
         the units the user's *primary* AP scheduled this frame, computes
         the fountain deficit ``K - received``, and paces that many fresh
-        symbols into the user's decoder until the AP's leftover deadline
-        runs out.  Returns the number of repair packets put on the air;
-        per-AP clocks in ``ap_airtime`` are advanced in place.
+        symbols at the user until the AP's leftover deadline runs out
+        (one scalar loss draw per packet sent, in send order).  Returns
+        the number of repair packets put on the air; per-AP clocks in
+        ``ap_airtime`` are advanced in place.
         """
         assert ctx.encoder is not None and ctx.repair_plans is not None
         if not ctx.repair_plans:
@@ -330,8 +327,8 @@ class MultiApTransmitter:
         sent = 0
         for user in sorted(ctx.repair_plans):
             ap, plan = ctx.repair_plans[user]
-            reception = receptions.get(user)
-            if reception is None or plan.mcs is None:
+            row = receivers.member_rows([user])
+            if row.size == 0 or plan.mcs is None:
                 continue
             units = self._scheduled_units(ctx, serving.get(user), encoder)
             if not units:
@@ -358,23 +355,23 @@ class MultiApTransmitter:
             symbol_airtime = packet_bytes / max(rate, 1e-6)
             clock = GROUP_SWITCH_OVERHEAD_S
             for unit in units:
-                decoder = reception.decoder.unit_decoder(unit)
-                deficit = k - decoder.received_count
+                deficit = k - receivers.min_distinct(unit, row)
                 if deficit <= 0:
                     continue
-                for symbol in encoder.next_symbols(unit, deficit):
-                    if clock + symbol_airtime > remaining:
-                        break
+                symbols = encoder.next_symbols(unit, deficit)
+                n_send = 0
+                while n_send < deficit and clock + symbol_airtime <= remaining:
                     clock += symbol_airtime
-                    sent += 1
-                    if streamer.rng.random() < prob:
-                        reception.decoder.ingest(symbol)
-                        reception.packets_received += 1
-                        reception.delivered_payload_bytes += len(symbol.payload)
-                        if OBS.mode:
-                            OBS.count("core.multi_ap.repair.delivered")
-                    else:
-                        reception.packets_lost += 1
+                    n_send += 1
+                delivered = streamer.rng.random(n_send) < prob
+                receivers.record(
+                    unit, symbols[:n_send], row, delivered[:, None]
+                )
+                sent += n_send
+                if OBS.mode:
+                    OBS.count(
+                        "core.multi_ap.repair.delivered", int(delivered.sum())
+                    )
                 if clock + symbol_airtime > remaining:
                     break
             if clock > GROUP_SWITCH_OVERHEAD_S:

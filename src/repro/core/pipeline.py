@@ -272,69 +272,24 @@ class FeedbackUpdater:
 
     def run(self, ctx: FrameContext, session: "StreamSession") -> None:
         assert ctx.result is not None
-        cohort = ctx.result.cohort
-        if cohort is not None and session.cohort_bw is not None:
-            self._run_cohort(ctx, session, cohort)
-            return
-        faults = session.faults
-        for user in ctx.users:
-            if faults is not None:
-                if faults.feedback_lost(user):
-                    staleness = session.state.feedback_staleness
-                    staleness[user] = staleness.get(user, 0) + 1
-                    session.state.bw_estimators[user].decay(
-                        session.config.faults.stale_decay
-                    )
-                    OBS.count("fault.feedback_loss.reports_lost")
-                    OBS.set_gauge(
-                        f"fault.feedback_loss.user.{user}.staleness",
-                        staleness[user],
-                    )
-                    continue
-                if session.state.feedback_staleness.pop(user, None):
-                    OBS.count("fault.feedback_loss.recoveries")
-            reception = ctx.result.receptions[user]
-            total = reception.packets_received + reception.packets_lost
-            fraction = (
-                reception.packets_received / total if total else 1.0
-            )
-            session.state.bw_estimators[user].observe_fraction(
-                float(np.clip(fraction, 0.0, 1.0)), session.streamer.rng
-            )
-
-    @staticmethod
-    def _run_cohort(
-        ctx: FrameContext, session: "StreamSession", cohort
-    ) -> None:
-        """Masked cohort feedback: one batched noise draw, array EWMA.
-
-        Receivers inside a feedback outage decay as one masked operation;
-        everyone else folds their delivery fraction in through a single
-        ``observe_fraction_rows`` call whose noise draws land in the same
-        rng-stream order as the per-user loop.
-        """
-        faults = session.faults
-        estimator = session.cohort_bw
-        assert estimator is not None
-        staleness = session.state.feedback_staleness
-        if faults is not None:
-            reporting = []
-            silent = []
-            for user in ctx.users:
-                if faults.feedback_lost(user):
-                    silent.append(user)
-                    staleness[user] = staleness.get(user, 0) + 1
-                else:
-                    reporting.append(user)
-                    staleness.pop(user, None)
-            if silent:
-                estimator.decay_rows(
-                    estimator.rows(silent), session.config.faults.stale_decay
-                )
-        else:
-            reporting = list(ctx.users)
+        reporting = self._reporting_users(ctx, session)
         if not reporting:
             return
+        cohort = ctx.result.cohort
+        estimator = session.cohort_bw
+        if cohort is None or estimator is None:
+            # The seed reference: scalar draws, one per reporting user.
+            for user in reporting:
+                reception = ctx.result.receptions[user]
+                total = reception.packets_received + reception.packets_lost
+                fraction = (
+                    reception.packets_received / total if total else 1.0
+                )
+                session.state.bw_estimators[user].observe_fraction(
+                    float(np.clip(fraction, 0.0, 1.0)), session.streamer.rng
+                )
+            return
+        # One batched noise draw, landing in the same rng-stream order.
         rows = cohort.member_rows(reporting)
         received = cohort.packets_received[rows]
         total = received + cohort.packets_lost[rows]
@@ -344,6 +299,33 @@ class FeedbackUpdater:
             np.clip(fractions, 0.0, 1.0),
             session.streamer.rng,
         )
+
+    @staticmethod
+    def _reporting_users(
+        ctx: FrameContext, session: "StreamSession"
+    ) -> List[int]:
+        """Users whose report arrived; the silent ones decay and are counted."""
+        faults = session.faults
+        if faults is None:
+            return list(ctx.users)
+        staleness = session.state.feedback_staleness
+        reporting = []
+        for user in ctx.users:
+            if faults.feedback_lost(user):
+                staleness[user] = staleness.get(user, 0) + 1
+                session.state.bw_estimators[user].decay(
+                    session.config.faults.stale_decay
+                )
+                OBS.count("fault.feedback_loss.reports_lost")
+                OBS.set_gauge(
+                    f"fault.feedback_loss.user.{user}.staleness",
+                    staleness[user],
+                )
+            else:
+                reporting.append(user)
+                if staleness.pop(user, None):
+                    OBS.count("fault.feedback_loss.recoveries")
+        return reporting
 
 
 class Scorer:

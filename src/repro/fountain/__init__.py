@@ -26,6 +26,7 @@ from .block import (
     CodingUnitId,
     FrameBlockEncoder,
     FrameBlockDecoder,
+    unit_decodable,
 )
 
 __all__ = [
@@ -50,4 +51,5 @@ __all__ = [
     "CodingUnitId",
     "FrameBlockEncoder",
     "FrameBlockDecoder",
+    "unit_decodable",
 ]

@@ -18,8 +18,13 @@ import numpy as np
 from ..errors import FountainCodeError
 from ..types import NUM_LAYERS
 from ..video.jigsaw import SUBLAYER_COUNTS, LayeredFrame, LayerStructure
-from .precode import PrecodeDecoder, PrecodeEncoder
-from .raptor import FountainDecoder, FountainEncoder, FountainSymbol
+from .precode import Precode, PrecodeDecoder, PrecodeEncoder
+from .raptor import (
+    FountainDecoder,
+    FountainEncoder,
+    FountainSymbol,
+    dense_decodable,
+)
 
 #: Paper's symbol size (Fig 2 minimum).
 DEFAULT_SYMBOL_SIZE = 6000
@@ -38,6 +43,10 @@ FOUNTAIN_CODECS = (DENSE_CODEC, PRECODE_CODEC)
 
 _ENCODER_OF_CODEC = {DENSE_CODEC: FountainEncoder, PRECODE_CODEC: PrecodeEncoder}
 _DECODER_OF_CODEC = {DENSE_CODEC: FountainDecoder, PRECODE_CODEC: PrecodeDecoder}
+_DECODABLE_OF_CODEC = {
+    DENSE_CODEC: dense_decodable,
+    PRECODE_CODEC: lambda _block_id, k, ids: Precode.for_k(k).decodable(ids),
+}
 
 
 def _check_codec(codec: str) -> str:
@@ -46,6 +55,18 @@ def _check_codec(codec: str) -> str:
             f"fountain codec must be one of {FOUNTAIN_CODECS}, got {codec!r}"
         )
     return codec
+
+
+def unit_decodable(codec: str, block_id: int, k: int, symbol_ids) -> bool:
+    """Is a receiver holding exactly ``symbol_ids`` of a unit able to decode?
+
+    The one place the "received-id set -> decodable" decision lives: it
+    agrees with ``is_decoded`` of the codec's decoder after ingesting those
+    ids, without touching a payload, so array-based receiver state
+    (:class:`repro.transport.cohort.FrameCohort`) needs no decoder objects
+    and no knowledge of the codec behind the name.
+    """
+    return _DECODABLE_OF_CODEC[_check_codec(codec)](block_id, k, symbol_ids)
 
 
 @dataclass(frozen=True, order=True)

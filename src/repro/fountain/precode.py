@@ -44,7 +44,7 @@ import numpy as np
 
 from ..errors import FountainCodeError
 from ..obs import OBS
-from .gf256 import gf2_matmul, gf_matmul, gf_solve
+from .gf256 import gf2_matmul, gf_matmul, gf_rank, gf_solve
 from .inactivation import InactivationStats, solve_inactivation
 
 __all__ = [
@@ -117,6 +117,7 @@ class Precode:
     _CACHE: "OrderedDict[int, Precode]" = OrderedDict()
     MAX_CACHE = 512
     MAX_SALT = 64
+    MAX_DECODABLE = 1 << 16
 
     def __init__(self, k: int, salt: Optional[int] = None) -> None:
         if k <= 0:
@@ -129,7 +130,9 @@ class Precode:
         self.pi_per_row = min(_PI_PER_ROW, self.h)
         self._ldpc_cols = self._build_ldpc()
         self._hdpc_active = self._build_hdpc()
+        self._constraints = self._constraint_rows()
         self._lt_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._decodable: Dict[frozenset, bool] = {}
         self._repair_idx = np.zeros(0, dtype=np.int64)
         self._repair_cum = np.zeros(1, dtype=np.int64)
         if salt is None:
@@ -281,18 +284,46 @@ class Precode:
 
     # ----------------------------------------------------------- inversion
 
-    def _constraint_matrix(self) -> np.ndarray:
-        a = np.zeros((self.l, self.l), dtype=np.uint8)
+    def _constraint_rows(self) -> np.ndarray:
+        """The ``S`` LDPC rows then the ``H`` HDPC rows, ``(S + H, L)``."""
+        a = np.zeros((self.s + self.h, self.l), dtype=np.uint8)
         for j, cols in enumerate(self._ldpc_cols):
             a[j, cols] = 1
         for j in range(self.h):
             a[self.s + j, : self.w] = self._hdpc_active[j]
             a[self.s + j, self.w + j] = 1
-        for i in range(self.k):
-            active, pi = self.lt_indices(i)
-            a[self.s + self.h + i, active] = 1
-            a[self.s + self.h + i, self.w + pi] = 1
         return a
+
+    def _constraint_matrix(self) -> np.ndarray:
+        return np.concatenate(
+            [self._constraints, self._row_mask(range(self.k))]
+        )
+
+    def decodable(self, symbol_ids) -> bool:
+        """Whether a receiver holding exactly ``symbol_ids`` can decode.
+
+        Payload-free twin of :class:`PrecodeDecoder`'s success condition.
+        Inactivation decoding is exact, so it succeeds iff the constraint
+        rows plus the received LT rows have full column rank ``L`` (every
+        systematic id present is the decoder's own short-circuit).  LT rows
+        are block-independent, so verdicts are memoised per id set and
+        shared by every block of this K.
+        """
+        ids = frozenset(int(i) for i in symbol_ids)
+        if len(ids) < self.k:
+            return False
+        if ids.issuperset(range(self.k)):
+            return True
+        verdict = self._decodable.get(ids)
+        if verdict is None:
+            rows = np.concatenate(
+                [self._constraints, self._row_mask(sorted(ids))]
+            )
+            verdict = gf_rank(rows) == self.l
+            if len(self._decodable) >= self.MAX_DECODABLE:
+                self._decodable.clear()
+            self._decodable[ids] = verdict
+        return verdict
 
     def _invert_constraints(self) -> Optional[np.ndarray]:
         """``A^-1`` columns that map source symbols to intermediates.

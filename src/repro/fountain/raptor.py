@@ -49,6 +49,7 @@ from .gf256 import (
     gf_matmul,
     gf_matmul_reference,
     gf_multiply,
+    gf_rank,
     gf_scale_row,
     gf_solve,
 )
@@ -137,6 +138,30 @@ class CoefficientCache:
 
 #: The shared cache every encoder/decoder in this process draws from.
 COEFFICIENT_CACHE = CoefficientCache()
+
+
+def dense_decodable(block_id: int, k: int, symbol_ids) -> bool:
+    """Whether a receiver holding exactly ``symbol_ids`` can decode.
+
+    Payload-free twin of :class:`FountainDecoder`'s success condition: the
+    received coefficient rows must have GF(256) rank ``K``.  With
+    systematic ids ``S`` and repair rows ``R`` the identity
+    ``rank([I_S; R]) = |S| + rank(R[:, complement(S)])`` reduces that to a
+    small elimination over the repair rows only; with every systematic id
+    present no elimination runs at all.
+    """
+    ids = np.unique(np.asarray(symbol_ids, dtype=np.int64))
+    systematic = ids[ids < k]
+    repair = ids[ids >= k]
+    need = k - systematic.size
+    if need == 0:
+        return True
+    if repair.size < need:
+        return False
+    missing = np.ones(k, dtype=bool)
+    missing[systematic] = False
+    coeffs = COEFFICIENT_CACHE.rows(block_id, k, k, int(repair[-1]) - k + 1)
+    return gf_rank(coeffs[repair - k][:, missing]) >= need
 
 
 @dataclass(frozen=True)

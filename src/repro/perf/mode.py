@@ -1,8 +1,8 @@
 """Global seed-path / optimized-path switch for performance comparisons.
 
 The batched fountain codec, the incremental decoder and the transmitter's
-memoized delivery probabilities all produce *bit-identical* results to the
-original (seed) implementations — only their cost differs.  This module
+cohort receiver state all produce *bit-identical* results to the original
+(seed) implementations — only their cost differs.  This module
 holds the single process-wide switch that routes the hot paths through one
 implementation or the other, so the perf benchmark harness can time the
 serial seed path against the optimized path inside one process and assert

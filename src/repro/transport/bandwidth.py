@@ -231,14 +231,6 @@ class CohortBandwidthEstimator:
         self._has[rows] = True
         return updated
 
-    def decay_rows(self, rows: np.ndarray, factor: float) -> None:
-        """Exponentially shrink stale estimates for ``rows`` (masked)."""
-        if not 0.0 < factor <= 1.0:
-            raise TransportError(f"decay factor must be in (0, 1], got {factor}")
-        target = rows[self._has[rows]]
-        if target.size:
-            self._est[target] = np.maximum(self._est[target] * factor, 1e-9)
-
     def reset_rows(self, rows: np.ndarray) -> None:
         """Forget all measurements for ``rows`` (re-association)."""
         self._has[rows] = False
@@ -253,7 +245,7 @@ class _CohortBandwidthView:
     """Scalar adapter over one :class:`CohortBandwidthEstimator` row.
 
     Arithmetic mirrors :class:`BandwidthEstimator` operation for operation,
-    so a session can mix scalar updates (seed path, observability runs)
+    so a session can mix scalar updates (joins/resets, outage decay)
     and batched updates over the same state without divergence.
     """
 

@@ -1,35 +1,30 @@
-"""Struct-of-arrays receiver state for cohort-vectorized transmission.
+"""Struct-of-arrays receiver state: the production receiver model.
 
-The per-user transmit path keeps a :class:`FrameBlockDecoder` (87 fountain
-decoders) and a dict of scalar tallies per receiver, and walks a Python loop
-over members for every packet.  That is O(symbols x users) Python work per
-frame and caps emulation runs at a handful of receivers.
-
-This module holds the cohort replacement: one :class:`FrameCohort` per frame
-keeps every receiver's reception state as numpy arrays indexed by a
-user-index map (user id -> array row), so a packet's delivery outcome for
-the whole multicast group is a single boolean row and a frame's bookkeeping
-is a handful of vectorized updates.
+The feedback loop of Sec 2.6 only ever asks a receiver two things per
+sublayer — how many distinct symbols it holds and whether the unit is
+decodable — so one :class:`FrameCohort` per frame keeps exactly that for
+every receiver as numpy arrays indexed by a user-index map (user id ->
+array row).  A packet's delivery outcome for the whole multicast group is
+a single boolean row and a frame's bookkeeping is a handful of vectorized
+updates, for every codec, topology and observability mode (symbols a
+second AP sends land in the same arrays: the code is rateless, so they
+combine at the receiver for free).
 
 Decodability without decoders
 -----------------------------
 
-The fountain code is systematic: symbol ids below ``K`` are source symbols,
-higher ids are dense random GF(256) combinations.  A receiver's unit is
-decodable iff the GF(256) rank of its received coefficient rows is ``K``.
-For a received set with systematic ids ``S`` and repair rows ``R`` the
-identity ``rank([I_S; R]) = |S| + rank(R[:, complement(S)])`` reduces the
-check to a small elimination over the repair rows only
-(:func:`repro.fountain.gf256.gf_rank`), and receivers with identical
-reception patterns share one check (``np.unique`` over pattern columns).
-In the common case — all systematic ids present — no elimination runs at
-all.
+Both codecs are systematic: symbol ids below ``K`` are source symbols.  A
+unit whose systematic ids all arrived is decoded with no further work;
+otherwise the received id set goes to
+:func:`repro.fountain.block.unit_decodable`, which answers for whichever
+codec the frame was encoded with.  Receivers with identical reception
+patterns share one check (``np.unique`` over pattern columns).
 
 Per-user :class:`FrameBlockDecoder` objects are only *materialized* lazily
 (:class:`CohortUserReception`), by replaying the recorded delivery events
-for that one receiver; the replay feeds the exact symbol sequence the
-per-user path would have ingested, so the materialized decoder is
-indistinguishable from one built online.
+for that one receiver; the replay feeds the exact symbol sequence a
+decoder-per-receiver model would have ingested, so the materialized
+decoder is indistinguishable from one built online.
 """
 
 from __future__ import annotations
@@ -39,9 +34,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..fountain.block import CodingUnitId, FrameBlockDecoder, FrameBlockEncoder
-from ..fountain.gf256 import gf_rank
-from ..fountain.raptor import COEFFICIENT_CACHE, FountainSymbol
+from ..fountain.block import (
+    CodingUnitId,
+    FrameBlockDecoder,
+    FrameBlockEncoder,
+    unit_decodable,
+)
+from ..fountain.raptor import FountainSymbol
+from ..obs import OBS
 from ..types import NUM_LAYERS
 from ..video.jigsaw import SUBLAYER_COUNTS
 
@@ -110,13 +110,6 @@ class UserTallies:
         self._received[rows] += np.asarray(received, dtype=np.int64)
         self._lost[rows] += np.asarray(lost, dtype=np.int64)
 
-    def add(self, user: int, received: int = 0, lost: int = 0) -> None:
-        """Scalar per-user update (the seed path's accounting loop)."""
-        row = int(self._rows_for([user])[0])
-        self._frames[row] += 1
-        self._received[row] += int(received)
-        self._lost[row] += int(lost)
-
     def get(self, user: int) -> Optional[UserTally]:
         """Tally snapshot for ``user`` (None if never served)."""
         row = self._index.get(user)
@@ -158,10 +151,11 @@ class _UnitState:
     ``sys_mask[i, u]`` — receiver ``u`` holds systematic symbol ``i``;
     ``distinct[u]`` — distinct symbol ids held (the feedback quantity);
     repair symbols get one boolean row each over the cohort, plus their
-    symbol id for coefficient lookup at decodability time.
+    symbol id for the decodability check.
     """
 
     __slots__ = (
+        "codec",
         "block_id",
         "k",
         "sys_mask",
@@ -173,7 +167,10 @@ class _UnitState:
         "_decoded",
     )
 
-    def __init__(self, block_id: int, k: int, num_users: int) -> None:
+    def __init__(
+        self, codec: str, block_id: int, k: int, num_users: int
+    ) -> None:
+        self.codec = codec
         self.block_id = block_id
         self.k = k
         self.sys_mask = np.zeros((k, num_users), dtype=bool)
@@ -248,19 +245,17 @@ class _UnitState:
                 unique, inverse = np.unique(
                     patterns, axis=0, return_inverse=True
                 )
-                coeffs = np.stack(
-                    [
-                        COEFFICIENT_CACHE.row(self.block_id, self.k, sid)
-                        for sid in self.repair_ids
-                    ]
+                ids = np.concatenate([np.arange(self.k), self.repair_ids])
+                verdicts = np.fromiter(
+                    (
+                        unit_decodable(
+                            self.codec, self.block_id, self.k, ids[pattern]
+                        )
+                        for pattern in unique
+                    ),
+                    dtype=bool,
+                    count=unique.shape[0],
                 )
-                verdicts = np.zeros(unique.shape[0], dtype=bool)
-                for p, pattern in enumerate(unique):
-                    have_sys = pattern[: self.k]
-                    have_rep = pattern[self.k:]
-                    need = self.k - int(have_sys.sum())
-                    sub = coeffs[have_rep][:, ~have_sys]
-                    verdicts[p] = gf_rank(sub) >= need
                 decoded[candidates] = verdicts[inverse]
         self._decoded = decoded
         return decoded
@@ -280,6 +275,7 @@ class FrameCohort:
         self.frame_index = encoder.frame_index
         self.structure = encoder.structure
         self.symbol_size = encoder.symbol_size
+        self.codec = encoder.codec
         self.k = encoder.symbols_per_unit()
         n = len(self.users)
         self.packets_received = np.zeros(n, dtype=np.int64)
@@ -305,12 +301,13 @@ class FrameCohort:
         """Apply one group's delivery outcome for ``symbols`` of ``unit``.
 
         ``delivered`` is boolean ``(len(symbols), len(member_rows))``; every
-        member either receives or loses each symbol, exactly as the
-        per-user ``_deliver`` loop tallies it.
+        member either receives or loses each symbol.
         """
         if not symbols or member_rows.size == 0:
             return
         received = delivered.sum(axis=0)
+        if OBS.mode:
+            OBS.count("fountain.symbols_received", int(received.sum()))
         self.packets_received[member_rows] += received
         self.packets_lost[member_rows] += len(symbols) - received
         self.delivered_payload_bytes[member_rows] += (
@@ -318,7 +315,9 @@ class FrameCohort:
         )
         state = self._units.get(unit)
         if state is None:
-            state = _UnitState(unit.block_id, self.k, len(self.users))
+            state = _UnitState(
+                self.codec, unit.block_id, self.k, len(self.users)
+            )
             self._units[unit] = state
         state.record(symbols, member_rows, delivered)
 
@@ -353,8 +352,14 @@ class FrameCohort:
         matrices = [
             np.zeros((n, count), dtype=bool) for count in SUBLAYER_COUNTS
         ]
-        for unit, state in self._units.items():
-            matrices[unit.layer][:, unit.sublayer] = state.decoded_users()
+        with OBS.span("decode.fountain", frame=self.frame_index):
+            for unit, state in self._units.items():
+                matrices[unit.layer][:, unit.sublayer] = state.decoded_users()
+        if OBS.mode:
+            OBS.count(
+                "fountain.blocks_decoded",
+                sum(int(matrix.sum()) for matrix in matrices),
+            )
         return matrices
 
     def bytes_per_layer_matrix(self) -> np.ndarray:
@@ -365,7 +370,13 @@ class FrameCohort:
             totals[:, unit.layer] += useful * float(self.symbol_size)
         return totals
 
-    # ------------------------------------------------------- lazy decoders
+    # ------------------------------------------------------- per-user reads
+
+    def receptions(self) -> Dict[int, "CohortUserReception"]:
+        """One scalar view per receiver, keyed by user id."""
+        return {
+            u: CohortUserReception(self, i) for i, u in enumerate(self.users)
+        }
 
     def materialize_decoder(self, row: int) -> FrameBlockDecoder:
         """Build the :class:`FrameBlockDecoder` receiver ``row`` would hold.
@@ -375,7 +386,7 @@ class FrameCohort:
         the same state as the original chronological interleaving.
         """
         decoder = FrameBlockDecoder(
-            self.frame_index, self.structure, self.symbol_size
+            self.frame_index, self.structure, self.symbol_size, self.codec
         )
         for state in self._units.values():
             for symbols, member_rows, delivered in state.events:
@@ -393,8 +404,8 @@ class CohortUserReception:
 
     Duck-types :class:`repro.transport.transmitter.UserReception`: the
     scalar tallies read straight from the cohort arrays and the
-    ``decoder`` materializes on first access (cohort-aware consumers never
-    touch it, so the fast path never builds per-user decoders).
+    ``decoder`` materializes on first access (the pipeline stages never
+    touch it, so sessions never build per-user decoders).
     """
 
     __slots__ = ("_cohort", "_row", "_decoder")

@@ -21,23 +21,19 @@ the burst, so losses hit base layers too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from ..errors import TransportError
-from ..fountain.block import (
-    DENSE_CODEC,
-    CodingUnitId,
-    FrameBlockDecoder,
-    FrameBlockEncoder,
-)
+from ..fountain.block import CodingUnitId, FrameBlockDecoder, FrameBlockEncoder
+from ..fountain.raptor import FountainSymbol
 from ..obs import OBS
 from ..perf.mode import seed_path_active
 from ..phy.channel import ChannelState
 from ..scheduling.coding_groups import UnitAssignment
 from ..scheduling.groups import CandidateGroup
-from .cohort import CohortUserReception, FrameCohort, UserTallies, UserTally
+from .cohort import FrameCohort, UserTallies, UserTally
 from .kernel_queue import KernelQueue
 from .link import LinkModel
 
@@ -82,6 +78,92 @@ class UserReception:
     packets_lost: int = 0
 
 
+class DecoderReceivers:
+    """The seed receiver model: one real :class:`FrameBlockDecoder` each.
+
+    The reference the equivalence suites compare :class:`FrameCohort`
+    against, selected only under ``perf_mode("seed")``.  It answers the
+    same recording and feedback calls as the cohort, but by feeding every
+    delivered symbol to the receiver's decoders and asking them.
+    """
+
+    def __init__(self, users: Sequence[int], encoder: FrameBlockEncoder) -> None:
+        self.users: List[int] = list(users)
+        self.index: Dict[int, int] = {u: i for i, u in enumerate(self.users)}
+        self.k = encoder.symbols_per_unit()
+        self._receptions = [
+            UserReception(
+                decoder=FrameBlockDecoder(
+                    encoder.frame_index,
+                    encoder.structure,
+                    encoder.symbol_size,
+                    codec=encoder.codec,
+                )
+            )
+            for _ in self.users
+        ]
+
+    def member_rows(self, user_ids: Sequence[int]) -> np.ndarray:
+        """Rows of the receivers among ``user_ids``, in order."""
+        rows = [self.index[u] for u in user_ids if u in self.index]
+        return np.asarray(rows, dtype=np.intp)
+
+    def record(
+        self,
+        unit: CodingUnitId,
+        symbols: List[FountainSymbol],
+        member_rows: np.ndarray,
+        delivered: np.ndarray,
+    ) -> None:
+        """Per packet, per member: ingest on delivery, tally either way."""
+        for symbol, outcomes in zip(symbols, delivered):
+            for row, got in zip(member_rows, outcomes):
+                reception = self._receptions[row]
+                if got:
+                    reception.decoder.ingest(symbol)
+                    reception.packets_received += 1
+                    reception.delivered_payload_bytes += len(symbol.payload)
+                else:
+                    reception.packets_lost += 1
+
+    def min_distinct(self, unit: CodingUnitId, member_rows: np.ndarray) -> int:
+        """Smallest distinct-symbol count among members."""
+        return min(
+            self._receptions[row].decoder.unit_decoder(unit).received_count
+            for row in member_rows
+        )
+
+    def plain_missing(
+        self, unit: CodingUnitId, member_rows: np.ndarray
+    ) -> List[int]:
+        """Sorted segment ids some non-decoded member still lacks."""
+        missing: Set[int] = set()
+        for row in member_rows:
+            decoder = self._receptions[row].decoder.unit_decoder(unit)
+            if not decoder.is_decoded:
+                missing |= set(range(self.k)) - decoder.received_ids()
+        return sorted(missing)
+
+    @property
+    def packets_received(self) -> np.ndarray:
+        return np.array(
+            [r.packets_received for r in self._receptions], dtype=np.int64
+        )
+
+    @property
+    def packets_lost(self) -> np.ndarray:
+        return np.array(
+            [r.packets_lost for r in self._receptions], dtype=np.int64
+        )
+
+    def receptions(self) -> Dict[int, UserReception]:
+        return dict(zip(self.users, self._receptions))
+
+
+#: One frame's receiver state: the cohort arrays, or the seed reference.
+Receivers = Union[FrameCohort, DecoderReceivers]
+
+
 @dataclass
 class TransmissionResult:
     """Outcome of one frame's transmission.
@@ -93,9 +175,9 @@ class TransmissionResult:
         packets_dropped_at_queue: Packets lost in the kernel queue (only in
             the no-rate-control mode).
         feedback_rounds_used: Retransmission rounds that actually ran.
-        cohort: Struct-of-arrays reception state when the vectorized path
-            ran (None on the seed / observability per-user path); cohort-
-            aware pipeline stages read it instead of per-user decoders.
+        cohort: The frame's struct-of-arrays reception state, which the
+            pipeline stages read instead of per-user decoders; None only
+            under ``perf_mode("seed")``, where real decoders ran.
     """
 
     receptions: Dict[int, UserReception]
@@ -104,6 +186,29 @@ class TransmissionResult:
     packets_dropped_at_queue: int
     feedback_rounds_used: int
     cohort: Optional[FrameCohort] = None
+
+    @classmethod
+    def of(
+        cls,
+        receivers: Receivers,
+        airtime_s: float,
+        packets_sent: int,
+        packets_dropped_at_queue: int,
+        feedback_rounds_used: int,
+    ) -> "TransmissionResult":
+        """The result over ``receivers``' final state."""
+        return cls(
+            receptions=receivers.receptions(),  # type: ignore[arg-type]
+            airtime_s=airtime_s,
+            packets_sent=packets_sent,
+            packets_dropped_at_queue=packets_dropped_at_queue,
+            feedback_rounds_used=feedback_rounds_used,
+            cohort=receivers if isinstance(receivers, FrameCohort) else None,
+        )
+
+
+#: One expanded plan entry: (group index, unit, symbols to send).
+_PlanEntry = Tuple[int, CodingUnitId, List[FountainSymbol]]
 
 
 @dataclass
@@ -131,6 +236,23 @@ class FrameTransmitter:
         default_factory=UserTallies, init=False, repr=False, compare=False
     )
 
+    def open_frame(
+        self, encoder: FrameBlockEncoder, users: Sequence[int]
+    ) -> Receivers:
+        """Blank receiver state for one frame of ``users``."""
+        if seed_path_active():
+            return DecoderReceivers(users, encoder)
+        return FrameCohort(users, encoder)
+
+    def close_frame(self, receivers: Receivers) -> None:
+        """Fold a frame's final per-user deliveries into the tallies."""
+        received, lost = receivers.packets_received, receivers.packets_lost
+        self._tallies.update_frame(receivers.users, received, lost)
+        if OBS.mode:
+            for user, got, missed in zip(receivers.users, received, lost):
+                OBS.count(f"transport.user.{user}.delivered", int(got))
+                OBS.count(f"transport.user.{user}.lost", int(missed))
+
     def transmit(
         self,
         encoder: FrameBlockEncoder,
@@ -142,9 +264,15 @@ class FrameTransmitter:
         rate_limits_bytes_per_s: Optional[Dict[int, float]] = None,
         active_users: Optional[Sequence[int]] = None,
         faults: Optional["FaultView"] = None,
-        allow_cohort: bool = True,
+        receivers: Optional[Receivers] = None,
     ) -> TransmissionResult:
         """Run one frame's transmission and return per-user receptions.
+
+        The draw-ordering contract, which keeps every receiver model
+        bit-identical at equal seeds: one ``rng.random((symbols, members))``
+        block per paced plan entry (drawn before the deadline cut), one
+        ``rng.random(members)`` per *sent* burst packet (batched as
+        ``(run, members)`` blocks, which numpy fills in the same order).
 
         Args:
             encoder: The frame's fountain encoders.
@@ -161,41 +289,41 @@ class FrameTransmitter:
                 applies blockage/SNR-dip attenuation through the link
                 wrapper and packet-erasure bursts on the delivery
                 probabilities.
-            allow_cohort: When False, stay on the per-user reception path
-                even in optimized mode.  The multi-AP pipeline merges
-                several per-AP passes and repairs decoders across APs, so
-                it needs per-user decoder objects, not a cohort.
+            receivers: Receiver state from :meth:`open_frame` that several
+                passes of one frame share (one pass per AP, then cross-AP
+                repair); the caller calls :meth:`close_frame` once the
+                frame is over.  ``None``: this pass is the whole frame and
+                opens and closes its own.
         """
         if budget_s <= 0:
             raise TransportError(f"budget must be positive, got {budget_s}")
-        if not OBS.mode:
-            return self._transmit(
-                encoder, assignments, groups, true_state, budget_s, rng,
-                rate_limits_bytes_per_s, active_users, faults, allow_cohort,
-            )
-        with OBS.span(
-            "transport.transmit", frame=encoder.frame_index
-        ) as span:
+        users = true_state.user_ids
+        if active_users is not None:
+            active = set(active_users)
+            users = [u for u in users if u in active]
+        whole_frame = receivers is None
+        if receivers is None:
+            receivers = self.open_frame(encoder, users)
+        with OBS.span("transport.transmit", frame=encoder.frame_index) as span:
             result = self._transmit(
                 encoder, assignments, groups, true_state, budget_s, rng,
-                rate_limits_bytes_per_s, active_users, faults, allow_cohort,
+                rate_limits_bytes_per_s or {}, set(users), faults, receivers,
             )
             span.set(
                 packets_sent=result.packets_sent,
                 packets_dropped_at_queue=result.packets_dropped_at_queue,
                 airtime_s=result.airtime_s,
                 feedback_rounds=result.feedback_rounds_used,
-                users=len(result.receptions),
+                users=len(users),
             )
-        OBS.count("transport.packets_sent", result.packets_sent)
-        OBS.count(
-            "transport.packets_dropped_at_queue", result.packets_dropped_at_queue
-        )
-        for user, reception in result.receptions.items():
+        if OBS.mode:
+            OBS.count("transport.packets_sent", result.packets_sent)
             OBS.count(
-                f"transport.user.{user}.delivered", reception.packets_received
+                "transport.packets_dropped_at_queue",
+                result.packets_dropped_at_queue,
             )
-            OBS.count(f"transport.user.{user}.lost", reception.packets_lost)
+        if whole_frame:
+            self.close_frame(receivers)
         return result
 
     def _transmit(
@@ -206,16 +334,11 @@ class FrameTransmitter:
         true_state: ChannelState,
         budget_s: float,
         rng: np.random.Generator,
-        rate_limits_bytes_per_s: Optional[Dict[int, float]] = None,
-        active_users: Optional[Sequence[int]] = None,
-        faults: Optional["FaultView"] = None,
-        allow_cohort: bool = True,
+        limits: Dict[int, float],
+        present: Set[int],
+        faults: Optional["FaultView"],
+        receivers: Receivers,
     ) -> TransmissionResult:
-        users = true_state.user_ids
-        if active_users is not None:
-            present = set(active_users)
-            users = [u for u in users if u in present]
-        limits = rate_limits_bytes_per_s or {}
         packet_bytes = encoder.symbol_size + HEADER_BYTES
 
         # Resolve the effective pacing rate per group.
@@ -227,143 +350,59 @@ class FrameTransmitter:
             rates[group.index] = max(rate, 1e-6)
 
         state = _TxState(clock_s=0.0, packets_sent=0, dropped_at_queue=0)
-        plan = self._expand_assignments(encoder, assignments, groups)
-
-        if (
-            allow_cohort
-            and encoder.codec == DENSE_CODEC
-            and not seed_path_active()
-            and not OBS.mode
-        ):
-            # Vectorized cohort path: struct-of-arrays receiver state, one
-            # batched Bernoulli comparison per coding group.  Observability
-            # runs stay on the per-user path so the per-packet counters and
-            # fountain decode events keep firing.  The cohort's rank oracle
-            # is specific to the dense code's coefficient cache, so precode
-            # sessions use the per-user decoders.
-            return self._transmit_cohort(
-                encoder, assignments, groups, users, plan, rates, true_state,
-                packet_bytes, budget_s, state, rng, faults,
-            )
-
-        receptions = {
-            u: UserReception(
-                decoder=FrameBlockDecoder(
-                    encoder.frame_index,
-                    encoder.structure,
-                    encoder.symbol_size,
-                    codec=encoder.codec,
-                )
-            )
-            for u in users
-        }
+        plan = self._expand_assignments(encoder, assignments)
 
         # Delivery probabilities are deterministic per group within a frame
-        # (fixed beam, MCS and true channel), so memoize them across plan
-        # entries and feedback rounds; the seed path recomputes every time.
-        prob_cache: Optional[Dict[int, Dict[int, float]]] = (
-            None if seed_path_active() else {}
-        )
-
-        if self.rate_control:
-            self._paced_pass(plan, groups, rates, true_state, receptions,
-                             packet_bytes, budget_s, state, rng, prob_cache,
-                             faults)
-        else:
-            self._burst_pass(plan, groups, rates, true_state, receptions,
-                             packet_bytes, budget_s, state, rng, faults)
-
-        rounds = 0
-        for _ in range(max(0, self.max_feedback_rounds)):
-            if state.clock_s + FEEDBACK_LATENCY_S >= budget_s:
-                break
-            state.clock_s += FEEDBACK_LATENCY_S
-            makeup = self._makeup_plan(encoder, assignments, groups, receptions)
-            if not makeup:
-                break
-            rounds += 1
-            self._paced_pass(makeup, groups, rates, true_state, receptions,
-                             packet_bytes, budget_s, state, rng, prob_cache,
-                             faults)
-
-        for user, reception in receptions.items():
-            self._tallies.add(
-                user, reception.packets_received, reception.packets_lost
-            )
-
-        return TransmissionResult(
-            receptions=receptions,
-            airtime_s=min(state.clock_s, budget_s),
-            packets_sent=state.packets_sent,
-            packets_dropped_at_queue=state.dropped_at_queue,
-            feedback_rounds_used=rounds,
-        )
-
-    def _transmit_cohort(
-        self,
-        encoder: FrameBlockEncoder,
-        assignments: Sequence[UnitAssignment],
-        groups: Sequence[CandidateGroup],
-        users: List[int],
-        plan: List[Tuple[int, CodingUnitId, list]],
-        rates: Dict[int, float],
-        true_state: ChannelState,
-        packet_bytes: int,
-        budget_s: float,
-        state: _TxState,
-        rng: np.random.Generator,
-        faults: Optional["FaultView"],
-    ) -> TransmissionResult:
-        """Cohort-vectorized twin of the per-user transmission body.
-
-        The draw-ordering contract: every plan entry consumes exactly the
-        same rng stream as the per-user path — one ``rng.random((symbols,
-        members))`` block per paced entry (drawn before the deadline cut),
-        one ``rng.random(members)`` per *sent* burst packet (batched as
-        ``(run, members)`` blocks, which numpy fills in the same order) —
-        so both paths are bit-identical at equal seeds.
-        """
-        cohort = FrameCohort(users, encoder)
+        # (fixed beam, MCS and true channel): memoize them across plan
+        # entries and feedback rounds.
+        link = self.link if faults is None else faults.wrap_link(self.link)
+        # Erasure bursts kill packets independently of the channel: scaling
+        # the delivery probability (instead of drawing extra randomness)
+        # keeps the rng stream — and hence zero-intensity runs —
+        # bit-identical to the fault-free path.
+        erasure_scale = 1.0 if faults is None else faults.erasure_scale()
         prob_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
-        if self.rate_control:
-            self._paced_pass_cohort(plan, groups, rates, true_state, cohort,
-                                    packet_bytes, budget_s, state, rng,
-                                    prob_cache, faults)
-        else:
-            self._burst_pass_cohort(plan, groups, rates, true_state, cohort,
-                                    packet_bytes, budget_s, state, rng,
-                                    prob_cache, faults)
+        def member_probs(group_index: int) -> Tuple[np.ndarray, np.ndarray]:
+            """(member rows, delivery probabilities) of a group, in group
+            order filtered to this pass's receivers (the draw columns)."""
+            entry = prob_cache.get(group_index)
+            if entry is None:
+                group = groups[group_index]
+                member_ids = [u for u in group.user_ids if u in present]
+                probs = link.delivery_probability_array(
+                    member_ids, group.plan.beam, true_state, group.plan.mcs
+                )
+                if erasure_scale < 1.0:
+                    probs = probs * erasure_scale
+                entry = (receivers.member_rows(member_ids), probs)
+                prob_cache[group_index] = entry
+            return entry
+
+        first_pass = self._paced_pass if self.rate_control else self._burst_pass
+        first_pass(plan, groups, rates, member_probs, receivers, packet_bytes,
+                   budget_s, state, rng)
 
         rounds = 0
         for _ in range(max(0, self.max_feedback_rounds)):
             if state.clock_s + FEEDBACK_LATENCY_S >= budget_s:
                 break
             state.clock_s += FEEDBACK_LATENCY_S
-            makeup = self._makeup_plan_cohort(encoder, assignments, groups,
-                                              cohort)
+            makeup = self._makeup_plan(
+                encoder, assignments, groups, present, receivers
+            )
             if not makeup:
                 break
             rounds += 1
-            self._paced_pass_cohort(makeup, groups, rates, true_state, cohort,
-                                    packet_bytes, budget_s, state, rng,
-                                    prob_cache, faults)
+            self._paced_pass(makeup, groups, rates, member_probs, receivers,
+                             packet_bytes, budget_s, state, rng)
 
-        self._tallies.update_frame(
-            cohort.users, cohort.packets_received, cohort.packets_lost
-        )
-
-        receptions: Dict[int, UserReception] = {
-            u: CohortUserReception(cohort, i)  # type: ignore[misc]
-            for i, u in enumerate(cohort.users)
-        }
-        return TransmissionResult(
-            receptions=receptions,
-            airtime_s=min(state.clock_s, budget_s),
-            packets_sent=state.packets_sent,
-            packets_dropped_at_queue=state.dropped_at_queue,
-            feedback_rounds_used=rounds,
-            cohort=cohort,
+        return TransmissionResult.of(
+            receivers,
+            min(state.clock_s, budget_s),
+            state.packets_sent,
+            state.dropped_at_queue,
+            rounds,
         )
 
     # ------------------------------------------------------------------ plan
@@ -372,8 +411,7 @@ class FrameTransmitter:
         self,
         encoder: FrameBlockEncoder,
         assignments: Sequence[UnitAssignment],
-        groups: Sequence[CandidateGroup],
-    ) -> List[Tuple[int, CodingUnitId, list]]:
+    ) -> List[_PlanEntry]:
         """Turn byte budgets into concrete symbol lists per (group, unit)."""
         plan = []
         for assignment in assignments:
@@ -398,8 +436,9 @@ class FrameTransmitter:
         encoder: FrameBlockEncoder,
         assignments: Sequence[UnitAssignment],
         groups: Sequence[CandidateGroup],
-        receptions: Dict[int, UserReception],
-    ) -> List[Tuple[int, CodingUnitId, list]]:
+        present: Set[int],
+        receivers: Receivers,
+    ) -> List[_PlanEntry]:
         """Retransmission plan from per-sublayer feedback (Sec 2.6)."""
         k = encoder.symbols_per_unit()
         plan = []
@@ -413,182 +452,64 @@ class FrameTransmitter:
                 continue
             seen_units.add(key)
             group = groups[assignment.group_index]
-            members = [u for u in group.user_ids if u in receptions]
-            if not members:
-                continue
-            if self.source_coding:
-                deficit = max(
-                    k - receptions[u].decoder.unit_decoder(unit).received_count
-                    for u in members
-                )
-                if deficit <= 0:
-                    continue
-                plan.append(
-                    (assignment.group_index, unit, encoder.next_symbols(unit, deficit))
-                )
-            else:
-                missing: set = set()
-                for u in members:
-                    decoder = receptions[u].decoder.unit_decoder(unit)
-                    if not decoder.is_decoded:
-                        missing |= set(range(k)) - decoder.received_ids()
-                if not missing:
-                    continue
-                symbols = [encoder.symbol_at(unit, i) for i in sorted(missing)]
-                plan.append((assignment.group_index, unit, symbols))
-        return plan
-
-    def _makeup_plan_cohort(
-        self,
-        encoder: FrameBlockEncoder,
-        assignments: Sequence[UnitAssignment],
-        groups: Sequence[CandidateGroup],
-        cohort: FrameCohort,
-    ) -> List[Tuple[int, CodingUnitId, list]]:
-        """Retransmission plan read from cohort arrays (no decoders)."""
-        k = encoder.symbols_per_unit()
-        plan = []
-        seen_units = set()
-        for assignment in assignments:
-            unit = CodingUnitId(
-                encoder.frame_index, assignment.layer, assignment.sublayer
+            member_rows = receivers.member_rows(
+                [u for u in group.user_ids if u in present]
             )
-            key = (assignment.group_index, unit)
-            if key in seen_units:
-                continue
-            seen_units.add(key)
-            group = groups[assignment.group_index]
-            member_rows = cohort.member_rows(group.user_ids)
             if member_rows.size == 0:
                 continue
             if self.source_coding:
-                deficit = k - cohort.min_distinct(unit, member_rows)
+                deficit = k - receivers.min_distinct(unit, member_rows)
                 if deficit <= 0:
                     continue
-                plan.append(
-                    (assignment.group_index, unit, encoder.next_symbols(unit, deficit))
-                )
+                symbols = encoder.next_symbols(unit, deficit)
             else:
-                missing = cohort.plain_missing(unit, member_rows)
+                missing = receivers.plain_missing(unit, member_rows)
                 if not missing:
                     continue
                 symbols = [encoder.symbol_at(unit, i) for i in missing]
-                plan.append((assignment.group_index, unit, symbols))
+            plan.append((assignment.group_index, unit, symbols))
         return plan
 
     # ------------------------------------------------------------------ passes
 
     def _paced_pass(
-        self, plan, groups, rates, true_state, receptions,
-        packet_bytes, budget_s, state, rng, prob_cache=None, faults=None,
+        self, plan, groups, rates, member_probs, receivers,
+        packet_bytes, budget_s, state, rng,
     ) -> None:
-        last_group = -1
-        for group_index, _unit, symbols in plan:
-            if not symbols:
-                continue
-            group = groups[group_index]
-            if group.plan.mcs is None:
-                continue
-            if group_index != last_group:
-                state.clock_s += GROUP_SWITCH_OVERHEAD_S
-                last_group = group_index
-            if prob_cache is None:
-                probs = self._member_probs(group, true_state, receptions, faults)
-            elif group_index in prob_cache:
-                probs = prob_cache[group_index]
-            else:
-                probs = self._member_probs(group, true_state, receptions, faults)
-                prob_cache[group_index] = probs
-            airtime = packet_bytes / rates[group_index]
-            draws = rng.random((len(symbols), len(probs)))
-            for s_idx, symbol in enumerate(symbols):
-                if state.clock_s + airtime > budget_s:
-                    return
-                state.clock_s += airtime
-                state.packets_sent += 1
-                self._deliver(symbol, probs, draws[s_idx], receptions)
-
-    def _burst_pass(
-        self, plan, groups, rates, true_state, receptions,
-        packet_bytes, budget_s, state, rng, faults=None,
-    ) -> None:
-        """No rate control: one big burst through the kernel queue."""
-        queue = self.kernel_queue or KernelQueue()
-        flat = [
-            (group_index, symbol)
-            for group_index, _unit, symbols in plan
-            for symbol in symbols
-        ]
-        if not flat:
-            return
-        mean_rate = float(np.mean([rates[g] for g, _ in flat]))
-        mask = queue.admitted_mask(
-            len(flat), packet_bytes, mean_rate, budget_s, rng
-        )
-        state.dropped_at_queue += int((~mask).sum())
-        member_prob_cache: Dict[int, Dict[int, float]] = {}
-        for (group_index, symbol), admitted in zip(flat, mask):
-            airtime = packet_bytes / rates[group_index]
-            if state.clock_s + airtime > budget_s:
-                break
-            if not admitted:
-                continue
-            group = groups[group_index]
-            if group.plan.mcs is None:
-                continue
-            state.clock_s += airtime
-            state.packets_sent += 1
-            if group_index not in member_prob_cache:
-                member_prob_cache[group_index] = self._member_probs(
-                    group, true_state, receptions, faults
-                )
-            probs = member_prob_cache[group_index]
-            draws = rng.random(len(probs))
-            self._deliver(symbol, probs, draws, receptions)
-
-    def _paced_pass_cohort(
-        self, plan, groups, rates, true_state, cohort,
-        packet_bytes, budget_s, state, rng, prob_cache, faults=None,
-    ) -> None:
-        """Paced pass over cohort arrays: one draw block + one boolean
-        compare per plan entry, scalar clock walk for the deadline cut."""
+        """One draw block + one boolean compare per plan entry, scalar
+        clock walk for the deadline cut."""
         last_group = -1
         for group_index, unit, symbols in plan:
             if not symbols:
                 continue
-            group = groups[group_index]
-            if group.plan.mcs is None:
+            if groups[group_index].plan.mcs is None:
                 continue
             if group_index != last_group:
                 state.clock_s += GROUP_SWITCH_OVERHEAD_S
                 last_group = group_index
-            member_rows, probs = self._cohort_probs(
-                group, true_state, cohort, prob_cache, faults
-            )
+            member_rows, probs = member_probs(group_index)
             airtime = packet_bytes / rates[group_index]
             draws = rng.random((len(symbols), len(probs)))
             n_send = 0
-            cut = False
-            for _ in symbols:
-                if state.clock_s + airtime > budget_s:
-                    cut = True
-                    break
+            while n_send < len(symbols) and state.clock_s + airtime <= budget_s:
                 state.clock_s += airtime
-                state.packets_sent += 1
                 n_send += 1
-            if n_send:
-                delivered = draws[:n_send] < probs[None, :]
-                cohort.record(unit, symbols[:n_send], member_rows, delivered)
-            if cut:
+            state.packets_sent += n_send
+            receivers.record(
+                unit, symbols[:n_send], member_rows, draws[:n_send] < probs
+            )
+            if n_send < len(symbols):
                 return
 
-    def _burst_pass_cohort(
-        self, plan, groups, rates, true_state, cohort,
-        packet_bytes, budget_s, state, rng, prob_cache, faults=None,
+    def _burst_pass(
+        self, plan, groups, rates, member_probs, receivers,
+        packet_bytes, budget_s, state, rng,
     ) -> None:
-        """No rate control, cohort arrays: the queue/clock walk is decided
-        first (it draws no per-member randomness), then delivery draws are
-        batched per contiguous same-group run of sent packets."""
+        """No rate control: one big burst through the kernel queue.
+
+        The queue/clock walk is decided first (it draws no per-member
+        randomness), then delivery draws are batched per contiguous
+        same-group run of sent packets."""
         queue = self.kernel_queue or KernelQueue()
         flat = [
             (group_index, unit, symbol)
@@ -602,7 +523,7 @@ class FrameTransmitter:
             len(flat), packet_bytes, mean_rate, budget_s, rng
         )
         state.dropped_at_queue += int((~mask).sum())
-        sent: List[Tuple[int, CodingUnitId, object]] = []
+        sent: List[Tuple[int, CodingUnitId, FountainSymbol]] = []
         for (group_index, unit, symbol), admitted in zip(flat, mask):
             airtime = packet_bytes / rates[group_index]
             if state.clock_s + airtime > budget_s:
@@ -620,9 +541,7 @@ class FrameTransmitter:
             j = i
             while j < len(sent) and sent[j][0] == group_index:
                 j += 1
-            member_rows, probs = self._cohort_probs(
-                groups[group_index], true_state, cohort, prob_cache, faults
-            )
+            member_rows, probs = member_probs(group_index)
             draws = rng.random((j - i, len(probs)))
             a = i
             while a < j:
@@ -630,70 +549,12 @@ class FrameTransmitter:
                 b = a
                 while b < j and sent[b][1] == unit:
                     b += 1
-                delivered = draws[a - i:b - i] < probs[None, :]
-                cohort.record(
+                receivers.record(
                     unit, [entry[2] for entry in sent[a:b]], member_rows,
-                    delivered,
+                    draws[a - i:b - i] < probs,
                 )
                 a = b
             i = j
-
-    # ------------------------------------------------------------------ utils
-
-    def _member_probs(
-        self,
-        group: CandidateGroup,
-        true_state: ChannelState,
-        receptions: Dict[int, UserReception],
-        faults: Optional["FaultView"] = None,
-    ) -> Dict[int, float]:
-        link = self.link if faults is None else faults.wrap_link(self.link)
-        probs = {
-            u: link.delivery_probability(
-                u, group.plan.beam, true_state, group.plan.mcs
-            )
-            for u in group.user_ids
-            if u in receptions
-        }
-        if faults is not None:
-            # Erasure bursts kill packets independently of the channel:
-            # scaling the delivery probability (instead of drawing extra
-            # randomness) keeps the rng stream — and hence zero-intensity
-            # runs — bit-identical to the fault-free path.
-            scale = faults.erasure_scale()
-            if scale < 1.0:
-                probs = {u: p * scale for u, p in probs.items()}
-        return probs
-
-    def _cohort_probs(
-        self,
-        group: CandidateGroup,
-        true_state: ChannelState,
-        cohort: FrameCohort,
-        prob_cache: Dict[int, Tuple[np.ndarray, np.ndarray]],
-        faults: Optional["FaultView"] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(member rows, delivery probabilities) for a group, memoized.
-
-        Member order matches :meth:`_member_probs` (group order filtered to
-        cohort membership) so draw columns line up across paths.
-        """
-        cached = prob_cache.get(group.index)
-        if cached is not None:
-            return cached
-        member_ids = [u for u in group.user_ids if u in cohort.index]
-        member_rows = cohort.member_rows(member_ids)
-        link = self.link if faults is None else faults.wrap_link(self.link)
-        probs = link.delivery_probability_array(
-            member_ids, group.plan.beam, true_state, group.plan.mcs
-        )
-        if faults is not None:
-            scale = faults.erasure_scale()
-            if scale < 1.0:
-                probs = probs * scale
-        entry = (member_rows, probs)
-        prob_cache[group.index] = entry
-        return entry
 
     # --------------------------------------------------------- churn state
 
@@ -715,14 +576,3 @@ class FrameTransmitter:
         self._tallies.evict(user)
         if OBS.mode:
             OBS.count("transport.users_evicted")
-
-    @staticmethod
-    def _deliver(symbol, probs: Dict[int, float], draws, receptions) -> None:
-        for (user, prob), draw in zip(probs.items(), np.atleast_1d(draws)):
-            reception = receptions[user]
-            if draw < prob:
-                reception.decoder.ingest(symbol)
-                reception.packets_received += 1
-                reception.delivered_payload_bytes += len(symbol.payload)
-            else:
-                reception.packets_lost += 1

@@ -229,6 +229,43 @@ class TestMultiApSession:
         assert counters.get("core.multi_ap.repair.users", 0) > 0
         assert counters.get("core.multi_ap.repair.delivered", 0) > 0
 
+    @pytest.mark.parametrize("mode", ["seed", "optimized"])
+    def test_tallies_include_cross_ap_repair(
+        self, scenario, tiny_dnn, hr_probe, mode
+    ):
+        """``user_state(u)`` is the sum of that user's per-frame receptions,
+        repair packets from the secondary AP included."""
+        totals = {}
+
+        class Sum:
+            name = "sum"
+
+            def run(self, ctx, session):
+                for user, reception in ctx.result.receptions.items():
+                    got, lost = totals.get(user, (0, 0))
+                    totals[user] = (
+                        got + reception.packets_received,
+                        lost + reception.packets_lost,
+                    )
+
+        trace = _trace(scenario, 3, seed=9, num_aps=2, duration_s=0.4)
+        config = SystemConfig(
+            **RES, topology=TopologyConfig(num_aps=2), faults=dict(BLOCKAGE)
+        )
+        from repro.core.multi_ap import multi_ap_stages
+        with perf_mode(mode), observed("counters"):
+            streamer = MulticastStreamer(
+                config, tiny_dnn, [hr_probe], scenario.channel_model, seed=0
+            )
+            streamer.session(trace, stages=multi_ap_stages() + [Sum()]).run(6)
+            repaired = OBS.counters().get("core.multi_ap.repair.packets", 0)
+        assert repaired > 0
+        for user, (got, lost) in totals.items():
+            tally = streamer.transmitter.user_state(user)
+            assert (tally.frames, tally.packets_received, tally.packets_lost) == (
+                6, got, lost,
+            )
+
     def test_two_ap_holds_ssim_under_blockage(
         self, scenario, tiny_dnn, hr_probe
     ):

@@ -10,9 +10,9 @@ Two safety properties keep the seed wire format trustworthy:
   module imported and its process-wide cache cleared, so merely shipping
   the new codec cannot perturb ``tests/core/golden_stream.json``.
 
-A precode-config session is also exercised end to end here: identical
-stats across seed/optimized perf modes, sane quality, and the cohort fast
-path correctly bypassed.
+A precode-config session is also exercised end to end here: sane quality,
+and identical stats across perf modes — the optimized arm runs the cohort
+with the payload-free rank oracle, the seed arm real inactivation decoders.
 """
 
 import json

@@ -26,8 +26,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FountainCodeError
+from repro.fountain.block import unit_decodable
 from repro.fountain.precode import Precode, PrecodeDecoder, PrecodeEncoder
-from repro.fountain.raptor import FountainDecoder, FountainEncoder
+from repro.fountain.raptor import (
+    COEFFICIENT_CACHE,
+    FountainDecoder,
+    FountainEncoder,
+)
 
 FULL_SWEEP = os.environ.get("REPRO_FULL_K_SWEEP", "") == "1"
 
@@ -255,6 +260,69 @@ class TestRandomizedEquivalence:
         # Late symbols after decode are accepted and change nothing.
         assert p_dec.add_symbol(p_enc.symbol(0)) is True
         assert p_dec.decode() == data
+
+
+class TestDecodabilityOracle:
+    """``unit_decodable`` — the payload-free verdict the cohort receiver
+    model runs on — against each codec's real decoder, around the K
+    threshold where rank deficiency lives."""
+
+    @pytest.mark.parametrize("k", K_LADDER)
+    def test_oracle_matches_decoders(self, k):
+        symbol_size = 6
+        block_id = 31
+        data = _payload(k + 5, k * symbol_size)
+        rng = np.random.default_rng(k)
+        codecs = {
+            "dense": (FountainEncoder(block_id, data, symbol_size), FountainDecoder),
+            "precode": (PrecodeEncoder(block_id, data, symbol_size), PrecodeDecoder),
+        }
+        verdicts = {codec: [] for codec in codecs}
+        for _ in range(6 if k > 64 else 24):
+            # Mostly-systematic receptions plus a few repair symbols, one
+            # short of K up to three over: the band sessions operate in.
+            held = int(rng.integers(max(0, k - 4), k + 1))
+            count = max(1, k + int(rng.integers(-1, 4)))
+            ids = rng.choice(k, size=held, replace=False).tolist()
+            ids += (k + rng.choice(k + 8, size=max(0, count - held),
+                                   replace=False)).tolist()
+            for codec, (encoder, decoder_cls) in codecs.items():
+                decoder = decoder_cls(block_id, len(data), symbol_size)
+                for sid in ids:
+                    decoder.add_symbol(encoder.symbol(sid))
+                verdict = unit_decodable(codec, block_id, k, ids)
+                assert verdict == decoder.is_decoded, (codec, sorted(ids))
+                verdicts[codec].append(verdict)
+        for codec, seen in verdicts.items():
+            assert any(seen), codec
+
+    def test_oracle_refuses_rank_deficient_sets(self):
+        """K=20 patterns with >= K distinct ids that still fail: a dense
+        set built around a repair row blind to the one missing source
+        symbol, and the precode failures a seeded search turns up."""
+        k, symbol_size, block_id = 20, 6, 37
+        data = _payload(3, k * symbol_size)
+        (d_enc, _), (p_enc, _) = _pair(block_id, data, symbol_size)
+        sid = k
+        while COEFFICIENT_CACHE.row(block_id, k, sid)[0] != 0:
+            sid += 1
+        ids = list(range(1, k)) + [sid]
+        decoder = FountainDecoder(block_id, len(data), symbol_size)
+        for i in ids:
+            decoder.add_symbol(d_enc.symbol(i))
+        assert not decoder.is_decoded
+        assert not unit_decodable("dense", block_id, k, ids)
+
+        rng = np.random.default_rng(0)
+        failures = 0
+        for _ in range(200):
+            ids = rng.choice(2 * k, size=k, replace=False).tolist()
+            decoder = PrecodeDecoder(block_id, len(data), symbol_size)
+            for i in ids:
+                decoder.add_symbol(p_enc.symbol(i))
+            assert unit_decodable("precode", block_id, k, ids) == decoder.is_decoded
+            failures += not decoder.is_decoded
+        assert 0 < failures < 200
 
 
 class TestPrecodeStructure:

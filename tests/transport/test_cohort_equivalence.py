@@ -1,11 +1,13 @@
-"""Bit-identity of the vectorized cohort path against the seed path.
+"""Bit-identity of the cohort receiver model against the seed reference.
 
-The optimized transport core keeps per-receiver state in numpy cohort
-arrays and draws one batched Bernoulli sample per coding group; the seed
-path loops over users with scalar draws.  These properties pin the
-contract that — at equal seeds — both paths produce *bit-identical*
-``TransmissionResult`` and ``OutcomeStats``, across user counts, RNG
-seeds and fault mixes (including churn evict/rejoin).
+Production keeps per-receiver state in numpy cohort arrays and answers
+"is this unit decodable?" from received id sets; ``perf_mode("seed")``
+swaps in one real decoder per receiver.  These properties pin the
+contract that — at equal seeds — both produce *bit-identical*
+``TransmissionResult`` and ``OutcomeStats``, across codecs, AP counts,
+observability modes, user counts, RNG seeds and fault mixes (including
+churn evict/rejoin), and that the cohort is what runs in every optimized
+arm.
 """
 
 from __future__ import annotations
@@ -17,12 +19,18 @@ from hypothesis import strategies as st
 
 from repro.beamforming import GroupBeamPlanner, SectorCodebook
 from repro.core import MulticastStreamer, SystemConfig
+from repro.core.multi_ap import multi_ap_stages
+from repro.core.pipeline import default_stages
 from repro.faults import FaultController, FaultEvent, FaultKind, FaultSchedule
-from repro.fountain.block import FrameBlockEncoder
+from repro.fountain.block import FOUNTAIN_CODECS, CodingUnitId, FrameBlockEncoder
+from repro.fountain.precode import PrecodeDecoder
+from repro.fountain.raptor import COEFFICIENT_CACHE
+from repro.obs import OBS, observed
 from repro.perf import perf_mode
+from repro.phy.topology import TopologyConfig
 from repro.scheduling.coding_groups import UnitAssignment
 from repro.scheduling.groups import GroupEnumerator
-from repro.transport import FrameTransmitter, LinkModel
+from repro.transport import FrameCohort, FrameTransmitter, LinkModel
 from repro.types import BeamformingScheme
 from repro.video.jigsaw import SUBLAYER_COUNTS
 
@@ -46,6 +54,16 @@ FAULT_MIXES = (
         "seed": 15,
     },
 )
+
+
+#: The CLI's ``blockage_failover`` preset: deep AP-0 bursts, so the 2-AP
+#: arms actually hand over and repair across APs.
+BLOCKAGE_FAILOVER = {
+    "seed": 11,
+    "blockage_rate_hz": 6.0,
+    "blockage_duration_s": 0.3,
+    "blockage_depth_db": 25.0,
+}
 
 
 def _transmit_world(scenario, num_users, seed):
@@ -104,8 +122,17 @@ def _result_digest(result):
     )
 
 
+def _assert_oracle_matches_decoders(cohort):
+    """Every receiver's oracle verdicts equal its replayed real decoders'."""
+    matrices = cohort.decoded_matrices()
+    for row, reception in enumerate(cohort.receptions().values()):
+        masks = reception.decoder.sublayer_masks()
+        for matrix, mask in zip(matrices, masks):
+            assert matrix[row].tolist() == mask.tolist()
+
+
 class TestTransmitterEquivalence:
-    """Seed and cohort transmit paths agree bit-for-bit at equal seeds."""
+    """Seed and cohort receiver models agree bit-for-bit at equal seeds."""
 
     @settings(
         max_examples=8,
@@ -116,11 +143,15 @@ class TestTransmitterEquivalence:
         num_users=st.integers(min_value=1, max_value=64),
         seed=st.integers(min_value=0, max_value=2**16),
         rate_control=st.booleans(),
+        fountain_codec=st.sampled_from(FOUNTAIN_CODECS),
     )
-    @example(num_users=64, seed=0, rate_control=True)
-    @example(num_users=1, seed=7, rate_control=False)
+    @example(num_users=64, seed=0, rate_control=True,
+             fountain_codec="dense")
+    @example(num_users=1, seed=7, rate_control=False,
+             fountain_codec="precode")
     def test_transmit_bit_identical(
-        self, scenario, hr_probe, num_users, seed, rate_control
+        self, scenario, hr_probe, num_users, seed, rate_control,
+        fountain_codec,
     ):
         state, groups = _transmit_world(scenario, num_users, seed)
 
@@ -129,7 +160,9 @@ class TestTransmitterEquivalence:
                 link=LinkModel(scenario.channel_model, associated_user=0),
                 rate_control=rate_control,
             )
-            encoder = FrameBlockEncoder(0, hr_probe.layered)
+            encoder = FrameBlockEncoder(
+            0, hr_probe.layered, codec=fountain_codec
+        )
             return transmitter.transmit(
                 encoder,
                 _assignments(encoder, groups),
@@ -147,17 +180,100 @@ class TestTransmitterEquivalence:
         assert _result_digest(optimized) == _result_digest(reference)
 
 
+class TestRankDeficientPatterns:
+    """``distinct >= K`` is necessary, not sufficient: the oracle must say
+    no exactly where a real decoder fails on a rank-deficient id set."""
+
+    @staticmethod
+    def _deficient_ids(codec, encoder, unit):
+        """K distinct ids of ``unit`` that do not decode."""
+        k = encoder.symbols_per_unit()
+        if codec == "dense":
+            # One systematic hole, plugged by a repair row blind to it.
+            sid = k
+            while COEFFICIENT_CACHE.row(unit.block_id, k, sid)[0] != 0:
+                sid += 1
+            return list(range(1, k)) + [sid]
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            ids = rng.choice(2 * k, size=k, replace=False).tolist()
+            decoder = PrecodeDecoder(
+                unit.block_id, encoder.unit_nbytes(), encoder.symbol_size
+            )
+            for i in ids:
+                decoder.add_symbol(encoder.symbol_at(unit, i))
+            if not decoder.is_decoded:
+                return ids
+        raise AssertionError("no rank-deficient precode pattern found")
+
+    @pytest.mark.parametrize("fountain_codec", FOUNTAIN_CODECS)
+    def test_deficient_then_repaired(self, hr_probe, fountain_codec):
+        encoder = FrameBlockEncoder(
+            0, hr_probe.layered, codec=fountain_codec
+        )
+        unit = CodingUnitId(0, 1, 2)
+        k = encoder.symbols_per_unit()
+        ids = self._deficient_ids(fountain_codec, encoder, unit)
+        cohort = FrameCohort([7, 8], encoder)
+        rows = cohort.member_rows([7, 8])
+        # User 7 gets the deficient set, user 8 every symbol but the last.
+        delivered = np.ones((k, 2), dtype=bool)
+        delivered[-1, 1] = False
+        cohort.record(
+            unit, [encoder.symbol_at(unit, i) for i in ids], rows, delivered
+        )
+        assert cohort.min_distinct(unit, rows[:1]) == k
+        assert not cohort.decoded_matrices()[1][:, 2].any()
+        _assert_oracle_matches_decoders(cohort)
+        # Three more fresh symbols lift both to full rank.
+        extra = [encoder.symbol_at(unit, 2 * k + i) for i in range(3)]
+        cohort.record(unit, extra, rows, np.ones((3, 2), dtype=bool))
+        assert cohort.decoded_matrices()[1][:, 2].all()
+        _assert_oracle_matches_decoders(cohort)
+
+
 class TestSessionEquivalence:
     """End-to-end outcomes agree bit-for-bit across the path switch."""
 
     def _outcomes(self, scenario, tiny_dnn, hr_probe, num_users, seed,
-                  faults, frames=4, events=None):
+                  faults, frames=4, events=None, codec="dense", num_aps=1,
+                  obs="off", audit=None):
+        """(fingerprint, per-user packet totals, OBS counters) of a seed-mode
+        and an optimized run; each arm asserts which receiver model ran and
+        hands every optimized frame's cohort to ``audit``."""
         positions = scenario.place_arc(num_users, 3.0, 60, seed=seed)
-        trace = scenario.static_trace(positions, duration_s=0.3, seed=seed + 1)
+        trace = scenario.static_trace(
+            positions, duration_s=0.3, seed=seed + 1, num_aps=num_aps
+        )
+        overrides = {}
+        stages = default_stages
+        if num_aps > 1:
+            faults = {**BLOCKAGE_FAILOVER, **faults}
+            overrides["topology"] = TopologyConfig(num_aps=num_aps)
+            stages = multi_ap_stages
         results = []
         for mode in ("seed", "optimized"):
-            with perf_mode(mode):
-                config = SystemConfig(**RES, faults=dict(faults))
+            totals = {}
+
+            class Audit:
+                name = "audit"
+
+                def run(self, ctx, session):
+                    assert (ctx.result.cohort is None) == (mode == "seed")
+                    if audit is not None and mode != "seed":
+                        audit(ctx.result.cohort)
+                    for user, reception in ctx.result.receptions.items():
+                        got, lost = totals.get(user, (0, 0))
+                        totals[user] = (
+                            got + reception.packets_received,
+                            lost + reception.packets_lost,
+                        )
+
+            with perf_mode(mode), observed(obs):
+                config = SystemConfig(
+                    **RES, faults=dict(faults), fountain_codec=codec,
+                    **overrides,
+                )
                 streamer = MulticastStreamer(
                     config, tiny_dnn, [hr_probe], scenario.channel_model,
                     seed=seed,
@@ -167,8 +283,11 @@ class TestSessionEquivalence:
                     if events is not None
                     else None
                 )
-                session = streamer.session(trace, faults=controller)
-                results.append(fingerprint(session.run(frames)))
+                session = streamer.session(
+                    trace, faults=controller, stages=stages() + [Audit()]
+                )
+                outcome = session.run(frames)
+                results.append((fingerprint(outcome), totals, OBS.counters()))
         return results
 
     @settings(
@@ -180,15 +299,82 @@ class TestSessionEquivalence:
         num_users=st.integers(min_value=1, max_value=4),
         seed=st.integers(min_value=0, max_value=999),
         faults=st.sampled_from(FAULT_MIXES),
+        fountain_codec=st.sampled_from(FOUNTAIN_CODECS),
+        num_aps=st.sampled_from((1, 2)),
+        obs=st.sampled_from(("off", "counters")),
     )
-    @example(num_users=4, seed=0, faults=FAULT_MIXES[5])
+    @example(num_users=4, seed=0, faults=FAULT_MIXES[5],
+             fountain_codec="dense",
+             num_aps=1, obs="off")
+    @example(num_users=4, seed=0, faults=FAULT_MIXES[5],
+             fountain_codec="precode",
+             num_aps=2, obs="counters")
+    @example(num_users=3, seed=1, faults=FAULT_MIXES[1],
+             fountain_codec="precode",
+             num_aps=1, obs="off")
+    @example(num_users=3, seed=2, faults=FAULT_MIXES[2],
+             fountain_codec="dense",
+             num_aps=2, obs="off")
     def test_outcome_stats_bit_identical(
-        self, scenario, tiny_dnn, hr_probe, num_users, seed, faults
+        self, scenario, tiny_dnn, hr_probe, num_users, seed, faults,
+        fountain_codec, num_aps, obs,
     ):
         reference, optimized = self._outcomes(
-            scenario, tiny_dnn, hr_probe, num_users, seed, faults
+            scenario, tiny_dnn, hr_probe, num_users, seed, faults,
+            codec=fountain_codec, num_aps=num_aps, obs=obs,
         )
-        assert optimized == reference
+        assert optimized[:2] == reference[:2]
+
+    @pytest.mark.parametrize("fountain_codec", FOUNTAIN_CODECS)
+    @pytest.mark.parametrize("num_aps", (1, 2))
+    def test_oracle_matches_decoders_in_a_lossy_session(
+        self, scenario, tiny_dnn, hr_probe, fountain_codec, num_aps
+    ):
+        """Erasure bursts punch systematic holes, so units are settled by
+        the rank oracle; every verdict must be what real decoders, replayed
+        from the recorded events, conclude."""
+        via_rank = []
+
+        def audit(cohort):
+            _assert_oracle_matches_decoders(cohort)
+            for state in cohort._units.values():
+                settled = state.decoded_users() & ~state.sys_mask.all(axis=0)
+                via_rank.append(int(settled.sum()))
+
+        self._outcomes(
+            scenario, tiny_dnn, hr_probe, 3, 9, FAULT_MIXES[1], frames=6,
+            codec=fountain_codec, num_aps=num_aps, audit=audit,
+        )
+        assert sum(via_rank) > 0
+
+    @pytest.mark.parametrize("fountain_codec", FOUNTAIN_CODECS)
+    @pytest.mark.parametrize("num_aps", (1, 2))
+    def test_observability_describes_the_path_that_runs(
+        self, scenario, tiny_dnn, hr_probe, fountain_codec, num_aps
+    ):
+        """Turning counters on changes neither the outcome nor the receiver
+        model, and the per-user delivery counters are the cohort's totals
+        (cross-AP repair packets included)."""
+        runs = {
+            obs: self._outcomes(
+                scenario, tiny_dnn, hr_probe, 3, 9, FAULT_MIXES[1],
+                frames=6, codec=fountain_codec, num_aps=num_aps, obs=obs,
+            )[1]
+            for obs in ("off", "counters")
+        }
+        assert runs["counters"][0] == runs["off"][0]
+        _, totals, counters = runs["counters"]
+        assert totals == runs["off"][1]
+        for user, (got, lost) in totals.items():
+            assert counters[f"transport.user.{user}.delivered"] == got
+            assert counters[f"transport.user.{user}.lost"] == lost
+        assert counters["fountain.symbols_received"] == sum(
+            got for got, _ in totals.values()
+        )
+        assert counters["fountain.blocks_decoded"] > 0
+        assert counters["decode.fountain.calls"] == 6
+        if num_aps > 1:
+            assert counters["core.multi_ap.repair.packets"] > 0
 
     def test_churn_evict_rejoin_bit_identical(
         self, scenario, tiny_dnn, hr_probe
@@ -203,7 +389,7 @@ class TestSessionEquivalence:
             scenario, tiny_dnn, hr_probe, num_users=3, seed=5, faults={},
             frames=8, events=events,
         )
-        assert optimized == reference
+        assert optimized[:2] == reference[:2]
 
 
 class TestThousandUserSmoke:
