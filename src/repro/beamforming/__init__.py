@@ -13,10 +13,9 @@ Implements the four schemes compared throughout the paper's evaluation
 from .codebook import SectorCodebook
 from .multicast import (
     max_min_gain,
-    max_min_gain_batch,
     max_min_multicast_beam,
+    max_min_multicast_beams,
     per_user_gains,
-    per_user_gains_batch,
     svd_multicast_beam,
 )
 from .sls import sector_sweep
@@ -27,10 +26,9 @@ __all__ = [
     "sector_sweep",
     "svd_multicast_beam",
     "max_min_multicast_beam",
+    "max_min_multicast_beams",
     "max_min_gain",
-    "max_min_gain_batch",
     "per_user_gains",
-    "per_user_gains_batch",
     "GroupBeamPlanner",
     "BeamPlan",
 ]

@@ -10,7 +10,7 @@ throughput of the highest decodable MCS (Table 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from ..phy.channel import ChannelState, LinkBudget
 from ..phy.mcs import McsEntry, highest_supported_mcs
 from ..types import BeamformingScheme
 from .codebook import SectorCodebook
-from .multicast import max_min_multicast_beam, per_user_gains, per_user_gains_batch
+from .multicast import max_min_multicast_beams, per_user_gains
 
 
 @dataclass(frozen=True)
@@ -83,65 +83,52 @@ class GroupBeamPlanner:
 
     def beam_for_group(self, channels: Sequence[np.ndarray]) -> np.ndarray:
         """Compute the scheme's transmit beam for a group of channels."""
-        if not channels:
-            raise BeamformingError("empty group")
-        if not self.allows_multiuser_groups and len(channels) > 1:
-            raise BeamformingError(
-                f"scheme {self.scheme.value} only supports singleton groups"
-            )
+        return self.beams_for_groups([channels])[0]
+
+    def beams_for_groups(
+        self, channel_groups: Sequence[Sequence[np.ndarray]]
+    ) -> List[np.ndarray]:
+        """The scheme's transmit beam for each group of channels."""
+        for channels in channel_groups:
+            if not len(channels):
+                raise BeamformingError("empty group")
+            if not self.allows_multiuser_groups and len(channels) > 1:
+                raise BeamformingError(
+                    f"scheme {self.scheme.value} only supports singleton groups"
+                )
         if self.scheme in (
             BeamformingScheme.OPTIMIZED_MULTICAST,
             BeamformingScheme.OPTIMIZED_UNICAST,
         ):
-            return max_min_multicast_beam(self.array, channels)
-        gains = self.codebook.gains_multi(list(channels))
-        best = int(np.argmax(gains.min(axis=1)))
-        return self.codebook.beam(best)
+            return max_min_multicast_beams(self.array, channel_groups)
+        beams = []
+        for channels in channel_groups:
+            gains = self.codebook.gains_multi(list(channels))
+            beams.append(self.codebook.beam(int(np.argmax(gains.min(axis=1)))))
+        return beams
 
     def plan_group(
         self, state: ChannelState, user_ids: Sequence[int]
     ) -> BeamPlan:
-        """Beam + RSS + MCS + rate for one candidate group.
-
-        ``state`` should carry the AP's *estimated* channels — the beam is
-        chosen from what the AP believes, exactly as in the real system.
-        """
-        users = tuple(sorted(user_ids))
-        channels = [state.channels[u] for u in users]
-        beam = self.beam_for_group(channels)
-        gains = per_user_gains(beam, channels)
-        rss = {u: self.budget.rss_dbm(float(g)) for u, g in zip(users, gains)}
-        min_rss = min(rss.values())
-        mcs = highest_supported_mcs(min_rss - self.mcs_backoff_db)
-        rate = float(mcs.udp_throughput_mbps) if mcs else 0.0
-        return BeamPlan(
-            user_ids=users,
-            beam=beam,
-            per_user_rss_dbm=rss,
-            min_rss_dbm=min_rss,
-            mcs=mcs,
-            rate_mbps=rate,
-        )
+        """Beam + RSS + MCS + rate for one candidate group."""
+        return self.plan_groups(state, [user_ids])[0]
 
     def plan_groups(
         self, state: ChannelState, groups: Sequence[Sequence[int]]
-    ) -> list:
-        """Beam plans for many candidate groups, gains batched.
+    ) -> List[BeamPlan]:
+        """Beam + RSS + MCS + rate for each candidate group.
 
-        Beam *synthesis* stays per group (the max-min ascent is iterative),
-        but gain evaluation — the planner's inner loop — collapses to one
-        stacked matmul over every (beam, member) pair via
-        :func:`per_user_gains_batch`.  Gains can differ from the scalar
-        :meth:`plan_group` path by 1-2 ulp (BLAS gemm vs ``vdot``), so this
-        entry point serves new bulk consumers (multi-AP repair planning);
-        the golden-pinned single-AP enumeration keeps the scalar path.
+        ``state`` should carry the AP's *estimated* channels — the beam is
+        chosen from what the AP believes, exactly as in the real system.
+        All groups' beams are synthesised in one call; a group's plan does
+        not depend on which other groups it is planned with.
         """
         ordered = [tuple(sorted(g)) for g in groups]
         channel_groups = [[state.channels[u] for u in users] for users in ordered]
-        beams = [self.beam_for_group(chans) for chans in channel_groups]
-        gain_groups = per_user_gains_batch(beams, channel_groups)
+        beams = self.beams_for_groups(channel_groups)
         plans = []
-        for users, beam, gains in zip(ordered, beams, gain_groups):
+        for users, beam, channels in zip(ordered, beams, channel_groups):
+            gains = per_user_gains(beam, channels)
             rss = {u: self.budget.rss_dbm(float(g)) for u, g in zip(users, gains)}
             min_rss = min(rss.values())
             mcs = highest_supported_mcs(min_rss - self.mcs_backoff_db)

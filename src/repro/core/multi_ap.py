@@ -9,8 +9,8 @@ its strongest AP (hysteresis-damped, optionally under seeded measurement
 noise), then runs the existing single-AP planner once per AP over that
 AP's estimated channels and associated users.  Each user is served by
 exactly one *primary* AP; the best non-serving AP is recorded as the
-user's repair *secondary*, with a singleton beam plan computed via the
-batched gain path (:meth:`GroupBeamPlanner.plan_groups`).
+user's repair *secondary*, with a singleton beam plan from one
+:meth:`GroupBeamPlanner.plan_groups` call per secondary AP.
 
 ``MultiApCodingGroupMapper`` — maps each AP's allocation onto coding
 units independently (Problem 4 per AP).
@@ -167,8 +167,8 @@ class MultiApPlanner:
 
         self._repair_plans = {}
         if topology.cross_ap_repair and config.source_coding:
-            # Singleton repair beams per (secondary AP, backup user), gains
-            # batched per AP through the stacked-matmul path.
+            # Singleton repair beams per (secondary AP, backup user), one
+            # plan_groups call per AP.
             by_secondary: Dict[int, List[int]] = {}
             for user in sorted(present):
                 secondary = policy.secondary(user)

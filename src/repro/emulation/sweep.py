@@ -38,6 +38,10 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
 )
 
 import numpy as np
@@ -103,8 +107,20 @@ class Variant:
         )
 
 
-def _coerce_field(current: Any, name: str, raw: str) -> Any:
-    """One ``field=value`` string coerced to the type of its default."""
+def _coerce_field(current: Any, annotation: Any, name: str, raw: str) -> Any:
+    """One ``field=value`` string coerced to the type of its field.
+
+    The default's type decides, except for ``Optional[int]`` /
+    ``Optional[float]`` fields, whose default is usually ``None``: those go
+    by the annotation and accept ``none``.
+    """
+    members = get_args(annotation)
+    if get_origin(annotation) is Union and type(None) in members:
+        if str(raw).strip().lower() == "none":
+            return None
+        for kind in (int, float):
+            if kind in members:
+                return kind(raw)
     if isinstance(current, enum.Enum):
         return type(current)(raw)
     if isinstance(current, bool):
@@ -126,7 +142,8 @@ def parse_config_overrides(pairs: Mapping[str, str]) -> Dict[str, Any]:
 
     Enum fields accept the enum's value (e.g. ``scheduler=round_robin``),
     booleans accept on/off/true/false/1/0; numbers are cast to the field
-    type.  Fault-injection knobs nest under a dotted prefix
+    type, and optional numbers (``max_group_size``) also accept ``none``.
+    Fault-injection knobs nest under a dotted prefix
     (``faults.blockage_rate_hz=2``) and come back as one merged
     :class:`repro.faults.FaultConfig` under the ``faults`` key; topology
     knobs likewise (``topology.num_aps=2``) merge into a
@@ -134,12 +151,12 @@ def parse_config_overrides(pairs: Mapping[str, str]) -> Dict[str, Any]:
     fields raise :class:`EmulationError` so CLI typos fail loudly instead
     of silently streaming the base config.
     """
-    fields = {f.name: f for f in dataclasses.fields(SystemConfig)}
+    fields = get_type_hints(SystemConfig)
     config_defaults = SystemConfig()
     fault_defaults = config_defaults.faults
-    fault_fields = {f.name for f in dataclasses.fields(type(fault_defaults))}
+    fault_fields = get_type_hints(type(fault_defaults))
     topology_defaults = TopologyConfig()
-    topology_fields = {f.name for f in dataclasses.fields(TopologyConfig)}
+    topology_fields = get_type_hints(TopologyConfig)
     overrides: Dict[str, Any] = {}
     fault_overrides: Dict[str, Any] = {}
     topology_overrides: Dict[str, Any] = {}
@@ -152,7 +169,7 @@ def parse_config_overrides(pairs: Mapping[str, str]) -> Dict[str, Any]:
                     f"(known: {', '.join('faults.' + f for f in sorted(fault_fields))})"
                 )
             fault_overrides[sub] = _coerce_field(
-                getattr(fault_defaults, sub), name, raw
+                getattr(fault_defaults, sub), fault_fields[sub], name, raw
             )
             continue
         if name.startswith("topology."):
@@ -163,7 +180,7 @@ def parse_config_overrides(pairs: Mapping[str, str]) -> Dict[str, Any]:
                     f"(known: {', '.join('topology.' + f for f in sorted(topology_fields))})"
                 )
             topology_overrides[sub] = _coerce_field(
-                getattr(topology_defaults, sub), name, raw
+                getattr(topology_defaults, sub), topology_fields[sub], name, raw
             )
             continue
         if name == "faults":
@@ -180,7 +197,7 @@ def parse_config_overrides(pairs: Mapping[str, str]) -> Dict[str, Any]:
                 f"(known: {', '.join(sorted(fields))})"
             )
         overrides[name] = _coerce_field(
-            getattr(config_defaults, name), name, raw
+            getattr(config_defaults, name), fields[name], name, raw
         )
     if fault_overrides:
         overrides["faults"] = dataclasses.replace(

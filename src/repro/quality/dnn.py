@@ -32,7 +32,7 @@ HIDDEN_LAYERS = 5
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # Clipping keeps exp() finite without changing results materially.
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+    return 1.0 / (1.0 + np.exp(-x.clip(-60.0, 60.0)))
 
 
 @dataclass
@@ -118,7 +118,9 @@ class DNNQualityModel:
         """
         x = self._check_features(features)
         out, activations = self._forward(x)
-        grad = np.repeat(self._params[-2].T, x.shape[0], axis=0)  # (n, 9)
+        # The linear head's gradient is the same (1, 9) row for every
+        # sample; the first product broadcasts it to (n, 9).
+        grad = self._params[-2].T
         for layer in range(HIDDEN_LAYERS - 1, -1, -1):
             act = activations[layer + 1]
             grad = (grad * act * (1.0 - act)) @ self._params[2 * layer].T

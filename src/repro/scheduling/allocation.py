@@ -54,7 +54,7 @@ class AllocationResult:
 
     def nonzero_entries(self) -> List[tuple]:
         """(group_index, layer, seconds) for all non-trivial allocations."""
-        entries = []
+        entries: List[tuple] = []
         for g in range(self.time_s.shape[0]):
             for j in range(NUM_LAYERS):
                 if self.time_s[g, j] > 1e-9:
@@ -124,11 +124,12 @@ class TimeAllocationOptimizer:
     ) -> AllocationResult:
         num_groups = len(groups)
         rates = np.array([g.rate_bytes_per_s for g in groups])  # bytes/s
+        row_of = {user: row for row, user in enumerate(users)}
         membership = np.zeros((len(users), num_groups), dtype=bool)
         for gi, group in enumerate(groups):
             for user in group.user_ids:
-                if user in contexts:
-                    membership[users.index(user), gi] = True
+                if user in row_of:
+                    membership[row_of[user], gi] = True
         layer_sizes = np.vstack(
             [np.asarray(contexts[u].layer_sizes, dtype=float) for u in users]
         )  # (n_users, 4)
@@ -145,10 +146,32 @@ class TimeAllocationOptimizer:
         time[best_group, :] = frame_budget_s * np.array([0.4, 0.3, 0.2, 0.1])
         time = self._project(time, caps, frame_budget_s)
 
+        # Everything the ascent reads but never changes, so that the loop
+        # is the gradient's arithmetic and nothing else.  ``features`` must
+        # stay what FrameFeatureContext.features_for_bytes builds row by
+        # row: same values, same operations in the same order.
+        rate_column = rates[:, None]
+        to_users = membership.astype(float)  # (n_users, G)
+        to_groups = membership.T.astype(float)  # (G, n_users)
+        features = np.empty((len(users), 2 * NUM_LAYERS + 1))
+        features[:, NUM_LAYERS:] = [
+            [*contexts[u].cumulative_ssim, contexts[u].blank_ssim] for u in users
+        ]
+
         step = frame_budget_s / 8.0
         for iteration in range(self.iterations):
-            grad = self._gradient(time, rates, membership, layer_sizes, users, contexts)
-            norm = float(np.max(np.abs(grad)))
+            # d objective / d T_{G,j} at the current allocation.
+            user_bytes = to_users @ (time * rate_column)  # (n_users, 4)
+            fractions = user_bytes / layer_sizes
+            features[:, :NUM_LAYERS] = fractions.clip(0, 1)
+            _, input_grad = self.quality_model.predict_with_input_grad(features)
+            # Chain rule through fraction = clip(bytes / size, 0, 1).
+            active = fractions < 1.0
+            dq_dbytes = input_grad[:, :NUM_LAYERS] * active / layer_sizes
+            dq_dbytes = dq_dbytes - self.traffic_penalty_per_byte
+            # dD_ij/dT_Gj = R_G for i in G.
+            grad = (to_groups @ dq_dbytes) * rate_column  # (G, 4)
+            norm = float(np.abs(grad).max())
             if norm <= 1e-15:
                 break
             time = time + step * grad / norm
@@ -156,12 +179,12 @@ class TimeAllocationOptimizer:
             if iteration and iteration % 40 == 0:
                 step *= 0.5
 
-        bytes_alloc = time * rates[:, None]
+        bytes_alloc = time * rate_column
         per_user = {
             u: (membership[k][:, None] * bytes_alloc).sum(axis=0)
             for k, u in enumerate(users)
         }
-        predicted = {}
+        predicted: Dict[int, float] = {}
         for u in users:
             feats = contexts[u].features_for_bytes(per_user[u])
             predicted[u] = float(self.quality_model.predict(feats)[0])
@@ -173,35 +196,6 @@ class TimeAllocationOptimizer:
             predicted_quality=predicted,
         )
 
-    def _gradient(
-        self,
-        time: np.ndarray,
-        rates: np.ndarray,
-        membership: np.ndarray,
-        layer_sizes: np.ndarray,
-        users: List[int],
-        contexts: Dict[int, FrameFeatureContext],
-    ) -> np.ndarray:
-        """d objective / d T_{G,j} at the current allocation."""
-        bytes_alloc = time * rates[:, None]  # (G, 4)
-        user_bytes = membership.astype(float) @ bytes_alloc  # (n_users, 4)
-        features = np.vstack(
-            [
-                contexts[u].features_for_bytes(user_bytes[k])
-                for k, u in enumerate(users)
-            ]
-        )
-        _, input_grad = self.quality_model.predict_with_input_grad(features)
-        # Chain rule through fraction = clip(bytes / size, 0, 1).
-        fractions = user_bytes / layer_sizes
-        active = fractions < 1.0
-        dq_dbytes = input_grad[:, :NUM_LAYERS] * active / layer_sizes  # (n_users, 4)
-        dq_dbytes = dq_dbytes - self.traffic_penalty_per_byte
-        # dD_ij/dT_Gj = R_G for i in G.
-        grad_bytes = membership.T.astype(float) @ dq_dbytes  # (G, 4)
-        return grad_bytes * rates[:, None]
-
-
     @staticmethod
     def _project(time: np.ndarray, caps: np.ndarray, budget: float) -> np.ndarray:
         """Project onto ``{0 <= T <= caps, sum T <= budget}``.
@@ -209,10 +203,9 @@ class TimeAllocationOptimizer:
         Alternating projections between the box and the capped simplex; two
         rounds suffice for ascent purposes.
         """
-        projected = np.clip(time, 0.0, caps)
+        projected = time.clip(0.0, caps)
         for _ in range(2):
-            projected = _project_capped_simplex(projected, budget)
-            projected = np.clip(projected, 0.0, caps)
+            projected = _project_capped_simplex(projected, budget).clip(0.0, caps)
         return projected
 
 

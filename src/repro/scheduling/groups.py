@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,12 +109,12 @@ class GroupEnumerator:
         if self.planner.allows_multiuser_groups and len(users) > 1:
             subsets.extend(self._multiuser_subsets(state, users))
 
+        plans = self.planner.plan_groups(state, subsets)
         groups: List[CandidateGroup] = []
-        for subset in subsets:
-            plan = self.planner.plan_group(state, subset)
+        for plan in plans:
             if plan.rate_mbps <= 0.0:
                 continue
-            if len(subset) > 1 and plan.rate_mbps < self.min_rate_mbps:
+            if len(plan.user_ids) > 1 and plan.rate_mbps < self.min_rate_mbps:
                 continue
             groups.append(
                 CandidateGroup(
@@ -124,15 +124,9 @@ class GroupEnumerator:
         if not groups:
             # Degenerate snapshot (all users below every data MCS): keep the
             # least-bad singleton so upper layers can degrade gracefully.
-            best_user = max(
-                users, key=lambda u: self.planner.plan_group(state, [u]).min_rss_dbm
-            )
+            least_bad = max(plans[: len(users)], key=lambda p: p.min_rss_dbm)
             groups.append(
-                CandidateGroup(
-                    index=0,
-                    plan=self.planner.plan_group(state, [best_user]),
-                    rate_scale=self.rate_scale,
-                )
+                CandidateGroup(index=0, plan=least_bad, rate_scale=self.rate_scale)
             )
         return groups
 
@@ -140,13 +134,12 @@ class GroupEnumerator:
         self, state: ChannelState, users: List[int]
     ) -> List[Tuple[int, ...]]:
         cap = self.max_group_size or len(users)
+        subsets: List[Tuple[int, ...]] = []
         if len(users) <= self.exhaustive_max_users:
-            subsets = []
             for size in range(2, min(len(users), cap) + 1):
                 subsets.extend(itertools.combinations(users, size))
             return subsets
         ordered = self._sort_by_azimuth(state, users)
-        subsets = []
         for start in range(len(ordered)):
             stop = min(len(ordered), start + cap)
             for end in range(start + 2, stop + 1):
@@ -156,7 +149,7 @@ class GroupEnumerator:
     def _sort_by_azimuth(self, state: ChannelState, users: List[int]) -> List[int]:
         """Order users by the pointing angle of their best codebook sector."""
         codebook = self.planner.codebook
-        angles = {}
+        angles: Dict[int, float] = {}
         for user in users:
             gains = codebook.gains(state.channels[user])
             angles[user] = codebook.beam_angle_rad(int(np.argmax(gains)))

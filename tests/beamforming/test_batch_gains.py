@@ -1,137 +1,87 @@
-"""Equivalence of the batched gain paths against the scalar reference.
+"""``plan_groups`` and ``plan_group`` are one path and agree exactly.
 
-``per_user_gains_batch`` collapses the planner's inner loop into one
-stacked matmul; the BLAS gemm can differ from the scalar ``vdot`` loop by
-1-2 ulp, so the contract is ``allclose``-equivalence (not bit-identity)
-plus identical *decisions* (MCS, rates, user ordering) when driven
-through :meth:`GroupBeamPlanner.plan_groups`.
+Gains are evaluated by the scalar :func:`per_user_gains` whichever entry
+point is used, and a group's beam does not depend on its batch, so a plan
+taken out of a batch equals the plan of that group on its own: same beam
+bytes, same RSS floats, same MCS.  The multi-AP repair planner (one
+singleton per backup user) relies on exactly that.
 """
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.beamforming.codebook import SectorCodebook
-from repro.beamforming.multicast import (
-    max_min_gain,
-    max_min_gain_batch,
-    per_user_gains,
-    per_user_gains_batch,
-)
+from repro.beamforming.multicast import per_user_gains
 from repro.beamforming.selection import GroupBeamPlanner
-from repro.errors import BeamformingError
 from repro.types import BeamformingScheme
 
-NT = 32
+MULTICAST_GROUPS = [[0], [1], [2, 3], [0, 1, 2], [3, 1], [0, 1, 2, 3]]
+SINGLETONS = [[u] for u in range(4)]
 
 
-def _random_channels(rng, count, nt=NT, scale=1e-4):
-    return [
-        (rng.normal(size=nt) + 1j * rng.normal(size=nt)) * scale
-        for _ in range(count)
-    ]
-
-
-def _random_beam(rng, nt=NT):
-    raw = rng.normal(size=nt) + 1j * rng.normal(size=nt)
-    return raw / np.linalg.norm(raw)
-
-
-class TestBatchGains:
-    def test_matches_scalar_per_group(self, rng):
-        groups = [_random_channels(rng, size) for size in (1, 2, 4, 7)]
-        beams = [_random_beam(rng) for _ in groups]
-        batched = per_user_gains_batch(beams, groups)
-        assert len(batched) == len(groups)
-        for beam, group, gains in zip(beams, groups, batched):
-            np.testing.assert_allclose(
-                gains, per_user_gains(beam, group), rtol=1e-12
-            )
-
-    def test_max_min_matches_scalar(self, rng):
-        groups = [_random_channels(rng, size) for size in (3, 1, 5)]
-        beams = [_random_beam(rng) for _ in groups]
-        batched = max_min_gain_batch(beams, groups)
-        scalar = [max_min_gain(b, g) for b, g in zip(beams, groups)]
-        np.testing.assert_allclose(batched, scalar, rtol=1e-12)
-
-    def test_empty_batch(self):
-        assert per_user_gains_batch([], []) == []
-
-    def test_length_mismatch_rejected(self, rng):
-        with pytest.raises(BeamformingError):
-            per_user_gains_batch([_random_beam(rng)], [])
-
-    def test_empty_group_rejected(self, rng):
-        with pytest.raises(BeamformingError):
-            per_user_gains_batch([_random_beam(rng)], [[]])
-
-    def test_beam_channel_length_mismatch_rejected(self, rng):
-        with pytest.raises(BeamformingError):
-            per_user_gains_batch(
-                [_random_beam(rng, nt=16)], [_random_channels(rng, 2)]
-            )
-
-    @settings(
-        max_examples=20,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
+@pytest.fixture(scope="module")
+def snapshot(request):
+    scenario = request.getfixturevalue("scenario")
+    positions = scenario.place_arc(4, 3.0, 90, seed=17)
+    state = scenario.channel_model.snapshot(
+        {i: p for i, p in enumerate(positions)},
+        np.random.default_rng(17),
     )
-    @given(
-        seed=st.integers(min_value=0, max_value=2**16),
-        sizes=st.lists(
-            st.integers(min_value=1, max_value=6), min_size=1, max_size=5
-        ),
+    return scenario, state
+
+
+def _planner(scenario, scheme):
+    codebook = SectorCodebook(scenario.array, num_beams=16, num_wide_beams=4)
+    return GroupBeamPlanner(
+        scenario.array, codebook, scenario.channel_model.budget, scheme
     )
-    def test_property_batch_equals_scalar(self, seed, sizes):
-        rng = np.random.default_rng(seed)
-        groups = [_random_channels(rng, size) for size in sizes]
-        beams = [_random_beam(rng) for _ in groups]
-        batched = per_user_gains_batch(beams, groups)
-        for beam, group, gains in zip(beams, groups, batched):
-            np.testing.assert_allclose(
-                gains, per_user_gains(beam, group), rtol=1e-12
-            )
 
 
-class TestPlanGroupsBatch:
-    @pytest.fixture(scope="class")
-    def planner_state(self, request):
-        scenario = request.getfixturevalue("scenario")
-        positions = scenario.place_arc(4, 3.0, 90, seed=17)
-        state = scenario.channel_model.snapshot(
-            {i: p for i, p in enumerate(positions)},
-            np.random.default_rng(17),
-        )
-        codebook = SectorCodebook(scenario.array, num_beams=16, num_wide_beams=4)
-        planner = GroupBeamPlanner(
-            scenario.array, codebook, scenario.channel_model.budget,
-            BeamformingScheme.OPTIMIZED_MULTICAST,
-        )
-        return planner, state
+def assert_same_plan(left, right):
+    assert left.user_ids == right.user_ids
+    assert left.beam.tobytes() == right.beam.tobytes()
+    assert left.per_user_rss_dbm == right.per_user_rss_dbm
+    assert left.min_rss_dbm == right.min_rss_dbm
+    assert left.mcs == right.mcs
+    assert left.rate_mbps == right.rate_mbps
 
-    def test_matches_plan_group_decisions(self, planner_state):
-        planner, state = planner_state
-        groups = [[0], [1], [2, 3], [0, 1, 2]]
+
+class TestPlanGroupsEqualsPlanGroup:
+    @pytest.mark.parametrize("scheme", list(BeamformingScheme))
+    def test_batch_plan_equals_single_plan(self, snapshot, scheme):
+        scenario, state = snapshot
+        planner = _planner(scenario, scheme)
+        groups = MULTICAST_GROUPS if planner.allows_multiuser_groups else SINGLETONS
         batched = planner.plan_groups(state, groups)
+        assert [p.user_ids for p in batched] == [tuple(sorted(g)) for g in groups]
         for group, plan in zip(groups, batched):
-            scalar = planner.plan_group(state, group)
-            assert plan.user_ids == scalar.user_ids
-            assert plan.mcs == scalar.mcs
-            assert plan.rate_mbps == scalar.rate_mbps
-            np.testing.assert_allclose(plan.beam, scalar.beam)
-            assert plan.min_rss_dbm == pytest.approx(
-                scalar.min_rss_dbm, abs=1e-9
-            )
-            for user in plan.user_ids:
-                assert plan.per_user_rss_dbm[user] == pytest.approx(
-                    scalar.per_user_rss_dbm[user], abs=1e-9
-                )
+            assert_same_plan(plan, planner.plan_group(state, group))
 
-    def test_singleton_batch_shape(self, planner_state):
+    def test_gains_are_the_scalar_path(self, snapshot):
+        """RSS comes from ``per_user_gains`` of the returned beam, bit for bit."""
+        scenario, state = snapshot
+        planner = _planner(scenario, BeamformingScheme.OPTIMIZED_MULTICAST)
+        for plan in planner.plan_groups(state, MULTICAST_GROUPS):
+            channels = [state.channels[u] for u in plan.user_ids]
+            gains = per_user_gains(plan.beam, channels)
+            expected = {
+                u: planner.budget.rss_dbm(float(g))
+                for u, g in zip(plan.user_ids, gains)
+            }
+            assert plan.per_user_rss_dbm == expected
+
+    def test_singleton_batch_is_the_conjugate_beam(self, snapshot):
         """The multi-AP repair planner's usage: one singleton per user."""
-        planner, state = planner_state
-        plans = planner.plan_groups(state, [[u] for u in range(4)])
+        scenario, state = snapshot
+        planner = _planner(scenario, BeamformingScheme.OPTIMIZED_MULTICAST)
+        plans = planner.plan_groups(state, SINGLETONS)
         assert [p.user_ids for p in plans] == [(u,) for u in range(4)]
         assert all(p.mcs is not None for p in plans)
+        for user, plan in enumerate(plans):
+            matched = scenario.array.conjugate_beam(state.channels[user])
+            assert plan.beam.tobytes() == matched.tobytes()
+
+    def test_empty_batch(self, snapshot):
+        scenario, state = snapshot
+        planner = _planner(scenario, BeamformingScheme.OPTIMIZED_MULTICAST)
+        assert planner.plan_groups(state, []) == []

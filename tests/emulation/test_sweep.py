@@ -43,6 +43,18 @@ class TestOverrideParsing:
         assert overrides["fps"] == 24
         assert overrides["mcs_backoff_db"] == 1.5
 
+    def test_optional_numbers_follow_the_annotation(self):
+        """``max_group_size`` defaults to None, so its default has no type."""
+        assert parse_config_overrides({"max_group_size": "2"}) == {
+            "max_group_size": 2
+        }
+        for spelling in ("none", "None", " NONE "):
+            assert parse_config_overrides({"max_group_size": spelling}) == {
+                "max_group_size": None
+            }
+        with pytest.raises(ValueError):
+            parse_config_overrides({"max_group_size": "two"})
+
     def test_unknown_field_rejected(self):
         with pytest.raises(EmulationError, match="unknown SystemConfig field"):
             parse_config_overrides({"warp_drive": "on"})

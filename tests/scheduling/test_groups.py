@@ -147,3 +147,49 @@ class TestMaxGroupSize:
             _enumerator(
                 scenario, BeamformingScheme.OPTIMIZED_MULTICAST, max_group_size=1
             )
+
+
+class TestDegenerateSnapshot:
+    @pytest.fixture()
+    def unreachable(self, snapshot):
+        """Every user 120 dB down: below every data MCS, alone or grouped."""
+        from repro.phy.channel import ChannelState
+
+        scenario, state = snapshot
+        weak = ChannelState(
+            channels={u: h * 1e-6 for u, h in state.channels.items()},
+            positions=state.positions,
+        )
+        return scenario, weak
+
+    def test_keeps_the_least_bad_singleton(self, unreachable):
+        scenario, weak = unreachable
+        enum = _enumerator(scenario, BeamformingScheme.OPTIMIZED_MULTICAST)
+        singles = enum.planner.plan_groups(weak, [[0], [1], [2]])
+        assert all(plan.mcs is None for plan in singles)
+        groups = enum.enumerate(weak, [0, 1, 2])
+        assert len(groups) == 1
+        (group,) = groups
+        assert group.index == 0 and group.rate_mbps == 0.0
+        best = max(singles, key=lambda plan: plan.min_rss_dbm)
+        assert group.user_ids == best.user_ids
+        assert group.plan.min_rss_dbm == best.min_rss_dbm
+
+    def test_fallback_plans_nothing_twice(self, unreachable, monkeypatch):
+        scenario, weak = unreachable
+        enum = _enumerator(scenario, BeamformingScheme.OPTIMIZED_MULTICAST)
+        batches = []
+        real = enum.planner.plan_groups
+
+        def recording(state, groups):
+            batches.append([tuple(g) for g in groups])
+            return real(state, groups)
+
+        monkeypatch.setattr(enum.planner, "plan_groups", recording)
+        monkeypatch.setattr(
+            enum.planner, "plan_group",
+            lambda *a, **k: pytest.fail("enumerate plans through plan_groups"),
+        )
+        enum.enumerate(weak, [0, 1, 2])
+        assert len(batches) == 1
+        assert len(batches[0]) == len(set(batches[0])) == 7

@@ -79,6 +79,35 @@ class TestServedDeterminism:
             reference.mean_psnr_db
         ).hex()
 
+    def test_start_override_caps_group_size(self, service_ctx):
+        """A ``/start`` override is a string; ``max_group_size`` must reach
+        the enumerator as the int a typed config would carry."""
+        from repro.core import MulticastStreamer
+        from repro.emulation.context import trace_for_placement
+        from repro.service.session import SEED_OFFSET
+
+        seed, users = 42, 3
+        config = service_ctx.config(max_group_size=2)
+        streamer = MulticastStreamer(
+            config, service_ctx.dnn, service_ctx.probes,
+            service_ctx.scenario.channel_model, seed=seed + SEED_OFFSET,
+        )
+        trace = trace_for_placement(service_ctx, users, PLACEMENT, seed,
+                                    num_aps=config.num_aps)
+        reference = streamer.session(trace).run(FRAMES)
+
+        spec = SessionSpec(users=users, frames=FRAMES, seed=seed,
+                           placement=PLACEMENT,
+                           overrides={"max_group_size": "2"})
+        detail = _serve_session(service_ctx, spec.to_dict())
+        assert detail["state"] == "finished"
+        assert detail["outcome"]["fingerprint"] == reference.fingerprint()
+        uncapped = _serve_session(
+            service_ctx, {**spec.to_dict(), "overrides": {"max_group_size": "none"}}
+        )
+        assert uncapped["state"] == "finished"
+        assert uncapped["outcome"]["fingerprint"] != reference.fingerprint()
+
     def test_control_traffic_does_not_perturb(self, service_ctx):
         spec = SessionSpec(users=USERS, frames=FRAMES, seed=42,
                            placement=PLACEMENT)

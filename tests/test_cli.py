@@ -138,3 +138,24 @@ class TestExecution:
         assert exit_code == 0
         assert "Quality model test MSE" in output
         assert "dnn" in output
+
+    def test_sweep_caps_group_size_from_the_shell(self, monkeypatch, tmp_path, capsys):
+        """``max_group_size`` has no default to take a type from: the cap
+        must arrive as an int (and ``none`` as None), end to end."""
+        import json
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        result_path = tmp_path / "sweep.json"
+        exit_code = main([
+            "sweep", "--quick-context", "--users", "3", "--runs", "1",
+            "--frames", "3", "--variant", "base",
+            "--variant", "cap2:max_group_size=2",
+            "--variant", "open:max_group_size=none",
+            "--result-json", str(result_path),
+        ])
+        assert exit_code == 0
+        assert "cap2" in capsys.readouterr().out
+        results = json.loads(result_path.read_text())["results"]
+        assert results["open"] == results["base"]
+        assert len(results["cap2"]["ssim"]) == 1
