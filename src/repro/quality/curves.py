@@ -19,7 +19,7 @@ reported quality is not circular with the model the optimizer climbs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -81,11 +81,45 @@ class FrameFeatureContext:
                 f"last axis must be {NUM_LAYERS}, got {amounts.shape}"
             )
         fractions = np.clip(amounts / np.asarray(self.layer_sizes, dtype=float), 0, 1)
-        static = np.concatenate(
-            [np.asarray(self.cumulative_ssim, dtype=float), [self.blank_ssim]]
-        )
+        static = np.asarray(self.static_features(), dtype=float)
         tiled = np.broadcast_to(static, fractions.shape[:-1] + (NUM_LAYERS + 1,))
         return np.concatenate([fractions, tiled], axis=-1)
+
+    def static_features(self) -> List[float]:
+        """Features 5-9 of a row: the four cumulative SSIMs, then the blank SSIM."""
+        return [*self.cumulative_ssim, self.blank_ssim]
+
+
+class FrameFeatureBatch:
+    """``features_for_bytes`` for several users' contexts in one array op.
+
+    Row ``k`` of :meth:`features_for_bytes` is bit for bit
+    ``contexts[k].features_for_bytes(bytes_per_layer[k])``: the same division
+    and clip for the fractions, the same static columns after them.  The
+    Problem-1 ascent asks for a feature matrix at every gradient step, so the
+    static columns are written once, here, and a call only refreshes the
+    fractions.
+
+    Attributes:
+        layer_sizes: ``(n_contexts, 4)`` per-layer sizes in bytes, row ``k``
+            from ``contexts[k]``.
+    """
+
+    def __init__(self, contexts: Sequence[FrameFeatureContext]) -> None:
+        self.layer_sizes = np.vstack(
+            [np.asarray(c.layer_sizes, dtype=float) for c in contexts]
+        )
+        self._rows = np.empty((len(contexts), 2 * NUM_LAYERS + 1))
+        self._rows[:, NUM_LAYERS:] = [c.static_features() for c in contexts]
+
+    def features_for_bytes(self, bytes_per_layer: np.ndarray) -> np.ndarray:
+        """9-feature rows for ``(n_contexts, 4)`` received bytes per layer.
+
+        The returned ``(n_contexts, 9)`` array is this batch's own buffer:
+        the next call overwrites it.
+        """
+        self._rows[:, :NUM_LAYERS] = (bytes_per_layer / self.layer_sizes).clip(0, 1)
+        return self._rows
 
 
 class ProgressiveQualityCurve:

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..errors import SchedulingError
 from ..obs import OBS
-from ..quality.curves import FrameFeatureContext
+from ..quality.curves import FrameFeatureBatch, FrameFeatureContext
 from ..quality.dnn import DNNQualityModel
 from ..types import FRAME_BUDGET_30FPS, NUM_LAYERS
 from .groups import CandidateGroup
@@ -130,9 +130,8 @@ class TimeAllocationOptimizer:
             for user in group.user_ids:
                 if user in row_of:
                     membership[row_of[user], gi] = True
-        layer_sizes = np.vstack(
-            [np.asarray(contexts[u].layer_sizes, dtype=float) for u in users]
-        )  # (n_users, 4)
+        batch = FrameFeatureBatch([contexts[u] for u in users])
+        layer_sizes = batch.layer_sizes  # (n_users, 4)
 
         # One group never usefully sends more of a layer than the layer holds
         # (members aggregate across groups, so the surplus is pure waste):
@@ -147,26 +146,20 @@ class TimeAllocationOptimizer:
         time = self._project(time, caps, frame_budget_s)
 
         # Everything the ascent reads but never changes, so that the loop
-        # is the gradient's arithmetic and nothing else.  ``features`` must
-        # stay what FrameFeatureContext.features_for_bytes builds row by
-        # row: same values, same operations in the same order.
+        # is the gradient's arithmetic and nothing else.
         rate_column = rates[:, None]
         to_users = membership.astype(float)  # (n_users, G)
         to_groups = membership.T.astype(float)  # (G, n_users)
-        features = np.empty((len(users), 2 * NUM_LAYERS + 1))
-        features[:, NUM_LAYERS:] = [
-            [*contexts[u].cumulative_ssim, contexts[u].blank_ssim] for u in users
-        ]
 
         step = frame_budget_s / 8.0
         for iteration in range(self.iterations):
             # d objective / d T_{G,j} at the current allocation.
             user_bytes = to_users @ (time * rate_column)  # (n_users, 4)
-            fractions = user_bytes / layer_sizes
-            features[:, :NUM_LAYERS] = fractions.clip(0, 1)
+            features = batch.features_for_bytes(user_bytes)
             _, input_grad = self.quality_model.predict_with_input_grad(features)
-            # Chain rule through fraction = clip(bytes / size, 0, 1).
-            active = fractions < 1.0
+            # Chain rule through fraction = clip(bytes / size, 0, 1): a
+            # clipped fraction is below 1 exactly when the raw one is.
+            active = features[:, :NUM_LAYERS] < 1.0
             dq_dbytes = input_grad[:, :NUM_LAYERS] * active / layer_sizes
             dq_dbytes = dq_dbytes - self.traffic_penalty_per_byte
             # dD_ij/dT_Gj = R_G for i in G.

@@ -124,7 +124,10 @@ class GroupEnumerator:
         if not groups:
             # Degenerate snapshot (all users below every data MCS): keep the
             # least-bad singleton so upper layers can degrade gracefully.
-            least_bad = max(plans[: len(users)], key=lambda p: p.min_rss_dbm)
+            least_bad = max(
+                (p for p in plans if len(p.user_ids) == 1),
+                key=lambda p: p.min_rss_dbm,
+            )
             groups.append(
                 CandidateGroup(index=0, plan=least_bad, rate_scale=self.rate_scale)
             )

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.errors import QualityModelError
-from repro.quality.curves import FrameFeatureContext, ProgressiveQualityCurve
+from repro.quality.curves import (
+    FrameFeatureBatch,
+    FrameFeatureContext,
+    ProgressiveQualityCurve,
+)
 
 
 class TestFrameFeatureContext:
@@ -50,6 +54,29 @@ class TestFrameFeatureContext:
             FrameFeatureContext((0.5, 0.6), 0.1, (1, 2, 3, 4))
         with pytest.raises(QualityModelError):
             FrameFeatureContext((0.5, 0.6, 0.7, 0.8), 0.1, (0, 2, 3, 4))
+
+
+class TestFrameFeatureBatch:
+    def test_rows_equal_each_contexts_own_features_bit_for_bit(
+        self, hr_probe, lr_probe
+    ):
+        contexts = [
+            FrameFeatureContext.from_probe(probe)
+            for probe in (hr_probe, lr_probe, hr_probe)
+        ]
+        batch = FrameFeatureBatch(contexts)
+        rng = np.random.default_rng(0)
+        for _ in range(3):  # the buffer is reused; every call must refill it
+            # Fractions from below 0 to above 1, so the clip acts on both ends.
+            amounts = batch.layer_sizes * rng.uniform(-0.5, 1.5, size=(3, 4))
+            rows = batch.features_for_bytes(amounts)
+            for context, amount, row in zip(contexts, amounts, rows):
+                assert row.tobytes() == context.features_for_bytes(amount).tobytes()
+
+    def test_layer_sizes_follow_the_contexts(self, hr_probe):
+        context = FrameFeatureContext.from_probe(hr_probe)
+        batch = FrameFeatureBatch([context, context])
+        np.testing.assert_array_equal(batch.layer_sizes, [context.layer_sizes] * 2)
 
 
 class TestProgressiveQualityCurve:
