@@ -33,7 +33,7 @@ def test_fig2_symbol_size_sweep(benchmark):
             encode_s = time.perf_counter() - start
 
             decoder = FountainDecoder(1, len(data), symbol_size)
-            mixture = encoder.symbols(0, k - max(1, k // 2)) + repair
+            mixture = [*encoder.symbols(0, k - max(1, k // 2)), *repair]
             start = time.perf_counter()
             for symbol in mixture:
                 decoder.add_symbol(symbol)

@@ -16,6 +16,7 @@ from .raptor import (
     FountainDecoder,
     FountainEncoder,
     FountainSymbol,
+    SymbolBatch,
     decode_failure_probability,
 )
 from .block import (
@@ -27,6 +28,7 @@ from .block import (
     FrameBlockEncoder,
     FrameBlockDecoder,
     unit_decodable,
+    units_decodable,
 )
 
 __all__ = [
@@ -36,6 +38,7 @@ __all__ = [
     "gf2_matmul",
     "gf_solve",
     "FountainSymbol",
+    "SymbolBatch",
     "FountainEncoder",
     "FountainDecoder",
     "decode_failure_probability",
@@ -52,4 +55,5 @@ __all__ = [
     "FrameBlockEncoder",
     "FrameBlockDecoder",
     "unit_decodable",
+    "units_decodable",
 ]

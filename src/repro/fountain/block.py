@@ -11,19 +11,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import ClassVar, Dict, List, Tuple
+from time import perf_counter
+from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
 from ..errors import FountainCodeError
+from ..obs import OBS
 from ..types import NUM_LAYERS
 from ..video.jigsaw import SUBLAYER_COUNTS, LayeredFrame, LayerStructure
+from .gf256 import gf_ranks
 from .precode import Precode, PrecodeDecoder, PrecodeEncoder
 from .raptor import (
     FountainDecoder,
     FountainEncoder,
     FountainSymbol,
-    dense_decodable,
+    SymbolBatch,
+    dense_rank_matrices,
 )
 
 #: Paper's symbol size (Fig 2 minimum).
@@ -41,12 +45,20 @@ PRECODE_CODEC = "precode"
 #: Codecs selectable via ``SystemConfig.fountain_codec``.
 FOUNTAIN_CODECS = (DENSE_CODEC, PRECODE_CODEC)
 
-_ENCODER_OF_CODEC = {DENSE_CODEC: FountainEncoder, PRECODE_CODEC: PrecodeEncoder}
-_DECODER_OF_CODEC = {DENSE_CODEC: FountainDecoder, PRECODE_CODEC: PrecodeDecoder}
-_DECODABLE_OF_CODEC = {
-    DENSE_CODEC: dense_decodable,
-    PRECODE_CODEC: lambda _block_id, k, ids: Precode.for_k(k).decodable(ids),
+_Encoder = Union[FountainEncoder, PrecodeEncoder]
+_Decoder = Union[FountainDecoder, PrecodeDecoder]
+
+_ENCODER_OF_CODEC: Dict[str, Type[_Encoder]] = {
+    DENSE_CODEC: FountainEncoder,
+    PRECODE_CODEC: PrecodeEncoder,
 }
+_DECODER_OF_CODEC: Dict[str, Type[_Decoder]] = {
+    DENSE_CODEC: FountainDecoder,
+    PRECODE_CODEC: PrecodeDecoder,
+}
+
+#: One decodability question: (codec, block id, K, symbol ids held).
+DecodableRequest = Tuple[str, int, int, Sequence[int]]
 
 
 def _check_codec(codec: str) -> str:
@@ -57,16 +69,64 @@ def _check_codec(codec: str) -> str:
     return codec
 
 
-def unit_decodable(codec: str, block_id: int, k: int, symbol_ids) -> bool:
-    """Is a receiver holding exactly ``symbol_ids`` of a unit able to decode?
+def units_decodable(requests: Sequence[DecodableRequest]) -> np.ndarray:
+    """For each request, can a receiver holding exactly those ids decode?
 
     The one place the "received-id set -> decodable" decision lives: it
     agrees with ``is_decoded`` of the codec's decoder after ingesting those
     ids, without touching a payload, so array-based receiver state
     (:class:`repro.transport.cohort.FrameCohort`) needs no decoder objects
     and no knowledge of the codec behind the name.
+
+    Both codecs are systematic, so counting settles most requests: fewer
+    than K distinct ids never decode, all K systematic ids always do.
+    What is left is a rank question per codec — :func:`dense_rank_matrices`,
+    :meth:`Precode.rank_matrix` (whose verdicts are remembered per K) —
+    and all of them, whatever their codec and K, go through one stacked
+    :func:`gf_ranks` elimination: decodable iff full column rank.
     """
-    return _DECODABLE_OF_CODEC[_check_codec(codec)](block_id, k, symbol_ids)
+    verdicts = np.zeros(len(requests), dtype=bool)
+    dense: Dict[int, List[Tuple[int, int, np.ndarray]]] = {}
+    #: (request, matrix, the per-K precode that remembers the verdict, ids)
+    asked: List[Tuple[int, np.ndarray, Optional[Precode], np.ndarray]] = []
+    for index, (codec, block_id, k, symbol_ids) in enumerate(requests):
+        _check_codec(codec)
+        ids = np.unique(np.asarray(symbol_ids, dtype=np.int64))
+        if ids.size < k:
+            continue
+        # Sorted, distinct and non-negative: slot K-1 holds id K-1 exactly
+        # when every systematic id is there.
+        if ids[k - 1] == k - 1:
+            verdicts[index] = True
+        elif codec == DENSE_CODEC:
+            dense.setdefault(k, []).append((index, block_id, ids))
+        else:
+            precode = Precode.for_k(k)
+            known = precode.known_verdict(ids)
+            if known is None:
+                asked.append((index, precode.rank_matrix(ids), precode, ids))
+            else:
+                verdicts[index] = known
+    for k, held in dense.items():
+        matrices = dense_rank_matrices(
+            k, [(block_id, ids) for _, block_id, ids in held]
+        )
+        asked += [
+            (index, matrix, None, ids)
+            for (index, _, ids), matrix in zip(held, matrices)
+        ]
+    if asked:
+        ranks = gf_ranks([matrix for _, matrix, _, _ in asked])
+        for (index, matrix, precode, ids), rank in zip(asked, ranks):
+            verdicts[index] = rank == matrix.shape[1]
+            if precode is not None:
+                precode.remember_verdict(ids, bool(verdicts[index]))
+    return verdicts
+
+
+def unit_decodable(codec: str, block_id: int, k: int, symbol_ids) -> bool:
+    """:func:`units_decodable` for one received-id set."""
+    return bool(units_decodable([(codec, block_id, k, symbol_ids)])[0])
 
 
 @dataclass(frozen=True, order=True)
@@ -152,7 +212,7 @@ class FrameBlockEncoder:
         self.symbol_size = int(symbol_size) or symbol_size_for(layered.structure)
         self.codec = _check_codec(codec)
         encoder_cls = _ENCODER_OF_CODEC[self.codec]
-        self._encoders: Dict[CodingUnitId, FountainEncoder] = {}
+        self._encoders: Dict[CodingUnitId, _Encoder] = {}
         self._next_symbol_id: Dict[CodingUnitId, int] = {}
         for unit in all_unit_ids(self.frame_index):
             payload = layered.sublayer_payload(unit.layer, unit.sublayer)
@@ -175,17 +235,44 @@ class FrameBlockEncoder:
         """Source bytes per coding unit."""
         return self.structure.sublayer_nbytes
 
-    def next_symbols(self, unit: CodingUnitId, count: int) -> List[FountainSymbol]:
-        """Emit the next ``count`` fresh symbols for a unit.
+    def next_batches(
+        self, requests: Sequence[Tuple[CodingUnitId, int]]
+    ) -> List[SymbolBatch]:
+        """Emit the next ``count`` fresh symbols of each ``(unit, count)``.
 
-        Every call continues the unit's symbol stream, which is what makes
-        retransmissions and overlapping multicast groups redundancy-free.
+        Every request continues its unit's symbol stream (a unit asked for
+        twice gets consecutive ranges), which is what makes retransmissions
+        and overlapping multicast groups redundancy-free.  A transmission
+        pass asks for everything it will send in one call, so the codec
+        does its per-pass work — the dense coefficient derivation — once.
         """
-        if unit not in self._encoders:
-            raise FountainCodeError(f"unknown unit {unit}")
-        start = self._next_symbol_id[unit]
-        self._next_symbol_id[unit] = start + count
-        return self._encoders[unit].symbols(start, count)
+        # (encoder, first id, count); every encoder is of this frame's
+        # codec class, which the type cannot say.
+        ranges: List[Tuple[Any, int, int]] = []
+        for unit, count in requests:
+            if unit not in self._encoders:
+                raise FountainCodeError(f"unknown unit {unit}")
+            ranges.append((self._encoders[unit], self._next_symbol_id[unit], count))
+            self._next_symbol_id[unit] += count
+        encode_many = _ENCODER_OF_CODEC[self.codec].encode_many
+        if not OBS.mode:
+            return encode_many(ranges)
+        t0 = perf_counter()
+        batches = encode_many(ranges)
+        symbols = sum(count for _, count in requests)
+        OBS.count("fountain.symbols_encoded", symbols)
+        OBS.record_span(
+            "encode.fountain",
+            t0,
+            perf_counter(),
+            frame=self.frame_index,
+            fields={"symbols": symbols},
+        )
+        return batches
+
+    def next_symbols(self, unit: CodingUnitId, count: int) -> SymbolBatch:
+        """:meth:`next_batches` for one unit."""
+        return self.next_batches([(unit, count)])[0]
 
     def emitted_count(self, unit: CodingUnitId) -> int:
         """Symbols emitted so far for a unit."""
@@ -201,6 +288,13 @@ class FrameBlockEncoder:
         if unit not in self._encoders:
             raise FountainCodeError(f"unknown unit {unit}")
         return self._encoders[unit].symbol(symbol_id)
+
+    def symbols_at(
+        self, unit: CodingUnitId, symbol_ids: Sequence[int]
+    ) -> SymbolBatch:
+        """:meth:`symbol_at` for each of ``symbol_ids`` (at least one, in
+        any order, repeats allowed), as one batch."""
+        return SymbolBatch.of([self.symbol_at(unit, i) for i in symbol_ids])
 
 
 class FrameBlockDecoder:
@@ -223,7 +317,7 @@ class FrameBlockDecoder:
         self.symbol_size = int(symbol_size) or symbol_size_for(structure)
         self.codec = _check_codec(codec)
         decoder_cls = _DECODER_OF_CODEC[self.codec]
-        self._decoders: Dict[CodingUnitId, FountainDecoder] = {}
+        self._decoders: Dict[CodingUnitId, _Decoder] = {}
         for unit in all_unit_ids(self.frame_index):
             self._decoders[unit] = decoder_cls(
                 unit.block_id, structure.sublayer_nbytes, self.symbol_size
@@ -243,7 +337,7 @@ class FrameBlockDecoder:
             )
         return self._decoders[unit].add_symbol(symbol)
 
-    def unit_decoder(self, unit: CodingUnitId) -> FountainDecoder:
+    def unit_decoder(self, unit: CodingUnitId) -> _Decoder:
         """The per-unit decoder (feedback needs its reception detail)."""
         if unit not in self._decoders:
             raise FountainCodeError(f"unknown unit {unit}")

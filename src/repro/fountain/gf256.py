@@ -20,7 +20,7 @@ speedup numbers in ``BENCH_PERF.json`` compare like with like.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,6 +56,11 @@ _EXP, _LOG = _build_tables()
 #: Dense product table: ``_MUL[a, b]`` is the GF(256) product of a and b.
 _MUL = _EXP[_LOG[:, None] + _LOG[None, :]]
 
+#: Multiplicative inverses, with ``_INV[0] = 0`` so a missing pivot scales
+#: its column's elimination factors to zero instead of needing a mask.
+_INV = np.zeros(256, dtype=np.uint8)
+_INV[1:] = _EXP[255 - _LOG[1:]]
+
 #: Seed-era tables (log[0] = 0, 512-entry antilog) kept for the reference
 #: implementations below.
 _EXP_REF = np.zeros(512, dtype=np.int32)
@@ -83,7 +88,7 @@ def gf_inverse(a: int) -> int:
     """Multiplicative inverse in GF(256)."""
     if a == 0:
         raise FountainCodeError("zero has no inverse in GF(256)")
-    return int(_EXP[255 - _LOG[a]])
+    return int(_INV[a])
 
 
 def gf_scale_row(row: np.ndarray, factor: int) -> np.ndarray:
@@ -200,36 +205,43 @@ def gf_matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def gf_rank(matrix: np.ndarray) -> int:
-    """Rank of a uint8 matrix over GF(256).
+def gf_ranks(matrices: Sequence[np.ndarray]) -> np.ndarray:
+    """GF(256) rank of every matrix in ``matrices``, in one elimination.
 
-    Forward elimination only — no back-substitution, no right-hand side —
-    so the cohort decodability check (``rank == k``?) costs roughly half a
-    :func:`gf_solve` and never copies symbol payloads.
+    The matrices are zero-padded into one ``(p, m, n)`` stack (padding adds
+    no rank) and eliminated forward together, one Python step per column
+    for the whole stack.  Per matrix and column the pivot is the row of
+    the largest entry (any nonzero one serves; ``argmax`` finds one without
+    a mask), and *every* row with a nonzero entry in the column — the pivot
+    row included — has its multiple of the pivot row XORed off.  That
+    zeroes the pivot row itself, so spent rows never need swapping aside or
+    masking: all-zero rows cannot be chosen again, live rows stay zero in
+    every finished column, and a column without a pivot has inverse 0 and
+    changes nothing.  The rank is the number of columns that found one.
     """
-    a = np.atleast_2d(np.array(matrix, dtype=np.uint8))
-    m, k = a.shape
-    if m == 0 or k == 0:
-        return 0
-    row = 0
-    for col in range(k):
-        pivot_candidates = np.nonzero(a[row:, col])[0]
-        if pivot_candidates.size == 0:
-            continue
-        pivot = row + int(pivot_candidates[0])
-        if pivot != row:
-            a[[row, pivot]] = a[[pivot, row]]
-        inv = gf_inverse(int(a[row, col]))
-        a[row] = gf_scale_row(a[row], inv)
-        targets = np.nonzero(a[row + 1:, col])[0]
-        if targets.size:
-            targets = targets + row + 1
-            factors = a[targets, col]
-            a[targets] ^= gf_multiply(factors[:, None], a[row][None, :])
-        row += 1
-        if row == m:
-            break
-    return row
+    count = len(matrices)
+    blocks = [np.atleast_2d(np.asarray(m, dtype=np.uint8)) for m in matrices]
+    rows = max((b.shape[0] for b in blocks), default=0)
+    cols = max((b.shape[1] for b in blocks), default=0)
+    stack = np.zeros((count, rows, cols), dtype=np.uint8)
+    for block, padded in zip(blocks, stack):
+        padded[: block.shape[0], : block.shape[1]] = block
+    if rows == 0:
+        return np.zeros(count, dtype=np.int64)
+    which = np.arange(count)
+    pivots = np.empty((cols, count), dtype=np.uint8)
+    for col in range(cols):
+        column = stack[:, :, col]
+        pivot_rows = stack[which, column.argmax(axis=1), col:]
+        pivots[col] = pivot_rows[:, 0]
+        factors = _MUL[column, _INV[pivots[col]][:, None]]
+        stack[:, :, col:] ^= _MUL[factors[:, :, None], pivot_rows[:, None, :]]
+    return np.count_nonzero(pivots, axis=0)
+
+
+def gf_rank(matrix: np.ndarray) -> int:
+    """Rank of a uint8 matrix over GF(256): :func:`gf_ranks` of one."""
+    return int(gf_ranks([matrix])[0])
 
 
 def gf_solve(

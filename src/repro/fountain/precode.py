@@ -38,14 +38,15 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from time import perf_counter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..errors import FountainCodeError
 from ..obs import OBS
-from .gf256 import gf2_matmul, gf_matmul, gf_rank, gf_solve
+from .gf256 import gf2_matmul, gf_matmul, gf_solve
 from .inactivation import InactivationStats, solve_inactivation
+from .raptor import FountainSymbol, SymbolBatch
 
 __all__ = [
     "Precode",
@@ -299,31 +300,32 @@ class Precode:
             [self._constraints, self._row_mask(range(self.k))]
         )
 
-    def decodable(self, symbol_ids) -> bool:
-        """Whether a receiver holding exactly ``symbol_ids`` can decode.
+    def rank_matrix(self, symbol_ids: np.ndarray) -> np.ndarray:
+        """The matrix whose rank decides whether ``symbol_ids`` decode.
 
         Payload-free twin of :class:`PrecodeDecoder`'s success condition.
-        Inactivation decoding is exact, so it succeeds iff the constraint
-        rows plus the received LT rows have full column rank ``L`` (every
-        systematic id present is the decoder's own short-circuit).  LT rows
-        are block-independent, so verdicts are memoised per id set and
-        shared by every block of this K.
+        Inactivation decoding is exact, so a holder of ``symbol_ids``
+        (fewer than all K systematic ids, the decoder's own short-circuit)
+        decodes iff the constraint rows plus its LT rows have full column
+        rank ``L``.
         """
-        ids = frozenset(int(i) for i in symbol_ids)
-        if len(ids) < self.k:
-            return False
-        if ids.issuperset(range(self.k)):
-            return True
-        verdict = self._decodable.get(ids)
-        if verdict is None:
-            rows = np.concatenate(
-                [self._constraints, self._row_mask(sorted(ids))]
-            )
-            verdict = gf_rank(rows) == self.l
-            if len(self._decodable) >= self.MAX_DECODABLE:
-                self._decodable.clear()
-            self._decodable[ids] = verdict
-        return verdict
+        return np.concatenate(
+            [self._constraints, self._row_mask(symbol_ids.tolist())]
+        )
+
+    def known_verdict(self, symbol_ids: np.ndarray) -> Optional[bool]:
+        """A remembered rank verdict for this id set, else None.
+
+        LT rows are block-independent, so a verdict holds for every block
+        of this K.
+        """
+        return self._decodable.get(frozenset(symbol_ids.tolist()))
+
+    def remember_verdict(self, symbol_ids: np.ndarray, verdict: bool) -> None:
+        """Keep the verdict :meth:`rank_matrix` of these ids came to."""
+        if len(self._decodable) >= self.MAX_DECODABLE:
+            self._decodable.clear()
+        self._decodable[frozenset(symbol_ids.tolist())] = verdict
 
     def _invert_constraints(self) -> Optional[np.ndarray]:
         """``A^-1`` columns that map source symbols to intermediates.
@@ -400,10 +402,8 @@ class PrecodeEncoder:
             self._intermediate_words = padded.view(np.uint64)
         return self._intermediate_words
 
-    def symbol(self, symbol_id: int) -> "FountainSymbol":
+    def symbol(self, symbol_id: int) -> FountainSymbol:
         """The coded symbol with stream index ``symbol_id``."""
-        from .raptor import FountainSymbol
-
         if symbol_id < 0:
             raise FountainCodeError(
                 f"symbol_id must be >= 0, got {symbol_id}"
@@ -421,10 +421,11 @@ class PrecodeEncoder:
     def payload_block(self, first_id: int, count: int) -> np.ndarray:
         """``(count, symbol_size)`` payload matrix, no per-symbol objects.
 
-        The throughput API: systematic rows are sliced from the source and
-        repair rows come out of one gather plus a segmented XOR reduction
-        over the cached flat LT rows — a handful of XORs per symbol, which
-        is the path the ``precode`` benchmark stage rates.
+        The throughput API: systematic rows are sliced from the source (an
+        all-systematic range is a read-only view of it) and repair rows
+        come out of one gather plus a segmented XOR reduction over the
+        cached flat LT rows — a handful of XORs per symbol, which is the
+        path the ``precode`` benchmark stage rates.
         """
         if first_id < 0:
             raise FountainCodeError(
@@ -433,6 +434,8 @@ class PrecodeEncoder:
         if count <= 0:
             return np.zeros((0, self.symbol_size), dtype=np.uint8)
         k = self.num_source_symbols
+        if first_id + count <= k:
+            return self._source[first_id : first_id + count]
         out = np.empty((count, self.symbol_size), dtype=np.uint8)
         sys_end = min(first_id + count, k)
         if first_id < k:
@@ -451,35 +454,24 @@ class PrecodeEncoder:
             ]
         return out
 
-    def symbols(self, first_id: int, count: int) -> List["FountainSymbol"]:
+    def symbols(self, first_id: int, count: int) -> SymbolBatch:
         """``count`` consecutive symbols starting at ``first_id``."""
-        if first_id < 0:
-            raise FountainCodeError(
-                f"symbol ids must be >= 0, got {first_id}"
-            )
-        if count <= 0:
-            return []
-        if not OBS.mode:
-            return self._symbols(first_id, count)
-        t0 = perf_counter()
-        out = self._symbols(first_id, count)
-        OBS.count("fountain.symbols_encoded", count)
-        OBS.record_span(
-            "encode.fountain",
-            t0,
-            perf_counter(),
-            fields={"block": self.block_id, "symbols": count},
+        return SymbolBatch(
+            self.block_id,
+            np.arange(first_id, first_id + count),
+            self.payload_block(first_id, count),
         )
-        return out
 
-    def _symbols(self, first_id: int, count: int) -> List["FountainSymbol"]:
-        from .raptor import FountainSymbol
+    @staticmethod
+    def encode_many(
+        ranges: Sequence[Tuple["PrecodeEncoder", int, int]]
+    ) -> List[SymbolBatch]:
+        """One batch per ``(encoder, first id, count)`` range of one pass.
 
-        payloads = self.payload_block(first_id, count)
-        return [
-            FountainSymbol(self.block_id, first_id + i, payloads[i].tobytes())
-            for i in range(count)
-        ]
+        LT rows are cached per K, not derived per block, so there is
+        nothing for the ranges of a pass to share.
+        """
+        return [encoder.symbols(first, count) for encoder, first, count in ranges]
 
 
 class PrecodeDecoder:
@@ -535,7 +527,7 @@ class PrecodeDecoder:
         """Symbols still needed before a decode attempt can succeed."""
         return max(0, self.num_source_symbols - self.received_count)
 
-    def add_symbol(self, symbol: "FountainSymbol") -> bool:
+    def add_symbol(self, symbol: FountainSymbol) -> bool:
         """Ingest one symbol; returns True once the block is decodable."""
         if symbol.block_id != self.block_id:
             raise FountainCodeError(
@@ -569,7 +561,7 @@ class PrecodeDecoder:
             )
         return self._decoded is not None
 
-    def _ingest(self, symbol: "FountainSymbol") -> None:
+    def _ingest(self, symbol: FountainSymbol) -> None:
         self._payloads.setdefault(symbol.symbol_id, symbol.payload)
         if (
             len(self._payloads) >= self.num_source_symbols

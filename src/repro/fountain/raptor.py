@@ -3,25 +3,33 @@
 Encoding: a source block of ``K`` symbols (fixed symbol size, zero-padded)
 produces an unbounded stream of coded symbols.  Symbol ids below ``K`` are
 systematic (the source symbols themselves); higher ids are random GF(256)
-linear combinations whose coefficients are derived deterministically from
-``(block_id, symbol_id)``, so encoder and decoder agree without transmitting
-coefficient vectors.
+linear combinations whose coefficients both endpoints derive from
+``(block_id, symbol_id)``, so no coefficient vector is ever transmitted.
 
 Decoding: any set of symbols whose coefficient matrix has rank ``K``
 reconstructs the block.  For random GF(256) combinations the probability
 that ``K + h`` received symbols fail is about ``256^-(h+1)`` — matching the
 RaptorQ guarantee quoted in Sec 2.6 of the paper.
 
-Performance layer (results identical to the original implementations):
+Wire format (:func:`coefficient_rows`): coefficient ``j`` of repair symbol
+``(block_id, symbol_id)`` is byte ``j % 8``, little-endian, of the 64-bit
+word ``mix64(key + (j // 8 + 1) * G)`` with ``key = mix64(mix64(block_id +
+0x5EED) + symbol_id * G)``, ``G`` the 64-bit golden-ratio increment and
+``mix64`` the splitmix64 finaliser; a row whose ``K`` bytes all came out
+zero gets coefficient 0 set to 1.  It is a counter-based hash, so any set
+of ``(block, symbol)`` pairs — contiguous or scattered, one or thousands —
+is one numpy expression, and no generator is ever constructed.
 
-* **Batched encoding** — a request for ``n`` repair symbols stacks their
-  coefficient rows into one ``(n, K)`` matrix and runs a single
-  :func:`gf_matmul` against the source block, instead of one row-product
-  per symbol.
-* **Coefficient-row cache** — rows are derived per ``(block_id,
-  symbol_id)``, which is deterministic, so a process-wide LRU cache keyed
-  on ``(block_id, K)`` stores every row ever derived; encoder, decoder and
-  repeated emulation runs of the same frames all reuse them.
+* **Batched encoding** — a pass asks for all its ``(encoder, first id,
+  count)`` ranges at once (:meth:`FountainEncoder.encode_many`): one
+  coefficient derivation covers every repair row, each range is one
+  :func:`gf_matmul` against its source block, and what comes back is a
+  :class:`SymbolBatch` — an id array plus one payload matrix — that
+  creates :class:`FountainSymbol` objects only when iterated.
+* **Coefficient-row cache** — single-row consumers (``symbol()``, the
+  incremental decoder) read rows through a process-wide LRU cache keyed on
+  ``(block_id, K)``.  Block ids embed the frame index, so a live session
+  never sees a block twice and the whole-pass paths do not go through it.
 * **Incremental Gaussian elimination** — the decoder keeps a reduced
   row-echelon system and folds each arriving symbol in as it lands, so
   rank grows online and completion is O(K) row operations per symbol
@@ -37,7 +45,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union, overload
 
 import numpy as np
 
@@ -49,7 +57,6 @@ from .gf256 import (
     gf_matmul,
     gf_matmul_reference,
     gf_multiply,
-    gf_rank,
     gf_scale_row,
     gf_solve,
 )
@@ -62,28 +69,52 @@ def decode_failure_probability(extra_symbols: int) -> float:
     return float(256.0 ** -(extra_symbols + 1))
 
 
-def _coefficients(block_id: int, symbol_id: int, k: int) -> np.ndarray:
-    """Deterministic coefficient row for a repair symbol.
+#: 2**64 / golden ratio: the splitmix64 stream increment.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
-    Seeded from (block_id, symbol_id) so both endpoints derive identical
-    rows.  Rows are guaranteed non-zero.
+#: Domain constant of the dense codec's coefficient hash.
+_HASH_SEED = np.uint64(0x5EED)
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finaliser, element-wise on uint64 (wrapping)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def coefficient_rows(block_ids, symbol_ids, k: int) -> np.ndarray:
+    """``(n, k)`` repair coefficient rows of ``n`` ``(block, symbol)`` pairs.
+
+    ``block_ids`` and ``symbol_ids`` broadcast against each other (one
+    block with many symbols, or one pair per row).  The module docstring
+    gives the format; rows are never all-zero.
     """
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=0x5EED, spawn_key=(block_id, symbol_id))
-    )
-    row = rng.integers(0, 256, size=k, dtype=np.uint8)
-    while not row.any():
-        row = rng.integers(0, 256, size=k, dtype=np.uint8)
-    return row
+    blocks = np.atleast_1d(np.asarray(block_ids, dtype=np.uint64))
+    symbols = np.atleast_1d(np.asarray(symbol_ids, dtype=np.uint64))
+    key = _mix64(_mix64(blocks + _HASH_SEED) + symbols * _GOLDEN)
+    counters = np.arange(1, -(-k // 8) + 1, dtype=np.uint64) * _GOLDEN
+    words = _mix64(key[:, None] + counters)
+    # "<u8" spells the byte order out: coefficient j is byte j % 8 of its
+    # word counting from the least significant, on any host.
+    rows = words.astype("<u8", copy=False).view(np.uint8)[:, :k]
+    rows[~rows.any(axis=1), 0] = 1
+    return rows
+
+
+def _coefficients(block_id: int, symbol_id: int, k: int) -> np.ndarray:
+    """Coefficient row of one repair symbol: :func:`coefficient_rows` of one."""
+    return coefficient_rows(block_id, symbol_id, k)[0]
 
 
 class CoefficientCache:
     """Process-wide LRU cache of repair coefficient rows.
 
     One entry per ``(block_id, k)`` holds a contiguous ``(n, k)`` matrix
-    covering repair symbol ids ``k .. k+n-1``; the matrix grows on demand.
-    Rows are exactly those :func:`_coefficients` would derive, so cached
-    and uncached paths are interchangeable.
+    covering repair symbol ids ``k .. k+n-1``, filled by one
+    :func:`coefficient_rows` call and at least doubled whenever a request
+    runs past its end, so a decoder asking ids one at a time derives each
+    row once and copies it O(1) times.
     """
 
     def __init__(self, max_blocks: int = 4096) -> None:
@@ -114,17 +145,16 @@ class CoefficientCache:
             return np.zeros((0, k), dtype=np.uint8)
         key = (int(block_id), int(k))
         have = self._blocks.get(key)
+        if have is None:
+            have = np.zeros((0, k), dtype=np.uint8)
+        held = have.shape[0]
         need = first_symbol_id - k + count
-        if have is None or have.shape[0] < need:
-            grown = np.zeros((need, k), dtype=np.uint8)
-            start = 0
-            if have is not None:
-                grown[: have.shape[0]] = have
-                start = have.shape[0]
-            for offset in range(start, need):
-                grown[offset] = _coefficients(block_id, k + offset, k)
-            grown.setflags(write=False)
-            have = grown
+        if held < need:
+            fresh = coefficient_rows(
+                block_id, np.arange(k + held, k + max(need, 2 * held)), k
+            )
+            have = np.concatenate([have, fresh])
+            have.setflags(write=False)
             self._blocks[key] = have
         self._blocks.move_to_end(key)
         while len(self._blocks) > self.max_blocks:
@@ -140,28 +170,37 @@ class CoefficientCache:
 COEFFICIENT_CACHE = CoefficientCache()
 
 
-def dense_decodable(block_id: int, k: int, symbol_ids) -> bool:
-    """Whether a receiver holding exactly ``symbol_ids`` can decode.
+def dense_rank_matrices(
+    k: int, requests: Sequence[Tuple[int, np.ndarray]]
+) -> List[np.ndarray]:
+    """Per ``(block_id, held ids)``, the matrix whose rank decides decoding.
 
     Payload-free twin of :class:`FountainDecoder`'s success condition: the
-    received coefficient rows must have GF(256) rank ``K``.  With
-    systematic ids ``S`` and repair rows ``R`` the identity
-    ``rank([I_S; R]) = |S| + rank(R[:, complement(S)])`` reduces that to a
-    small elimination over the repair rows only; with every systematic id
-    present no elimination runs at all.
+    held coefficient rows must have GF(256) rank ``K``.  With systematic
+    ids ``S`` and repair rows ``R`` the identity ``rank([I_S; R]) = |S| +
+    rank(R[:, complement(S)])`` reduces that to the repair rows over the
+    missing systematic columns: the holder decodes iff the returned matrix
+    has full column rank.  ``ids`` are sorted and distinct; the repair rows
+    of all requests — exactly the ids held, nothing in between — come from
+    one :func:`coefficient_rows` call.
     """
-    ids = np.unique(np.asarray(symbol_ids, dtype=np.int64))
-    systematic = ids[ids < k]
-    repair = ids[ids >= k]
-    need = k - systematic.size
-    if need == 0:
-        return True
-    if repair.size < need:
-        return False
-    missing = np.ones(k, dtype=bool)
-    missing[systematic] = False
-    coeffs = COEFFICIENT_CACHE.rows(block_id, k, k, int(repair[-1]) - k + 1)
-    return gf_rank(coeffs[repair - k][:, missing]) >= need
+    splits = [int(np.searchsorted(ids, k)) for _, ids in requests]
+    repair = [ids[split:] for (_, ids), split in zip(requests, splits)]
+    rows = coefficient_rows(
+        np.repeat(
+            [block_id for block_id, _ in requests], [ids.size for ids in repair]
+        ),
+        np.concatenate(repair),
+        k,
+    )
+    matrices = []
+    start = 0
+    for (_, ids), split, held in zip(requests, splits, repair):
+        missing = np.ones(k, dtype=bool)
+        missing[ids[:split]] = False
+        matrices.append(rows[start : start + held.size][:, missing])
+        start += held.size
+    return matrices
 
 
 @dataclass(frozen=True)
@@ -177,6 +216,57 @@ class FountainSymbol:
     block_id: int
     symbol_id: int
     payload: bytes
+
+
+class SymbolBatch:
+    """Coded symbols of one block as arrays: what a pass puts on the air.
+
+    ``ids[i]`` is the stream index of the symbol whose payload is
+    ``payloads[i]``.  Slicing (or indexing by an index array) gives another
+    batch over views of the same arrays; an integer index or iteration
+    builds the :class:`FountainSymbol` a decoder ingests, which is the only
+    time a per-symbol object or a ``bytes`` copy exists.
+    """
+
+    __slots__ = ("block_id", "ids", "payloads")
+
+    def __init__(self, block_id: int, ids: np.ndarray, payloads: np.ndarray) -> None:
+        self.block_id = block_id
+        self.ids = ids
+        self.payloads = payloads
+
+    @classmethod
+    def of(cls, symbols: Sequence[FountainSymbol]) -> "SymbolBatch":
+        """The batch holding ``symbols`` (non-empty, of one block)."""
+        if not symbols:
+            raise FountainCodeError("a batch of no symbols has no block")
+        ids = np.fromiter(
+            (s.symbol_id for s in symbols), dtype=np.int64, count=len(symbols)
+        )
+        payloads = np.frombuffer(
+            b"".join(s.payload for s in symbols), dtype=np.uint8
+        ).reshape(len(symbols), -1)
+        return cls(symbols[0].block_id, ids, payloads)
+
+    def __len__(self) -> int:
+        return self.ids.shape[0]
+
+    @overload
+    def __getitem__(self, index: int) -> FountainSymbol: ...
+
+    @overload
+    def __getitem__(self, index: Union[slice, np.ndarray]) -> "SymbolBatch": ...
+
+    def __getitem__(self, index):
+        if isinstance(index, (slice, np.ndarray)):
+            return SymbolBatch(self.block_id, self.ids[index], self.payloads[index])
+        return FountainSymbol(
+            self.block_id, int(self.ids[index]), self.payloads[index].tobytes()
+        )
+
+    def __iter__(self) -> Iterator[FountainSymbol]:
+        for symbol_id, payload in zip(self.ids.tolist(), self.payloads):
+            yield FountainSymbol(self.block_id, symbol_id, payload.tobytes())
 
 
 class FountainEncoder:
@@ -218,47 +308,76 @@ class FountainEncoder:
             payload = gf_matmul(coeffs[None, :], self._source)[0].tobytes()
         return FountainSymbol(self.block_id, symbol_id, payload)
 
-    def symbols(self, first_id: int, count: int) -> List[FountainSymbol]:
-        """``count`` consecutive symbols starting at ``first_id``.
+    def symbols(self, first_id: int, count: int) -> SymbolBatch:
+        """``count`` consecutive symbols from ``first_id``: the one-range
+        form of :meth:`encode_many`."""
+        return self.encode_many([(self, first_id, count)])[0]
 
-        Repair symbols in the range are encoded as one batch: their cached
-        coefficient rows form a ``(count, K)`` matrix multiplied against
-        the source block in a single :func:`gf_matmul`.
+    @staticmethod
+    def encode_many(
+        ranges: Sequence[Tuple["FountainEncoder", int, int]]
+    ) -> List[SymbolBatch]:
+        """One batch per ``(encoder, first id, count)`` range of one pass.
+
+        All encoders share one K.  The repair rows of every range come from
+        a single :func:`coefficient_rows` call and each range's repair
+        payloads from one :func:`gf_matmul` against its source block; an
+        all-systematic range is a view of the source and costs nothing.
         """
-        if first_id < 0:
-            raise FountainCodeError(f"symbol ids must be >= 0, got {first_id}")
-        if count <= 0:
-            return []
-        if not OBS.mode:
-            return self._symbols(first_id, count)
-        t0 = perf_counter()
-        out = self._symbols(first_id, count)
-        OBS.count("fountain.symbols_encoded", count)
-        OBS.record_span(
-            "encode.fountain",
-            t0,
-            perf_counter(),
-            fields={"block": self.block_id, "symbols": count},
-        )
-        return out
-
-    def _symbols(self, first_id: int, count: int) -> List[FountainSymbol]:
+        if any(first < 0 or count < 0 for _, first, count in ranges):
+            raise FountainCodeError("symbol ids and counts must be >= 0")
         if seed_path_active():
-            return [self.symbol(first_id + i) for i in range(count)]
-        k = self.num_source_symbols
-        out: List[FountainSymbol] = []
-        for sid in range(first_id, min(first_id + count, k)):
-            out.append(FountainSymbol(self.block_id, sid, self._source[sid].tobytes()))
-        repair_start = max(first_id, k)
-        repair_count = first_id + count - repair_start
-        if repair_count > 0:
-            rows = COEFFICIENT_CACHE.rows(self.block_id, k, repair_start, repair_count)
-            payloads = gf_matmul(rows, self._source)
-            out.extend(
-                FountainSymbol(self.block_id, repair_start + i, payloads[i].tobytes())
-                for i in range(repair_count)
+            return [
+                encoder._reference_batch(first, count)
+                for encoder, first, count in ranges
+            ]
+        ks = {encoder.num_source_symbols for encoder, _, _ in ranges}
+        if len(ks) > 1:
+            raise FountainCodeError(f"one pass encodes one K, got {sorted(ks)}")
+        k = ks.pop() if ks else 0
+        # The part of each range past the systematic ids: (first id, count).
+        repairs = [
+            (max(first, k), max(0, first + count - max(first, k)))
+            for _, first, count in ranges
+        ]
+        if any(count for _, count in repairs):
+            rows = coefficient_rows(
+                np.repeat(
+                    [encoder.block_id for encoder, _, _ in ranges],
+                    [count for _, count in repairs],
+                ),
+                np.concatenate(
+                    [np.arange(first, first + count) for first, count in repairs]
+                ),
+                k,
             )
-        return out
+        batches = []
+        start = 0
+        for (encoder, first, count), (_, coded) in zip(ranges, repairs):
+            payloads = encoder._source[first : first + count - coded]
+            if coded:
+                repair = gf_matmul(rows[start : start + coded], encoder._source)
+                start += coded
+                payloads = (
+                    np.concatenate([payloads, repair]) if coded < count else repair
+                )
+            batches.append(
+                SymbolBatch(
+                    encoder.block_id, np.arange(first, first + count), payloads
+                )
+            )
+        return batches
+
+    def _reference_batch(self, first_id: int, count: int) -> SymbolBatch:
+        """Seed path: one :meth:`symbol` per id, stacked."""
+        payloads = np.zeros((count, self.symbol_size), dtype=np.uint8)
+        for offset, payload in enumerate(payloads):
+            payload[:] = np.frombuffer(
+                self.symbol(first_id + offset).payload, dtype=np.uint8
+            )
+        return SymbolBatch(
+            self.block_id, np.arange(first_id, first_id + count), payloads
+        )
 
 
 class FountainDecoder:

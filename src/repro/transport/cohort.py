@@ -16,9 +16,10 @@ Decodability without decoders
 Both codecs are systematic: symbol ids below ``K`` are source symbols.  A
 unit whose systematic ids all arrived is decoded with no further work;
 otherwise the received id set goes to
-:func:`repro.fountain.block.unit_decodable`, which answers for whichever
+:func:`repro.fountain.block.units_decodable`, which answers for whichever
 codec the frame was encoded with.  Receivers with identical reception
-patterns share one check (``np.unique`` over pattern columns).
+patterns share one check, and a frame asks about all its units' patterns
+in one call (:func:`_settle`).
 
 Per-user :class:`FrameBlockDecoder` objects are only *materialized* lazily
 (:class:`CohortUserReception`), by replaying the recorded delivery events
@@ -30,7 +31,7 @@ decoder is indistinguishable from one built online.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,9 +39,9 @@ from ..fountain.block import (
     CodingUnitId,
     FrameBlockDecoder,
     FrameBlockEncoder,
-    unit_decodable,
+    units_decodable,
 )
-from ..fountain.raptor import FountainSymbol
+from ..fountain.raptor import FountainSymbol, SymbolBatch
 from ..obs import OBS
 from ..types import NUM_LAYERS
 from ..video.jigsaw import SUBLAYER_COUNTS
@@ -178,30 +179,30 @@ class _UnitState:
         self.repair_ids: List[int] = []
         self.repair_rows: List[np.ndarray] = []
         self.repair_index: Dict[int, int] = {}
-        #: Chronological (symbols, member_rows, delivered) records for lazy
+        #: Chronological (batch, member_rows, delivered) records for lazy
         #: per-user decoder replay.
-        self.events: List[
-            Tuple[List[FountainSymbol], np.ndarray, np.ndarray]
-        ] = []
+        self.events: List[Tuple[SymbolBatch, np.ndarray, np.ndarray]] = []
         self._decoded: Optional[np.ndarray] = None
 
     def record(
         self,
-        symbols: List[FountainSymbol],
+        batch: SymbolBatch,
         member_rows: np.ndarray,
         delivered: np.ndarray,
     ) -> None:
         """Fold one delivery event in: ``delivered`` is (symbols, members)."""
-        self.events.append((symbols, member_rows, delivered))
+        self.events.append((batch, member_rows, delivered))
         self._decoded = None
-        ids = np.fromiter(
-            (s.symbol_id for s in symbols), dtype=np.int64, count=len(symbols)
-        )
-        sys_sel = ids < self.k
-        if sys_sel.any():
-            sys_ids = ids[sys_sel]
-            rows = delivered[sys_sel]
-            if np.unique(sys_ids).size == sys_ids.size:
+        ids = batch.ids
+        systematic = ids < self.k
+        num_systematic = int(np.count_nonzero(systematic))
+        if num_systematic:
+            sys_ids, rows = ids, delivered
+            if num_systematic < ids.size:
+                sys_ids, rows = ids[systematic], delivered[systematic]
+            # Ascending ids (every fresh-symbol range) are distinct, so the
+            # whole event is one scatter.
+            if bool((sys_ids[1:] > sys_ids[:-1]).all()):
                 grid = np.ix_(sys_ids, member_rows)
                 fresh = rows & ~self.sys_mask[grid]
                 self.sys_mask[grid] |= rows
@@ -213,15 +214,17 @@ class _UnitState:
                     fresh = row & ~self.sys_mask[sid, member_rows]
                     self.sys_mask[sid, member_rows] |= row
                     self.distinct[member_rows] += fresh
-        if not sys_sel.all():
+        if num_systematic < ids.size:
             num_users = self.sys_mask.shape[1]
-            for sid, row in zip(ids[~sys_sel], delivered[~sys_sel]):
-                pos = self.repair_index.get(int(sid))
+            for sid, row in zip(
+                ids[~systematic].tolist(), delivered[~systematic]
+            ):
+                pos = self.repair_index.get(sid)
                 if pos is None:
                     full = np.zeros(num_users, dtype=bool)
                     full[member_rows] = row
-                    self.repair_index[int(sid)] = len(self.repair_ids)
-                    self.repair_ids.append(int(sid))
+                    self.repair_index[sid] = len(self.repair_ids)
+                    self.repair_ids.append(sid)
                     self.repair_rows.append(full)
                     self.distinct[member_rows] += row
                 else:
@@ -232,33 +235,57 @@ class _UnitState:
 
     def decoded_users(self) -> np.ndarray:
         """Boolean (num_users,) decodability of this unit, cached."""
-        if self._decoded is not None:
-            return self._decoded
-        decoded = self.sys_mask.all(axis=0)
-        if self.repair_rows:
-            candidates = np.nonzero(~decoded & (self.distinct >= self.k))[0]
-            if candidates.size:
-                repair_mat = np.stack(self.repair_rows)
-                patterns = np.concatenate(
-                    [self.sys_mask[:, candidates], repair_mat[:, candidates]]
-                ).T
-                unique, inverse = np.unique(
-                    patterns, axis=0, return_inverse=True
+        _settle([self])
+        assert self._decoded is not None
+        return self._decoded
+
+
+def _settle(states: Iterable[_UnitState]) -> None:
+    """Fill in ``_decoded`` for every state whose cache is stale.
+
+    A receiver holding all K systematic ids is decoded and one holding
+    fewer than K distinct ids is not; neither goes any further.  What is
+    left — receivers outside a unit's first multicast group, who hold
+    repair ids by design because overlapping groups continue one rateless
+    stream — is collected over all ``states``, one request per distinct
+    reception pattern, and asked in a single :func:`units_decodable` call.
+    """
+    requests: List[Tuple[str, int, int, np.ndarray]] = []
+    waiting: List[Tuple[np.ndarray, np.ndarray, List[int]]] = []
+    for state in states:
+        if state._decoded is not None:
+            continue
+        decoded = state.sys_mask.all(axis=0)
+        state._decoded = decoded
+        if not state.repair_rows:
+            continue
+        candidates = np.nonzero(~decoded & (state.distinct >= state.k))[0]
+        if not candidates.size:
+            continue
+        patterns = np.concatenate(
+            [
+                state.sys_mask[:, candidates],
+                np.stack(state.repair_rows)[:, candidates],
+            ]
+        ).T
+        # Receivers with one reception pattern share one request.  A dict
+        # over row bytes beats ``np.unique(axis=0)`` at every cohort size.
+        request_of: Dict[bytes, int] = {}
+        ids = np.concatenate([np.arange(state.k), state.repair_ids])
+        asked = []
+        for pattern in patterns:
+            key = pattern.tobytes()
+            if key not in request_of:
+                request_of[key] = len(requests)
+                requests.append(
+                    (state.codec, state.block_id, state.k, ids[pattern])
                 )
-                ids = np.concatenate([np.arange(self.k), self.repair_ids])
-                verdicts = np.fromiter(
-                    (
-                        unit_decodable(
-                            self.codec, self.block_id, self.k, ids[pattern]
-                        )
-                        for pattern in unique
-                    ),
-                    dtype=bool,
-                    count=unique.shape[0],
-                )
-                decoded[candidates] = verdicts[inverse]
-        self._decoded = decoded
-        return decoded
+            asked.append(request_of[key])
+        waiting.append((decoded, candidates, asked))
+    if requests:
+        verdicts = units_decodable(requests)
+        for decoded, candidates, asked in waiting:
+            decoded[candidates] = verdicts[asked]
 
 
 class FrameCohort:
@@ -294,7 +321,7 @@ class FrameCohort:
     def record(
         self,
         unit: CodingUnitId,
-        symbols: List[FountainSymbol],
+        symbols: Union[SymbolBatch, Sequence[FountainSymbol]],
         member_rows: np.ndarray,
         delivered: np.ndarray,
     ) -> None:
@@ -303,8 +330,10 @@ class FrameCohort:
         ``delivered`` is boolean ``(len(symbols), len(member_rows))``; every
         member either receives or loses each symbol.
         """
-        if not symbols or member_rows.size == 0:
+        if not len(symbols) or member_rows.size == 0:
             return
+        if not isinstance(symbols, SymbolBatch):
+            symbols = SymbolBatch.of(symbols)
         received = delivered.sum(axis=0)
         if OBS.mode:
             OBS.count("fountain.symbols_received", int(received.sum()))
@@ -353,6 +382,7 @@ class FrameCohort:
             np.zeros((n, count), dtype=bool) for count in SUBLAYER_COUNTS
         ]
         with OBS.span("decode.fountain", frame=self.frame_index):
+            _settle(self._units.values())
             for unit, state in self._units.items():
                 matrices[unit.layer][:, unit.sublayer] = state.decoded_users()
         if OBS.mode:

@@ -21,13 +21,13 @@ the burst, so losses hit base layers too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from ..errors import TransportError
 from ..fountain.block import CodingUnitId, FrameBlockDecoder, FrameBlockEncoder
-from ..fountain.raptor import FountainSymbol
+from ..fountain.raptor import SymbolBatch
 from ..obs import OBS
 from ..perf.mode import seed_path_active
 from ..phy.channel import ChannelState
@@ -111,7 +111,7 @@ class DecoderReceivers:
     def record(
         self,
         unit: CodingUnitId,
-        symbols: List[FountainSymbol],
+        symbols: SymbolBatch,
         member_rows: np.ndarray,
         delivered: np.ndarray,
     ) -> None:
@@ -208,7 +208,13 @@ class TransmissionResult:
 
 
 #: One expanded plan entry: (group index, unit, symbols to send).
-_PlanEntry = Tuple[int, CodingUnitId, List[FountainSymbol]]
+_PlanEntry = Tuple[int, CodingUnitId, SymbolBatch]
+
+
+def _runs(values: np.ndarray) -> List[np.ndarray]:
+    """Positions of ``values`` (non-empty), split into its maximal runs of
+    equal consecutive entries."""
+    return np.split(np.arange(len(values)), np.flatnonzero(np.diff(values)) + 1)
 
 
 @dataclass
@@ -412,8 +418,9 @@ class FrameTransmitter:
         encoder: FrameBlockEncoder,
         assignments: Sequence[UnitAssignment],
     ) -> List[_PlanEntry]:
-        """Turn byte budgets into concrete symbol lists per (group, unit)."""
-        plan = []
+        """Turn byte budgets into concrete symbol batches per (group, unit)."""
+        k = encoder.symbols_per_unit()
+        wanted = []
         for assignment in assignments:
             count = int(np.ceil(assignment.nbytes / encoder.symbol_size - 1e-9))
             if count <= 0:
@@ -421,15 +428,16 @@ class FrameTransmitter:
             unit = CodingUnitId(
                 encoder.frame_index, assignment.layer, assignment.sublayer
             )
-            if self.source_coding:
-                symbols = encoder.next_symbols(unit, count)
-            else:
-                # Plain segments: every group's stream restarts at segment 0,
-                # so overlapping groups duplicate each other.
-                k = encoder.symbols_per_unit()
-                symbols = [encoder.symbol_at(unit, i % k) for i in range(count)]
-            plan.append((assignment.group_index, unit, symbols))
-        return plan
+            # Plain segments: every group's stream restarts at segment 0,
+            # so overlapping groups duplicate each other.
+            wanted.append(
+                (
+                    assignment.group_index,
+                    unit,
+                    count if self.source_coding else np.arange(count) % k,
+                )
+            )
+        return self._encode_plan(encoder, wanted)
 
     def _makeup_plan(
         self,
@@ -441,7 +449,7 @@ class FrameTransmitter:
     ) -> List[_PlanEntry]:
         """Retransmission plan from per-sublayer feedback (Sec 2.6)."""
         k = encoder.symbols_per_unit()
-        plan = []
+        wanted = []
         seen_units = set()
         for assignment in assignments:
             unit = CodingUnitId(
@@ -459,16 +467,32 @@ class FrameTransmitter:
                 continue
             if self.source_coding:
                 deficit = k - receivers.min_distinct(unit, member_rows)
-                if deficit <= 0:
-                    continue
-                symbols = encoder.next_symbols(unit, deficit)
+                if deficit > 0:
+                    wanted.append((assignment.group_index, unit, deficit))
             else:
                 missing = receivers.plain_missing(unit, member_rows)
-                if not missing:
-                    continue
-                symbols = [encoder.symbol_at(unit, i) for i in missing]
-            plan.append((assignment.group_index, unit, symbols))
-        return plan
+                if missing:
+                    wanted.append((assignment.group_index, unit, missing))
+        return self._encode_plan(encoder, wanted)
+
+    def _encode_plan(
+        self, encoder: FrameBlockEncoder, wanted: Sequence[Tuple[int, CodingUnitId, Any]]
+    ) -> List[_PlanEntry]:
+        """Encode a pass: per (group, unit), that many fresh symbols under
+        source coding (one encoder call for the whole pass), the named
+        segments without."""
+        if self.source_coding:
+            batches = encoder.next_batches(
+                [(unit, count) for _, unit, count in wanted]
+            )
+        else:
+            batches = [
+                encoder.symbols_at(unit, segments) for _, unit, segments in wanted
+            ]
+        return [
+            (group_index, unit, batch)
+            for (group_index, unit, _), batch in zip(wanted, batches)
+        ]
 
     # ------------------------------------------------------------------ passes
 
@@ -511,20 +535,24 @@ class FrameTransmitter:
         randomness), then delivery draws are batched per contiguous
         same-group run of sent packets."""
         queue = self.kernel_queue or KernelQueue()
-        flat = [
-            (group_index, unit, symbol)
-            for group_index, unit, symbols in plan
-            for symbol in symbols
-        ]
-        if not flat:
+        counts = [len(batch) for _, _, batch in plan]
+        total = sum(counts)
+        if not total:
             return
-        mean_rate = float(np.mean([rates[g] for g, _, _ in flat]))
-        mask = queue.admitted_mask(
-            len(flat), packet_bytes, mean_rate, budget_s, rng
+        # One burst packet per symbol: its plan entry, its index in that
+        # entry's batch, its group.
+        entry_of = np.repeat(np.arange(len(plan)), counts)
+        index_of = np.concatenate([np.arange(count) for count in counts])
+        group_of = np.repeat([g for g, _, _ in plan], counts)
+        mean_rate = float(
+            np.mean(np.repeat([rates[g] for g, _, _ in plan], counts))
         )
+        mask = queue.admitted_mask(total, packet_bytes, mean_rate, budget_s, rng)
         state.dropped_at_queue += int((~mask).sum())
-        sent: List[Tuple[int, CodingUnitId, FountainSymbol]] = []
-        for (group_index, unit, symbol), admitted in zip(flat, mask):
+        sent_packets: List[int] = []
+        for packet, (group_index, admitted) in enumerate(
+            zip(group_of.tolist(), mask.tolist())
+        ):
             airtime = packet_bytes / rates[group_index]
             if state.clock_s + airtime > budget_s:
                 break
@@ -534,27 +562,20 @@ class FrameTransmitter:
                 continue
             state.clock_s += airtime
             state.packets_sent += 1
-            sent.append((group_index, unit, symbol))
-        i = 0
-        while i < len(sent):
-            group_index = sent[i][0]
-            j = i
-            while j < len(sent) and sent[j][0] == group_index:
-                j += 1
-            member_rows, probs = member_probs(group_index)
-            draws = rng.random((j - i, len(probs)))
-            a = i
-            while a < j:
-                unit = sent[a][1]
-                b = a
-                while b < j and sent[b][1] == unit:
-                    b += 1
+            sent_packets.append(packet)
+        if not sent_packets:
+            return
+        sent = np.asarray(sent_packets)
+        for run in _runs(group_of[sent]):
+            packets = sent[run]
+            member_rows, probs = member_probs(int(group_of[packets[0]]))
+            draws = rng.random((len(packets), len(probs)))
+            for part in _runs(entry_of[packets]):
+                _, unit, batch = plan[entry_of[packets[part[0]]]]
                 receivers.record(
-                    unit, [entry[2] for entry in sent[a:b]], member_rows,
-                    draws[a - i:b - i] < probs,
+                    unit, batch[index_of[packets[part]]], member_rows,
+                    draws[part] < probs,
                 )
-                a = b
-            i = j
 
     # --------------------------------------------------------- churn state
 

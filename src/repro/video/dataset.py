@@ -25,7 +25,7 @@ from ..perf.mode import seed_path_active
 from ..types import NUM_LAYERS, validate_seed
 from .frame import VideoFrame, blank_frame
 from .jigsaw import JigsawCodec, LayeredFrame
-from .metrics import psnr, ssim
+from .metrics import SsimReference, psnr, ssim
 from .synthetic import SyntheticVideo
 
 #: Number of quality-model input features.
@@ -50,6 +50,11 @@ class FrameQualityProbe:
     #: the common case in emulation.  LRU-bounded; skipped on the seed path.
     _mask_cache: "OrderedDict[bytes, Tuple[float, float]]" = field(
         default_factory=OrderedDict, repr=False, compare=False
+    )
+    #: The reference-side half of SSIM (two float32 planes), filtered on the
+    #: first mask-memo miss and reused by every later one.
+    _ssim_reference: Optional[SsimReference] = field(
+        default=None, repr=False, compare=False
     )
 
     _MASK_CACHE_LIMIT = 1024
@@ -97,7 +102,12 @@ class FrameQualityProbe:
             self._mask_cache.move_to_end(key)
             return cached
         decoded = self.codec.decode(self.layered, masks)
-        result = (ssim(self.reference, decoded), psnr(self.reference, decoded))
+        if self._ssim_reference is None:
+            self._ssim_reference = SsimReference(self.reference)
+        result = (
+            self._ssim_reference.score(decoded),
+            psnr(self.reference, decoded),
+        )
         self._mask_cache[key] = result
         while len(self._mask_cache) > self._MASK_CACHE_LIMIT:
             self._mask_cache.popitem(last=False)

@@ -184,6 +184,36 @@ class TestMultiApSession:
         ))
         assert first == second
 
+    def test_precode_repair_session_matches_the_parent_commit(
+        self, scenario, tiny_dnn, hr_probe, lr_probe
+    ):
+        """The precode's rows did not change when the dense coefficient
+        format did, so a precode session — 2 APs, blockage, cross-AP
+        repair — must reproduce the outcome recorded at commit 4c5e9b2
+        (symbol lists, scalar ``gf_rank``, five-pass SSIM) as is: symbol
+        batches, the stacked rank elimination and the cached SSIM reference
+        half change no outcome."""
+        positions = scenario.place_arc(4, 3.0, 60, seed=71)
+        trace = scenario.static_trace(
+            positions, duration_s=0.4, seed=72, num_aps=2
+        )
+        config = SystemConfig(
+            **RES, fountain_codec="precode",
+            topology=TopologyConfig(num_aps=2), faults=dict(BLOCKAGE),
+        )
+        streamer = MulticastStreamer(
+            config, tiny_dnn, [hr_probe, lr_probe], scenario.channel_model,
+            seed=73,
+        )
+        with observed("counters"):
+            outcome = streamer.session(trace).run(12)
+            counters = OBS.counters()
+        assert outcome.fingerprint() == (
+            "f88619760bda156724792da6f32e742f13126893e97ecbf6a7ff2ef23cfb9b6c"
+        )
+        assert counters["core.multi_ap.repair.packets"] == 890
+        assert counters["fountain.symbols_encoded"] == 24226
+
     def test_frame_context_carries_topology_state(
         self, scenario, tiny_dnn, hr_probe
     ):

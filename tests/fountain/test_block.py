@@ -9,12 +9,14 @@ from repro.fountain.block import (
     DENSE_CODEC,
     PRECODE_CODEC,
     TARGET_SYMBOLS_PER_UNIT,
+    FOUNTAIN_CODECS,
     CodingUnitId,
     FrameBlockDecoder,
     FrameBlockEncoder,
     all_unit_ids,
     symbol_size_for,
 )
+from repro.fountain.raptor import FountainSymbol, SymbolBatch
 from repro.video.jigsaw import LayerStructure
 from repro.video.metrics import ssim
 
@@ -113,8 +115,8 @@ class TestFrameBlockRoundtrip:
         unit = encoder.units[0]
         first = encoder.next_symbols(unit, 5)
         second = encoder.next_symbols(unit, 5)
-        ids = [s.symbol_id for s in first + second]
-        assert ids == list(range(10))
+        ids = np.concatenate([first.ids, second.ids])
+        assert ids.tolist() == list(range(10))
         assert encoder.emitted_count(unit) == 10
 
     def test_symbol_at_is_stable(self, hr_probe):
@@ -203,3 +205,89 @@ class TestCodecSelection:
             assert d_sym.payload == p_sym.payload
             assert d_sym.symbol_id == p_sym.symbol_id
             assert d_sym.block_id == p_sym.block_id
+
+
+@pytest.mark.parametrize("fountain_codec", FOUNTAIN_CODECS)
+class TestSymbolBatch:
+    """What the encoder hands a transmission pass: ids and payloads as
+    arrays, per-symbol objects only on the way into a decoder."""
+
+    def test_a_pass_of_requests_round_trips(self, codec, hr_probe, fountain_codec):
+        """One ``next_batches`` call for the whole frame, a unit asked for
+        twice, a quarter of each batch lost: ``assemble()`` returns the frame."""
+        encoder = FrameBlockEncoder(0, hr_probe.layered, codec=fountain_codec)
+        decoder = FrameBlockDecoder(
+            0, codec.structure, encoder.symbol_size, codec=fountain_codec
+        )
+        k = encoder.symbols_per_unit()
+        units = encoder.units
+        batches = encoder.next_batches(
+            [(unit, k - 5) for unit in units] + [(unit, 20) for unit in units]
+        )
+        assert [len(batch) for batch in batches] == [k - 5] * 87 + [20] * 87
+        for unit, early, late in zip(units, batches, batches[87:]):
+            assert early.block_id == late.block_id == unit.block_id
+            assert early.ids.tolist() == list(range(k - 5))
+            assert late.ids.tolist() == list(range(k - 5, k + 15))  # straddles K
+            assert encoder.emitted_count(unit) == k + 15
+            for batch in (early, late):
+                kept = batch[np.arange(len(batch)) % 4 != 0]  # index-array form
+                for symbol in kept:
+                    decoder.ingest(symbol)
+        layered, masks = decoder.assemble()
+        assert all(mask.all() for mask in masks)
+        for unit in units:
+            assert layered.sublayer_payload(unit.layer, unit.sublayer) == (
+                hr_probe.layered.sublayer_payload(unit.layer, unit.sublayer)
+            )
+
+    def test_slices_are_views_and_items_are_symbols(self, hr_probe, fountain_codec):
+        encoder = FrameBlockEncoder(0, hr_probe.layered, codec=fountain_codec)
+        k = encoder.symbols_per_unit()
+        unit = encoder.units[4]
+        batch = encoder.next_symbols(unit, k + 4)
+        assert isinstance(batch, SymbolBatch) and len(batch) == k + 4
+        assert batch.payloads.shape == (k + 4, encoder.symbol_size)
+        head = batch[:3]
+        assert isinstance(head, SymbolBatch) and len(head) == 3
+        assert np.shares_memory(head.payloads, batch.payloads)
+        assert not batch[:0] and len(batch[k + 2:]) == 2
+        symbols = list(batch)
+        assert symbols[k + 1] == batch[k + 1] == encoder.symbol_at(unit, k + 1)
+        assert all(isinstance(symbol, FountainSymbol) for symbol in symbols)
+        assert [s.symbol_id for s in symbols] == batch.ids.tolist()
+        # Systematic payloads are the source bytes themselves.
+        source = hr_probe.layered.sublayer_payload(unit.layer, unit.sublayer)
+        assert b"".join(s.payload for s in symbols[:k])[: len(source)] == source
+        rebuilt = SymbolBatch.of(symbols)
+        assert rebuilt.ids.tolist() == batch.ids.tolist()
+        np.testing.assert_array_equal(rebuilt.payloads, batch.payloads)
+
+    def test_all_systematic_batch_copies_nothing(self, hr_probe, fountain_codec):
+        encoder = FrameBlockEncoder(0, hr_probe.layered, codec=fountain_codec)
+        unit = encoder.units[0]
+        batch = encoder.next_symbols(unit, encoder.symbols_per_unit())
+        assert np.shares_memory(batch.payloads, encoder._encoders[unit]._source)
+
+    def test_plain_mode_wrapped_ids_round_trip(self, codec, hr_probe, fountain_codec):
+        """Without source coding a pass addresses segments modulo K, so a
+        batch longer than K repeats ids; the decoder still assembles."""
+        encoder = FrameBlockEncoder(0, hr_probe.layered, codec=fountain_codec)
+        decoder = FrameBlockDecoder(
+            0, codec.structure, encoder.symbol_size, codec=fountain_codec
+        )
+        k = encoder.symbols_per_unit()
+        for unit in encoder.units:
+            batch = encoder.symbols_at(unit, np.arange(k + 6) % k)
+            assert batch.ids.tolist() == [i % k for i in range(k + 6)]
+            assert batch[k + 2] == batch[2]
+            for symbol in batch[3:]:  # ids 0-2 arrive only on the wrap
+                decoder.ingest(symbol)
+        layered, masks = decoder.assemble()
+        assert all(mask.all() for mask in masks)
+        unit = encoder.units[-1]
+        assert layered.sublayer_payload(unit.layer, unit.sublayer) == (
+            hr_probe.layered.sublayer_payload(unit.layer, unit.sublayer)
+        )
+        with pytest.raises(FountainCodeError):
+            SymbolBatch.of([])

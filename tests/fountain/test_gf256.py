@@ -13,6 +13,8 @@ from repro.fountain.gf256 import (
     gf_matmul_blocked,
     gf_matmul_reference,
     gf_multiply,
+    gf_rank,
+    gf_ranks,
     gf_scale_row,
     gf_solve,
 )
@@ -111,6 +113,87 @@ class TestSolve:
     def test_matmul_shape_mismatch_rejected(self):
         with pytest.raises(FountainCodeError):
             gf_matmul(np.zeros((2, 3), dtype=np.uint8), np.zeros((4, 2), dtype=np.uint8))
+
+
+def _scalar_rank(matrix: np.ndarray) -> int:
+    """``gf_rank`` as it stood before the stacked kernel, frozen: forward
+    elimination of one matrix with first-nonzero pivots and row swaps."""
+    a = np.atleast_2d(np.array(matrix, dtype=np.uint8))
+    m, k = a.shape
+    if m == 0 or k == 0:
+        return 0
+    row = 0
+    for col in range(k):
+        pivot_candidates = np.nonzero(a[row:, col])[0]
+        if pivot_candidates.size == 0:
+            continue
+        pivot = row + int(pivot_candidates[0])
+        if pivot != row:
+            a[[row, pivot]] = a[[pivot, row]]
+        a[row] = gf_scale_row(a[row], gf_inverse(int(a[row, col])))
+        targets = np.nonzero(a[row + 1:, col])[0]
+        if targets.size:
+            targets = targets + row + 1
+            factors = a[targets, col]
+            a[targets] ^= gf_multiply(factors[:, None], a[row][None, :])
+        row += 1
+        if row == m:
+            break
+    return row
+
+
+class TestStackedRank:
+    """One elimination over a zero-padded stack ranks every matrix as the
+    scalar elimination ranks it alone."""
+
+    @staticmethod
+    def _matrix(rng, rows, cols):
+        kind = rng.integers(0, 4)
+        if kind == 0:  # full random: rank min(rows, cols) but for 1/255
+            matrix = rng.integers(0, 256, (rows, cols), dtype=np.uint8)
+        elif kind == 1:  # a chosen rank below full
+            inner = int(rng.integers(0, min(rows, cols) + 1))
+            matrix = gf_matmul(
+                rng.integers(0, 256, (rows, inner), dtype=np.uint8),
+                rng.integers(0, 256, (inner, cols), dtype=np.uint8),
+            )
+        elif kind == 2:  # sparse binary, as precode LT rows are
+            matrix = (rng.random((rows, cols)) < 0.2).astype(np.uint8)
+        else:
+            matrix = np.zeros((rows, cols), dtype=np.uint8)
+        if rng.random() < 0.3:
+            matrix[:, rng.integers(0, cols)] = 0
+        if rows > 1 and rng.random() < 0.3:
+            matrix[rng.integers(1, rows)] = matrix[0]
+        return matrix
+
+    @given(
+        shapes=st.lists(
+            st.tuples(st.integers(1, 24), st.integers(1, 22)),
+            min_size=1, max_size=40,
+        ),
+        seed=st.integers(min_value=0, max_value=9999),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_ragged_stacks_match_scalar_elimination(self, shapes, seed):
+        rng = np.random.default_rng(seed)
+        matrices = [self._matrix(rng, rows, cols) for rows, cols in shapes]
+        before = [matrix.copy() for matrix in matrices]
+        ranks = gf_ranks(matrices)
+        assert ranks.tolist() == [_scalar_rank(matrix) for matrix in matrices]
+        for matrix, copy in zip(matrices, before):
+            np.testing.assert_array_equal(matrix, copy)  # inputs untouched
+
+    def test_one_matrix_form(self, rng):
+        matrix = rng.integers(0, 256, (9, 7), dtype=np.uint8)
+        matrix[5] = matrix[2]
+        assert gf_rank(matrix) == _scalar_rank(matrix) == 7
+        assert gf_rank(np.eye(4, dtype=np.uint8)[:3]) == 3
+
+    def test_degenerate_shapes(self):
+        assert gf_ranks([]).tolist() == []
+        assert gf_ranks([np.zeros((0, 5), np.uint8), np.zeros((3, 0), np.uint8)]).tolist() == [0, 0]
+        assert gf_rank(np.zeros((0, 0), dtype=np.uint8)) == 0
 
 
 class TestBlockedMatmul:

@@ -26,7 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FountainCodeError
-from repro.fountain.block import unit_decodable
+from repro.fountain.block import unit_decodable, units_decodable
 from repro.fountain.precode import Precode, PrecodeDecoder, PrecodeEncoder
 from repro.fountain.raptor import (
     COEFFICIENT_CACHE,
@@ -277,7 +277,7 @@ class TestDecodabilityOracle:
             "dense": (FountainEncoder(block_id, data, symbol_size), FountainDecoder),
             "precode": (PrecodeEncoder(block_id, data, symbol_size), PrecodeDecoder),
         }
-        verdicts = {codec: [] for codec in codecs}
+        requests, decoded = [], []
         for _ in range(6 if k > 64 else 24):
             # Mostly-systematic receptions plus a few repair symbols, one
             # short of K up to three over: the band sessions operate in.
@@ -290,11 +290,15 @@ class TestDecodabilityOracle:
                 decoder = decoder_cls(block_id, len(data), symbol_size)
                 for sid in ids:
                     decoder.add_symbol(encoder.symbol(sid))
-                verdict = unit_decodable(codec, block_id, k, ids)
-                assert verdict == decoder.is_decoded, (codec, sorted(ids))
-                verdicts[codec].append(verdict)
-        for codec, seen in verdicts.items():
-            assert any(seen), codec
+                requests.append((codec, block_id, k, ids))
+                decoded.append(decoder.is_decoded)
+        # Every request of both codecs in one call (one stacked elimination),
+        # then one by one (the precode's now out of its verdict memo).
+        assert units_decodable(requests).tolist() == decoded
+        for request, verdict in zip(requests, decoded):
+            assert unit_decodable(*request) == verdict, request
+        for codec in codecs:
+            assert any(v for r, v in zip(requests, decoded) if r[0] == codec)
 
     def test_oracle_refuses_rank_deficient_sets(self):
         """K=20 patterns with >= K distinct ids that still fail: a dense

@@ -5,6 +5,7 @@ import pytest
 
 from repro.beamforming import GroupBeamPlanner, SectorCodebook
 from repro.errors import TransportError
+from repro.fountain import block, raptor
 from repro.fountain.block import FrameBlockEncoder
 from repro.scheduling.coding_groups import UnitAssignment
 from repro.scheduling.groups import GroupEnumerator
@@ -284,3 +285,78 @@ class TestBurstMode:
         )
         assert result.packets_sent > 0
         assert result.packets_dropped_at_queue >= 0
+
+
+class TestWholeFrameForms:
+    """Counts, not times: what a frame used to do once per repair row, per
+    unit or per receiver pattern, it now does once per pass or per frame."""
+
+    def test_one_derivation_per_pass_one_elimination_per_frame(
+        self, scenario, hr_probe, monkeypatch
+    ):
+        calls = {"rows": 0, "ranks": 0}
+
+        def counted(module, name, key):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(raptor, "coefficient_rows", "rows")
+        counted(block, "gf_ranks", "ranks")
+
+        # Four receivers, links 6 dB under plan, every unit sent to two groups:
+        # the second group continues the stream past K (repair rows in the
+        # first pass) and losses leave deficits for the feedback rounds.
+        positions = scenario.place_arc(4, 3.0, 90, seed=8)
+        state = scenario.channel_model.snapshot(
+            dict(enumerate(positions)), np.random.default_rng(8)
+        )
+        codebook = SectorCodebook(scenario.array, num_beams=16, num_wide_beams=4)
+        planner = GroupBeamPlanner(
+            scenario.array, codebook, scenario.channel_model.budget,
+            BeamformingScheme.OPTIMIZED_MULTICAST,
+        )
+        groups = GroupEnumerator(
+            planner, rate_scale=56.25, min_rate_mbps=0.0, max_group_size=2
+        ).enumerate(state, [0, 1, 2, 3])
+        pairs = [g for g in groups if len(g.user_ids) == 2]
+        first = pairs[0]
+        second = next(g for g in pairs if not set(g.user_ids) & set(first.user_ids))
+        encoder = _encoder(hr_probe)
+        assignments = [
+            UnitAssignment(group.index, 1, sub, encoder.unit_nbytes())
+            for sub in range(4)
+            for group in (first, second)
+        ]
+        weak_state = type(state)(
+            channels={u: h * 10 ** (-6 / 20) for u, h in state.channels.items()},
+            positions=state.positions,
+        )
+        result = _transmitter(scenario, max_feedback_rounds=2).transmit(
+            encoder, assignments, groups, weak_state, 1 / 30,
+            np.random.default_rng(9),
+        )
+        assert result.feedback_rounds_used == 2
+        assert calls == {"rows": 1 + result.feedback_rounds_used, "ranks": 0}
+
+        calls.update(rows=0, ranks=0)
+        matrices = result.cohort.decoded_matrices()
+        assert calls == {"rows": 1, "ranks": 1}
+        result.cohort.decoded_matrices()  # every unit's verdict is cached
+        assert calls == {"rows": 1, "ranks": 1}
+        # The one elimination decided receivers no count could settle, and
+        # as their real decoders would.
+        via_rank = 0
+        for unit, unit_state in result.cohort._units.items():
+            via_rank += int(
+                (unit_state.decoded_users() & ~unit_state.sys_mask.all(axis=0)).sum()
+            )
+        assert via_rank > 0
+        for row, reception in enumerate(result.cohort.receptions().values()):
+            masks = reception.decoder.sublayer_masks()
+            for matrix, mask in zip(matrices, masks):
+                assert matrix[row].tolist() == mask.tolist()

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.video import metrics
 from repro.video.dataset import (
     NUM_FEATURES,
+    FrameQualityProbe,
     generate_dataset,
 )
+from repro.video.jigsaw import SUBLAYER_COUNTS
+from repro.video.metrics import SsimReference, psnr, ssim
 
 
 class TestFrameQualityProbe:
@@ -45,6 +49,71 @@ class TestFrameQualityProbe:
     def test_lr_base_layer_scores_higher_than_hr(self, hr_probe, lr_probe):
         """LR content concentrates energy in the base layer (Sec 2.3)."""
         assert lr_probe.cumulative_ssim[0] > hr_probe.cumulative_ssim[0]
+
+
+class TestCachedSsimReferenceHalf:
+    """``measure_masks`` scores against the reference-side half of SSIM
+    kept on the probe; the scores are the one-shot functions', bit for bit."""
+
+    @staticmethod
+    def _fresh(probe):
+        # As the frame-budget harness builds them: positionally.
+        return FrameQualityProbe(
+            probe.codec, probe.reference, probe.layered,
+            probe.cumulative_ssim, probe.blank_ssim,
+        )
+
+    @staticmethod
+    def _random_masks(rng, count):
+        return [
+            [rng.random(n) < rng.uniform(0.2, 1.0) for n in SUBLAYER_COUNTS]
+            for _ in range(count)
+        ]
+
+    def test_scores_equal_one_shot_ssim_and_psnr(self, rng, hr_probe):
+        probe = self._fresh(hr_probe)
+        assert probe._ssim_reference is None and not probe._mask_cache
+        double = SsimReference(probe.reference, dtype=np.float64)
+        for masks in self._random_masks(rng, 24):
+            decoded = probe.codec.decode(probe.layered, masks)
+            assert probe.measure_masks(masks) == (
+                ssim(probe.reference, decoded), psnr(probe.reference, decoded)
+            )
+            assert double.score(decoded) == ssim(
+                probe.reference, decoded, dtype=np.float64
+            )
+
+    def test_probe_holds_two_extra_planes(self, rng, hr_probe):
+        probe = self._fresh(hr_probe)
+        for masks in self._random_masks(rng, 3):
+            probe.measure_masks(masks)
+        kept = vars(probe._ssim_reference)
+        planes = [v for v in kept.values() if isinstance(v, np.ndarray)]
+        assert len(planes) == 2
+        assert all(
+            p.dtype == np.float32 and p.shape == probe.reference.y.shape
+            for p in planes
+        )
+        # Everything else it keeps is the probe's own reference, not a copy.
+        assert any(v is probe.reference for v in kept.values())
+
+    def test_three_filter_passes_per_memo_miss(self, rng, hr_probe, monkeypatch):
+        calls = []
+        real = metrics.gaussian_filter
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "gaussian_filter", counting)
+        probe = self._fresh(hr_probe)
+        first, second = self._random_masks(rng, 2)
+        probe.measure_masks(first)
+        assert len(calls) == 2 + 3  # the reference half, once, then a score
+        probe.measure_masks(second)
+        assert len(calls) == 2 + 3 + 3
+        probe.measure_masks(first)  # memo hit
+        assert len(calls) == 2 + 3 + 3
 
 
 class TestGenerateDataset:
