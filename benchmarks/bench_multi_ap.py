@@ -7,8 +7,9 @@ repair) over one shared superset trace per placement, and reports the
 mean-SSIM curve against blockage depth.  The qualitative claim under test
 — a second AP holds quality up under LoS blockage that a single AP cannot
 ride out (the multi-link resilience argument of arXiv:1711.06154) — is
-distilled into the ``two_ap_ssim_not_worse_under_blockage`` flag gated by
-``perf_gate.py``.
+distilled into the ``two_ap_ssim_not_worse_under_blockage`` flag; tier-1
+holds the same claim in miniature as
+``tests/core/test_multi_ap.py::test_two_ap_holds_ssim_under_blockage``.
 
 The 1-AP arm is not handicapped: AP0's blockage windows are drawn
 identically in both arms (the per-AP schedule extends the single-AP

@@ -21,9 +21,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_service_load.py --quick   # CI smoke
 
 Full sizes exercise >=100 receivers across >=8 sessions; ``--quick`` runs
->=50 receivers across >=4 sessions for CI.  The stage dict is embedded as
-``service_load`` in ``BENCH_PERF.json`` by ``bench_perf_pipeline.py``;
-standalone runs write ``bench_service_load.json``.
+>=50 receivers across >=4 sessions for CI.  The stage dict is written to
+``bench_service_load.json`` by default.
 """
 
 from __future__ import annotations

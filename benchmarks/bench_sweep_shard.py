@@ -18,8 +18,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_sweep_shard.py           # full
     PYTHONPATH=src python benchmarks/bench_sweep_shard.py --quick   # CI smoke
 
-The stage dict is embedded as ``sweep_shard`` in ``BENCH_PERF.json`` by
-``bench_perf_pipeline.py``; standalone runs write ``bench_sweep_shard.json``.
+The stage dict is written to ``bench_sweep_shard.json`` by default.
 """
 
 from __future__ import annotations

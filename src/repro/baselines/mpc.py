@@ -20,7 +20,6 @@ miss their live deadline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np

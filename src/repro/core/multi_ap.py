@@ -42,10 +42,10 @@ from ..obs import OBS
 from ..scheduling import AllocationResult, assign_coding_groups
 from ..scheduling.groups import CandidateGroup
 from ..transport.association import ApAssociationPolicy
+from ..transport.cohort import FrameCohort
 from ..transport.transmitter import (
     GROUP_SWITCH_OVERHEAD_S,
     HEADER_BYTES,
-    Receivers,
     TransmissionResult,
 )
 from .pipeline import (
@@ -259,9 +259,7 @@ class MultiApTransmitter:
             users_ap = ctx.ap_users[ap]
             if allocation is None or assignments is None or not users_ap:
                 continue
-            limits = streamer._rate_limits(
-                allocation, session.state.bw_estimators
-            )
+            limits = streamer._rate_limits(allocation, session.cohort_bw)
             rate_limits.update(limits)
             faults_ap = (
                 session.faults.for_ap(ap) if session.faults is not None else None
@@ -300,7 +298,7 @@ class MultiApTransmitter:
         self,
         ctx: FrameContext,
         session: "StreamSession",
-        receivers: Receivers,
+        receivers: FrameCohort,
         true_state: "ChannelState",
         ap_airtime: List[float],
         budget_s: float,

@@ -27,15 +27,10 @@ from ..errors import ConfigurationError
 from ..faults import FaultController
 from ..fountain.block import FrameBlockEncoder
 from ..obs import OBS
-from ..perf.mode import seed_path_active
 from ..quality.curves import FrameFeatureContext
 from ..scheduling import AllocationResult, assign_coding_groups
-from ..transport import (
-    BandwidthEstimator,
-    BandwidthTracker,
-    CohortBandwidthEstimator,
-)
-from ..types import FrameStats, OutcomeStats
+from ..transport import CohortBandwidthEstimator, CohortBandwidthView
+from ..types import OutcomeStats
 from ..video.jigsaw import SUBLAYER_COUNTS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -64,7 +59,8 @@ class SessionState:
     """Loop-carried planning state of one streaming session.
 
     Attributes:
-        bw_estimators: Per-user bandwidth feedback state.
+        bw_estimators: Per-user views over the session's cohort bandwidth
+            estimator.
         allocation: The allocation currently being streamed.
         last_plan_time: When the allocation was last (re)planned.
         planned_users: Membership the current allocation was planned for;
@@ -77,7 +73,7 @@ class SessionState:
             per user currently inside a feedback outage.
     """
 
-    bw_estimators: Dict[int, BandwidthTracker]
+    bw_estimators: Dict[int, CohortBandwidthView]
     allocation: Optional[AllocationResult] = None
     last_plan_time: float = -np.inf
     planned_users: Optional[Tuple[int, ...]] = None
@@ -235,9 +231,7 @@ class Transmitter:
         assert allocation is not None and ctx.encoder is not None
         assert ctx.assignments is not None
         ctx.true_state = session.trace.at_time(ctx.now).true_state
-        ctx.rate_limits = streamer._rate_limits(
-            allocation, session.state.bw_estimators
-        )
+        ctx.rate_limits = streamer._rate_limits(allocation, session.cohort_bw)
         fault_kwargs = (
             {"active_users": ctx.users, "faults": session.faults}
             if session.faults is not None
@@ -277,19 +271,7 @@ class FeedbackUpdater:
             return
         cohort = ctx.result.cohort
         estimator = session.cohort_bw
-        if cohort is None or estimator is None:
-            # The seed reference: scalar draws, one per reporting user.
-            for user in reporting:
-                reception = ctx.result.receptions[user]
-                total = reception.packets_received + reception.packets_lost
-                fraction = (
-                    reception.packets_received / total if total else 1.0
-                )
-                session.state.bw_estimators[user].observe_fraction(
-                    float(np.clip(fraction, 0.0, 1.0)), session.streamer.rng
-                )
-            return
-        # One batched noise draw, landing in the same rng-stream order.
+        # One batched noise draw, in the stream order of per-user draws.
         rows = cohort.member_rows(reporting)
         received = cohort.packets_received[rows]
         total = received + cohort.packets_lost[rows]
@@ -334,35 +316,11 @@ class Scorer:
     name = "score"
 
     def run(self, ctx: FrameContext, session: "StreamSession") -> None:
-        assert ctx.result is not None
-        cohort = ctx.result.cohort
-        if cohort is not None:
-            self._run_cohort(ctx, session, cohort)
-            return
-        for user in ctx.users:
-            reception = ctx.result.receptions[user]
-            masks = reception.decoder.sublayer_masks()
-            quality, quality_db = ctx.probe.measure_masks(masks)
-            session.outcome.stats.append(
-                FrameStats(
-                    frame_index=ctx.frame_index,
-                    user_id=user,
-                    ssim=quality,
-                    psnr_db=quality_db,
-                    bytes_received_per_layer=tuple(
-                        reception.decoder.bytes_received_per_layer()
-                    ),
-                    deadline_met=ctx.deadline_met,
-                )
-            )
-
-    @staticmethod
-    def _run_cohort(
-        ctx: FrameContext, session: "StreamSession", cohort
-    ) -> None:
         """Score from cohort arrays: quality is measured once per distinct
         decode pattern and broadcast to every receiver sharing it, and the
         frame's stats land as one columnar block."""
+        assert ctx.result is not None
+        cohort = ctx.result.cohort
         rows = cohort.member_rows(ctx.users)
         matrices = cohort.decoded_matrices()
         signatures = np.concatenate(
@@ -433,19 +391,12 @@ class StreamSession:
         self.config: "SystemConfig" = streamer.config
         self.trace = trace
         self.users: List[int] = trace.user_ids()
-        self.cohort_bw: Optional[CohortBandwidthEstimator]
-        if seed_path_active():
-            self.cohort_bw = None
-            bw_estimators: Dict[int, BandwidthTracker] = {
-                u: BandwidthEstimator() for u in self.users
-            }
-        else:
-            # Optimized mode: one array-backed estimator for the whole
-            # cohort; per-user access (joins/resets, strategies) goes
-            # through scalar views over the same rows.
-            self.cohort_bw = CohortBandwidthEstimator(self.users)
-            bw_estimators = {u: self.cohort_bw.view(u) for u in self.users}
-        self.state = SessionState(bw_estimators=bw_estimators)
+        # One array-backed estimator for the whole cohort; per-user access
+        # (joins/resets, strategies) goes through scalar views over its rows.
+        self.cohort_bw = CohortBandwidthEstimator(self.users)
+        self.state = SessionState(
+            bw_estimators={u: self.cohort_bw.view(u) for u in self.users}
+        )
         self.strategy = (
             strategy if strategy is not None else strategy_for(streamer.config)
         )

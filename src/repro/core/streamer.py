@@ -30,13 +30,7 @@ from ..scheduling import (
     TimeAllocationOptimizer,
     round_robin_allocation,
 )
-from ..transport import (
-    BandwidthTracker,
-    CohortBandwidthEstimator,
-    FrameTransmitter,
-    LinkModel,
-)
-from ..transport.bandwidth import _CohortBandwidthView
+from ..transport import CohortBandwidthEstimator, FrameTransmitter, LinkModel
 from ..types import SchedulerKind, validate_seed
 from ..video.dataset import FrameQualityProbe
 from ..video.jigsaw import JigsawCodec
@@ -45,21 +39,6 @@ from .pipeline import PipelineStage, StreamOutcome, StreamSession
 from .policy import AdaptationStrategy
 
 __all__ = ["MulticastStreamer", "StreamOutcome"]
-
-
-def _cohort_estimator(
-    bw_estimators: Dict[int, BandwidthTracker],
-) -> Optional[CohortBandwidthEstimator]:
-    """The shared cohort estimator if every entry is a view over it."""
-    parent: Optional[CohortBandwidthEstimator] = None
-    for estimator in bw_estimators.values():
-        if not isinstance(estimator, _CohortBandwidthView):
-            return None
-        if parent is None:
-            parent = estimator.parent
-        elif estimator.parent is not parent:
-            return None
-    return parent
 
 
 class MulticastStreamer:
@@ -174,48 +153,21 @@ class MulticastStreamer:
             )
         return self.optimizer.optimize(groups, contexts, self.config.plan_budget_s)
 
-    def _rate_limits(
-        self,
-        allocation: AllocationResult,
-        bw_estimators: Dict[int, BandwidthTracker],
-    ) -> Dict[int, float]:
-        """Per-group pacing caps from the previous frame's receiver feedback."""
-        cohort = _cohort_estimator(bw_estimators)
-        if cohort is not None:
-            return self._rate_limits_cohort(allocation, bw_estimators, cohort)
-        limits: Dict[int, float] = {}
-        for group in allocation.groups:
-            fractions = [
-                bw_estimators[u].estimate_bytes_per_s
-                for u in group.user_ids
-                if u in bw_estimators
-                and bw_estimators[u].estimate_bytes_per_s is not None
-            ]
-            if fractions:
-                # Estimates hold smoothed delivery fractions; the group's
-                # sustainable goodput is fraction x nominal MCS goodput.
-                limits[group.index] = float(min(fractions)) * group.rate_bytes_per_s
-        return limits
-
     @staticmethod
-    def _rate_limits_cohort(
-        allocation: AllocationResult,
-        bw_estimators: Dict[int, BandwidthTracker],
-        cohort: "CohortBandwidthEstimator",
+    def _rate_limits(
+        allocation: AllocationResult, estimator: CohortBandwidthEstimator
     ) -> Dict[int, float]:
-        """Array twin of :meth:`_rate_limits` over cohort estimator rows.
+        """Per-group pacing caps from the previous frame's receiver feedback.
 
-        ``numpy.min`` over float64 rows equals Python's ``min`` over the
-        same floats bitwise, so the pacing caps match the per-user loop
-        exactly.
+        Estimates hold smoothed delivery fractions; a group's sustainable
+        goodput is its least-served member's fraction x nominal MCS goodput
+        (members without a measurement yet do not cap it).
         """
-        estimates = cohort.estimates()
-        has = cohort.has_estimate()
+        estimates = estimator.estimates()
+        has = estimator.has_estimate()
         limits: Dict[int, float] = {}
         for group in allocation.groups:
-            rows = cohort.rows(
-                [u for u in group.user_ids if u in bw_estimators]
-            )
+            rows = estimator.rows(group.user_ids)
             rows = rows[has[rows]]
             if rows.size:
                 limits[group.index] = (

@@ -13,9 +13,9 @@ A dense 256x256 product table (:data:`_MUL`, 64 KiB) drives the matrix
 kernels: one fancy-indexed gather per source column replaces the
 log-add-antilog round trip, which is what makes batched encoding fast.
 
-The ``*_reference`` functions preserve the original (pre-optimization)
-mask-based implementations; the seed-path benchmarks time against them so
-speedup numbers in ``BENCH_PERF.json`` compare like with like.
+The ``*_reference`` functions preserve the original mask-based
+implementations as oracles for the table kernels; nothing on a hot path
+calls them.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def gf_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def gf_multiply_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pre-sentinel gf_multiply (explicit zero masks); seed-path baseline."""
+    """Pre-sentinel gf_multiply (explicit zero masks); the oracle's kernel."""
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
     result = _EXP_REF[_LOG_REF[a.astype(np.int32)] + _LOG_REF[b.astype(np.int32)]]

@@ -31,7 +31,7 @@ would conclude — only the cost differs.
 Elimination effort is tallied (row ops, and element ops weighted by row
 width) and reported through ``OBS`` counters
 (``fountain.inactivation.*``) so the sub-cubic claim is enforced by tests
-and the perf gate rather than asserted in prose.
+rather than asserted in prose.
 """
 
 from __future__ import annotations

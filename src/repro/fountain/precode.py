@@ -567,13 +567,13 @@ class PrecodeDecoder:
             len(self._payloads) >= self.num_source_symbols
             and len(self._payloads) != self._attempted_at
         ):
-            self._try_decode()
+            self._attempt_decode()
 
     def decode(self) -> bytes:
         """The reconstructed block; raises if not yet decodable."""
         if self._decoded is None:
             if len(self._payloads) != self._attempted_at:
-                self._try_decode()
+                self._attempt_decode()
         if self._decoded is None:
             raise FountainCodeError(
                 f"block {self.block_id} not decodable: "
@@ -581,7 +581,7 @@ class PrecodeDecoder:
             )
         return self._decoded
 
-    def _try_decode(self) -> None:
+    def _attempt_decode(self) -> None:
         k = self.num_source_symbols
         self._attempted_at = len(self._payloads)
         if len(self._payloads) < k:

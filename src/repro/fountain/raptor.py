@@ -34,10 +34,6 @@ is one numpy expression, and no generator is ever constructed.
   row-echelon system and folds each arriving symbol in as it lands, so
   rank grows online and completion is O(K) row operations per symbol
   instead of a full re-solve per decode attempt.
-
-The original per-symbol / re-solve code paths are preserved and selected by
-:func:`repro.perf.mode.perf_mode` (``"seed"``) so benchmarks and
-equivalence tests can compare both inside one process.
 """
 
 from __future__ import annotations
@@ -45,21 +41,13 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union, overload
+from typing import Iterator, List, Optional, Sequence, Set, Tuple, Union, overload
 
 import numpy as np
 
 from ..errors import FountainCodeError
 from ..obs import OBS
-from ..perf.mode import seed_path_active
-from .gf256 import (
-    gf_inverse,
-    gf_matmul,
-    gf_matmul_reference,
-    gf_multiply,
-    gf_scale_row,
-    gf_solve,
-)
+from .gf256 import gf_inverse, gf_matmul, gf_multiply, gf_scale_row
 
 
 def decode_failure_probability(extra_symbols: int) -> float:
@@ -298,9 +286,6 @@ class FountainEncoder:
             raise FountainCodeError(f"symbol_id must be >= 0, got {symbol_id}")
         if symbol_id < self.num_source_symbols:
             payload = self._source[symbol_id].tobytes()
-        elif seed_path_active():
-            coeffs = _coefficients(self.block_id, symbol_id, self.num_source_symbols)
-            payload = gf_matmul_reference(coeffs[None, :], self._source)[0].tobytes()
         else:
             coeffs = COEFFICIENT_CACHE.row(
                 self.block_id, self.num_source_symbols, symbol_id
@@ -326,11 +311,6 @@ class FountainEncoder:
         """
         if any(first < 0 or count < 0 for _, first, count in ranges):
             raise FountainCodeError("symbol ids and counts must be >= 0")
-        if seed_path_active():
-            return [
-                encoder._reference_batch(first, count)
-                for encoder, first, count in ranges
-            ]
         ks = {encoder.num_source_symbols for encoder, _, _ in ranges}
         if len(ks) > 1:
             raise FountainCodeError(f"one pass encodes one K, got {sorted(ks)}")
@@ -368,27 +348,14 @@ class FountainEncoder:
             )
         return batches
 
-    def _reference_batch(self, first_id: int, count: int) -> SymbolBatch:
-        """Seed path: one :meth:`symbol` per id, stacked."""
-        payloads = np.zeros((count, self.symbol_size), dtype=np.uint8)
-        for offset, payload in enumerate(payloads):
-            payload[:] = np.frombuffer(
-                self.symbol(first_id + offset).payload, dtype=np.uint8
-            )
-        return SymbolBatch(
-            self.block_id, np.arange(first_id, first_id + count), payloads
-        )
-
 
 class FountainDecoder:
     """Accumulates symbols for one block and decodes once rank-complete.
 
-    The optimized path maintains a reduced row-echelon system
-    incrementally: each arriving symbol is eliminated against the current
-    pivots, becomes a new pivot if it carries fresh rank, and the block is
-    decoded the instant rank reaches ``K`` — no re-solving.  The seed path
-    (full Gaussian elimination per decode attempt) is preserved under
-    ``perf_mode("seed")``.
+    The decoder maintains a reduced row-echelon system incrementally: each
+    arriving symbol is eliminated against the current pivots, becomes a new
+    pivot if it carries fresh rank, and the block is decoded the instant
+    rank reaches ``K`` — no re-solving.
 
     Args:
         block_id: Must match the encoder's.
@@ -406,23 +373,17 @@ class FountainDecoder:
         self.data_len = int(data_len)
         self.num_source_symbols = -(-data_len // symbol_size)
         self._decoded: Optional[bytes] = None
-        self._incremental = not seed_path_active()
-        if self._incremental:
-            k = self.num_source_symbols
-            self._ids: Set[int] = set()
-            self._mat = np.zeros((k, k), dtype=np.uint8)
-            self._pay = np.zeros((k, self.symbol_size), dtype=np.uint8)
-            self._pivot_row_of_col = np.full(k, -1, dtype=np.int64)
-            self._rank = 0
-        else:
-            self._symbols: Dict[int, bytes] = {}
+        k = self.num_source_symbols
+        self._ids: Set[int] = set()
+        self._mat = np.zeros((k, k), dtype=np.uint8)
+        self._pay = np.zeros((k, self.symbol_size), dtype=np.uint8)
+        self._pivot_row_of_col = np.full(k, -1, dtype=np.int64)
+        self._rank = 0
 
     @property
     def received_count(self) -> int:
         """Distinct symbols received so far."""
-        if self._incremental:
-            return len(self._ids)
-        return len(self._symbols)
+        return len(self._ids)
 
     @property
     def is_decoded(self) -> bool:
@@ -432,18 +393,12 @@ class FountainDecoder:
     @property
     def rank(self) -> int:
         """Independent dimensions received (== K once decodable)."""
-        if self._incremental:
-            return self._rank
-        # The seed path never tracks rank online; the best cheap bound is
-        # the distinct-symbol count capped at K.
-        return min(len(self._symbols), self.num_source_symbols)
+        return self._rank
 
     def received_ids(self) -> set:
         """Distinct symbol ids received (plain-mode retransmission needs the
         exact missing segment indices)."""
-        if self._incremental:
-            return set(self._ids)
-        return set(self._symbols)
+        return set(self._ids)
 
     @property
     def symbols_missing(self) -> int:
@@ -487,19 +442,12 @@ class FountainDecoder:
         return self._decoded is not None
 
     def _ingest(self, symbol: FountainSymbol) -> None:
-        if self._incremental:
-            if symbol.symbol_id not in self._ids:
-                self._ids.add(symbol.symbol_id)
-                self._absorb(symbol.symbol_id, symbol.payload)
-        else:
-            self._symbols.setdefault(symbol.symbol_id, symbol.payload)
-            if len(self._symbols) >= self.num_source_symbols:
-                self._try_decode()
+        if symbol.symbol_id not in self._ids:
+            self._ids.add(symbol.symbol_id)
+            self._absorb(symbol.symbol_id, symbol.payload)
 
     def decode(self) -> bytes:
         """The reconstructed block; raises if not yet decodable."""
-        if self._decoded is None and not self._incremental:
-            self._try_decode()
         if self._decoded is None:
             raise FountainCodeError(
                 f"block {self.block_id} not decodable: "
@@ -510,7 +458,7 @@ class FountainDecoder:
     # ------------------------------------------------- incremental elimination
 
     def _absorb(self, symbol_id: int, payload: bytes) -> None:
-        """Fold one fresh symbol into the reduced system (optimized path)."""
+        """Fold one fresh symbol into the reduced system."""
         k = self.num_source_symbols
         if symbol_id < k:
             row = np.zeros(k, dtype=np.uint8)
@@ -557,29 +505,3 @@ class FountainDecoder:
             self._decoded = self._pay[self._pivot_row_of_col].tobytes()[
                 : self.data_len
             ]
-
-    # -------------------------------------------------------- seed-path solve
-
-    def _try_decode(self) -> None:
-        k = self.num_source_symbols
-        if len(self._symbols) < k:
-            return
-        ids = sorted(self._symbols)
-        systematic = [i for i in ids if i < k]
-        if len(systematic) == k:
-            data = b"".join(self._symbols[i] for i in range(k))
-            self._decoded = data[: self.data_len]
-            return
-        matrix = np.zeros((len(ids), k), dtype=np.uint8)
-        rhs = np.zeros((len(ids), self.symbol_size), dtype=np.uint8)
-        for row, symbol_id in enumerate(ids):
-            if symbol_id < k:
-                matrix[row, symbol_id] = 1
-            else:
-                matrix[row] = _coefficients(self.block_id, symbol_id, k)
-            rhs[row] = np.frombuffer(self._symbols[symbol_id], dtype=np.uint8)
-        solved = gf_solve(matrix, rhs)
-        if solved is None:
-            return
-        source, _ = solved
-        self._decoded = source.tobytes()[: self.data_len]

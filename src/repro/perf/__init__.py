@@ -1,32 +1,18 @@
-"""Performance layer: parallel execution, perf-mode switch, bench timing.
+"""Performance layer: parallel execution and bench timing.
 
 ``repro.perf`` concentrates everything that makes the reproduction fast
 without changing results:
 
 * :mod:`repro.perf.parallel` — the ``REPRO_JOBS`` process-pool engine the
   emulation runners fan out on (deterministic at any job count).
-* :mod:`repro.perf.mode` — the seed-path/optimized-path switch used by the
-  benchmark harness to time the original implementations against the
-  batched ones inside one process.
-* :mod:`repro.perf.timing` — stopwatch/throughput helpers plus the
-  ``BENCH_PERF.json`` report writer.
+* :mod:`repro.perf.timing` — timing/throughput helpers plus the JSON
+  report writer the standalone benchmarks share.
 * :mod:`repro.perf.workers` — the persistent worker pool + shared-memory
   payload shipping that sharded sweep campaigns run on (workers started
   once per campaign, heavyweight state shipped via
   ``multiprocessing.shared_memory`` instead of per-task pickling).
-* :mod:`repro.perf.encode` — per-frame jigsaw encode fan-out (imported
-  lazily by callers; not re-exported here to keep import cycles impossible
-  from the fountain layer).
 """
 
-from .mode import (
-    OPTIMIZED_MODE,
-    SEED_MODE,
-    get_perf_mode,
-    perf_mode,
-    seed_path_active,
-    set_perf_mode,
-)
 from .parallel import (
     JOBS_ENV_VAR,
     POOL_BREAK_EVEN_S,
@@ -42,22 +28,13 @@ from .workers import (
     SharedPayloadHandle,
 )
 from .timing import (
-    Stopwatch,
-    read_bench_report,
     speedup,
     throughput,
     time_call,
-    time_call_best,
     write_bench_report,
 )
 
 __all__ = [
-    "OPTIMIZED_MODE",
-    "SEED_MODE",
-    "get_perf_mode",
-    "perf_mode",
-    "seed_path_active",
-    "set_perf_mode",
     "JOBS_ENV_VAR",
     "effective_jobs",
     "POOL_BREAK_EVEN_S",
@@ -68,11 +45,8 @@ __all__ = [
     "PersistentPool",
     "SharedPayload",
     "SharedPayloadHandle",
-    "Stopwatch",
-    "read_bench_report",
     "speedup",
     "throughput",
     "time_call",
-    "time_call_best",
     "write_bench_report",
 ]

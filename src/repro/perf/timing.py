@@ -1,35 +1,18 @@
-"""Timing and reporting primitives for the perf benchmark harness.
+"""Timing and reporting primitives for the standalone benchmarks.
 
-Small, dependency-free helpers so ``benchmarks/bench_perf_pipeline.py`` and
-future perf-sensitive benchmarks share one vocabulary: wall-clock stopwatch,
-throughput computation, and the ``BENCH_PERF.json`` report writer that later
-PRs diff against to defend the perf trajectory.
+Small, dependency-free helpers so the ``benchmarks/bench_*.py`` scripts
+share one vocabulary: a timed call, throughput and speedup ratios, and a
+stable JSON report writer.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Tuple, TypeVar
 
 _R = TypeVar("_R")
-
-
-@dataclass
-class Stopwatch:
-    """Accumulating wall-clock timer (``perf_counter`` based)."""
-
-    elapsed_s: float = 0.0
-    _started: float = field(default=0.0, repr=False)
-
-    def __enter__(self) -> "Stopwatch":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.elapsed_s += time.perf_counter() - self._started
 
 
 def time_call(fn: Callable[[], _R]) -> Tuple[_R, float]:
@@ -37,21 +20,6 @@ def time_call(fn: Callable[[], _R]) -> Tuple[_R, float]:
     start = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - start
-
-
-def time_call_best(fn: Callable[[], _R], repeats: int = 5) -> Tuple[_R, float]:
-    """Run ``fn`` ``repeats`` times and return ``(last_result, best_seconds)``.
-
-    Best-of-N is the right statistic for sub-millisecond measurements on a
-    shared machine: scheduler preemption only ever adds time, so the minimum
-    is the closest observation to the true cost.
-    """
-    result, best = time_call(fn)
-    for _ in range(max(0, repeats - 1)):
-        result, elapsed = time_call(fn)
-        if elapsed < best:
-            best = elapsed
-    return result, best
 
 
 def throughput(units: float, seconds: float) -> float:
@@ -73,8 +41,3 @@ def write_bench_report(path: Path, payload: Dict[str, Any]) -> Path:
     path = Path(path)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def read_bench_report(path: Path) -> Dict[str, Any]:
-    """Load a previously written report (perf-trajectory comparisons)."""
-    return json.loads(Path(path).read_text())

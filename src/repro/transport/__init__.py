@@ -12,18 +12,14 @@ tail-drops on overflow.
 from .leaky_bucket import LeakyBucket
 from .link import LinkModel, packet_error_rate
 from .kernel_queue import KernelQueue
-from .bandwidth import (
-    BandwidthEstimator,
-    BandwidthTracker,
-    CohortBandwidthEstimator,
-)
+from .bandwidth import CohortBandwidthEstimator, CohortBandwidthView
 from .cohort import CohortUserReception, FrameCohort, UserTallies
 from .association import (
     ApAssociationPolicy,
     association_rss_matrix,
     delivery_probability_matrix,
 )
-from .transmitter import FrameTransmitter, TransmissionResult, UserReception
+from .transmitter import FrameTransmitter, TransmissionResult
 
 __all__ = [
     "ApAssociationPolicy",
@@ -33,13 +29,11 @@ __all__ = [
     "LinkModel",
     "packet_error_rate",
     "KernelQueue",
-    "BandwidthEstimator",
-    "BandwidthTracker",
     "CohortBandwidthEstimator",
+    "CohortBandwidthView",
     "CohortUserReception",
     "FrameCohort",
     "UserTallies",
     "FrameTransmitter",
     "TransmissionResult",
-    "UserReception",
 ]

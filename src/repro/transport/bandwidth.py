@@ -12,7 +12,7 @@ symbols.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -22,147 +22,27 @@ from ..errors import TransportError
 MEASUREMENT_WINDOW_PACKETS = 100
 
 
-class BandwidthTracker(Protocol):
-    """Per-receiver bandwidth-feedback interface.
-
-    Implemented by the standalone :class:`BandwidthEstimator` (seed path)
-    and by :class:`_CohortBandwidthView`, the scalar adapter over one
-    :class:`CohortBandwidthEstimator` row (optimized path); session state
-    holds either interchangeably.
-    """
-
-    @property
-    def estimate_bytes_per_s(self) -> Optional[float]: ...
-
-    def observe_window(
-        self, delivered_bytes: float, window_s: float, rng: np.random.Generator
-    ) -> float: ...
-
-    def observe_fraction(
-        self, delivered_fraction: float, rng: np.random.Generator
-    ) -> float: ...
-
-    def decay(self, factor: float) -> Optional[float]: ...
-
-    def reset(self) -> None: ...
-
-
-class BandwidthEstimator:
-    """Arrival-spacing bandwidth estimator with exponential smoothing.
-
-    Args:
-        smoothing: EWMA factor applied across frames (1.0 = use only the
-            newest measurement).
-        noise_std_fraction: Relative measurement noise; real arrival
-            timestamps jitter with interrupt coalescing etc.
-    """
-
-    def __init__(self, smoothing: float = 0.6, noise_std_fraction: float = 0.05):
-        if not 0.0 < smoothing <= 1.0:
-            raise TransportError(f"smoothing must be in (0, 1], got {smoothing}")
-        self.smoothing = float(smoothing)
-        self.noise_std_fraction = float(noise_std_fraction)
-        self._estimate_bytes_per_s: Optional[float] = None
-
-    @property
-    def estimate_bytes_per_s(self) -> Optional[float]:
-        """Current smoothed estimate, or None before the first measurement."""
-        return self._estimate_bytes_per_s
-
-    def observe_window(
-        self,
-        delivered_bytes: float,
-        window_s: float,
-        rng: np.random.Generator,
-    ) -> float:
-        """Fold one measurement window into the estimate.
-
-        Args:
-            delivered_bytes: Payload bytes that actually arrived in the
-                window (losses reduce the measured bandwidth, exactly as they
-                stretch real arrival gaps).
-            window_s: Duration of the window.
-            rng: Measurement-noise source.
-
-        Returns:
-            The updated estimate in bytes/s.
-        """
-        if window_s <= 0:
-            raise TransportError(f"window must be positive, got {window_s}")
-        measured = max(0.0, delivered_bytes / window_s)
-        measured *= float(1.0 + rng.normal(0.0, self.noise_std_fraction))
-        measured = max(measured, 1e-9)
-        if self._estimate_bytes_per_s is None:
-            self._estimate_bytes_per_s = measured
-        else:
-            self._estimate_bytes_per_s = (
-                self.smoothing * measured
-                + (1.0 - self.smoothing) * self._estimate_bytes_per_s
-            )
-        return self._estimate_bytes_per_s
-
-    def observe_fraction(
-        self, delivered_fraction: float, rng: np.random.Generator
-    ) -> float:
-        """Fold a delivery-fraction measurement into the estimate.
-
-        The emulated receiver reports the fraction of packets that arrived;
-        the sender multiplies it by each group's nominal rate to get the
-        sustainable goodput — equivalent to the paper's arrival-spacing
-        estimate (losses stretch arrival gaps by exactly this factor) but
-        independent of how much of the frame budget the group occupied.
-        """
-        if not 0.0 <= delivered_fraction <= 1.0:
-            raise TransportError(
-                f"fraction must be in [0, 1], got {delivered_fraction}"
-            )
-        return self.observe_window(delivered_fraction, 1.0, rng)
-
-    def decay(self, factor: float) -> Optional[float]:
-        """Exponentially shrink a stale estimate (graceful degradation).
-
-        When a receiver's feedback report is lost, the sender keeps pacing
-        at the last-known-good rate but trusts it a little less every
-        frame: each call multiplies the estimate by ``factor``, so a long
-        feedback outage converges toward a conservative floor instead of
-        pinning a possibly-dead link at its last healthy rate.
-
-        Returns:
-            The decayed estimate, or ``None`` if no measurement exists yet
-            (nothing to decay).
-        """
-        if not 0.0 < factor <= 1.0:
-            raise TransportError(f"decay factor must be in (0, 1], got {factor}")
-        if self._estimate_bytes_per_s is not None:
-            self._estimate_bytes_per_s = max(
-                self._estimate_bytes_per_s * factor, 1e-9
-            )
-        return self._estimate_bytes_per_s
-
-    def reset(self) -> None:
-        """Forget all measurements (e.g. after re-association)."""
-        self._estimate_bytes_per_s = None
-
-
 class CohortBandwidthEstimator:
     """Whole-cohort bandwidth estimation as parallel arrays.
 
     One float64 estimate row per receiver plus a has-measurement mask,
-    addressed through a user-index map.  The per-step arithmetic is the
-    exact EWMA of :class:`BandwidthEstimator`, applied elementwise, and the
-    batched observe draws its measurement noise through a single
-    ``rng.normal(..., size=n)`` — which numpy fills in the same stream
-    order as ``n`` sequential scalar draws, so cohort and per-user
-    sessions stay bit-identical at equal seeds.
+    addressed through a user-index map.  Each step is an arrival-spacing
+    measurement with multiplicative noise folded into an exponentially
+    smoothed estimate, applied elementwise.  The batched observe draws its
+    measurement noise through a single ``rng.normal(..., size=n)`` — which
+    numpy fills in the same stream order as ``n`` sequential scalar draws,
+    so batched and per-user updates are interchangeable at equal seeds.
 
-    Per-user compatibility (the seed path, joins/resets, strategies poking
-    a single estimate) goes through :meth:`view`, a scalar adapter with the
-    :class:`BandwidthEstimator` interface writing through to the arrays.
+    Per-user access (joins/resets, outage decay, strategies poking a single
+    estimate) goes through :meth:`view`, a scalar adapter writing through
+    to the arrays.
 
     Args:
         users: Receiver ids; fixes the array row order.
-        smoothing: EWMA factor, as for :class:`BandwidthEstimator`.
-        noise_std_fraction: Relative measurement noise.
+        smoothing: EWMA factor applied across frames (1.0 = use only the
+            newest measurement).
+        noise_std_fraction: Relative measurement noise; real arrival
+            timestamps jitter with interrupt coalescing etc.
     """
 
     def __init__(
@@ -214,7 +94,7 @@ class CohortBandwidthEstimator:
             float(fractions.min()) < 0.0 or float(fractions.max()) > 1.0
         ):
             raise TransportError("fractions must be in [0, 1]")
-        # Exact op order of BandwidthEstimator.observe_window with a 1 s
+        # Exact op order of CohortBandwidthView.observe_window with a 1 s
         # window: floor at 0, noise multiply, floor at 1e-9, EWMA.
         measured = np.maximum(0.0, fractions / 1.0)
         measured = measured * (
@@ -236,26 +116,24 @@ class CohortBandwidthEstimator:
         self._has[rows] = False
         self._est[rows] = 0.0
 
-    def view(self, user: int) -> "_CohortBandwidthView":
-        """A per-user :class:`BandwidthEstimator`-compatible adapter."""
-        return _CohortBandwidthView(self, self._index[user])
+    def view(self, user: int) -> "CohortBandwidthView":
+        """The scalar adapter over ``user``'s row."""
+        return CohortBandwidthView(self, self._index[user])
 
 
-class _CohortBandwidthView:
+class CohortBandwidthView:
     """Scalar adapter over one :class:`CohortBandwidthEstimator` row.
 
-    Arithmetic mirrors :class:`BandwidthEstimator` operation for operation,
-    so a session can mix scalar updates (joins/resets, outage decay)
-    and batched updates over the same state without divergence.
+    :meth:`observe_fraction` is
+    :meth:`CohortBandwidthEstimator.observe_fraction_rows` on one row,
+    operation for operation, so a session can mix scalar updates
+    (joins/resets, outage decay) and batched updates over the same state
+    without divergence.
     """
 
     def __init__(self, parent: CohortBandwidthEstimator, row: int) -> None:
         self._parent = parent
         self._row = row
-
-    @property
-    def parent(self) -> CohortBandwidthEstimator:
-        return self._parent
 
     @property
     def estimate_bytes_per_s(self) -> Optional[float]:
@@ -271,7 +149,18 @@ class _CohortBandwidthView:
         window_s: float,
         rng: np.random.Generator,
     ) -> float:
-        """Scalar twin of :meth:`BandwidthEstimator.observe_window`."""
+        """Fold one measurement window into the estimate.
+
+        Args:
+            delivered_bytes: Payload bytes that actually arrived in the
+                window (losses reduce the measured bandwidth, exactly as they
+                stretch real arrival gaps).
+            window_s: Duration of the window.
+            rng: Measurement-noise source.
+
+        Returns:
+            The updated estimate in bytes/s.
+        """
         if window_s <= 0:
             raise TransportError(f"window must be positive, got {window_s}")
         parent, row = self._parent, self._row
@@ -292,7 +181,14 @@ class _CohortBandwidthView:
     def observe_fraction(
         self, delivered_fraction: float, rng: np.random.Generator
     ) -> float:
-        """Scalar twin of :meth:`BandwidthEstimator.observe_fraction`."""
+        """Fold a delivery-fraction measurement into the estimate.
+
+        The emulated receiver reports the fraction of packets that arrived;
+        the sender multiplies it by each group's nominal rate to get the
+        sustainable goodput — equivalent to the paper's arrival-spacing
+        estimate (losses stretch arrival gaps by exactly this factor) but
+        independent of how much of the frame budget the group occupied.
+        """
         if not 0.0 <= delivered_fraction <= 1.0:
             raise TransportError(
                 f"fraction must be in [0, 1], got {delivered_fraction}"
@@ -300,7 +196,18 @@ class _CohortBandwidthView:
         return self.observe_window(delivered_fraction, 1.0, rng)
 
     def decay(self, factor: float) -> Optional[float]:
-        """Scalar twin of :meth:`BandwidthEstimator.decay`."""
+        """Exponentially shrink a stale estimate (graceful degradation).
+
+        When a receiver's feedback report is lost, the sender keeps pacing
+        at the last-known-good rate but trusts it a little less every
+        frame: each call multiplies the estimate by ``factor``, so a long
+        feedback outage converges toward a conservative floor instead of
+        pinning a possibly-dead link at its last healthy rate.
+
+        Returns:
+            The decayed estimate, or ``None`` if no measurement exists yet
+            (nothing to decay).
+        """
         if not 0.0 < factor <= 1.0:
             raise TransportError(f"decay factor must be in (0, 1], got {factor}")
         parent, row = self._parent, self._row
@@ -310,7 +217,7 @@ class _CohortBandwidthView:
         return float(parent._est[row])
 
     def reset(self) -> None:
-        """Forget this receiver's measurements."""
+        """Forget this receiver's measurements (e.g. after re-association)."""
         parent, row = self._parent, self._row
         parent._has[row] = False
         parent._est[row] = 0.0

@@ -1,4 +1,4 @@
-"""Struct-of-arrays receiver state: the production receiver model.
+"""Struct-of-arrays receiver state: the one receiver model.
 
 The feedback loop of Sec 2.6 only ever asks a receiver two things per
 sublayer — how many distinct symbols it holds and whether the unit is
@@ -432,8 +432,7 @@ class FrameCohort:
 class CohortUserReception:
     """One receiver's view into a :class:`FrameCohort`.
 
-    Duck-types :class:`repro.transport.transmitter.UserReception`: the
-    scalar tallies read straight from the cohort arrays and the
+    The scalar tallies read straight from the cohort arrays and the
     ``decoder`` materializes on first access (the pipeline stages never
     touch it, so sessions never build per-user decoders).
     """

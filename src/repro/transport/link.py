@@ -107,8 +107,9 @@ class LinkModel:
         Array-in/array-out companion to :meth:`delivery_probability`: the
         margin/offset/erasure arithmetic and the final ``1 - PER`` step run
         as whole-vector operations.  Two steps deliberately stay scalar per
-        element, because bit-identity with the per-user seed path is a hard
-        contract (the golden suites pin it):
+        element, because bit-identity with the scalar
+        :meth:`delivery_probability` is a hard contract (the golden suites
+        pin it):
 
         * the beam-gain dot product — BLAS batches a stacked ``(n, Nt) @
           beam`` through a different kernel than the per-user ``vdot``,

@@ -26,14 +26,13 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tupl
 import numpy as np
 
 from ..errors import TransportError
-from ..fountain.block import CodingUnitId, FrameBlockDecoder, FrameBlockEncoder
+from ..fountain.block import CodingUnitId, FrameBlockEncoder
 from ..fountain.raptor import SymbolBatch
 from ..obs import OBS
-from ..perf.mode import seed_path_active
 from ..phy.channel import ChannelState
 from ..scheduling.coding_groups import UnitAssignment
 from ..scheduling.groups import CandidateGroup
-from .cohort import FrameCohort, UserTallies, UserTally
+from .cohort import CohortUserReception, FrameCohort, UserTallies, UserTally
 from .kernel_queue import KernelQueue
 from .link import LinkModel
 
@@ -69,141 +68,45 @@ _UserTxState = UserTally
 
 
 @dataclass
-class UserReception:
-    """What one receiver got out of a frame transmission."""
-
-    decoder: FrameBlockDecoder
-    delivered_payload_bytes: float = 0.0
-    packets_received: int = 0
-    packets_lost: int = 0
-
-
-class DecoderReceivers:
-    """The seed receiver model: one real :class:`FrameBlockDecoder` each.
-
-    The reference the equivalence suites compare :class:`FrameCohort`
-    against, selected only under ``perf_mode("seed")``.  It answers the
-    same recording and feedback calls as the cohort, but by feeding every
-    delivered symbol to the receiver's decoders and asking them.
-    """
-
-    def __init__(self, users: Sequence[int], encoder: FrameBlockEncoder) -> None:
-        self.users: List[int] = list(users)
-        self.index: Dict[int, int] = {u: i for i, u in enumerate(self.users)}
-        self.k = encoder.symbols_per_unit()
-        self._receptions = [
-            UserReception(
-                decoder=FrameBlockDecoder(
-                    encoder.frame_index,
-                    encoder.structure,
-                    encoder.symbol_size,
-                    codec=encoder.codec,
-                )
-            )
-            for _ in self.users
-        ]
-
-    def member_rows(self, user_ids: Sequence[int]) -> np.ndarray:
-        """Rows of the receivers among ``user_ids``, in order."""
-        rows = [self.index[u] for u in user_ids if u in self.index]
-        return np.asarray(rows, dtype=np.intp)
-
-    def record(
-        self,
-        unit: CodingUnitId,
-        symbols: SymbolBatch,
-        member_rows: np.ndarray,
-        delivered: np.ndarray,
-    ) -> None:
-        """Per packet, per member: ingest on delivery, tally either way."""
-        for symbol, outcomes in zip(symbols, delivered):
-            for row, got in zip(member_rows, outcomes):
-                reception = self._receptions[row]
-                if got:
-                    reception.decoder.ingest(symbol)
-                    reception.packets_received += 1
-                    reception.delivered_payload_bytes += len(symbol.payload)
-                else:
-                    reception.packets_lost += 1
-
-    def min_distinct(self, unit: CodingUnitId, member_rows: np.ndarray) -> int:
-        """Smallest distinct-symbol count among members."""
-        return min(
-            self._receptions[row].decoder.unit_decoder(unit).received_count
-            for row in member_rows
-        )
-
-    def plain_missing(
-        self, unit: CodingUnitId, member_rows: np.ndarray
-    ) -> List[int]:
-        """Sorted segment ids some non-decoded member still lacks."""
-        missing: Set[int] = set()
-        for row in member_rows:
-            decoder = self._receptions[row].decoder.unit_decoder(unit)
-            if not decoder.is_decoded:
-                missing |= set(range(self.k)) - decoder.received_ids()
-        return sorted(missing)
-
-    @property
-    def packets_received(self) -> np.ndarray:
-        return np.array(
-            [r.packets_received for r in self._receptions], dtype=np.int64
-        )
-
-    @property
-    def packets_lost(self) -> np.ndarray:
-        return np.array(
-            [r.packets_lost for r in self._receptions], dtype=np.int64
-        )
-
-    def receptions(self) -> Dict[int, UserReception]:
-        return dict(zip(self.users, self._receptions))
-
-
-#: One frame's receiver state: the cohort arrays, or the seed reference.
-Receivers = Union[FrameCohort, DecoderReceivers]
-
-
-@dataclass
 class TransmissionResult:
     """Outcome of one frame's transmission.
 
     Attributes:
-        receptions: Per-user reception state (decoders hold the symbols).
+        receptions: Per-user scalar views into ``cohort`` (each one's
+            decoder is built only when read).
         airtime_s: Total air/queue time consumed.
         packets_sent: Packets put on the air (post rate-control/queue).
         packets_dropped_at_queue: Packets lost in the kernel queue (only in
             the no-rate-control mode).
         feedback_rounds_used: Retransmission rounds that actually ran.
         cohort: The frame's struct-of-arrays reception state, which the
-            pipeline stages read instead of per-user decoders; None only
-            under ``perf_mode("seed")``, where real decoders ran.
+            pipeline stages read.
     """
 
-    receptions: Dict[int, UserReception]
+    receptions: Dict[int, CohortUserReception]
     airtime_s: float
     packets_sent: int
     packets_dropped_at_queue: int
     feedback_rounds_used: int
-    cohort: Optional[FrameCohort] = None
+    cohort: FrameCohort
 
     @classmethod
     def of(
         cls,
-        receivers: Receivers,
+        cohort: FrameCohort,
         airtime_s: float,
         packets_sent: int,
         packets_dropped_at_queue: int,
         feedback_rounds_used: int,
     ) -> "TransmissionResult":
-        """The result over ``receivers``' final state."""
+        """The result over ``cohort``'s final state."""
         return cls(
-            receptions=receivers.receptions(),  # type: ignore[arg-type]
+            receptions=cohort.receptions(),
             airtime_s=airtime_s,
             packets_sent=packets_sent,
             packets_dropped_at_queue=packets_dropped_at_queue,
             feedback_rounds_used=feedback_rounds_used,
-            cohort=receivers if isinstance(receivers, FrameCohort) else None,
+            cohort=cohort,
         )
 
 
@@ -244,13 +147,11 @@ class FrameTransmitter:
 
     def open_frame(
         self, encoder: FrameBlockEncoder, users: Sequence[int]
-    ) -> Receivers:
+    ) -> FrameCohort:
         """Blank receiver state for one frame of ``users``."""
-        if seed_path_active():
-            return DecoderReceivers(users, encoder)
         return FrameCohort(users, encoder)
 
-    def close_frame(self, receivers: Receivers) -> None:
+    def close_frame(self, receivers: FrameCohort) -> None:
         """Fold a frame's final per-user deliveries into the tallies."""
         received, lost = receivers.packets_received, receivers.packets_lost
         self._tallies.update_frame(receivers.users, received, lost)
@@ -270,12 +171,12 @@ class FrameTransmitter:
         rate_limits_bytes_per_s: Optional[Dict[int, float]] = None,
         active_users: Optional[Sequence[int]] = None,
         faults: Optional["FaultView"] = None,
-        receivers: Optional[Receivers] = None,
+        receivers: Optional[FrameCohort] = None,
     ) -> TransmissionResult:
         """Run one frame's transmission and return per-user receptions.
 
-        The draw-ordering contract, which keeps every receiver model
-        bit-identical at equal seeds: one ``rng.random((symbols, members))``
+        The draw-ordering contract, which keeps the outcome independent of
+        how receiver state is kept: one ``rng.random((symbols, members))``
         block per paced plan entry (drawn before the deadline cut), one
         ``rng.random(members)`` per *sent* burst packet (batched as
         ``(run, members)`` blocks, which numpy fills in the same order).
@@ -343,7 +244,7 @@ class FrameTransmitter:
         limits: Dict[int, float],
         present: Set[int],
         faults: Optional["FaultView"],
-        receivers: Receivers,
+        receivers: FrameCohort,
     ) -> TransmissionResult:
         packet_bytes = encoder.symbol_size + HEADER_BYTES
 
@@ -445,7 +346,7 @@ class FrameTransmitter:
         assignments: Sequence[UnitAssignment],
         groups: Sequence[CandidateGroup],
         present: Set[int],
-        receivers: Receivers,
+        receivers: FrameCohort,
     ) -> List[_PlanEntry]:
         """Retransmission plan from per-sublayer feedback (Sec 2.6)."""
         k = encoder.symbols_per_unit()

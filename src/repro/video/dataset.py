@@ -21,7 +21,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..perf.mode import seed_path_active
 from ..types import NUM_LAYERS, validate_seed
 from .frame import VideoFrame, blank_frame
 from .jigsaw import JigsawCodec, LayeredFrame
@@ -47,7 +46,7 @@ class FrameQualityProbe:
     blank_ssim: float
     #: Memoized mask-reception measurements: receivers in one multicast group
     #: routinely decode identical sublayer sets, so repeated mask queries are
-    #: the common case in emulation.  LRU-bounded; skipped on the seed path.
+    #: the common case in emulation.  LRU-bounded.
     _mask_cache: "OrderedDict[bytes, Tuple[float, float]]" = field(
         default_factory=OrderedDict, repr=False, compare=False
     )
@@ -93,9 +92,6 @@ class FrameQualityProbe:
         This is the emulation path: the transport reports exactly which
         sublayers each receiver decoded before the frame deadline.
         """
-        if seed_path_active():
-            decoded = self.codec.decode(self.layered, masks)
-            return ssim(self.reference, decoded), psnr(self.reference, decoded)
         key = b"".join(np.asarray(m, dtype=bool).tobytes() for m in masks)
         cached = self._mask_cache.get(key)
         if cached is not None:

@@ -26,7 +26,6 @@ from repro.core import (
 )
 from repro.errors import ConfigurationError
 from repro.obs import OBS, observed
-from repro.perf import perf_mode
 from repro.phy.topology import TopologyConfig
 
 from tests.faults.conftest import fingerprint
@@ -125,21 +124,18 @@ class TestSingleApIdentity:
         self, scenario, tiny_dnn, hr_probe, num_users, seed, faults
     ):
         """A 1-AP config streams the AP-0 sub-trace of a 2-AP superset
-        recording bit-identically to a plain 1-AP recording — in both the
-        seed and the optimized transport paths."""
+        recording bit-identically to a plain 1-AP recording."""
         single = _trace(scenario, num_users, seed)
         superset = _trace(scenario, num_users, seed, num_aps=2)
-        for mode in ("seed", "optimized"):
-            with perf_mode(mode):
-                reference = fingerprint(_run(
-                    scenario, tiny_dnn, hr_probe, single,
-                    seed=seed, faults=dict(faults),
-                ))
-                on_superset = fingerprint(_run(
-                    scenario, tiny_dnn, hr_probe, superset,
-                    seed=seed, faults=dict(faults),
-                ))
-            assert on_superset == reference
+        reference = fingerprint(_run(
+            scenario, tiny_dnn, hr_probe, single,
+            seed=seed, faults=dict(faults),
+        ))
+        on_superset = fingerprint(_run(
+            scenario, tiny_dnn, hr_probe, superset,
+            seed=seed, faults=dict(faults),
+        ))
+        assert on_superset == reference
 
     def test_explicit_single_ap_topology_identity(
         self, scenario, tiny_dnn, hr_probe
@@ -259,9 +255,8 @@ class TestMultiApSession:
         assert counters.get("core.multi_ap.repair.users", 0) > 0
         assert counters.get("core.multi_ap.repair.delivered", 0) > 0
 
-    @pytest.mark.parametrize("mode", ["seed", "optimized"])
     def test_tallies_include_cross_ap_repair(
-        self, scenario, tiny_dnn, hr_probe, mode
+        self, scenario, tiny_dnn, hr_probe
     ):
         """``user_state(u)`` is the sum of that user's per-frame receptions,
         repair packets from the secondary AP included."""
@@ -283,7 +278,7 @@ class TestMultiApSession:
             **RES, topology=TopologyConfig(num_aps=2), faults=dict(BLOCKAGE)
         )
         from repro.core.multi_ap import multi_ap_stages
-        with perf_mode(mode), observed("counters"):
+        with observed("counters"):
             streamer = MulticastStreamer(
                 config, tiny_dnn, [hr_probe], scenario.channel_model, seed=0
             )

@@ -3,16 +3,16 @@
 The RaptorQ-style precode is opt-in via ``SystemConfig.fountain_codec``.
 Two safety properties keep the seed wire format trustworthy:
 
-* a default-config session — seed mode *and* optimized mode — never
-  instantiates a :class:`repro.fountain.precode.Precode` (the PR 4
-  never-instantiate pattern: the constructor is rigged to explode), and
+* a default-config session never instantiates a
+  :class:`repro.fountain.precode.Precode` (the constructor is rigged to
+  explode), and
 * the recorded golden snapshots reproduce bit-identically with the precode
   module imported and its process-wide cache cleared, so merely shipping
   the new codec cannot perturb ``tests/core/golden_stream.json``.
 
-A precode-config session is also exercised end to end here: sane quality,
-and identical stats across perf modes — the optimized arm runs the cohort
-with the payload-free rank oracle, the seed arm real inactivation decoders.
+A precode-config session is also exercised end to end here for sane
+quality; ``tests/transport/test_cohort_equivalence.py`` holds its cohort
+to real inactivation decoders.
 """
 
 import json
@@ -22,7 +22,6 @@ import pytest
 from repro.core import MulticastStreamer, SystemConfig
 from repro.errors import ConfigurationError
 from repro.fountain.precode import Precode
-from repro.perf import perf_mode
 from repro.types import SchedulerKind
 
 from tests.core.golden_cases import (
@@ -49,21 +48,19 @@ def environment():
     return build_environment()
 
 
-def _stream(environment, mode="optimized", **config_kwargs):
+def _stream(environment, **config_kwargs):
     dnn, probes, channel_model, trace = environment
     config = SystemConfig(height=HEIGHT, width=WIDTH, **config_kwargs)
     streamer = MulticastStreamer(
         config, dnn, probes, channel_model, seed=STREAM_SEED
     )
-    with perf_mode(mode):
-        outcome = streamer.session(trace).run(NUM_FRAMES)
+    outcome = streamer.session(trace).run(NUM_FRAMES)
     return [serialize_stat(stat) for stat in outcome.stats]
 
 
 class TestDenseSessionsNeverInstantiatePrecode:
-    @pytest.mark.parametrize("mode", ["seed", "optimized"])
     def test_default_config_never_builds_a_precode(
-        self, golden, environment, mode, monkeypatch
+        self, golden, environment, monkeypatch
     ):
         def explode(*args, **kwargs):
             raise AssertionError(
@@ -72,7 +69,7 @@ class TestDenseSessionsNeverInstantiatePrecode:
 
         Precode.clear_cache()
         monkeypatch.setattr(Precode, "__init__", explode)
-        current = _stream(environment, mode=mode)
+        current = _stream(environment)
         assert current == golden[case_key(*CASES[0])]
 
     def test_golden_stream_unchanged_with_precode_cache_cleared(
@@ -92,14 +89,6 @@ class TestDenseSessionsNeverInstantiatePrecode:
 
 
 class TestPrecodeSessions:
-    def test_precode_session_identical_across_perf_modes(self, environment):
-        optimized = _stream(
-            environment, mode="optimized", fountain_codec="precode"
-        )
-        seeded = _stream(environment, mode="seed", fountain_codec="precode")
-        assert optimized == seeded
-        assert len(optimized) == len(seeded) > 0
-
     def test_precode_session_delivers_quality(self, environment):
         stats = _stream(environment, fountain_codec="precode")
         ssims = [float.fromhex(s["ssim"]) for s in stats]

@@ -95,7 +95,7 @@ class TestRunners:
 
 
 class TestParallelDeterminism:
-    """Fan-out and perf-mode must never change experiment results."""
+    """Fan-out must never change experiment results."""
 
     def test_jobs_do_not_change_results(self, ctx):
         serial = run_scheduler_comparison(
@@ -105,15 +105,3 @@ class TestParallelDeterminism:
             ctx, 2, ("arc", 3, 60), runs=2, frames=2, jobs=4
         )
         assert serial == fanned
-
-    def test_seed_path_metrics_identical(self, ctx):
-        from repro.perf import perf_mode
-
-        optimized = run_scheduler_comparison(
-            ctx, 2, ("arc", 3, 60), runs=1, frames=2, jobs=1
-        )
-        with perf_mode("seed"):
-            reference = run_scheduler_comparison(
-                ctx, 2, ("arc", 3, 60), runs=1, frames=2, jobs=1
-            )
-        assert optimized == reference

@@ -51,26 +51,17 @@ class TestLeaveRejoin:
     def test_rejoin_resets_bandwidth_history(self, parts):
         _, session = _churn_session(parts, self.EVENTS)
         observed_fractions = []
-        if session.cohort_bw is not None:
-            # Optimized mode folds feedback in per cohort; count how many
-            # batched updates include user 1's row.
-            estimator = session.cohort_bw
-            row = estimator.rows([1])[0]
-            original_rows = estimator.observe_fraction_rows
+        # Feedback folds in per cohort; count how many batched updates
+        # include user 1's row.
+        estimator = session.cohort_bw
+        row = estimator.rows([1])[0]
+        original_rows = estimator.observe_fraction_rows
 
-            def spy_rows(rows, fractions, rng):
-                observed_fractions.extend(fractions[rows == row].tolist())
-                return original_rows(rows, fractions, rng)
+        def spy_rows(rows, fractions, rng):
+            observed_fractions.extend(fractions[rows == row].tolist())
+            return original_rows(rows, fractions, rng)
 
-            estimator.observe_fraction_rows = spy_rows
-        else:
-            original = session.state.bw_estimators[1].observe_fraction
-
-            def spy(fraction, rng):
-                observed_fractions.append(fraction)
-                return original(fraction, rng)
-
-            session.state.bw_estimators[1].observe_fraction = spy
+        estimator.observe_fraction_rows = spy_rows
         session.run(8)
         assert len(observed_fractions) == 5  # one per present frame
 

@@ -13,11 +13,16 @@ from repro.faults import (
     FaultSchedule,
 )
 from repro.obs import OBS, observed
-from repro.transport import BandwidthEstimator
+from repro.transport import CohortBandwidthEstimator
 
 
 def _controller(events, config=None):
     return FaultController(FaultSchedule(events=list(events)), config)
+
+
+def _estimator(**kwargs):
+    """One receiver's bandwidth estimator, as sessions hold it."""
+    return CohortBandwidthEstimator([0], **kwargs).view(0)
 
 
 class TestControllerQueries:
@@ -139,22 +144,22 @@ class TestLinkWrapping:
 
 class TestEstimatorDecay:
     def test_decay_shrinks_estimate(self):
-        estimator = BandwidthEstimator(noise_std_fraction=0.0)
+        estimator = _estimator(noise_std_fraction=0.0)
         estimator.observe_window(1000.0, 1.0, np.random.default_rng(0))
         before = estimator.estimate_bytes_per_s
         after = estimator.decay(0.5)
         assert after == pytest.approx(before * 0.5)
 
     def test_decay_before_measurement_is_noop(self):
-        assert BandwidthEstimator().decay(0.5) is None
+        assert _estimator().decay(0.5) is None
 
     @pytest.mark.parametrize("factor", [0.0, -0.5, 1.5])
     def test_bad_factor_rejected(self, factor):
         with pytest.raises(TransportError):
-            BandwidthEstimator().decay(factor)
+            _estimator().decay(factor)
 
     def test_decay_floors_above_zero(self):
-        estimator = BandwidthEstimator(noise_std_fraction=0.0)
+        estimator = _estimator(noise_std_fraction=0.0)
         estimator.observe_window(1e-6, 1.0, np.random.default_rng(0))
         for _ in range(100):
             estimator.decay(0.1)

@@ -1,8 +1,11 @@
-"""Equivalence tests: batched/incremental fountain paths vs the seed path.
+"""Equivalence tests: batched/incremental fountain code vs frozen oracles.
 
-The optimized codec (cached coefficient rows, one-matmul batch encode,
-incremental Gaussian elimination) must be *bit-identical* to the original
-per-symbol / re-solve implementation for every reception pattern.
+The codec (cached coefficient rows, one-matmul batch encode, incremental
+Gaussian elimination) must be *bit-identical* to the plain per-symbol /
+re-solve arithmetic for every reception pattern.  Both references live
+here: a repair symbol is its coefficient row times the source block under
+the mask-based :func:`gf_matmul_reference`, and :func:`_resolve` decodes by
+solving the whole held system again on every fresh symbol.
 """
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.fountain.gf256 import gf_matmul_reference, gf_solve
 from repro.fountain.raptor import (
     COEFFICIENT_CACHE,
     CoefficientCache,
@@ -17,7 +21,6 @@ from repro.fountain.raptor import (
     FountainEncoder,
     _coefficients,
 )
-from repro.perf import perf_mode
 
 _SETTINGS = dict(
     deadline=None, suppress_health_check=[HealthCheck.too_slow], max_examples=25
@@ -32,18 +35,58 @@ def _payload(seed: int, nbytes: int) -> bytes:
     )
 
 
+def _reference_payload(block_id, data, symbol_size, symbol_id):
+    """Symbol ``symbol_id`` by the definition: a zero-padded source row, or
+    the repair coefficient row times the source block."""
+    k = -(-len(data) // symbol_size)
+    source = np.frombuffer(
+        data.ljust(k * symbol_size, b"\0"), dtype=np.uint8
+    ).reshape(k, symbol_size)
+    if symbol_id < k:
+        return source[symbol_id].tobytes()
+    row = _coefficients(block_id, symbol_id, k)
+    return gf_matmul_reference(row[None], source)[0].tobytes()
+
+
+def _resolve(block_id, data_len, symbol_size, symbols):
+    """The re-solve decoder: ``(position, bytes)`` of the first symbol after
+    which Gaussian elimination over every held row succeeds, else
+    ``(None, None)``.  Like a real receiver it ignores repeated ids."""
+    k = -(-data_len // symbol_size)
+    held = {}
+    for position, symbol in enumerate(symbols):
+        held.setdefault(symbol.symbol_id, symbol.payload)
+        if len(held) < k:
+            continue
+        ids = sorted(held)
+        matrix = np.zeros((len(ids), k), dtype=np.uint8)
+        for row, symbol_id in enumerate(ids):
+            if symbol_id < k:
+                matrix[row, symbol_id] = 1
+            else:
+                matrix[row] = _coefficients(block_id, symbol_id, k)
+        rhs = np.stack([np.frombuffer(held[i], dtype=np.uint8) for i in ids])
+        solved = gf_solve(matrix, rhs)
+        if solved is not None:
+            return position, solved[0].tobytes()[:data_len]
+    return None, None
+
+
 def _round_trip(block_id, data, symbol_size, symbol_ids):
-    """Encode, deliver exactly ``symbol_ids``, decode (None if rank-short).
+    """Encode, deliver exactly ``symbol_ids``, decode with the incremental
+    decoder and the re-solve oracle (None where rank-short).
 
     A set of exactly ``k`` symbols containing random repair rows is
     singular with probability ~1/255, so undecodability is a legitimate
-    outcome the caller must compare across paths, not an error.
+    outcome the caller must compare across decoders, not an error.
     """
     encoder = FountainEncoder(block_id, data, symbol_size)
     decoder = FountainDecoder(block_id, len(data), symbol_size)
-    for symbol_id in symbol_ids:
-        decoder.add_symbol(encoder.symbol(symbol_id))
-    return decoder.decode() if decoder.is_decoded else None
+    symbols = [encoder.symbol(symbol_id) for symbol_id in symbol_ids]
+    for symbol in symbols:
+        decoder.add_symbol(symbol)
+    incremental = decoder.decode() if decoder.is_decoded else None
+    return incremental, _resolve(block_id, len(data), symbol_size, symbols)[1]
 
 
 class TestBatchedEncodeEquivalence:
@@ -55,7 +98,7 @@ class TestBatchedEncodeEquivalence:
         data_seed=st.integers(min_value=0, max_value=999),
     )
     @settings(**_SETTINGS)
-    def test_batch_matches_per_symbol_seed_path(
+    def test_batch_matches_per_symbol_reference(
         self, nbytes, symbol_size, block_id, count, data_seed
     ):
         data = _payload(data_seed, nbytes)
@@ -63,10 +106,14 @@ class TestBatchedEncodeEquivalence:
         k = encoder.num_source_symbols
         start = max(0, k - 2)  # straddle the systematic/repair boundary
         batched = encoder.symbols(start, count)
-        with perf_mode("seed"):
-            reference = [encoder.symbol(start + i) for i in range(count)]
-        assert [s.payload for s in batched] == [s.payload for s in reference]
-        assert [s.symbol_id for s in batched] == [s.symbol_id for s in reference]
+        ids = list(range(start, start + count))
+        reference = [
+            _reference_payload(block_id, data, symbol_size, i) for i in ids
+        ]
+        assert [s.payload for s in batched] == reference
+        assert [s.symbol_id for s in batched] == ids
+        # The single-symbol form, which reads rows through the cache.
+        assert [encoder.symbol(i).payload for i in ids] == reference
 
     def test_cache_rows_match_coefficient_derivation(self):
         cache = CoefficientCache()
@@ -87,7 +134,7 @@ class TestBatchedEncodeEquivalence:
 
 
 class TestRoundTripEquivalence:
-    """Decoded bytes identical across paths for every reception pattern."""
+    """Decoded bytes identical across decoders for every reception pattern."""
 
     @given(
         nbytes=st.integers(min_value=1, max_value=400),
@@ -105,10 +152,8 @@ class TestRoundTripEquivalence:
         ids = [i for i in range(k) if not lost[i]]
         ids += list(range(k, k + int(lost.sum()) + extra))
         rng.shuffle(ids)
-        optimized = _round_trip(42, data, symbol_size, ids)
-        with perf_mode("seed"):
-            reference = _round_trip(42, data, symbol_size, ids)
-        # Paths must agree on decodability; when decodable, on the bytes.
+        optimized, reference = _round_trip(42, data, symbol_size, ids)
+        # Decoders must agree on decodability; when decodable, on the bytes.
         assert optimized == reference
         if optimized is not None:
             assert optimized == data
@@ -131,9 +176,7 @@ class TestRoundTripEquivalence:
             "exactly_k": [0, 2] + list(range(k, 2 * k - 2)),
             "k_plus_h": list(range(3, k)) + list(range(k, k + 6)),
         }[pattern]
-        optimized = _round_trip(9, data, symbol_size, ids)
-        with perf_mode("seed"):
-            reference = _round_trip(9, data, symbol_size, ids)
+        optimized, reference = _round_trip(9, data, symbol_size, ids)
         assert optimized == reference == data
 
 
@@ -163,7 +206,7 @@ class TestIncrementalDecoder:
         assert decoder.is_decoded
         assert decoder.decode() == data
 
-    def test_decodability_identical_to_seed_path_stepwise(self):
+    def test_decodability_identical_to_resolve_stepwise(self):
         """Both decoders flip to decoded on exactly the same symbol."""
         data = _payload(8, 310)
         symbol_size = 17
@@ -171,20 +214,18 @@ class TestIncrementalDecoder:
         k = encoder.num_source_symbols
         rng = np.random.default_rng(2)
         ids = list(rng.permutation(np.arange(2, k + 8)))
+        symbols = [encoder.symbol(int(symbol_id)) for symbol_id in ids]
+        flip, reference = _resolve(11, len(data), symbol_size, symbols)
+        assert flip is not None
         incremental = FountainDecoder(11, len(data), symbol_size)
-        with perf_mode("seed"):
-            reference = FountainDecoder(11, len(data), symbol_size)
-        for symbol_id in ids:
-            symbol = encoder.symbol(int(symbol_id))
-            with perf_mode("seed"):
-                ref_done = reference.add_symbol(symbol)
-            assert incremental.add_symbol(symbol) == ref_done
-        assert incremental.decode() == reference.decode() == data
+        for position, symbol in enumerate(symbols):
+            assert incremental.add_symbol(symbol) == (position >= flip)
+        assert incremental.decode() == reference == data
 
     def test_shared_cache_isolated_per_block(self):
         COEFFICIENT_CACHE.clear()
         a, b = _payload(1, 100), _payload(2, 100)
         ids = list(range(10, 22))  # k = 10: repair-only, two spare
-        out_a = _round_trip(100, a, 10, ids)
-        out_b = _round_trip(101, b, 10, ids)
+        out_a, _ = _round_trip(100, a, 10, ids)
+        out_b, _ = _round_trip(101, b, 10, ids)
         assert out_a == a and out_b == b

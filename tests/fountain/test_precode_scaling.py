@@ -4,9 +4,9 @@ The tentpole claim is that precode decoding stops scaling as full ``O(K^3)``
 Gaussian elimination.  This suite makes that claim a tier-1 regression
 test rather than prose: elimination effort is read from the ``obs``
 counters (``fountain.inactivation.elem_ops`` for the precode,
-``fountain.gf.solve_elem_ops`` for the dense control on the instrumented
-seed path) and the growth exponent is bounded via a log-log fit over a K
-ladder.
+``fountain.gf.solve_elem_ops`` for the dense control, one instrumented
+full Gaussian elimination over the held rows) and the growth exponent is
+bounded via a log-log fit over a K ladder.
 
 Measured on the seed ladder (K = 32..256, all-repair reception, +8
 overhead): the dense exponent sits near 2.9 and the precode exponent near
@@ -17,10 +17,10 @@ asserted bounds leave wide margin on both sides.
 import numpy as np
 import pytest
 
+from repro.fountain.gf256 import gf_solve
 from repro.fountain.precode import PrecodeDecoder, PrecodeEncoder
-from repro.fountain.raptor import FountainDecoder, FountainEncoder
+from repro.fountain.raptor import FountainEncoder, coefficient_rows
 from repro.obs import observed
-from repro.perf import perf_mode
 
 K_LADDER = [32, 64, 128, 256]
 SYMBOL_SIZE = 8
@@ -53,15 +53,13 @@ def _precode_elem_ops(k: int) -> int:
 
 
 def _dense_elem_ops(k: int) -> int:
-    """Elimination element-ops for the dense control (seed-path gf_solve)."""
+    """Elimination element-ops for the dense control: ``gf_solve`` over the
+    coefficient rows of the same all-repair reception."""
     data = _payload(k, k * SYMBOL_SIZE)
-    with perf_mode("seed"):
-        with observed("counters") as registry:
-            encoder = FountainEncoder(0, data, SYMBOL_SIZE)
-            decoder = FountainDecoder(0, len(data), SYMBOL_SIZE)
-            for symbol in encoder.symbols(k, k + OVERHEAD):
-                decoder.add_symbol(symbol)
-            assert decoder.decode() == data
+    batch = FountainEncoder(0, data, SYMBOL_SIZE).symbols(k, k + OVERHEAD)
+    with observed("counters") as registry:
+        solved = gf_solve(coefficient_rows(0, batch.ids, k), batch.payloads)
+    assert solved is not None and solved[0].tobytes() == data
     ops = registry.counters().get("fountain.gf.solve_elem_ops", 0.0)
     assert ops > 0
     return int(ops)

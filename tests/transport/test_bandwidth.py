@@ -1,50 +1,101 @@
-"""Tests for the bandwidth estimator."""
+"""Tests for the bandwidth estimator.
+
+Behaviour and validation are checked on ``view(u)``, the per-user form
+sessions use.  :class:`ScalarEstimator` is a frozen oracle: one receiver's
+arrival-spacing EWMA written as plain scalar arithmetic, against which
+every row of :class:`CohortBandwidthEstimator` must agree op for op, with
+the same rng draws, whether it is updated through a view or batched.
+"""
+
+from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TransportError
-from repro.transport.bandwidth import BandwidthEstimator
+from repro.transport.bandwidth import CohortBandwidthEstimator
+
+
+def _estimator(**kwargs):
+    """One receiver's estimator: the view over a one-row cohort."""
+    return CohortBandwidthEstimator([0], **kwargs).view(0)
+
+
+class ScalarEstimator:
+    """Oracle: one receiver's estimate as scalar arithmetic."""
+
+    def __init__(self, smoothing: float = 0.6, noise_std_fraction: float = 0.05):
+        self.smoothing = smoothing
+        self.noise_std_fraction = noise_std_fraction
+        self.estimate_bytes_per_s: Optional[float] = None
+
+    def observe_window(self, delivered_bytes, window_s, rng) -> float:
+        measured = max(0.0, delivered_bytes / window_s)
+        measured *= float(1.0 + rng.normal(0.0, self.noise_std_fraction))
+        measured = max(measured, 1e-9)
+        if self.estimate_bytes_per_s is None:
+            self.estimate_bytes_per_s = measured
+        else:
+            self.estimate_bytes_per_s = (
+                self.smoothing * measured
+                + (1.0 - self.smoothing) * self.estimate_bytes_per_s
+            )
+        return self.estimate_bytes_per_s
+
+    def observe_fraction(self, delivered_fraction, rng) -> float:
+        return self.observe_window(delivered_fraction, 1.0, rng)
+
+    def decay(self, factor) -> Optional[float]:
+        if self.estimate_bytes_per_s is not None:
+            self.estimate_bytes_per_s = max(
+                self.estimate_bytes_per_s * factor, 1e-9
+            )
+        return self.estimate_bytes_per_s
+
+    def reset(self) -> None:
+        self.estimate_bytes_per_s = None
 
 
 class TestBandwidthEstimator:
     def test_starts_unset(self):
-        assert BandwidthEstimator().estimate_bytes_per_s is None
+        assert _estimator().estimate_bytes_per_s is None
 
     def test_first_observation_sets_estimate(self, rng):
-        estimator = BandwidthEstimator(noise_std_fraction=0.0)
+        estimator = _estimator(noise_std_fraction=0.0)
         value = estimator.observe_window(1000.0, 0.1, rng)
         assert value == pytest.approx(10_000.0)
 
     def test_ewma_smoothing(self, rng):
-        estimator = BandwidthEstimator(smoothing=0.5, noise_std_fraction=0.0)
+        estimator = _estimator(smoothing=0.5, noise_std_fraction=0.0)
         estimator.observe_window(1000.0, 1.0, rng)
         value = estimator.observe_window(2000.0, 1.0, rng)
         assert value == pytest.approx(1500.0)
 
     def test_tracks_drops(self, rng):
-        estimator = BandwidthEstimator(smoothing=1.0, noise_std_fraction=0.0)
+        estimator = _estimator(smoothing=1.0, noise_std_fraction=0.0)
         estimator.observe_window(10_000.0, 1.0, rng)
         after = estimator.observe_window(1000.0, 1.0, rng)
         assert after == pytest.approx(1000.0)
 
     def test_fraction_interface(self, rng):
-        estimator = BandwidthEstimator(smoothing=1.0, noise_std_fraction=0.0)
+        estimator = _estimator(smoothing=1.0, noise_std_fraction=0.0)
         value = estimator.observe_fraction(0.8, rng)
         assert value == pytest.approx(0.8)
 
     def test_fraction_out_of_range_rejected(self, rng):
         with pytest.raises(TransportError):
-            BandwidthEstimator().observe_fraction(1.5, rng)
+            _estimator().observe_fraction(1.5, rng)
 
     def test_reset(self, rng):
-        estimator = BandwidthEstimator()
+        estimator = _estimator()
         estimator.observe_window(1000.0, 1.0, rng)
         estimator.reset()
         assert estimator.estimate_bytes_per_s is None
 
     def test_noise_keeps_estimate_positive(self):
-        estimator = BandwidthEstimator(noise_std_fraction=1.0)
+        estimator = _estimator(noise_std_fraction=1.0)
         rng = np.random.default_rng(0)
         for _ in range(50):
             value = estimator.observe_window(100.0, 1.0, rng)
@@ -52,6 +103,75 @@ class TestBandwidthEstimator:
 
     def test_bad_parameters_rejected(self, rng):
         with pytest.raises(TransportError):
-            BandwidthEstimator(smoothing=0.0)
+            _estimator(smoothing=0.0)
         with pytest.raises(TransportError):
-            BandwidthEstimator().observe_window(100.0, 0.0, rng)
+            _estimator().observe_window(100.0, 0.0, rng)
+
+
+USERS = (3, 5, 8, 13)
+
+_fraction = st.floats(min_value=0.0, max_value=1.0)
+_members = st.lists(st.sampled_from(USERS), min_size=1, max_size=4, unique=True)
+
+#: One session-level operation on the estimator state.
+_OPS = st.one_of(
+    st.tuples(st.just("observe"), st.sampled_from(USERS), _fraction),
+    st.tuples(
+        st.just("observe_rows"), _members,
+        st.lists(_fraction, min_size=4, max_size=4),
+    ),
+    st.tuples(
+        st.just("decay"), st.sampled_from(USERS),
+        st.floats(min_value=0.01, max_value=1.0),
+    ),
+    st.tuples(st.just("reset"), st.sampled_from(USERS), st.none()),
+    st.tuples(st.just("rejoin"), _members, st.none()),
+)
+
+
+class TestCohortMatchesScalarOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=st.lists(_OPS, max_size=30),
+        seed=st.integers(min_value=0, max_value=2**16),
+        smoothing=st.floats(min_value=0.05, max_value=1.0),
+        noise=st.floats(min_value=0.0, max_value=0.5),
+    )
+    def test_op_for_op(self, ops, seed, smoothing, noise):
+        """Views, batched rows and re-association resets give the oracle's
+        results exactly, drawing from the rng in the same order."""
+        cohort = CohortBandwidthEstimator(
+            USERS, smoothing=smoothing, noise_std_fraction=noise
+        )
+        oracle = {u: ScalarEstimator(smoothing, noise) for u in USERS}
+        cohort_rng = np.random.default_rng(seed)
+        oracle_rng = np.random.default_rng(seed)
+        for op, who, arg in ops:
+            if op == "observe":
+                got = cohort.view(who).observe_fraction(arg, cohort_rng)
+                assert got == oracle[who].observe_fraction(arg, oracle_rng)
+            elif op == "observe_rows":
+                fractions = np.asarray(arg[: len(who)])
+                got = cohort.observe_fraction_rows(
+                    cohort.rows(who), fractions, cohort_rng
+                )
+                want = [
+                    oracle[u].observe_fraction(f, oracle_rng)
+                    for u, f in zip(who, fractions.tolist())
+                ]
+                assert got.tolist() == want
+            elif op == "decay":
+                assert cohort.view(who).decay(arg) == oracle[who].decay(arg)
+            elif op == "reset":
+                cohort.view(who).reset()
+                oracle[who].reset()
+            else:
+                cohort.reset_rows(cohort.rows(who))
+                for u in who:
+                    oracle[u].reset()
+            for u in USERS:
+                assert (
+                    cohort.view(u).estimate_bytes_per_s
+                    == oracle[u].estimate_bytes_per_s
+                )
+        assert cohort_rng.random() == oracle_rng.random()

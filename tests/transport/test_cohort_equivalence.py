@@ -1,16 +1,22 @@
-"""Bit-identity of the cohort receiver model against the seed reference.
+"""Bit-identity of the cohort receiver model against real decoders.
 
 Production keeps per-receiver state in numpy cohort arrays and answers
-"is this unit decodable?" from received id sets; ``perf_mode("seed")``
-swaps in one real decoder per receiver.  These properties pin the
-contract that — at equal seeds — both produce *bit-identical*
-``TransmissionResult`` and ``OutcomeStats``, across codecs, AP counts,
-observability modes, user counts, RNG seeds and fault mixes (including
-churn evict/rejoin), and that the cohort is what runs in every optimized
-arm.
+"is this unit decodable?" from received id sets.  The reference below,
+:class:`DecoderReceivers`, holds one real :class:`FrameBlockDecoder` per
+receiver instead.  Patching ``FrameTransmitter.open_frame``, which the
+1-AP and the multi-AP transmitters both call, runs each case twice: once
+on the reference alone, once on :class:`CheckedCohort` — the production
+cohort, with every decodability verdict, tally, ``min_distinct`` and
+``plain_missing`` answer checked against the reference as it is given.
+Both runs must produce *bit-identical* ``TransmissionResult`` and
+``OutcomeStats``, across codecs, AP counts, observability modes, user
+counts, RNG seeds and fault mixes (including churn evict/rejoin).
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,16 +28,20 @@ from repro.core import MulticastStreamer, SystemConfig
 from repro.core.multi_ap import multi_ap_stages
 from repro.core.pipeline import default_stages
 from repro.faults import FaultController, FaultEvent, FaultKind, FaultSchedule
-from repro.fountain.block import FOUNTAIN_CODECS, CodingUnitId, FrameBlockEncoder
+from repro.fountain.block import (
+    FOUNTAIN_CODECS,
+    CodingUnitId,
+    FrameBlockDecoder,
+    FrameBlockEncoder,
+)
 from repro.fountain.precode import PrecodeDecoder
 from repro.fountain.raptor import COEFFICIENT_CACHE
 from repro.obs import OBS, observed
-from repro.perf import perf_mode
 from repro.phy.topology import TopologyConfig
 from repro.scheduling.coding_groups import UnitAssignment
 from repro.scheduling.groups import GroupEnumerator
 from repro.transport import FrameCohort, FrameTransmitter, LinkModel
-from repro.types import BeamformingScheme
+from repro.types import NUM_LAYERS, BeamformingScheme
 from repro.video.jigsaw import SUBLAYER_COUNTS
 
 from tests.faults.conftest import fingerprint
@@ -64,6 +74,141 @@ BLOCKAGE_FAILOVER = {
     "blockage_duration_s": 0.3,
     "blockage_depth_db": 25.0,
 }
+
+
+class DecoderReceivers:
+    """The reference receiver model: one real :class:`FrameBlockDecoder` each.
+
+    Answers every call the transmitter passes and the pipeline stages make
+    of a :class:`FrameCohort`, but by feeding each delivered symbol to the
+    receiver's decoders and asking them.
+    """
+
+    def __init__(self, users, encoder):
+        self.users = list(users)
+        self.index = {u: i for i, u in enumerate(self.users)}
+        self.k = encoder.symbols_per_unit()
+        self.decoders = [
+            FrameBlockDecoder(
+                encoder.frame_index, encoder.structure, encoder.symbol_size,
+                codec=encoder.codec,
+            )
+            for _ in self.users
+        ]
+        self.packets_received = np.zeros(len(self.users), dtype=np.int64)
+        self.packets_lost = np.zeros(len(self.users), dtype=np.int64)
+        self.delivered_payload_bytes = np.zeros(len(self.users))
+
+    def member_rows(self, user_ids):
+        rows = [self.index[u] for u in user_ids if u in self.index]
+        return np.asarray(rows, dtype=np.intp)
+
+    def record(self, unit, symbols, member_rows, delivered):
+        """Per packet, per member: ingest on delivery, tally either way."""
+        for symbol, outcomes in zip(symbols, delivered):
+            for row, got in zip(member_rows, outcomes):
+                if got:
+                    self.decoders[row].ingest(symbol)
+                    self.packets_received[row] += 1
+                    self.delivered_payload_bytes[row] += len(symbol.payload)
+                else:
+                    self.packets_lost[row] += 1
+
+    def min_distinct(self, unit, member_rows):
+        return min(
+            self.decoders[row].unit_decoder(unit).received_count
+            for row in member_rows
+        )
+
+    def plain_missing(self, unit, member_rows):
+        missing = set()
+        for row in member_rows:
+            decoder = self.decoders[row].unit_decoder(unit)
+            if not decoder.is_decoded:
+                missing |= set(range(self.k)) - decoder.received_ids()
+        return sorted(missing)
+
+    def decoded_matrices(self):
+        masks = [decoder.sublayer_masks() for decoder in self.decoders]
+        return [
+            np.array([mask[layer] for mask in masks], dtype=bool).reshape(
+                len(self.users), count
+            )
+            for layer, count in enumerate(SUBLAYER_COUNTS)
+        ]
+
+    def bytes_per_layer_matrix(self):
+        return np.array(
+            [decoder.bytes_received_per_layer() for decoder in self.decoders]
+        ).reshape(len(self.users), NUM_LAYERS)
+
+    def receptions(self):
+        return {
+            user: SimpleNamespace(
+                decoder=self.decoders[row],
+                packets_received=int(self.packets_received[row]),
+                packets_lost=int(self.packets_lost[row]),
+                delivered_payload_bytes=float(self.delivered_payload_bytes[row]),
+            )
+            for row, user in enumerate(self.users)
+        }
+
+
+class CheckedCohort(FrameCohort):
+    """The production cohort, every answer checked as it is given against
+    :class:`DecoderReceivers` fed the same deliveries."""
+
+    def __init__(self, users, encoder):
+        super().__init__(users, encoder)
+        self.reference = DecoderReceivers(users, encoder)
+
+    def _ask(self, question, *args):
+        # The reference's decoders must leave no trace in the OBS counters.
+        with observed("off", reset=False):
+            return getattr(self.reference, question)(*args)
+
+    def record(self, unit, symbols, member_rows, delivered):
+        super().record(unit, symbols, member_rows, delivered)
+        self._ask("record", unit, symbols, member_rows, delivered)
+
+    def min_distinct(self, unit, member_rows):
+        # A decoded unit's decoder stops counting; the cohort does not.
+        # Both agree up to K, which is all a deficit reads.
+        got = super().min_distinct(unit, member_rows)
+        real = self._ask("min_distinct", unit, member_rows)
+        assert min(got, self.k) == min(real, self.k)
+        return got
+
+    def plain_missing(self, unit, member_rows):
+        got = super().plain_missing(unit, member_rows)
+        assert got == self._ask("plain_missing", unit, member_rows)
+        return got
+
+    def decoded_matrices(self):
+        got = super().decoded_matrices()
+        for mine, real in zip(got, self._ask("decoded_matrices")):
+            np.testing.assert_array_equal(mine, real)
+        return got
+
+    def bytes_per_layer_matrix(self):
+        got = super().bytes_per_layer_matrix()
+        np.testing.assert_array_equal(got, self._ask("bytes_per_layer_matrix"))
+        return got
+
+    def receptions(self):
+        for tally in ("packets_received", "packets_lost", "delivered_payload_bytes"):
+            np.testing.assert_array_equal(
+                getattr(self, tally), getattr(self.reference, tally)
+            )
+        return super().receptions()
+
+
+def _receivers(model):
+    """While active, every transmitter records into a ``model`` instance."""
+    return mock.patch.object(
+        FrameTransmitter, "open_frame",
+        lambda self, encoder, users: model(users, encoder),
+    )
 
 
 def _transmit_world(scenario, num_users, seed):
@@ -132,7 +277,7 @@ def _assert_oracle_matches_decoders(cohort):
 
 
 class TestTransmitterEquivalence:
-    """Seed and cohort receiver models agree bit-for-bit at equal seeds."""
+    """Real decoders and the cohort agree bit-for-bit at equal seeds."""
 
     @settings(
         max_examples=8,
@@ -143,15 +288,18 @@ class TestTransmitterEquivalence:
         num_users=st.integers(min_value=1, max_value=64),
         seed=st.integers(min_value=0, max_value=2**16),
         rate_control=st.booleans(),
+        source_coding=st.booleans(),
         fountain_codec=st.sampled_from(FOUNTAIN_CODECS),
     )
-    @example(num_users=64, seed=0, rate_control=True,
+    @example(num_users=64, seed=0, rate_control=True, source_coding=True,
              fountain_codec="dense")
-    @example(num_users=1, seed=7, rate_control=False,
+    @example(num_users=1, seed=7, rate_control=False, source_coding=True,
              fountain_codec="precode")
+    @example(num_users=8, seed=3, rate_control=True, source_coding=False,
+             fountain_codec="dense")
     def test_transmit_bit_identical(
         self, scenario, hr_probe, num_users, seed, rate_control,
-        fountain_codec,
+        source_coding, fountain_codec,
     ):
         state, groups = _transmit_world(scenario, num_users, seed)
 
@@ -159,10 +307,11 @@ class TestTransmitterEquivalence:
             transmitter = FrameTransmitter(
                 link=LinkModel(scenario.channel_model, associated_user=0),
                 rate_control=rate_control,
+                source_coding=source_coding,
             )
             encoder = FrameBlockEncoder(
-            0, hr_probe.layered, codec=fountain_codec
-        )
+                0, hr_probe.layered, codec=fountain_codec
+            )
             return transmitter.transmit(
                 encoder,
                 _assignments(encoder, groups),
@@ -172,11 +321,12 @@ class TestTransmitterEquivalence:
                 np.random.default_rng(seed),
             )
 
-        with perf_mode("seed"):
+        with _receivers(DecoderReceivers):
             reference = run()
-        optimized = run()
-        assert reference.cohort is None
-        assert optimized.cohort is not None
+        with _receivers(CheckedCohort):
+            optimized = run()
+        assert isinstance(reference.cohort, DecoderReceivers)
+        assert isinstance(optimized.cohort, CheckedCohort)
         assert _result_digest(optimized) == _result_digest(reference)
 
 
@@ -232,15 +382,61 @@ class TestRankDeficientPatterns:
         _assert_oracle_matches_decoders(cohort)
 
 
+class TestFeedbackReads:
+    """Per-member delivery patterns far more uneven than a session's: every
+    feedback and outcome read the checked cohort answers must match."""
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        num_users=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**16),
+        source_coding=st.booleans(),
+        fountain_codec=st.sampled_from(FOUNTAIN_CODECS),
+    )
+    @example(num_users=3, seed=1, source_coding=True, fountain_codec="dense")
+    @example(num_users=3, seed=2, source_coding=False, fountain_codec="dense")
+    def test_reads_match_decoders(
+        self, hr_probe, num_users, seed, source_coding, fountain_codec
+    ):
+        rng = np.random.default_rng(seed)
+        encoder = FrameBlockEncoder(0, hr_probe.layered, codec=fountain_codec)
+        k = encoder.symbols_per_unit()
+        users = list(range(10, 10 + num_users))
+        cohort = CheckedCohort(users, encoder)
+        everyone = cohort.member_rows(users)
+        unit = CodingUnitId(0, 0, 1)
+        for _ in range(4):  # a pass, then makeup rounds
+            picked = rng.choice(users, size=rng.integers(1, num_users + 1),
+                                replace=False)
+            members = cohort.member_rows(sorted(picked.tolist()))
+            count = int(rng.integers(1, k + 1))
+            symbols = (
+                encoder.next_symbols(unit, count) if source_coding
+                else encoder.symbols_at(unit, rng.integers(0, k, size=count))
+            )
+            delivered = rng.random((count, members.size)) < rng.random()
+            cohort.record(unit, symbols, members, delivered)
+            for rows in [everyone] + [everyone[i:i + 1] for i in range(num_users)]:
+                cohort.min_distinct(unit, rows)
+                cohort.plain_missing(unit, rows)
+        cohort.decoded_matrices()
+        cohort.bytes_per_layer_matrix()
+        cohort.receptions()
+
+
 class TestSessionEquivalence:
-    """End-to-end outcomes agree bit-for-bit across the path switch."""
+    """End-to-end outcomes agree bit-for-bit across the receiver models."""
 
     def _outcomes(self, scenario, tiny_dnn, hr_probe, num_users, seed,
                   faults, frames=4, events=None, codec="dense", num_aps=1,
                   obs="off", audit=None):
-        """(fingerprint, per-user packet totals, OBS counters) of a seed-mode
-        and an optimized run; each arm asserts which receiver model ran and
-        hands every optimized frame's cohort to ``audit``."""
+        """(fingerprint, per-user packet totals, OBS counters) of a run on
+        real decoders and a run on the checked cohort; each arm asserts
+        which receiver model ran and hands every cohort to ``audit``."""
         positions = scenario.place_arc(num_users, 3.0, 60, seed=seed)
         trace = scenario.static_trace(
             positions, duration_s=0.3, seed=seed + 1, num_aps=num_aps
@@ -252,15 +448,15 @@ class TestSessionEquivalence:
             overrides["topology"] = TopologyConfig(num_aps=num_aps)
             stages = multi_ap_stages
         results = []
-        for mode in ("seed", "optimized"):
+        for receiver_model in (DecoderReceivers, CheckedCohort):
             totals = {}
 
             class Audit:
                 name = "audit"
 
                 def run(self, ctx, session):
-                    assert (ctx.result.cohort is None) == (mode == "seed")
-                    if audit is not None and mode != "seed":
+                    assert type(ctx.result.cohort) is receiver_model
+                    if audit is not None and receiver_model is CheckedCohort:
                         audit(ctx.result.cohort)
                     for user, reception in ctx.result.receptions.items():
                         got, lost = totals.get(user, (0, 0))
@@ -269,7 +465,7 @@ class TestSessionEquivalence:
                             lost + reception.packets_lost,
                         )
 
-            with perf_mode(mode), observed(obs):
+            with observed(obs), _receivers(receiver_model):
                 config = SystemConfig(
                     **RES, faults=dict(faults), fountain_codec=codec,
                     **overrides,
@@ -379,8 +575,9 @@ class TestSessionEquivalence:
     def test_churn_evict_rejoin_bit_identical(
         self, scenario, tiny_dnn, hr_probe
     ):
-        """Deterministic leave/rejoin: cohort row eviction and re-admission
-        replay the seed path's bandwidth-history reset exactly."""
+        """Deterministic leave/rejoin: the cohort of each frame holds
+        exactly the members real decoders do, across the eviction and the
+        re-admission with a reset bandwidth history."""
         events = [
             FaultEvent(FaultKind.LEAVE, 0.05, user=1),
             FaultEvent(FaultKind.JOIN, 0.15, user=1),
@@ -409,7 +606,6 @@ class TestThousandUserSmoke:
             1 / 30,
             np.random.default_rng(3),
         )
-        assert result.cohort is not None
         assert len(result.receptions) == 1000
         assert result.packets_sent > 0
         # Spot-check a handful of rows materialize coherent decoders.
