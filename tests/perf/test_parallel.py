@@ -241,3 +241,20 @@ class TestTiming:
         payload = {"stages": {"x": 1}, "nested": {"b": [1, 2]}}
         write_bench_report(path, payload)
         assert json.loads(path.read_text()) == payload
+
+    def test_time_call_measures_the_call(self):
+        _, seconds = time_call(lambda: time.sleep(0.02))
+        assert seconds >= 0.02
+
+    def test_zero_duration_reads_as_infinitely_fast(self):
+        assert throughput(10, 0.0) == float("inf")
+        assert speedup(4.0, 0.0) == float("inf")
+
+    def test_report_is_stable_json(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert write_bench_report(str(a), {"z": 1, "a": {"y": 2, "b": 3}}) == a
+        write_bench_report(b, {"a": {"b": 3, "y": 2}, "z": 1})
+        text = a.read_text()
+        assert text == b.read_text()
+        assert text.endswith("}\n")
+        assert text.index('"a"') < text.index('"z"')

@@ -192,3 +192,55 @@ def test_the_checks_find_what_they_look_for():
     assert undefined_annotation_names(_FLAWED) == [
         (9, "undefined name Tuple in an annotation")
     ]
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("import os\n", [(1, "unused import os")]),
+        ("import numpy as np\n", [(1, "unused import np")]),
+        ("import os.path\nos.getcwd()\n", []),
+        ("from a import b  # noqa: F401\n", []),
+        ("from __future__ import annotations\n", []),
+        ("from a import *\n", []),
+        ("from a import b\n__all__ = ['b']\n", []),
+        ("from typing import List\nx: List[int] = []\n", []),
+        ("from typing import List\ndef f() -> 'List[int]': ...\n", []),
+        ("from typing import Dict\nAlias = Dict[str, 'int']\n", []),
+        ("import re\ndef f():\n    return re\n", []),
+        ("def f():\n    import re\n", [(2, "unused import re")]),
+    ],
+    ids=[
+        "plain", "alias", "dotted_used", "noqa", "future", "star", "dunder_all",
+        "annotation_use", "string_annotation_use", "alias_subscript_use",
+        "read_in_nested_scope", "function_scope",
+    ],
+)
+def test_unused_imports_case(source, expected):
+    assert unused_imports(source) == expected
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("def f(x: Foo): ...\n", ["Foo"]),
+        ("def f(x: 'Foo'): ...\n", ["Foo"]),
+        ("x: 'Optional[int]' = None\n", ["Optional"]),
+        ("def f(*args: A, **kw: B) -> C: ...\n", ["A", "B", "C"]),
+        ("class Foo: ...\ndef f(x: 'Foo') -> Foo: ...\n", []),
+        (
+            "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n"
+            "    from m import Foo\ndef f() -> 'Foo': ...\n",
+            [],
+        ),
+        ("def f(x: int) -> None: ...\n", []),
+    ],
+    ids=[
+        "bare", "string", "variable", "every_argument_kind", "local_class",
+        "type_checking_import", "builtins",
+    ],
+)
+def test_undefined_annotation_names_case(source, expected):
+    assert [
+        what.split()[2] for _, what in undefined_annotation_names(source)
+    ] == expected

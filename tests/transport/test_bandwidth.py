@@ -110,6 +110,73 @@ class TestBandwidthEstimator:
 
 USERS = (3, 5, 8, 13)
 
+
+class TestCohortRows:
+    """The array form sessions batch through, one receiver per row."""
+
+    def test_rows_follow_user_order(self):
+        cohort = CohortBandwidthEstimator(USERS)
+        assert len(cohort) == 4
+        assert cohort.rows([13, 3]).tolist() == [3, 0]
+
+    def test_unknown_user_rejected(self):
+        cohort = CohortBandwidthEstimator(USERS)
+        with pytest.raises(KeyError):
+            cohort.rows([4])
+        with pytest.raises(KeyError):
+            cohort.view(4)
+
+    def test_estimates_are_nan_before_measurement(self):
+        cohort = CohortBandwidthEstimator(USERS)
+        assert np.isnan(cohort.estimates()).all()
+        assert not cohort.has_estimate().any()
+
+    def test_batched_observe_touches_only_its_rows(self, rng):
+        cohort = CohortBandwidthEstimator(USERS, noise_std_fraction=0.0)
+        got = cohort.observe_fraction_rows(
+            cohort.rows([5, 13]), np.array([0.5, 0.25]), rng
+        )
+        assert got.tolist() == [0.5, 0.25]
+        assert cohort.has_estimate().tolist() == [False, True, False, True]
+        assert cohort.view(3).estimate_bytes_per_s is None
+
+    def test_batched_observe_smooths_across_frames(self, rng):
+        cohort = CohortBandwidthEstimator(
+            USERS, smoothing=0.5, noise_std_fraction=0.0
+        )
+        rows = cohort.rows([8])
+        cohort.observe_fraction_rows(rows, np.array([0.5]), rng)
+        assert cohort.observe_fraction_rows(rows, np.array([1.0]), rng).tolist() == [
+            0.75
+        ]
+
+    def test_batched_fractions_out_of_range_rejected(self, rng):
+        cohort = CohortBandwidthEstimator(USERS)
+        with pytest.raises(TransportError):
+            cohort.observe_fraction_rows(
+                cohort.rows([3, 5]), np.array([0.5, 1.01]), rng
+            )
+        assert not cohort.has_estimate().any()
+
+    def test_reset_rows_forgets_only_those_rows(self, rng):
+        cohort = CohortBandwidthEstimator(USERS, noise_std_fraction=0.0)
+        cohort.observe_fraction_rows(
+            cohort.rows(USERS), np.array([0.1, 0.2, 0.3, 0.4]), rng
+        )
+        cohort.reset_rows(cohort.rows([5, 8]))
+        estimates = cohort.estimates()
+        assert estimates[[0, 3]].tolist() == [0.1, 0.4]
+        assert np.isnan(estimates[[1, 2]]).all()
+
+    def test_views_write_through_to_the_arrays(self, rng):
+        cohort = CohortBandwidthEstimator(USERS, noise_std_fraction=0.0)
+        cohort.view(8).observe_fraction(0.6, rng)
+        assert cohort.estimates()[2] == 0.6
+        # A second view over the same receiver sees the same state.
+        assert cohort.view(8).decay(0.5) == 0.3
+        assert cohort.estimates()[2] == 0.3
+
+
 _fraction = st.floats(min_value=0.0, max_value=1.0)
 _members = st.lists(st.sampled_from(USERS), min_size=1, max_size=4, unique=True)
 
