@@ -1,17 +1,16 @@
 #!/usr/bin/env python
-"""Sharded sweep scheduler benchmark: persistent pool vs fork-per-call.
+"""Campaign engine benchmark: serial in-process vs the persistent pool.
 
-Times the same variant-sweep campaign three ways — serial in-process,
-``run_variant_sweep`` with a fork-per-campaign process pool (the pre-shard
-parallel path, which re-pickles the experiment context into every pool),
-and ``run_sharded_sweep`` on the persistent shared-memory worker pool —
-and reports campaign points/s for each, the parallel efficiency of the
-persistent arm, and the persistent-vs-fork ratio the perf gate defends
-(``sweep_shard.persistent_not_slower_than_fork``).
+Times the same variant-sweep campaign two ways through
+``run_variant_sweep`` — serial in-process (``jobs=1``), and sharded and
+checkpointed on the persistent shared-memory worker pool — and reports
+campaign points/s for each and the pool's speedup and parallel
+efficiency.
 
-All three arms must produce bit-identical merged results
-(``merged_identical``); the scheduler's per-run seeding makes the shard
-count, worker count, and completion order irrelevant to the output.
+Both arms must produce bit-identical merged results
+(``merged_identical``); the engine's per-run seeding makes the shard
+count, worker count, and completion order irrelevant to the output, and
+the script exits non-zero when they differ.
 
 Usage::
 
@@ -32,8 +31,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.emulation import ExperimentContext, build_context, run_sharded_sweep
-from repro.emulation.sweep import run_variant_sweep, variant_from_spec
+from repro.emulation import (
+    ExperimentContext,
+    build_context,
+    run_variant_sweep,
+    variant_from_spec,
+)
 from repro.perf import speedup, throughput, time_call, write_bench_report
 
 PLACEMENT = ("arc", 5.0, 60)
@@ -53,7 +56,7 @@ def bench_sweep_shard(
     users: int = 2,
     checkpoint_dir: Path | None = None,
 ) -> dict:
-    """Time serial / fork-per-call / persistent-pool arms of one campaign."""
+    """Time the serial and persistent-pool arms of one campaign."""
     variants = [variant_from_spec(spec) for spec in VARIANT_SPECS]
     points = runs * len(variants)
 
@@ -62,15 +65,10 @@ def bench_sweep_shard(
             ctx, variants, users, PLACEMENT, runs=runs, frames=frames, jobs=1
         )
     )
-    fork_results, fork_s = time_call(
-        lambda: run_variant_sweep(
-            ctx, variants, users, PLACEMENT, runs=runs, frames=frames, jobs=jobs
-        )
-    )
 
     def persistent_arm() -> dict:
         with tempfile.TemporaryDirectory(dir=checkpoint_dir) as tmp:
-            return run_sharded_sweep(
+            return run_variant_sweep(
                 ctx, variants, users, PLACEMENT, runs=runs, frames=frames,
                 shards=shards, checkpoint=Path(tmp) / "ck.jsonl", jobs=jobs,
             )
@@ -86,17 +84,12 @@ def bench_sweep_shard(
         "points": points,
         "resolution": f"{ctx.height}x{ctx.width}",
         "serial_wall_s": serial_s,
-        "fork_wall_s": fork_s,
         "persistent_wall_s": persistent_s,
         "points_per_s_serial": throughput(points, serial_s),
-        "points_per_s_fork": throughput(points, fork_s),
         "points_per_s_persistent": throughput(points, persistent_s),
         "speedup_vs_serial": speedup(serial_s, persistent_s),
         "parallel_efficiency": speedup(serial_s, persistent_s) / jobs,
-        "persistent_vs_fork_ratio": speedup(fork_s, persistent_s),
-        "merged_identical": (
-            serial_results == fork_results == persistent_results
-        ),
+        "merged_identical": serial_results == persistent_results,
     }
 
 
@@ -113,7 +106,7 @@ def main(argv=None) -> int:
     parser.add_argument("--shards", type=int, default=None,
                         help="shard count (default = runs)")
     parser.add_argument("--jobs", type=int, default=2,
-                        help="worker count for the parallel arms (default 2)")
+                        help="worker count for the pool arm (default 2)")
     parser.add_argument(
         "--output", type=Path,
         default=REPO_ROOT / "bench_sweep_shard.json",
@@ -138,13 +131,10 @@ def main(argv=None) -> int:
 
     print(f"serial      : {stage['serial_wall_s']:8.2f} s "
           f"({stage['points_per_s_serial']:.3f} points/s)")
-    print(f"fork        : {stage['fork_wall_s']:8.2f} s "
-          f"({stage['points_per_s_fork']:.3f} points/s)")
     print(f"persistent  : {stage['persistent_wall_s']:8.2f} s "
           f"({stage['points_per_s_persistent']:.3f} points/s, "
           f"x{stage['speedup_vs_serial']:.2f} vs serial, "
           f"{stage['parallel_efficiency']:.2f} efficiency)")
-    print(f"vs fork     : x{stage['persistent_vs_fork_ratio']:.2f}")
     print(f"identical   : {stage['merged_identical']}")
     print(f"report      : {path}")
     return 0 if stage["merged_identical"] else 1

@@ -30,6 +30,7 @@ import numpy as np
 from . import obs
 from .core import MulticastStreamer
 from .emulation import (
+    CampaignSpec,
     ap_fault_grid,
     build_context,
     fault_grid,
@@ -40,6 +41,7 @@ from .emulation import (
     run_scheduler_comparison,
     run_variant_sweep,
     variant_from_spec,
+    write_results_json,
 )
 from .emulation.runner import trace_for_placement
 from .emulation.stats import print_table, summarize
@@ -129,16 +131,17 @@ def _cmd_mobile(args) -> int:
 def _cmd_sweep(args) -> int:
     """Ad-hoc variant sweep: any SystemConfig axis straight from the shell.
 
-    ``--shards`` switches to the sharded scheduler: the campaign splits
-    into individually-seeded shards executed on a persistent worker pool,
-    each appended to the ``--checkpoint`` JSONL as it completes.  A killed
-    run restarted with ``--resume`` re-runs only the missing shards and
-    merges to a bit-identical result.
+    Every sweep runs on the one campaign engine: ``--jobs`` workers of a
+    persistent pool (or this process, at one job).  ``--shards`` splits
+    the campaign into individually-seeded shards, each appended to the
+    ``--checkpoint`` JSONL as it completes.  A killed run restarted with
+    ``--resume`` re-runs only the missing shards and merges to a
+    bit-identical result.
 
     ``--fault-grid AXIS --fault-values V,V,...`` appends one chaos arm per
     value of a :class:`repro.faults.FaultConfig` knob; fault campaigns go
-    through the same sharded scheduler as any other variant set (their
-    overrides canonicalize into the checkpoint's campaign hash).
+    through the same engine as any other variant set (their overrides
+    canonicalize into the checkpoint's campaign hash).
 
     ``--ap-grid 1,2`` crosses the fault grid with AP counts — the
     blockage-failover comparison (arXiv:1711.06154's multi-link resilience)
@@ -148,9 +151,6 @@ def _cmd_sweep(args) -> int:
             --fault-values 0,1,2,4 --fault-base preset:blockage_failover \\
             --ap-grid 1,2
     """
-    from .emulation import run_sharded_sweep, write_results_json
-    from .emulation.shard import CampaignSpec
-
     if args.shards is not None and args.checkpoint is None:
         print("--shards requires --checkpoint PATH")
         return 2
@@ -205,29 +205,23 @@ def _cmd_sweep(args) -> int:
         )
     else:
         ctx = build_context(seed=args.seed)
-    spec = None
-    if args.shards is not None:
-        spec = CampaignSpec(
-            variants=tuple(variants),
-            num_users=args.users,
-            placement=_placement(args),
-            runs=args.runs,
-            frames=args.frames,
-            shards=args.shards,
-        )
-        results = run_sharded_sweep(
-            ctx, variants, args.users, _placement(args),
-            runs=args.runs, frames=args.frames,
-            shards=args.shards, checkpoint=args.checkpoint,
-            resume=args.resume, jobs=args.jobs,
-            task_timeout_s=args.task_timeout,
-        )
-    else:
-        results = run_variant_sweep(
-            ctx, variants, args.users, _placement(args),
-            runs=args.runs, frames=args.frames, jobs=args.jobs,
-        )
+    results = run_variant_sweep(
+        ctx, variants, args.users, _placement(args),
+        runs=args.runs, frames=args.frames, jobs=args.jobs,
+        shards=args.shards, checkpoint=args.checkpoint,
+        resume=args.resume, task_timeout_s=args.task_timeout,
+    )
     if args.result_json is not None:
+        spec = None
+        if args.shards is not None:
+            spec = CampaignSpec(
+                variants=tuple(variants),
+                num_users=args.users,
+                placement=_placement(args),
+                runs=args.runs,
+                frames=args.frames,
+                shards=args.shards,
+            )
         path = write_results_json(args.result_json, results, spec)
         print(f"results written     : {path}")
     print_table(

@@ -18,8 +18,6 @@ from .sweep import (
     sweep_num_aps,
     merge_runs,
     parse_config_overrides,
-    run_session_sweep,
-    run_variant_sweep,
     variant_from_spec,
 )
 from .shard import (
@@ -29,7 +27,8 @@ from .shard import (
     merge_shards,
     merged_to_jsonable,
     plan_shards,
-    run_sharded_sweep,
+    run_session_sweep,
+    run_variant_sweep,
     write_results_json,
 )
 from .runner import (
@@ -66,7 +65,6 @@ __all__ = [
     "merge_shards",
     "merged_to_jsonable",
     "plan_shards",
-    "run_sharded_sweep",
     "write_results_json",
     "MOBILE_APPROACHES",
     "run_beamforming_comparison",

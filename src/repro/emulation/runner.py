@@ -1,7 +1,7 @@
 """Experiment runners shared by the benchmark harness.
 
-Thin, figure-oriented shims over the generic variant-sweep engine
-(:mod:`repro.emulation.sweep`), one per experiment family:
+Thin, figure-oriented shims over the campaign engine
+(:mod:`repro.emulation.shard`), one per experiment family:
 
 * :func:`run_beamforming_comparison` — Figs 5, 6, 7, 11, 12, 13
 * :func:`run_scheduler_comparison` — Figs 8, 15
@@ -9,8 +9,8 @@ Thin, figure-oriented shims over the generic variant-sweep engine
 * :func:`run_mobile_comparison` — Figs 16, 17 (vs No Update and the MPCs)
 
 Each runner builds its variant list, delegates to
-:func:`~repro.emulation.sweep.run_variant_sweep` (random placements) or
-:func:`~repro.emulation.sweep.run_session_sweep` (one shared mobile trace),
+:func:`~repro.emulation.shard.run_variant_sweep` (random placements) or
+:func:`~repro.emulation.shard.run_session_sweep` (one shared mobile trace),
 and returns raw per-run samples so the benchmarks can print the same box
 statistics the paper plots.  Seed schedules are per-family constants, so
 metrics are identical at any job count and unchanged from the historical
@@ -36,15 +36,8 @@ from .context import (  # noqa: F401  (re-exported public API)
     build_context,
     trace_for_placement,
 )
-from .sweep import (
-    Variant,
-    install_context,
-    run_session_sweep,
-    run_variant_sweep,
-)
-
-#: Back-compat alias for the pool initializer's historical private name.
-_install_context = install_context
+from .shard import run_session_sweep, run_variant_sweep
+from .sweep import Variant
 
 
 def run_beamforming_comparison(

@@ -1,26 +1,34 @@
-"""Sharded, resumable execution of variant-sweep campaigns.
+"""The campaign engine: every emulation sweep runs here.
 
-:func:`repro.emulation.sweep.run_variant_sweep` fans placements through a
-fork-per-call pool with nothing persisted: an interrupted 10k-point
-campaign restarts from zero, and a dead worker kills the whole run.  This
-module is the scheduler layer that scales past that:
+:func:`run_variant_sweep` (placements × variants, the figure campaigns and
+``fault_grid`` chaos sweeps) and :func:`run_session_sweep` (variants over
+one shared mobile trace) both execute through one private executor:
 
-* A campaign (variants × placements, the ``run_variant_sweep`` /
-  ``fault_grid`` shape) is split into deterministic, individually-seeded
-  **shards** — contiguous run ranges whose results depend only on the run
-  index, never on which worker executes them or in what order.
-* Shards execute on a :class:`repro.perf.workers.PersistentPool`: workers
-  start once per campaign and receive the heavyweight
+* One worker (the ``jobs`` argument, else ``REPRO_JOBS``, else 1, clamped
+  to the task count) runs the tasks in this process, in order — the
+  trivially-debuggable path, where a task's exception propagates bare.
+* More workers run on a :class:`repro.perf.workers.PersistentPool`:
+  workers start once per campaign and receive the heavyweight
   :class:`~repro.emulation.context.ExperimentContext` (trained DNN weights,
   encoded probe frames) through ``multiprocessing.shared_memory`` planes —
   shipped once, never pickled per task.  Dead or hung workers are detected
-  by the pool's heartbeat/deadline supervision and their shards requeued.
-* Every completed shard is appended to a **JSONL checkpoint**: one fsync'd
-  ``write()`` per shard, floats serialized via ``float.hex()`` so values
-  survive the JSON round-trip bit-exactly, and a header line binding the
-  file to the campaign through a SHA-256 hash of the canonical spec.
-  ``resume=True`` loads finished shards, re-runs only the missing ones,
-  and merges to a result **bit-identical** to an uninterrupted run.
+  by the pool's heartbeat/deadline supervision and their tasks requeued;
+  a task's exception surfaces as :class:`~repro.errors.ParallelWorkerError`
+  carrying the worker traceback.
+
+Every task carries its own seed, so results never depend on the worker
+count, the shard count or the completion order.
+
+A placement campaign is split into deterministic, individually-seeded
+**shards** — contiguous run ranges (one run each by default).  With a
+``checkpoint`` path every completed shard is appended to a **JSONL
+checkpoint**: one fsync'd ``write()`` per shard, floats serialized via
+``float.hex()`` so values survive the JSON round-trip bit-exactly, and a
+header line binding the file to the campaign through a SHA-256 hash of
+the canonical :class:`CampaignSpec`.  ``resume=True`` loads finished
+shards, re-runs only the missing ones, and merges to a result
+**bit-identical** to an uninterrupted run.  Session sweeps write no
+checkpoint: a ``session_factory`` callable has no canonical hash.
 
 Corruption handling (exercised by ``tests/emulation/test_shard.py``): a
 truncated *trailing* line — the signature of a SIGKILL mid-append — is
@@ -41,10 +49,13 @@ import enum
 import hashlib
 import json
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
+    Callable,
+    ContextManager,
     Dict,
     IO,
     List,
@@ -52,19 +63,25 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from ..errors import EmulationError
 from ..obs import OBS
-from ..perf.parallel import effective_jobs
 from ..perf.workers import (
-    DEFAULT_HEARTBEAT_S,
     DEFAULT_TASK_TIMEOUT_S,
     PersistentPool,
     SharedPayload,
+    effective_jobs,
 )
 from .context import ExperimentContext
-from .sweep import Variant, _placement_run, install_context, merge_runs
+from .sweep import (
+    Variant,
+    _placement_run,
+    _session_run,
+    install_context,
+    merge_runs,
+)
 
 __all__ = [
     "CampaignSpec",
@@ -72,7 +89,8 @@ __all__ = [
     "plan_shards",
     "load_checkpoint",
     "merge_shards",
-    "run_sharded_sweep",
+    "run_variant_sweep",
+    "run_session_sweep",
     "merged_to_jsonable",
     "write_results_json",
 ]
@@ -106,13 +124,23 @@ def _canonical_value(value: Any) -> Any:
     return value
 
 
+def _unique_names(variants: Sequence[Variant]) -> List[str]:
+    """The variants' names, refusing duplicates (they key the results)."""
+    names = [variant.name for variant in variants]
+    if len(set(names)) != len(names):
+        raise EmulationError(f"duplicate variant names in sweep: {names}")
+    return names
+
+
 @dataclass(frozen=True)
 class CampaignSpec:
-    """Everything that determines a sharded campaign's results.
+    """Everything that determines a placement campaign's results.
 
-    The canonical JSON of this spec is hashed into the checkpoint header;
-    a resume against a checkpoint whose hash differs is refused, so stale
-    files can never be silently merged into a different campaign.
+    Every :func:`run_variant_sweep` builds one, so this is where its
+    variants are validated.  The canonical JSON of this spec is hashed
+    into the checkpoint header; a resume against a checkpoint whose hash
+    differs is refused, so stale files can never be silently merged into a
+    different campaign.
     """
 
     variants: Tuple[Variant, ...]
@@ -133,14 +161,13 @@ class CampaignSpec:
                 f"campaign needs 1 <= shards <= runs, got shards={self.shards} "
                 f"for runs={self.runs}"
             )
-        names = [v.name for v in self.variants]
-        if len(set(names)) != len(names):
-            raise EmulationError(f"duplicate variant names in campaign: {names}")
+        _unique_names(self.variants)
         for variant in self.variants:
             if variant.session_factory is not None:
                 raise EmulationError(
                     f"variant {variant.name!r}: session_factory variants "
-                    "cannot be sharded (their spec is not serializable)"
+                    "cannot be sharded (their spec is not serializable); "
+                    "they are for run_session_sweep"
                 )
 
     @property
@@ -330,11 +357,7 @@ def load_checkpoint(
 
 
 def _shard_task(payload: Tuple) -> Tuple[int, List[Tuple[int, _RunResult]]]:
-    """One shard, worker-side: every run in the range, every variant.
-
-    Reuses :func:`repro.emulation.sweep._placement_run` verbatim so a
-    sharded campaign computes the exact bits ``run_variant_sweep`` would.
-    """
+    """One shard, worker-side: every run in the range, every variant."""
     (shard_id, run_indices, num_users, placement, variants, frames,
      seed_base, seed_stride, seed_offset) = payload
     results = []
@@ -357,71 +380,136 @@ def _install_shared_context(handle) -> None:
 # ------------------------------------------------------------------ engine
 
 
-def run_sharded_sweep(
+def _execute(
+    task_fn: Callable[[Any], Any],
+    payloads: Sequence[Any],
+    ctx: ExperimentContext,
+    jobs: Optional[int],
+    on_result: Callable[[Any], None],
+    task_timeout_s: Optional[float] = DEFAULT_TASK_TIMEOUT_S,
+) -> None:
+    """Run ``task_fn`` over ``payloads``, handing each result to ``on_result``.
+
+    The one place a campaign decides how it runs.  With one worker (see
+    :func:`repro.perf.workers.effective_jobs`; never more than there are
+    payloads) the tasks run here, in order.  Otherwise ``ctx`` is shipped
+    once through shared memory to a :class:`PersistentPool`, and results
+    arrive in completion order.
+    """
+    count = min(effective_jobs(jobs), len(payloads))
+    if count <= 1:
+        install_context(ctx)
+        for payload in payloads:
+            on_result(task_fn(payload))
+        return
+    with SharedPayload(ctx) as shipped:
+        OBS.set_gauge("sweep.shard.context_shm_bytes", shipped.nbytes_shared)
+        with PersistentPool(
+            task_fn,
+            jobs=count,
+            initializer=_install_shared_context,
+            initargs=(shipped.handle,),
+            task_timeout_s=task_timeout_s,
+        ) as pool:
+            pool.run_tasks(payloads, on_result=lambda _id, res: on_result(res))
+
+
+def _open_checkpoint(
+    path: Optional[Path], spec: CampaignSpec, append: bool
+) -> ContextManager[Optional[IO[str]]]:
+    """The checkpoint to append shards to (``None`` when not persisting).
+
+    A fresh campaign recreates the file and writes the header line; a
+    resumed one appends after the shards it loaded.
+    """
+    if path is None:
+        return nullcontext()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fh = open(path, "a" if append else "w", encoding="utf-8")
+    if not append:
+        header = dict(spec.to_dict())
+        header.update(kind="header", spec_hash=spec.spec_hash())
+        _append_line(fh, json.dumps(header, sort_keys=True, separators=(",", ":")))
+    return fh
+
+
+def run_variant_sweep(
     ctx: ExperimentContext,
     variants: Sequence[Variant],
     num_users: int,
     placement: Tuple,
     runs: int,
     frames: int,
-    shards: int,
-    checkpoint: Path,
-    resume: bool = False,
     jobs: Optional[int] = None,
-    task_timeout_s: Optional[float] = DEFAULT_TASK_TIMEOUT_S,
-    heartbeat_s: float = DEFAULT_HEARTBEAT_S,
     seed_base: int = 1000,
     seed_stride: int = 17,
     seed_offset: int = 7,
+    shards: Optional[int] = None,
+    checkpoint: Optional[Union[str, Path]] = None,
+    resume: bool = False,
+    task_timeout_s: Optional[float] = DEFAULT_TASK_TIMEOUT_S,
 ) -> Dict[str, Dict[str, List[float]]]:
-    """Execute a sharded campaign; returns ``run_variant_sweep``'s shape.
+    """Per-variant SSIM/PSNR samples over random placements.
 
-    The merged result is bit-identical to
-    :func:`~repro.emulation.sweep.run_variant_sweep` with the same seed
-    schedule, at any shard count, any job count, and across any number of
-    interrupt/resume cycles.
+    The merged result is bit-identical at any shard count, any job count,
+    and across any number of interrupt/resume cycles.
 
     Args:
-        ctx: Shared experiment context (shipped to workers once, via
-            shared memory).
-        variants: Config-override comparison arms (``fault_grid`` output
-            welcome).
-        num_users, placement, runs, frames: As in ``run_variant_sweep``.
+        ctx: Shared context (shipped to pool workers once, via shared
+            memory).
+        variants: The comparison arms (config-override variants only —
+            placement sweeps rebuild a :class:`MulticastStreamer` per arm;
+            ``fault_grid`` output welcome).
+        num_users: Receivers per placement.
+        placement: ``('arc', d, mas)`` or ``('range', d0, d1, mas)`` spec.
+        runs: Independent placements.
+        frames: Frames streamed per session.
+        jobs: Worker processes (``REPRO_JOBS`` default; 1 = in-process).
+        seed_base, seed_stride: Per-run seed schedule
+            (``seed_base + seed_stride * run``), kept distinct per
+            experiment family so figures stay reproducible.
+        seed_offset: Extra offset for the streaming seed within a run.
         shards: How many independently checkpointable chunks to split the
-            ``runs`` into.
-        checkpoint: JSONL checkpoint path.  Without ``resume`` the file is
-            recreated; with ``resume`` finished shards are loaded from it
-            and only missing shards execute.
-        resume: Continue a previous (interrupted) campaign.
-        jobs: Worker count (``REPRO_JOBS`` default; 1 = in-process serial,
-            still checkpointing per shard).
-        task_timeout_s: Per-shard deadline before a worker counts as hung.
-        heartbeat_s: Worker liveness poll interval.
-        seed_base, seed_stride, seed_offset: The per-run seed schedule
-            (identical to ``run_variant_sweep``'s).
+            ``runs`` into (default: one per run).
+        checkpoint: JSONL checkpoint path (default: write nothing).
+            Without ``resume`` the file is recreated; with ``resume``
+            finished shards are loaded from it and only missing shards
+            execute.
+        resume: Continue a previous (interrupted) campaign; needs
+            ``checkpoint``.
+        task_timeout_s: Per-shard deadline before a pool worker counts as
+            hung.
     """
+    if resume and checkpoint is None:
+        raise EmulationError("resume needs a checkpoint path to resume from")
     spec = CampaignSpec(
         variants=tuple(variants),
         num_users=num_users,
         placement=tuple(placement),
         runs=runs,
         frames=frames,
-        shards=shards,
+        shards=runs if shards is None else shards,
         seed_base=seed_base,
         seed_stride=seed_stride,
         seed_offset=seed_offset,
     )
-    checkpoint = Path(checkpoint)
+    path = None if checkpoint is None else Path(checkpoint)
     plan = plan_shards(spec.runs, spec.shards)
 
     finished: Dict[int, List[Tuple[int, _RunResult]]] = {}
-    if resume and checkpoint.exists():
-        finished, dropped = load_checkpoint(checkpoint, spec)
+    if resume and path is not None and path.exists():
+        finished, dropped = load_checkpoint(path, spec)
         OBS.count("sweep.shard.loaded", len(finished))
         if dropped:
             OBS.count("sweep.shard.trailing_line_dropped")
-    remaining = [
-        shard_id for shard_id in range(spec.shards) if shard_id not in finished
+    payloads = [
+        (
+            shard_id, plan[shard_id], spec.num_users, spec.placement,
+            spec.variants, spec.frames,
+            spec.seed_base, spec.seed_stride, spec.seed_offset,
+        )
+        for shard_id in range(spec.shards)
+        if shard_id not in finished
     ]
 
     with OBS.span(
@@ -431,60 +519,52 @@ def run_sharded_sweep(
         points=spec.points,
         resumed=len(finished),
     ):
-        checkpoint.parent.mkdir(parents=True, exist_ok=True)
-        mode = "a" if (resume and checkpoint.exists() and finished) else "w"
-        with open(checkpoint, mode, encoding="utf-8") as fh:
-            if mode == "w":
-                header = dict(spec.to_dict())
-                header.update(kind="header", spec_hash=spec.spec_hash())
-                _append_line(
-                    fh, json.dumps(header, sort_keys=True, separators=(",", ":"))
-                )
+        with _open_checkpoint(path, spec, append=bool(finished)) as fh:
 
-            def record(shard_id: int, results) -> None:
+            def record(result: Tuple[int, List[Tuple[int, _RunResult]]]) -> None:
+                shard_id, results = result
                 finished[shard_id] = results
-                _append_line(fh, _encode_shard_line(shard_id, results))
+                if fh is not None:
+                    _append_line(fh, _encode_shard_line(shard_id, results))
                 OBS.count("sweep.shard.completed")
                 OBS.count(
                     "sweep.shard.points_completed",
                     len(results) * len(spec.variants),
                 )
 
-            if remaining:
-                payloads = [
-                    (
-                        shard_id, plan[shard_id], spec.num_users,
-                        spec.placement, spec.variants, spec.frames,
-                        spec.seed_base, spec.seed_stride, spec.seed_offset,
-                    )
-                    for shard_id in remaining
-                ]
-                count = min(effective_jobs(jobs), len(payloads))
-                if count <= 1:
-                    install_context(ctx)
-                    for payload in payloads:
-                        shard_id, results = _shard_task(payload)
-                        record(shard_id, results)
-                else:
-                    with SharedPayload(ctx) as shipped:
-                        OBS.set_gauge(
-                            "sweep.shard.context_shm_bytes",
-                            shipped.nbytes_shared,
-                        )
-                        with PersistentPool(
-                            _shard_task,
-                            jobs=count,
-                            initializer=_install_shared_context,
-                            initargs=(shipped.handle,),
-                            task_timeout_s=task_timeout_s,
-                            heartbeat_s=heartbeat_s,
-                        ) as pool:
-                            pool.run_tasks(
-                                payloads,
-                                on_result=lambda _id, res: record(*res),
-                            )
+            _execute(_shard_task, payloads, ctx, jobs, record, task_timeout_s)
 
     return merge_shards([v.name for v in spec.variants], spec.runs, finished)
+
+
+def run_session_sweep(
+    ctx: ExperimentContext,
+    variants: Sequence[Variant],
+    trace: Any,
+    num_users: int,
+    num_frames: int,
+    seed: int = 0,
+    jobs: Optional[int] = None,
+) -> Dict[str, List[float]]:
+    """Mean-over-users SSIM time series per variant on one shared trace.
+
+    All variants replay the identical trace — the point of trace-driven
+    evaluation; the fan-out axis is the variant, not the placement.
+    """
+    variants = tuple(variants)
+    names = _unique_names(variants)
+    series: Dict[str, List[float]] = {}
+
+    def record(result: Tuple[str, List[float]]) -> None:
+        name, values = result
+        series[name] = values
+
+    _execute(
+        _session_run,
+        [(variant, trace, num_users, num_frames, seed) for variant in variants],
+        ctx, jobs, record,
+    )
+    return {name: series[name] for name in names}
 
 
 def merge_shards(

@@ -1,4 +1,4 @@
-"""Generic variant-sweep engine for the emulation experiments.
+"""What a variant sweep is: its arms, their overrides, and its worker tasks.
 
 Every experiment family in the paper is the same shape: stream the *same*
 channel conditions under a handful of configuration **variants** and
@@ -9,19 +9,18 @@ compare the resulting quality.  This module owns that shape once:
   that are not config-expressible, like the MPC baselines) a
   ``session_factory`` building any object with the
   ``stream_trace(trace, num_frames)`` session interface.
-* :func:`run_variant_sweep` fans **placements** (independent, individually
-  seeded runs) across cores via
-  :func:`repro.perf.parallel.parallel_map`, streaming every variant on
-  each placement's trace, and merges per-run samples into per-variant
-  SSIM/PSNR series.
-* :func:`run_session_sweep` fans **variants** over one shared trace and
-  returns each variant's mean-over-users SSIM time series — the
-  trace-driven mobile comparison (Sec 4.3.4).
+* :func:`parse_config_overrides`, :func:`variant_from_spec` and the
+  :func:`fault_grid` / :func:`ap_fault_grid` helpers turn shell strings
+  and grids into variants.
+* The worker tasks: :func:`_placement_run` streams every variant on one
+  individually-seeded placement, :func:`_session_run` streams one variant
+  over a shared trace; :func:`merge_runs` stitches per-run samples into
+  per-variant SSIM/PSNR series.
 
-The legacy ``run_beamforming_comparison`` / ``run_scheduler_comparison`` /
-``run_ablation`` / ``run_mobile_comparison`` runners are thin shims over
-these two entry points, so results are reproducible at any job count and
-new comparison axes need only a variant list.
+The campaign engine that runs these tasks — in-process or on the
+persistent worker pool, optionally sharded and checkpointed — is
+:mod:`repro.emulation.shard` (:func:`run_variant_sweep`,
+:func:`run_session_sweep`).  Both names still resolve from this module.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ import numpy as np
 from ..core import MulticastStreamer, SystemConfig
 from ..errors import EmulationError
 from ..obs import OBS
-from ..perf.parallel import parallel_map
 from ..phy.topology import TopologyConfig, topology_num_aps
 from .context import ExperimentContext, trace_for_placement
 
@@ -62,9 +60,21 @@ __all__ = [
     "sweep_num_aps",
     "install_context",
     "merge_runs",
-    "run_variant_sweep",
-    "run_session_sweep",
 ]
+
+#: The campaign entry points, defined in :mod:`.shard` (which imports this
+#: module) and resolved lazily here so ``repro.emulation.sweep`` keeps
+#: serving them without an import cycle.
+_ENGINE_NAMES = ("run_variant_sweep", "run_session_sweep")
+
+
+def __getattr__(name: str) -> Any:
+    if name in _ENGINE_NAMES:
+        from . import shard
+
+        return getattr(shard, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: A factory building a session object for ``(ctx, seed)``; the returned
 #: object must expose ``stream_trace(trace, num_frames)``.
@@ -313,7 +323,7 @@ _WORKER_CTX: Optional[ExperimentContext] = None
 
 
 def install_context(ctx: ExperimentContext) -> None:
-    """Pool initializer: make the heavyweight context a worker global."""
+    """Make the heavyweight context the worker global the tasks read."""
     global _WORKER_CTX
     _WORKER_CTX = ctx
 
@@ -321,8 +331,8 @@ def install_context(ctx: ExperimentContext) -> None:
 def _worker_context() -> ExperimentContext:
     if _WORKER_CTX is None:
         raise EmulationError(
-            "worker context not installed — sweep tasks must run through "
-            "parallel_map(initializer=install_context, ...)"
+            "worker context not installed — call install_context(ctx) "
+            "before running a sweep task"
         )
     return _WORKER_CTX
 
@@ -403,89 +413,3 @@ def merge_runs(
             results[key]["ssim"].append(ssim_value)
             results[key]["psnr"].append(psnr_value)
     return results
-
-
-# ------------------------------------------------------------------ engines
-
-
-def run_variant_sweep(
-    ctx: ExperimentContext,
-    variants: Sequence[Variant],
-    num_users: int,
-    placement: Tuple,
-    runs: int,
-    frames: int,
-    jobs: Optional[int] = None,
-    seed_base: int = 1000,
-    seed_stride: int = 17,
-    seed_offset: int = 7,
-) -> Dict[str, Dict[str, List[float]]]:
-    """Per-variant SSIM/PSNR samples over random placements.
-
-    Args:
-        ctx: Shared context.
-        variants: The comparison arms (config-override variants only —
-            placement sweeps rebuild a :class:`MulticastStreamer` per arm).
-        num_users: Receivers per placement.
-        placement: ``('arc', d, mas)`` or ``('range', d0, d1, mas)`` spec.
-        runs: Independent placements.
-        frames: Frames streamed per session.
-        jobs: Worker processes (``REPRO_JOBS`` default).
-        seed_base, seed_stride: Per-run seed schedule
-            (``seed_base + seed_stride * run``), kept distinct per
-            experiment family so figures stay reproducible.
-        seed_offset: Extra offset for the streaming seed within a run.
-    """
-    variants = tuple(variants)
-    for variant in variants:
-        if variant.session_factory is not None:
-            raise EmulationError(
-                f"variant {variant.name!r}: session_factory variants are "
-                "for run_session_sweep"
-            )
-    names = [variant.name for variant in variants]
-    if len(set(names)) != len(names):
-        raise EmulationError(f"duplicate variant names in sweep: {names}")
-    per_run = parallel_map(
-        _placement_run,
-        [
-            (run, num_users, placement, variants, frames,
-             seed_base, seed_stride, seed_offset)
-            for run in range(runs)
-        ],
-        jobs=jobs,
-        initializer=install_context,
-        initargs=(ctx,),
-    )
-    return merge_runs(names, per_run)
-
-
-def run_session_sweep(
-    ctx: ExperimentContext,
-    variants: Sequence[Variant],
-    trace: Any,
-    num_users: int,
-    num_frames: int,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> Dict[str, List[float]]:
-    """Mean-over-users SSIM time series per variant on one shared trace.
-
-    All variants replay the identical trace — the point of trace-driven
-    evaluation; the fan-out axis is the variant, not the placement.
-    """
-    variants = tuple(variants)
-    names = [variant.name for variant in variants]
-    if len(set(names)) != len(names):
-        raise EmulationError(f"duplicate variant names in sweep: {names}")
-    per_variant = parallel_map(
-        _session_run,
-        [
-            (variant, trace, num_users, num_frames, seed)
-            for variant in variants
-        ],
-        jobs=jobs,
-        initializer=install_context,
-        initargs=(ctx,),
-    )
-    return {name: series for name, series in per_variant}

@@ -17,10 +17,10 @@ import) or :func:`configure` at runtime; ``REPRO_OBS_TRACE`` names the
 JSONL destination (default ``repro_obs_trace.jsonl``), flushed at process
 exit when trace mode was enabled from the environment.
 
-The registry is per-process.  Emulation fan-outs through
-``repro.perf.parallel`` run workers in child processes whose telemetry is
-not merged back; run observed scenarios with ``jobs=1`` (the default) to
-capture a complete trace.
+The registry is per-process.  Emulation campaigns on the persistent
+worker pool (``repro.perf.workers``) run tasks in child processes whose
+telemetry is not merged back; run observed scenarios with ``jobs=1`` (the
+default) to capture a complete trace.
 """
 
 from __future__ import annotations

@@ -1,31 +1,25 @@
-"""Performance layer: parallel execution and bench timing.
+"""Performance layer: the campaign worker pool and bench timing.
 
 ``repro.perf`` concentrates everything that makes the reproduction fast
 without changing results:
 
-* :mod:`repro.perf.parallel` — the ``REPRO_JOBS`` process-pool engine the
-  emulation runners fan out on (deterministic at any job count).
+* :mod:`repro.perf.workers` — the ``REPRO_JOBS`` worker count and the
+  persistent worker pool + shared-memory payload shipping that every
+  emulation campaign runs on (workers started once per campaign,
+  heavyweight state shipped via ``multiprocessing.shared_memory`` instead
+  of per-task pickling; deterministic at any job count).
 * :mod:`repro.perf.timing` — timing/throughput helpers plus the JSON
   report writer the standalone benchmarks share.
-* :mod:`repro.perf.workers` — the persistent worker pool + shared-memory
-  payload shipping that sharded sweep campaigns run on (workers started
-  once per campaign, heavyweight state shipped via
-  ``multiprocessing.shared_memory`` instead of per-task pickling).
 """
 
-from .parallel import (
-    JOBS_ENV_VAR,
-    POOL_BREAK_EVEN_S,
-    PROBE_WARMUP_FACTOR,
-    effective_jobs,
-    parallel_map,
-)
 from .workers import (
     DEFAULT_HEARTBEAT_S,
     DEFAULT_TASK_TIMEOUT_S,
+    JOBS_ENV_VAR,
     PersistentPool,
     SharedPayload,
     SharedPayloadHandle,
+    effective_jobs,
 )
 from .timing import (
     speedup,
@@ -37,9 +31,6 @@ from .timing import (
 __all__ = [
     "JOBS_ENV_VAR",
     "effective_jobs",
-    "POOL_BREAK_EVEN_S",
-    "PROBE_WARMUP_FACTOR",
-    "parallel_map",
     "DEFAULT_HEARTBEAT_S",
     "DEFAULT_TASK_TIMEOUT_S",
     "PersistentPool",

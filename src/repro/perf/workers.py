@@ -1,13 +1,13 @@
 """Persistent worker pool with shared-memory payload shipping.
 
-:func:`repro.perf.parallel.parallel_map` forks a fresh pool per call, which
-is the right shape for one-shot fan-outs but the wrong one for *campaigns*:
-a sharded sweep submits many batches of work against the same heavyweight
-shared state (trained DNN weights, encoded probe frames), and paying
-fork/spawn startup plus context shipping per call erases the parallel win.
+Every emulation campaign fans its independent, individually-seeded runs
+across this one pool.  The campaign submits its work against the same
+heavyweight shared state (trained DNN weights, encoded probe frames), so
+the pool ships that state once and keeps its workers hot:
 
-This module owns the long-lived shape:
-
+* :func:`effective_jobs` resolves the worker count from the explicit
+  ``jobs`` argument, else the ``REPRO_JOBS`` environment variable, else 1
+  (serial).  ``jobs <= 0`` means "all cores".
 * :class:`SharedPayload` pickles an arbitrary object **once** with its
   numpy planes hoisted out-of-band (pickle protocol 5) into a single
   ``multiprocessing.shared_memory`` block.  Workers reconstruct the object
@@ -22,15 +22,15 @@ This module owns the long-lived shape:
   results are keyed by submission index, so retries and out-of-order
   completion cannot change the output.
 
-Failure semantics mirror :mod:`repro.perf.parallel`: a task exception is
-re-raised in the parent as :class:`repro.errors.ParallelWorkerError`
-carrying the worker-side traceback; a task that keeps failing (crash or
-timeout) after ``max_task_retries`` requeues raises instead of looping
-forever.
+A task exception is re-raised in the parent as
+:class:`repro.errors.ParallelWorkerError` carrying the worker-side
+traceback; a task that keeps failing (crash or timeout) after
+``max_task_retries`` requeues raises instead of looping forever.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 import queue
 import traceback
@@ -44,12 +44,17 @@ from ..errors import ConfigurationError, ParallelWorkerError
 from ..obs import OBS
 
 __all__ = [
+    "JOBS_ENV_VAR",
+    "effective_jobs",
     "SharedPayload",
     "SharedPayloadHandle",
     "PersistentPool",
     "DEFAULT_TASK_TIMEOUT_S",
     "DEFAULT_HEARTBEAT_S",
 ]
+
+#: Environment variable overriding the default worker count.
+JOBS_ENV_VAR = "REPRO_JOBS"
 
 #: Per-task wall-clock deadline before a worker is presumed hung.  Sweeps
 #: run shards of a few seconds each; ten minutes means only a genuinely
@@ -62,6 +67,27 @@ DEFAULT_HEARTBEAT_S = 0.5
 #: Give-up threshold: a task requeued this many times (worker death or
 #: timeout each time) raises instead of being retried again.
 DEFAULT_MAX_TASK_RETRIES = 2
+
+
+def effective_jobs(jobs: Optional[int] = None) -> int:
+    """Resolve a worker count from the argument or ``REPRO_JOBS``.
+
+    ``None`` defers to the environment (default 1 — serial); values <= 0
+    mean "use every core".
+    """
+    if jobs is None:
+        raw = os.environ.get(JOBS_ENV_VAR, "").strip()
+        if not raw:
+            return 1
+        try:
+            jobs = int(raw)
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"{JOBS_ENV_VAR} must be an integer, got {raw!r}"
+            ) from exc
+    if jobs <= 0:
+        return os.cpu_count() or 1
+    return int(jobs)
 
 
 # ------------------------------------------------------- shared-memory pack
@@ -456,10 +482,3 @@ class PersistentPool:
                         orphan,
                         f"task {orphan} exceeded {self._task_timeout_s:g}s deadline",
                     )
-
-
-def pool_start_method() -> str:
-    """The multiprocessing start method :class:`PersistentPool` will use."""
-    if "fork" in get_all_start_methods():
-        return "fork"
-    return get_context().get_start_method()

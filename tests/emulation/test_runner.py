@@ -97,11 +97,14 @@ class TestRunners:
 class TestParallelDeterminism:
     """Fan-out must never change experiment results."""
 
-    def test_jobs_do_not_change_results(self, ctx):
+    def test_jobs_do_not_change_results(self, ctx, pool_spy):
         serial = run_scheduler_comparison(
             ctx, 2, ("arc", 3, 60), runs=2, frames=2, jobs=1
         )
+        assert pool_spy.started == []
         fanned = run_scheduler_comparison(
             ctx, 2, ("arc", 3, 60), runs=2, frames=2, jobs=4
         )
+        # Two runs, so two real workers: the pooled path ran.
+        assert pool_spy.started == [2]
         assert serial == fanned

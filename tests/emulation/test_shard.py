@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.emulation.runner import mobile_variant
 from repro.emulation.shard import (
     CampaignSpec,
     CheckpointError,
@@ -15,11 +16,18 @@ from repro.emulation.shard import (
     merge_shards,
     merged_to_jsonable,
     plan_shards,
-    run_sharded_sweep,
+    run_session_sweep,
+    run_variant_sweep,
     write_results_json,
 )
-from repro.emulation.sweep import Variant, merge_runs, run_variant_sweep
-from repro.errors import EmulationError
+from repro.emulation.sweep import (
+    Variant,
+    _placement_run,
+    _session_run,
+    install_context,
+    merge_runs,
+)
+from repro.errors import EmulationError, ParallelWorkerError
 
 VARIANTS = (Variant("base"), Variant("rr", {"fps": 24}))
 
@@ -100,7 +108,7 @@ class TestCampaignSpec:
         assert _spec(variants=(Variant("base"),)).spec_hash() != base
 
     def test_session_factory_variants_rejected(self):
-        with pytest.raises(EmulationError, match="cannot be sharded"):
+        with pytest.raises(EmulationError, match="cannot be sharded.*run_session_sweep"):
             _spec(variants=(
                 Variant("x", session_factory=lambda ctx, seed: None),
             ))
@@ -224,27 +232,104 @@ class TestMergeShards:
             merge_shards(["base", "rr"], 3, {0: [(0, _fake_run_result(0))]})
 
 
-class TestShardedSweepEngine:
+def _placement_oracle(ctx, variants, runs, frames):
+    """The campaign by hand: every run's task in order, then the merge."""
+    install_context(ctx)
+    return merge_runs(
+        [v.name for v in variants],
+        [
+            _placement_run((run, 2, ("arc", 3, 60), tuple(variants), frames,
+                            1000, 17, 7))
+            for run in range(runs)
+        ],
+    )
+
+
+def _exploding_session(ctx, seed):
+    """Session factory whose session never gets built."""
+    raise RuntimeError(f"boom at seed {seed}")
+
+
+class TestCampaignEngine:
     """End-to-end equivalence on a real (tiny) streaming campaign."""
 
-    @pytest.mark.parametrize("shards,jobs", [(1, 1), (3, 1), (4, 2)])
-    def test_bit_identical_to_unsharded(self, sweep_ctx, tmp_path, shards, jobs):
+    @pytest.mark.parametrize(
+        "shards,jobs,checkpointed",
+        [
+            pytest.param(None, 1, False, id="per_run-serial"),
+            pytest.param(None, 2, False, id="per_run-pool"),
+            pytest.param(1, 1, True, id="1shard-serial-checkpoint"),
+            pytest.param(3, 1, True, id="3shards-serial-checkpoint"),
+            pytest.param(4, 2, True, id="4shards-pool-checkpoint"),
+        ],
+    )
+    def test_bit_identical_to_in_test_oracle(
+        self, sweep_ctx, tmp_path, shards, jobs, checkpointed
+    ):
         variants = [Variant("base"), Variant("rr", {"fps": 24})]
-        reference = run_variant_sweep(
-            sweep_ctx, variants, 2, ("arc", 3, 60), runs=4, frames=1
-        )
-        sharded = run_sharded_sweep(
+        merged = run_variant_sweep(
             sweep_ctx, variants, 2, ("arc", 3, 60), runs=4, frames=1,
-            shards=shards, checkpoint=tmp_path / "ck.jsonl", jobs=jobs,
+            shards=shards, jobs=jobs,
+            checkpoint=tmp_path / "ck.jsonl" if checkpointed else None,
         )
-        assert sharded == reference
+        assert merged == _placement_oracle(sweep_ctx, variants, 4, 1)
+
+    def test_session_sweep_identical_at_any_job_count(self, sweep_ctx):
+        variants = [mobile_variant("realtime_update"), mobile_variant("fast_mpc")]
+        trace = sweep_ctx.scenario.mobile_receiver_trace(
+            2, moving_users=[0], duration_s=0.2, rss_regime="high", seed=5
+        )
+        install_context(sweep_ctx)
+        oracle = dict(
+            _session_run((variant, trace, 2, 6, 5)) for variant in variants
+        )
+        for jobs in (1, 2):
+            assert run_session_sweep(
+                sweep_ctx, variants, trace, 2, 6, seed=5, jobs=jobs
+            ) == oracle
+
+    def test_pooled_worker_error_carries_its_traceback(self, sweep_ctx):
+        variants = [
+            Variant("a", session_factory=_exploding_session),
+            Variant("b", session_factory=_exploding_session),
+        ]
+        with pytest.raises(RuntimeError, match="boom"):
+            run_session_sweep(sweep_ctx, variants, None, 1, 1, jobs=1)
+        with pytest.raises(ParallelWorkerError) as excinfo:
+            run_session_sweep(sweep_ctx, variants, None, 1, 1, jobs=2)
+        message = str(excinfo.value)
+        assert "worker traceback" in message
+        assert "_exploding_session" in message
+        assert "RuntimeError: boom" in message
+
+    def test_no_checkpoint_writes_no_file(self, sweep_ctx, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_variant_sweep(
+            sweep_ctx, [Variant("base")], 2, ("arc", 3, 60), runs=2, frames=1,
+            shards=2,
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_resume_without_checkpoint_rejected(self, sweep_ctx):
+        with pytest.raises(EmulationError, match="resume needs a checkpoint"):
+            run_variant_sweep(
+                sweep_ctx, [Variant("base")], 2, ("arc", 3, 60), runs=1,
+                frames=1, resume=True,
+            )
+
+    def test_pool_never_outnumbers_the_tasks(self, sweep_ctx, pool_spy):
+        run_variant_sweep(
+            sweep_ctx, [Variant("base")], 2, ("arc", 3, 60), runs=2, frames=1,
+            jobs=8,
+        )
+        assert pool_spy.started == [2]
 
     def test_resume_from_partial_checkpoint_is_bit_identical(
         self, sweep_ctx, tmp_path
     ):
         variants = [Variant("base"), Variant("rr", {"fps": 24})]
         ck = tmp_path / "ck.jsonl"
-        full = run_sharded_sweep(
+        full = run_variant_sweep(
             sweep_ctx, variants, 2, ("arc", 3, 60), runs=4, frames=1,
             shards=4, checkpoint=ck, jobs=1,
         )
@@ -252,7 +337,7 @@ class TestShardedSweepEngine:
         lines = ck.read_text().splitlines(keepends=True)
         partial = tmp_path / "partial.jsonl"
         partial.write_text("".join(lines[:3]))
-        resumed = run_sharded_sweep(
+        resumed = run_variant_sweep(
             sweep_ctx, variants, 2, ("arc", 3, 60), runs=4, frames=1,
             shards=4, checkpoint=partial, jobs=1, resume=True,
         )
@@ -265,12 +350,12 @@ class TestShardedSweepEngine:
     ):
         variants = [Variant("base")]
         ck = tmp_path / "ck.jsonl"
-        run_sharded_sweep(
+        run_variant_sweep(
             sweep_ctx, variants, 2, ("arc", 3, 60), runs=2, frames=1,
             shards=2, checkpoint=ck, jobs=1,
         )
         with pytest.raises(CheckpointError, match="different campaign"):
-            run_sharded_sweep(
+            run_variant_sweep(
                 sweep_ctx, variants, 2, ("arc", 3, 60), runs=3, frames=1,
                 shards=2, checkpoint=ck, jobs=1, resume=True,
             )
@@ -279,7 +364,7 @@ class TestShardedSweepEngine:
         variants = [Variant("base")]
         ck = tmp_path / "ck.jsonl"
         ck.write_text("not a checkpoint at all\n")
-        result = run_sharded_sweep(
+        result = run_variant_sweep(
             sweep_ctx, variants, 2, ("arc", 3, 60), runs=2, frames=1,
             shards=2, checkpoint=ck, jobs=1,
         )

@@ -1,16 +1,21 @@
-"""Fault-injection campaigns through the sharded sweep scheduler.
+"""Fault-injection campaigns through the campaign engine.
 
 ISSUE 8 satellite: ``fault_grid`` variants carry a nested ``FaultConfig``
 dataclass in their config overrides, which must canonicalize into the
 campaign hash (so checkpoints bind to the exact fault grid) and must
 produce bit-identical merged results whether the campaign runs sharded
-or through the plain in-process sweep.
+and checkpointed or as the runs' worker tasks called one by one.
 """
 
 import pytest
 
-from repro.emulation.shard import CampaignSpec, run_sharded_sweep
-from repro.emulation.sweep import fault_grid, run_variant_sweep
+from repro.emulation.shard import CampaignSpec, run_variant_sweep
+from repro.emulation.sweep import (
+    _placement_run,
+    fault_grid,
+    install_context,
+    merge_runs,
+)
 
 
 def _grid():
@@ -55,10 +60,16 @@ class TestFaultGridSharding:
         self, sweep_ctx, tmp_path, shards
     ):
         variants = _grid()
-        reference = run_variant_sweep(
-            sweep_ctx, variants, 2, ("arc", 3, 60), runs=3, frames=1
+        install_context(sweep_ctx)
+        reference = merge_runs(
+            [v.name for v in variants],
+            [
+                _placement_run((run, 2, ("arc", 3, 60), tuple(variants), 1,
+                                1000, 17, 7))
+                for run in range(3)
+            ],
         )
-        sharded = run_sharded_sweep(
+        sharded = run_variant_sweep(
             sweep_ctx, variants, 2, ("arc", 3, 60), runs=3, frames=1,
             shards=shards, checkpoint=tmp_path / "chaos.jsonl", jobs=1,
         )
@@ -74,7 +85,7 @@ class TestFaultGridSharding:
                 "faults.blockage_depth_db": "40",
             },
         )
-        merged = run_sharded_sweep(
+        merged = run_variant_sweep(
             sweep_ctx, variants, 2, ("arc", 3, 60), runs=2, frames=2,
             shards=2, checkpoint=tmp_path / "chaos.jsonl", jobs=1,
         )

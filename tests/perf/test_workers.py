@@ -1,4 +1,4 @@
-"""Tests for the persistent worker pool and shared-memory shipping."""
+"""Tests for the worker count, the persistent pool and shared-memory shipping."""
 
 import os
 import time
@@ -8,8 +8,10 @@ import pytest
 
 from repro.errors import ConfigurationError, ParallelWorkerError
 from repro.perf.workers import (
+    JOBS_ENV_VAR,
     PersistentPool,
     SharedPayload,
+    effective_jobs,
 )
 
 # Worker functions must be importable top-level callables.
@@ -57,6 +59,29 @@ def _raise_value_error(x):
 
 def _init_boom():
     raise RuntimeError("init exploded")
+
+
+class TestEffectiveJobs:
+    def test_default_is_serial(self, monkeypatch):
+        monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
+        assert effective_jobs(None) == 1
+
+    def test_env_override(self, monkeypatch):
+        monkeypatch.setenv(JOBS_ENV_VAR, "3")
+        assert effective_jobs(None) == 3
+
+    def test_explicit_beats_env(self, monkeypatch):
+        monkeypatch.setenv(JOBS_ENV_VAR, "3")
+        assert effective_jobs(2) == 2
+
+    def test_nonpositive_means_all_cores(self):
+        assert effective_jobs(0) == (os.cpu_count() or 1)
+        assert effective_jobs(-1) == (os.cpu_count() or 1)
+
+    def test_bad_env_raises(self, monkeypatch):
+        monkeypatch.setenv(JOBS_ENV_VAR, "many")
+        with pytest.raises(ConfigurationError):
+            effective_jobs(None)
 
 
 class TestSharedPayload:
@@ -122,6 +147,8 @@ class TestPersistentPool:
         message = str(excinfo.value)
         assert "ValueError" in message
         assert "worker traceback" in message
+        # The traceback points at the raise site.
+        assert "_raise_value_error" in message
 
     def test_initializer_failure_surfaces(self):
         with PersistentPool(

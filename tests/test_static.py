@@ -1,7 +1,7 @@
 """Static checks on the tree that need nothing beyond the standard library.
 
-Two of the linter's questions, answered from the AST of every module under
-``src/``, ``tests/`` and ``benchmarks/``:
+Three of the linter's questions, answered from the AST of every module
+under ``src/``, ``tests/`` and ``benchmarks/``:
 
 * **unused imports** — a name an import binds that nothing in its scope
   reads.  ``__init__.py`` files re-export by importing, and a line marked
@@ -11,6 +11,12 @@ Two of the linter's questions, answered from the AST of every module under
   annotations included) that the module neither defines, imports nor gets
   from builtins.  With ``from __future__ import annotations`` nothing
   evaluates these at run time, so only a type checker would notice.
+* **unused locals** — a name a function binds by plain assignment,
+  ``with … as name`` or ``except … as name`` that nothing in the function
+  (nested scopes included) reads.  ``_``-prefixed names, ``global`` /
+  ``nonlocal`` names, tuple unpacking and functions that call ``locals()``
+  are exempt; a class body is its own scope, so class attributes of a
+  class defined inside a function are not the function's locals.
 
 Run alone with ``python -m pytest tests/test_static.py``.
 """
@@ -28,6 +34,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TREES = ("src", "tests", "benchmarks")
 
 _SCOPES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _modules() -> List[Path]:
@@ -152,6 +159,63 @@ def undefined_annotation_names(source: str) -> List[Tuple[int, str]]:
     return problems
 
 
+def _own_scope(function: ast.AST) -> Iterator[ast.AST]:
+    """Nodes of ``function``'s body outside its nested scopes."""
+    stack = list(ast.iter_child_nodes(function))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _local_bindings(function: ast.AST) -> Iterator[Tuple[int, str]]:
+    """``(line, name)`` of the function's plain, ``with`` and ``except``
+    bindings; tuple targets, attributes and subscripts bind no local."""
+    for node in _own_scope(function):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        elif isinstance(node, ast.withitem) and node.optional_vars is not None:
+            targets = [node.optional_vars]
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            yield node.lineno, node.name
+            continue
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name):
+                yield target.lineno, target.id
+
+
+def unused_locals(source: str) -> List[Tuple[int, str]]:
+    """``(line, name)`` of every function local nothing reads."""
+    problems = []
+    for function in ast.walk(ast.parse(source)):
+        if not isinstance(function, _FUNCTIONS):
+            continue
+        read = set()
+        for node in ast.walk(function):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                read.add(node.target.id)
+        if "locals" in read:
+            continue
+        declared = {
+            name
+            for node in _own_scope(function)
+            if isinstance(node, (ast.Global, ast.Nonlocal))
+            for name in node.names
+        }
+        for line, name in _local_bindings(function):
+            if name.startswith("_") or name in declared or name in read:
+                continue
+            problems.append((line, f"unused local {name}"))
+    return sorted(problems)
+
+
 MODULES = _modules()
 
 
@@ -159,7 +223,9 @@ def test_the_tree_is_found():
     assert len(MODULES) > 100
 
 
-@pytest.mark.parametrize("check", [unused_imports, undefined_annotation_names])
+@pytest.mark.parametrize(
+    "check", [unused_imports, undefined_annotation_names, unused_locals]
+)
 def test_no_problems(check):
     problems = [
         f"{path.relative_to(ROOT)}:{line}: {what}"
@@ -244,3 +310,87 @@ def test_undefined_annotation_names_case(source, expected):
     assert [
         what.split()[2] for _, what in undefined_annotation_names(source)
     ] == expected
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("def f():\n    x = 1\n", [(2, "unused local x")]),
+        ("def f():\n    x: int = 1\n", [(2, "unused local x")]),
+        ("def f():\n    a = b = 1\n    return a\n", [(2, "unused local b")]),
+        (
+            "def f():\n    with open('p') as fh:\n        pass\n",
+            [(2, "unused local fh")],
+        ),
+        (
+            "def f():\n    try:\n        pass\n"
+            "    except ValueError as exc:\n        pass\n",
+            [(4, "unused local exc")],
+        ),
+        (
+            "async def f(c):\n    async with c() as conn:\n        pass\n",
+            [(2, "unused local conn")],
+        ),
+        ("class A:\n    def m(self):\n        x = 1\n", [(3, "unused local x")]),
+        (
+            "def f():\n    def g():\n        y = 1\n    return g\n",
+            [(3, "unused local y")],
+        ),
+        ("def f():\n    x = 1\n    return x\n", []),
+        ("def f():\n    x = 0\n    x += 1\n", []),
+        ("def f():\n    x = 1\n    del x\n", []),
+        ("def f():\n    x = 1\n    def g():\n        return x\n    return g\n", []),
+        ("def f():\n    _x = 1\n    _ = 2\n", []),
+        ("X = 0\ndef f():\n    global X\n    X = 1\n", []),
+        (
+            "def f():\n    x = 0\n    def g():\n        nonlocal x\n"
+            "        x = 1\n    g()\n    return x\n",
+            [],
+        ),
+        ("def f():\n    a, b = 1, 2\n    return a\n", []),
+        ("def f(c):\n    with c() as (a, b):\n        return a\n", []),
+        ("def f():\n    x = 1\n    return locals()\n", []),
+        ("def f(o):\n    o.x = 1\n    o['k'] = 2\n", []),
+        ("x = 1\nclass A:\n    y = 2\n", []),
+        # Classes defined inside a function: their attributes are theirs.
+        (
+            "def f():\n    seen = []\n    class Spy:\n        name = 'spy'\n"
+            "        def run(self, ctx):\n            seen.append(ctx)\n"
+            "    return Spy, seen\n",
+            [],
+        ),
+        (
+            "def f():\n    class Stage:\n        name = 'spy'\n"
+            "        def __init__(self):\n            self.seen = []\n"
+            "    return Stage()\n",
+            [],
+        ),
+        (
+            "def f():\n    class EmptyState:\n        channels = {}\n"
+            "    return EmptyState()\n",
+            [],
+        ),
+        (
+            "def f(live):\n    class BlockedState:\n"
+            "        channels = {u: 0 for u in live}\n    return BlockedState\n",
+            [],
+        ),
+        (
+            "def f(models):\n    for model in models:\n        totals = {}\n"
+            "        class Audit:\n            name = 'audit'\n"
+            "            def run(self):\n                totals[model] = 1\n"
+            "        Audit().run()\n",
+            [],
+        ),
+    ],
+    ids=[
+        "plain", "annotated", "chained", "with_as", "except_as", "async_with_as",
+        "method", "nested_function", "read_later", "augmented", "deleted",
+        "read_in_closure", "underscore", "global", "nonlocal", "tuple_unpacking",
+        "with_tuple", "locals_call", "attribute_and_subscript", "module_and_class",
+        "class_attr_beside_closure_method", "class_attr_beside_init",
+        "class_attr_literal", "class_attr_reads_local", "class_in_loop",
+    ],
+)
+def test_unused_locals_case(source, expected):
+    assert unused_locals(source) == expected
