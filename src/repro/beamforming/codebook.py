@@ -11,7 +11,7 @@ generally *not* the optimal beam.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -136,3 +136,43 @@ class SectorCodebook:
         """Per-beam, per-user gains as a ``(K, n_users)`` matrix."""
         stacked = np.vstack([np.asarray(h, dtype=complex) for h in channels])
         return np.abs(self._beams.conj() @ stacked.T) ** 2
+
+    def gains_stacked(self, channels: np.ndarray) -> np.ndarray:
+        """:meth:`gains_multi` of many equal-size groups at once.
+
+        ``channels`` is ``(groups, n, Nt)`` and the result ``(groups, K,
+        n)``.  Each group keeps its own ``(K x Nt) @ (Nt x n)`` product,
+        stacked along the leading axis, so every slice equals
+        ``gains_multi`` of that group bit for bit (and, with ``n = 1``,
+        :meth:`gains` of that channel).  One product for all users at
+        once would not: BLAS would sum it in another order.
+        """
+        channels = np.asarray(channels, dtype=complex)
+        if channels.ndim != 3 or channels.shape[2] != self.array.num_elements:
+            raise BeamformingError(
+                f"channels must have shape (groups, n, {self.array.num_elements}), "
+                f"got {channels.shape}"
+            )
+        return np.abs(self._beams.conj() @ channels.transpose(0, 2, 1)) ** 2
+
+    def best_min_gain_beams(
+        self, channel_groups: Sequence[Sequence[np.ndarray]]
+    ) -> List[int]:
+        """Per group, the beam maximising its weakest member's gain.
+
+        Equal to ``argmax(gains_multi(channels).min(axis=1))`` group by
+        group; groups of one size share one stacked product.
+        """
+        by_size: Dict[int, List[int]] = {}
+        for gi, channels in enumerate(channel_groups):
+            by_size.setdefault(len(channels), []).append(gi)
+        best = [0] * len(channel_groups)
+        for members in by_size.values():
+            stacked = np.array(
+                [[np.asarray(h, dtype=complex) for h in channel_groups[gi]]
+                 for gi in members]
+            )
+            gains = self.gains_stacked(stacked)
+            for gi, k in zip(members, gains.min(axis=2).argmax(axis=1).tolist()):
+                best[gi] = k
+        return best

@@ -101,11 +101,10 @@ class GroupBeamPlanner:
             BeamformingScheme.OPTIMIZED_UNICAST,
         ):
             return max_min_multicast_beams(self.array, channel_groups)
-        beams = []
-        for channels in channel_groups:
-            gains = self.codebook.gains_multi(list(channels))
-            beams.append(self.codebook.beam(int(np.argmax(gains.min(axis=1)))))
-        return beams
+        return [
+            self.codebook.beam(k)
+            for k in self.codebook.best_min_gain_beams(channel_groups)
+        ]
 
     def plan_group(
         self, state: ChannelState, user_ids: Sequence[int]

@@ -310,6 +310,19 @@ class FeedbackUpdater:
         return reporting
 
 
+def distinct_rows(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(matrix, axis=0, return_inverse=True)`` for a boolean matrix.
+
+    Rows are packed big-endian into bytes and compared as opaque byte
+    strings, which orders them exactly as the row-wise lexicographic sort
+    does, without sorting structured rows column by column.
+    """
+    packed = np.packbits(matrix, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return matrix[first], inverse
+
+
 class Scorer:
     """Decode at every receiver and score SSIM/PSNR against the reference."""
 
@@ -326,7 +339,7 @@ class Scorer:
         signatures = np.concatenate(
             [matrix[rows] for matrix in matrices], axis=1
         )
-        unique, inverse = np.unique(signatures, axis=0, return_inverse=True)
+        unique, inverse = distinct_rows(signatures)
         bounds = np.cumsum([0] + list(SUBLAYER_COUNTS))
         quality = np.empty(unique.shape[0])
         quality_db = np.empty(unique.shape[0])

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from ..beamforming import GroupBeamPlanner, SectorCodebook
 from ..errors import ConfigurationError
 from ..faults import FaultController
@@ -163,14 +165,18 @@ class MulticastStreamer:
         goodput is its least-served member's fraction x nominal MCS goodput
         (members without a measurement yet do not cap it).
         """
-        estimates = estimator.estimates()
-        has = estimator.has_estimate()
+        groups = allocation.groups
+        members = [g.user_ids for g in groups]
+        sizes = np.fromiter(map(len, members), dtype=np.intp, count=len(groups))
+        rows = estimator.rows([u for users in members for u in users])
+        # One (groups, largest group) matrix of member estimates, NaN where
+        # a member has no measurement or the group has no such member.
+        filled = np.arange(sizes.max(initial=0)) < sizes[:, None]
+        padded = np.full(filled.shape, np.nan)
+        padded[filled] = estimator.estimates()[rows]
+        floors = np.fmin.reduce(padded, axis=1, initial=np.nan)
         limits: Dict[int, float] = {}
-        for group in allocation.groups:
-            rows = estimator.rows(group.user_ids)
-            rows = rows[has[rows]]
-            if rows.size:
-                limits[group.index] = (
-                    float(estimates[rows].min()) * group.rate_bytes_per_s
-                )
+        for gi in np.flatnonzero(~np.isnan(floors)).tolist():
+            group = groups[gi]
+            limits[group.index] = float(floors[gi]) * group.rate_bytes_per_s
         return limits

@@ -135,11 +135,16 @@ class EmulationScenario:
         receivers = {i: p for i, p in enumerate(positions)}
         trace = CsiTrace(beacon_interval_s=BEACON_INTERVAL_S)
         ticks = max(1, int(round(duration_s / BEACON_INTERVAL_S)))
+        # Nobody moves: each receiver's paths are traced once per AP, and
+        # only shadowing is drawn again every tick.
         if num_aps <= 1:
             rng = validate_seed(seed)
+            terms = self.channel_model.receiver_terms(receivers)
             for tick in range(ticks):
                 now = tick * BEACON_INTERVAL_S
-                state = self.channel_model.snapshot(receivers, rng, time_s=now)
+                state = self.channel_model.snapshot(
+                    receivers, rng, time_s=now, terms=terms
+                )
                 trace.append(
                     CsiSnapshot(now, state, self.estimator.estimate_state(state, rng))
                 )
@@ -152,12 +157,13 @@ class EmulationScenario:
         rngs = [validate_seed(seed)] + [
             np.random.default_rng([seed, ap]) for ap in range(1, num_aps)
         ]
+        ap_terms = [model.receiver_terms(receivers) for model in models]
         for tick in range(ticks):
             now = tick * BEACON_INTERVAL_S
             ap_true: List[Dict[int, np.ndarray]] = []
             ap_est: List[Dict[int, np.ndarray]] = []
-            for model, ap_rng in zip(models, rngs):
-                state = model.snapshot(receivers, ap_rng, time_s=now)
+            for model, ap_rng, terms in zip(models, rngs, ap_terms):
+                state = model.snapshot(receivers, ap_rng, time_s=now, terms=terms)
                 estimate = self.estimator.estimate_state(state, ap_rng)
                 ap_true.append(state.channels)
                 ap_est.append(estimate.channels)

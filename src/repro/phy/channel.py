@@ -15,7 +15,7 @@ reported in dBm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +24,10 @@ from ..types import Position
 from .antenna import PhasedArray
 from .propagation import path_amplitude, path_phase_rad
 from .raytracer import RayTracer
+
+#: One traced path's share of a channel vector: (loss in dB before
+#: shadowing, carrier phasor, steering vector).
+PathTerm = Tuple[float, complex, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -157,16 +161,53 @@ class ChannelModel:
             los_extra_loss_db: Additional loss applied to the direct path
                 (e.g. :data:`HUMAN_BLOCKAGE_DB` when a blocker crosses it).
         """
-        paths = self.tracer.trace(receiver)
-        h = np.zeros(self.array.num_elements, dtype=complex)
-        for path in paths:
+        return self.synthesise(self.path_terms(receiver, los_extra_loss_db), rng)
+
+    def path_terms(
+        self, receiver: Position, los_extra_loss_db: float = 0.0
+    ) -> List[PathTerm]:
+        """The deterministic part of a receiver's channel, one term per path.
+
+        Each term is (path loss in dB before shadowing, carrier phasor,
+        steering vector).  A receiver that does not move keeps its terms,
+        so a static trace traces it once and calls :meth:`synthesise` per
+        snapshot.
+        """
+        terms = []
+        for path in self.tracer.trace(receiver):
             loss = path.loss_db
             if path.is_los:
                 loss += los_extra_loss_db
-            loss += float(rng.normal(0.0, self.fading_std_db))
-            amplitude = path_amplitude(loss)
-            phase = path_phase_rad(path.length_m)
-            h += amplitude * np.exp(1j * phase) * self.array.steering_vector(path.aod_rad)
+            terms.append(
+                (
+                    loss,
+                    np.exp(1j * path_phase_rad(path.length_m)),
+                    self.array.steering_vector(path.aod_rad),
+                )
+            )
+        return terms
+
+    def receiver_terms(
+        self,
+        receivers: Dict[int, Position],
+        los_extra_loss_db: Optional[Dict[int, float]] = None,
+    ) -> Dict[int, List[PathTerm]]:
+        """:meth:`path_terms` of every receiver, keyed like ``receivers``."""
+        extra = los_extra_loss_db or {}
+        return {
+            user: self.path_terms(pos, extra.get(user, 0.0))
+            for user, pos in receivers.items()
+        }
+
+    def synthesise(
+        self, terms: Sequence[PathTerm], rng: np.random.Generator
+    ) -> np.ndarray:
+        """Channel vector from path terms: one shadowing draw per path, in
+        path order, and the paths summed in that order."""
+        shadowing = rng.normal(0.0, self.fading_std_db, size=len(terms)).tolist()
+        h = np.zeros(self.array.num_elements, dtype=complex)
+        for (loss, phasor, steering), fade in zip(terms, shadowing):
+            h += path_amplitude(loss + fade) * phasor * steering
         return h
 
     def snapshot(
@@ -175,13 +216,17 @@ class ChannelModel:
         rng: np.random.Generator,
         time_s: float = 0.0,
         los_extra_loss_db: Optional[Dict[int, float]] = None,
+        terms: Optional[Dict[int, Sequence[PathTerm]]] = None,
     ) -> ChannelState:
-        """Channel vectors for a set of receivers at one instant."""
-        extra = los_extra_loss_db or {}
-        channels = {
-            user: self.channel_vector(pos, rng, extra.get(user, 0.0))
-            for user, pos in receivers.items()
-        }
+        """Channel vectors for a set of receivers at one instant.
+
+        ``terms`` are the receivers' :meth:`path_terms`, traced once by a
+        caller that snapshots the same static receivers many times; they
+        already carry any extra line-of-sight loss.
+        """
+        if terms is None:
+            terms = self.receiver_terms(receivers, los_extra_loss_db)
+        channels = {user: self.synthesise(terms[user], rng) for user in receivers}
         return ChannelState(
             channels=channels, positions=dict(receivers), time_s=time_s
         )

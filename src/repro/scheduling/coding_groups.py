@@ -71,24 +71,30 @@ def assign_coding_groups(
     if unit_nbytes <= 0:
         raise SchedulingError(f"unit_nbytes must be positive, got {unit_nbytes}")
 
-    all_users = sorted({u for g in groups for u in g.user_ids})
+    members = [g.user_ids for g in groups]
     assignments: List[UnitAssignment] = []
     for layer in range(NUM_LAYERS):
-        # received[u] = bytes of the current unit user u can decode so far.
+        # Budgets only shrink, so a group without budget for this layer at
+        # the start never gets a grant in it: walk only the funded groups,
+        # still in increasing group id (a NaN budget counts as funded, as
+        # the per-group test below lets it through).
+        funded = np.flatnonzero(~(budgets[:, layer] <= 1e-9)).tolist()
+        layer_users = {u for gi in funded for u in members[gi]}
         for sublayer in range(SUBLAYER_COUNTS[layer]):
-            received: Dict[int, float] = {u: 0.0 for u in all_users}
-            for gi, group in enumerate(groups):
+            # received[u] = bytes of the current unit user u can decode so far.
+            received: Dict[int, float] = dict.fromkeys(layer_users, 0.0)
+            for gi in funded:
                 budget = budgets[gi, layer]
                 if budget <= 1e-9:
                     continue
                 deficit = max(
-                    (unit_nbytes - received[u] for u in group.user_ids), default=0.0
+                    (unit_nbytes - received[u] for u in members[gi]), default=0.0
                 )
                 if deficit <= 1e-9:
                     continue
                 granted = min(budget, deficit)
                 budgets[gi, layer] -= granted
-                for u in group.user_ids:
+                for u in members[gi]:
                     received[u] = min(unit_nbytes, received[u] + granted)
                 assignments.append(
                     UnitAssignment(
@@ -98,9 +104,9 @@ def assign_coding_groups(
                         nbytes=granted,
                     )
                 )
-    # Any leftover budget means the allocation exceeded the layer's useful
-    # content for those groups; spend it on the next incomplete units
-    # (defensive — the optimizer's saturation usually prevents this).
+    # Budget left over once every unit of a layer is complete for a group's
+    # members stays unspent: the allocation exceeded the layer's useful
+    # content for that group, and nothing is carried to another layer.
     return assignments
 
 

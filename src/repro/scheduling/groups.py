@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,9 +55,11 @@ class CandidateGroup:
         """Group UDP goodput (bottleneck user's MCS), after scaling."""
         return self.plan.rate_mbps / self.rate_scale
 
-    @property
+    @cached_property
     def rate_bytes_per_s(self) -> float:
-        """Group goodput in bytes per second, after scaling."""
+        """Group goodput in bytes per second, after scaling (computed once:
+        the round-robin split, the pacing caps and the transmitter all read
+        it every frame)."""
         return self.rate_mbps * 1e6 / 8.0
 
 
@@ -152,8 +155,7 @@ class GroupEnumerator:
     def _sort_by_azimuth(self, state: ChannelState, users: List[int]) -> List[int]:
         """Order users by the pointing angle of their best codebook sector."""
         codebook = self.planner.codebook
-        angles: Dict[int, float] = {}
-        for user in users:
-            gains = codebook.gains(state.channels[user])
-            angles[user] = codebook.beam_angle_rad(int(np.argmax(gains)))
+        channels = np.array([[state.channels[u]] for u in users])
+        best = codebook.gains_stacked(channels)[:, :, 0].argmax(axis=1).tolist()
+        angles = dict(zip(users, (codebook.beam_angle_rad(k) for k in best)))
         return sorted(users, key=lambda u: angles[u])

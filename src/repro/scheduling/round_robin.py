@@ -57,35 +57,36 @@ def _round_robin(
 ) -> AllocationResult:
     num_groups = len(groups)
     num_slots = max(1, int(frame_budget_s / SLOT_S))
-    slots_per_group = np.zeros(num_groups)
-    for slot in range(num_slots):
-        slots_per_group[slot % num_groups] += 1
+    # Slot s goes to group s mod G: the first (slots mod G) groups get one
+    # slot more than the rest, and with fewer slots than groups the rest
+    # get none.
+    rounds, extra = divmod(num_slots, num_groups)
+    slots_per_group = np.full(num_groups, float(rounds))
+    slots_per_group[:extra] += 1
     group_time = slots_per_group * SLOT_S
+    slotted = np.flatnonzero(slots_per_group).tolist()
 
     layer_sizes = _common_layer_sizes(contexts)
+    rates = [g.rate_bytes_per_s for g in groups]
     time = np.zeros((num_groups, NUM_LAYERS))
-    for gi, group in enumerate(groups):
-        budget_bytes = group_time[gi] * group.rate_bytes_per_s
+    for gi in slotted:
+        rate = rates[gi]
+        budget_bytes = group_time[gi] * rate
         for layer in range(NUM_LAYERS):
             layer_bytes = min(budget_bytes, layer_sizes[layer])
-            time[gi, layer] = (
-                layer_bytes / group.rate_bytes_per_s if group.rate_bytes_per_s else 0.0
-            )
+            time[gi, layer] = layer_bytes / rate if rate else 0.0
             budget_bytes -= layer_bytes
             if budget_bytes <= 0:
                 break
 
-    bytes_alloc = time * np.array([g.rate_bytes_per_s for g in groups])[:, None]
-    users = sorted(contexts)
-    membership = np.zeros((len(users), num_groups), dtype=bool)
-    for gi, group in enumerate(groups):
-        for user in group.user_ids:
-            if user in contexts:
-                membership[users.index(user), gi] = True
-    per_user = {
-        u: (membership[k][:, None] * bytes_alloc).sum(axis=0)
-        for k, u in enumerate(users)
-    }
+    bytes_alloc = time * np.array(rates)[:, None]
+    # A user's bytes are the sum of their groups' rows, added in group
+    # order; groups without slots add exact zeros and are skipped.
+    per_user = {u: np.zeros(NUM_LAYERS) for u in sorted(contexts)}
+    for gi in slotted:
+        for user in groups[gi].user_ids:
+            if user in per_user:
+                per_user[user] += bytes_alloc[gi]
     return AllocationResult(
         groups=list(groups),
         time_s=time,

@@ -248,9 +248,11 @@ class FrameTransmitter:
     ) -> TransmissionResult:
         packet_bytes = encoder.symbol_size + HEADER_BYTES
 
-        # Resolve the effective pacing rate per group.
+        # Resolve the effective pacing rate of every group the plan (and so
+        # any makeup pass) sends to.
         rates: Dict[int, float] = {}
-        for group in groups:
+        for gi in dict.fromkeys(a.group_index for a in assignments):
+            group = groups[gi]
             rate = group.rate_bytes_per_s
             if self.rate_control and group.index in limits:
                 rate = min(rate, max(limits[group.index], packet_bytes / budget_s))
