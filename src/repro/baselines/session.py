@@ -6,7 +6,7 @@ the DASH/MPC baselines historically went through the free function
 convention.  :class:`AbrSession` wraps the baseline in the same
 ``stream_trace(trace, num_frames)`` session interface, so the emulation
 harness can drive all four mobile-comparison approaches through one code
-path (see :func:`repro.emulation.sweep.run_session_sweep`).
+path (see :func:`repro.emulation.shard.run_session_sweep`).
 """
 
 from __future__ import annotations

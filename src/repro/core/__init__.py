@@ -7,8 +7,9 @@ with feedback/retransmission -> per-user decode -> SSIM/PSNR.
 
 The per-frame loop itself is a staged session pipeline
 (:mod:`repro.core.pipeline`): pluggable :class:`PipelineStage` objects
-driven by a :class:`StreamSession`, with beacon-boundary adaptation
-delegated to :mod:`repro.core.policy` strategies.
+driven by a :class:`StreamSession`, one stage list at every AP count, with
+beacon-boundary adaptation delegated to :mod:`repro.core.policy`
+strategies and cross-AP repair in :mod:`repro.core.multi_ap`.
 """
 
 from .config import SystemConfig
@@ -24,13 +25,6 @@ from .pipeline import (
     StreamOutcome,
     StreamSession,
     Transmitter,
-    default_stages,
-)
-from .multi_ap import (
-    MultiApCodingGroupMapper,
-    MultiApPlanner,
-    MultiApTransmitter,
-    multi_ap_stages,
 )
 from .policy import (
     AdaptationStrategy,
@@ -55,11 +49,6 @@ __all__ = [
     "Transmitter",
     "FeedbackUpdater",
     "Scorer",
-    "default_stages",
-    "MultiApPlanner",
-    "MultiApCodingGroupMapper",
-    "MultiApTransmitter",
-    "multi_ap_stages",
     "AdaptationStrategy",
     "RealtimeUpdateStrategy",
     "BeamTrackingStrategy",

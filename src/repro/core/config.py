@@ -64,11 +64,10 @@ class SystemConfig:
             fault-free and bit-identically to earlier versions; a mapping
             is accepted and coerced (JSON/CLI-driven construction).
         topology: Optional multi-AP block
-            (:class:`repro.phy.TopologyConfig`).  ``None`` (default) or
-            ``num_aps == 1`` streams through the single-AP pipeline
-            bit-identically to earlier versions; ``num_aps > 1`` enables
-            AP association, handover and cross-AP coded repair.  A mapping
-            is accepted and coerced.
+            (:class:`repro.phy.TopologyConfig`).  ``None`` (default) is a
+            one-AP session, identical to ``num_aps == 1``; ``num_aps > 1``
+            adds AP association, handover and cross-AP coded repair to the
+            same pipeline.  A mapping is accepted and coerced.
     """
 
     height: int = 288
@@ -157,8 +156,3 @@ class SystemConfig:
     def num_aps(self) -> int:
         """Access points the configured topology asks for (1 when absent)."""
         return self.topology.num_aps if self.topology is not None else 1
-
-    @property
-    def multi_ap(self) -> bool:
-        """Whether the multi-AP pipeline is active."""
-        return self.num_aps > 1

@@ -7,8 +7,14 @@ one shared :class:`FrameContext`:
 ``Planner`` -> ``FrameEncoder`` -> ``CodingGroupMapper`` -> ``Transmitter``
 -> ``FeedbackUpdater`` -> ``Scorer``
 
+Every session runs this one list, at any AP count.  The plan, map and
+transmit stages loop over the topology's APs; a session without a topology
+is a one-AP session in which AP 0 serves every user.  Cross-AP repair, the
+one algorithm specific to several APs, lives in :mod:`repro.core.multi_ap`
+and is called by the planner and the transmit stage.
+
 :class:`StreamSession` owns the loop-carried state (bandwidth estimators,
-the current allocation, the last plan time), walks the stages for every
+the per-AP allocations, the last plan time), walks the stages for every
 frame, and emits the observability spans at stage boundaries.  Adaptation
 policy — what happens at beacon boundaries — is delegated to a
 :mod:`repro.core.policy` strategy, so new policies plug in without touching
@@ -29,15 +35,21 @@ from ..fountain.block import FrameBlockEncoder
 from ..obs import OBS
 from ..quality.curves import FrameFeatureContext
 from ..scheduling import AllocationResult, assign_coding_groups
-from ..transport import CohortBandwidthEstimator, CohortBandwidthView
+from ..transport import (
+    CohortBandwidthEstimator,
+    CohortBandwidthView,
+    TransmissionResult,
+)
+from ..transport.association import ApAssociationPolicy
 from ..types import OutcomeStats
 from ..video.jigsaw import SUBLAYER_COUNTS
+from .multi_ap import cross_ap_repair, plan_repair
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..beamforming import BeamPlan
+    from ..phy.channel import ChannelState
     from ..phy.csi import CsiTrace
     from ..scheduling.coding_groups import UnitAssignment
-    from ..transport.transmitter import TransmissionResult
     from ..video.dataset import FrameQualityProbe
     from .config import SystemConfig
     from .policy import AdaptationStrategy
@@ -61,10 +73,14 @@ class SessionState:
     Attributes:
         bw_estimators: Per-user views over the session's cohort bandwidth
             estimator.
-        allocation: The allocation currently being streamed.
-        last_plan_time: When the allocation was last (re)planned.
-        planned_users: Membership the current allocation was planned for;
-            a churn-induced mismatch forces a replan.
+        ap_users: Users each AP serves, indexed by AP id.
+        ap_allocations: The allocation each AP is streaming (``None`` for
+            an AP that serves no one).
+        repair_plans: Per AP, the singleton repair beam of each user it
+            backs up as secondary AP (all empty at one AP).
+        last_plan_time: When the allocations were last (re)planned.
+        planned_users: Membership the current allocations were planned
+            for; a churn-induced mismatch forces a replan.
         beacon_retries: Consecutive frames the planner has retried a lost
             beacon update (bounded by ``faults.max_beacon_retries``).
         last_estimated_state: Freshest successfully received CSI estimate,
@@ -74,11 +90,15 @@ class SessionState:
     """
 
     bw_estimators: Dict[int, CohortBandwidthView]
-    allocation: Optional[AllocationResult] = None
+    ap_users: List[List[int]] = field(default_factory=list)
+    ap_allocations: List[Optional[AllocationResult]] = field(
+        default_factory=list
+    )
+    repair_plans: List[Dict[int, "BeamPlan"]] = field(default_factory=list)
     last_plan_time: float = -np.inf
     planned_users: Optional[Tuple[int, ...]] = None
     beacon_retries: int = 0
-    last_estimated_state: Optional[object] = None
+    last_estimated_state: Optional["ChannelState"] = None
     feedback_staleness: Dict[int, int] = field(default_factory=dict)
 
 
@@ -88,7 +108,8 @@ class FrameContext:
 
     Stages communicate exclusively through this object: each stage fills in
     the fields downstream stages consume, so a stage can be swapped out
-    without the others noticing.
+    without the others noticing.  The ``ap_*`` and ``repair_plans`` lists
+    hold one entry per AP of the topology (one entry without a topology).
     """
 
     frame_index: int
@@ -96,21 +117,20 @@ class FrameContext:
     users: List[int]
     probe: "FrameQualityProbe"
     feature_contexts: Dict[int, FrameFeatureContext]
-    allocation: Optional[AllocationResult] = None
+    ap_users: List[List[int]] = field(default_factory=list)
+    ap_allocations: List[Optional[AllocationResult]] = field(
+        default_factory=list
+    )
+    ap_assignments: List[Sequence["UnitAssignment"]] = field(
+        default_factory=list
+    )
+    repair_plans: List[Dict[int, "BeamPlan"]] = field(default_factory=list)
     encoder: Optional[FrameBlockEncoder] = None
-    assignments: Optional[Sequence["UnitAssignment"]] = None
-    true_state: Optional[object] = None
+    true_state: Optional["ChannelState"] = None
     rate_limits: Dict[int, float] = field(default_factory=dict)
     result: Optional["TransmissionResult"] = None
     deadline_met: bool = True
     span: Optional[object] = None
-    # Multi-AP extensions (populated only by repro.core.multi_ap stages;
-    # single-AP sessions leave them None).  Indexed by AP id where listed.
-    ap_allocations: Optional[List[Optional[AllocationResult]]] = None
-    ap_assignments: Optional[List[Optional[Sequence["UnitAssignment"]]]] = None
-    ap_users: Optional[List[List[int]]] = None
-    association: Optional[Dict[int, int]] = None
-    repair_plans: Optional[Dict[int, Tuple[int, "BeamPlan"]]] = None
 
 
 class PipelineStage(Protocol):
@@ -124,68 +144,158 @@ class PipelineStage(Protocol):
 
 
 class Planner:
-    """Plan at t=0, then defer beacon-boundary decisions to the strategy.
+    """Plan every AP at t=0, then defer beacon-boundary decisions to the
+    strategy.
+
+    A session without a topology is a one-AP session: AP 0 serves every
+    user, with no association work and no repair.  With more APs the
+    planner owns the session-lifetime :class:`ApAssociationPolicy`
+    (handover hysteresis needs memory across beacons); a replan
+    re-associates every user to its strongest AP, plans each AP over its
+    own estimated channels and users, and plans the cross-AP repair beams.
 
     Under fault injection two extra paths open up: receiver churn forces an
     immediate replan for the new membership, and lost beacons are retried
-    frame by frame (the allocation carries over) until either a beacon gets
+    frame by frame (the allocations carry over) until either a beacon gets
     through or the bounded retry budget is exhausted — at which point the
     strategy's ``on_beacon_lost`` fallback runs on the stale estimate.
     """
 
     name = "plan"
 
+    def __init__(self) -> None:
+        self.association: Optional[ApAssociationPolicy] = None
+
     def run(self, ctx: FrameContext, session: "StreamSession") -> None:
         state = session.state
-        config = session.config
-        beacon_due = (
-            ctx.now - state.last_plan_time >= config.beacon_interval_s - 1e-9
-        )
-        membership_changed = (
-            state.allocation is not None
-            and state.planned_users is not None
-            and tuple(ctx.users) != state.planned_users
-        )
-        if state.allocation is None or membership_changed:
-            snapshot = session.trace.at_time(ctx.now)
-            state.last_estimated_state = snapshot.estimated_state
-            state.allocation = session.streamer._plan(
-                snapshot.estimated_state, ctx.users, ctx.feature_contexts
-            )
-            state.last_plan_time = ctx.now
-            state.planned_users = tuple(ctx.users)
-            state.beacon_retries = 0
-            if membership_changed:
+        planned = state.planned_users
+        if planned is None or tuple(ctx.users) != planned:
+            self._replan(ctx, session, self._estimate(ctx, session))
+            if planned is not None:
                 OBS.count("fault.churn.replans")
-        elif beacon_due:
+        elif (
+            ctx.now - state.last_plan_time
+            >= session.config.beacon_interval_s - 1e-9
+        ):
             if session.faults is not None and session.faults.beacon_lost():
                 self._beacon_lost(ctx, session)
             else:
-                snapshot = session.trace.at_time(ctx.now)
-                state.last_estimated_state = snapshot.estimated_state
-                state.allocation = session.strategy.on_beacon(
-                    session, ctx, snapshot.estimated_state
+                self._on_beacon(ctx, session, self._estimate(ctx, session))
+        ctx.ap_users = state.ap_users
+        ctx.ap_allocations = state.ap_allocations
+        ctx.repair_plans = state.repair_plans
+
+    @staticmethod
+    def _estimate(ctx: FrameContext, session: "StreamSession") -> "ChannelState":
+        """This beacon's CSI estimate, kept for beacon-loss fallbacks."""
+        estimated = session.trace.at_time(ctx.now).estimated_state
+        session.state.last_estimated_state = estimated
+        return estimated
+
+    def _replan(
+        self,
+        ctx: FrameContext,
+        session: "StreamSession",
+        estimated: "ChannelState",
+    ) -> None:
+        """Associate (more than one AP), then plan every AP afresh."""
+        state = session.state
+        state.ap_users = self._associate(ctx, session, estimated)
+        state.ap_allocations = [
+            session.streamer._plan(
+                estimated.for_ap(ap),
+                users,
+                {u: ctx.feature_contexts[u] for u in users},
+            )
+            if users
+            else None
+            for ap, users in enumerate(state.ap_users)
+        ]
+        state.repair_plans = (
+            [{}]
+            if self.association is None
+            else plan_repair(session, self.association, estimated)
+        )
+        state.last_plan_time = ctx.now
+        state.planned_users = tuple(ctx.users)
+        state.beacon_retries = 0
+
+    def _associate(
+        self,
+        ctx: FrameContext,
+        session: "StreamSession",
+        estimated: "ChannelState",
+    ) -> List[List[int]]:
+        """Each AP's users: everyone on AP 0 at one AP, else every user
+        re-associated to its strongest AP."""
+        topology = session.config.topology
+        if topology is None or topology.num_aps == 1:
+            return [list(ctx.users)]
+        if self.association is None:
+            self.association = ApAssociationPolicy(
+                n_aps=topology.num_aps,
+                budget=session.streamer.channel_model.budget,
+                hysteresis_db=topology.hysteresis_db,
+                noise_db=topology.handover_noise_db,
+                seed=topology.handover_seed,
+            )
+        self.association.update(estimated, ctx.users, faults=session.faults)
+        ap_users = [
+            self.association.users_of(ap) for ap in range(topology.num_aps)
+        ]
+        if OBS.mode:
+            for ap, users in enumerate(ap_users):
+                OBS.set_gauge(f"core.multi_ap.ap.{ap}.users", len(users))
+        return ap_users
+
+    def _on_beacon(
+        self,
+        ctx: FrameContext,
+        session: "StreamSession",
+        estimated: "ChannelState",
+    ) -> None:
+        """Let the strategy adapt each AP's allocation against that AP's
+        channels; a ``None`` answer asks for a fresh plan instead."""
+        state = session.state
+        adapted: List[Optional[AllocationResult]] = []
+        for ap, allocation in enumerate(state.ap_allocations):
+            if allocation is not None:
+                allocation = session.strategy.on_beacon(
+                    session, allocation, estimated.for_ap(ap)
                 )
-                state.last_plan_time = ctx.now
-                state.beacon_retries = 0
-        ctx.allocation = state.allocation
+                if allocation is None:
+                    self._replan(ctx, session, estimated)
+                    return
+            adapted.append(allocation)
+        state.ap_allocations = adapted
+        state.last_plan_time = ctx.now
+        state.beacon_retries = 0
 
     @staticmethod
     def _beacon_lost(ctx: FrameContext, session: "StreamSession") -> None:
         """Bounded retry, then the strategy's graceful-degradation path.
 
         While retrying, ``last_plan_time`` is left alone so the update
-        stays due and is re-attempted next frame; on timeout the session
-        gives up until the next beacon boundary.
+        stays due and is re-attempted next frame; on timeout each AP's
+        allocation goes through the strategy's fallback and the session
+        gives up until the next beacon boundary.  The association is kept.
         """
         state = session.state
         state.beacon_retries += 1
         OBS.count("fault.beacon.lost")
         if state.beacon_retries > session.config.faults.max_beacon_retries:
             OBS.count("fault.beacon.timeouts")
-            state.allocation = session.strategy.on_beacon_lost(
-                session, ctx, state.last_estimated_state
-            )
+            stale = state.last_estimated_state
+            state.ap_allocations = [
+                session.strategy.on_beacon_lost(
+                    session,
+                    allocation,
+                    None if stale is None else stale.for_ap(ap),
+                )
+                if allocation is not None
+                else None
+                for ap, allocation in enumerate(state.ap_allocations)
+            ]
             state.last_plan_time = ctx.now
             state.beacon_retries = 0
 
@@ -205,51 +315,80 @@ class FrameEncoder:
 
 
 class CodingGroupMapper:
-    """Map the time allocation onto coding units (Problem 4)."""
+    """Map each AP's time allocation onto coding units (Problem 4 per AP)."""
 
     name = "map"
 
     def run(self, ctx: FrameContext, session: "StreamSession") -> None:
-        allocation = ctx.allocation
-        assert allocation is not None
-        ctx.assignments = assign_coding_groups(
-            allocation.bytes_allocated,
-            allocation.groups,
-            session.streamer.codec.structure.sublayer_nbytes,
-        )
+        nbytes = session.streamer.codec.structure.sublayer_nbytes
+        ctx.ap_assignments = [
+            assign_coding_groups(a.bytes_allocated, a.groups, nbytes)
+            if a is not None
+            else []
+            for a in ctx.ap_allocations
+        ]
 
 
 class Transmitter:
-    """Paced transmission with feedback rounds over the true channels."""
+    """Paced transmission with feedback rounds over the true channels.
+
+    One transmitter pass per AP, each over that AP's channel view and
+    AP-scoped fault view, all recording into one receiver state opened for
+    the frame's users; then cross-AP repair
+    (:func:`repro.core.multi_ap.cross_ap_repair`, a no-op at one AP), and
+    the frame is closed once.  APs transmit concurrently on separated
+    beams, so the frame's airtime is the maximum per-AP clock.  Every pass
+    stops at the frame budget, so ``deadline_met`` is True by construction.
+    """
 
     name = "transmit"
 
     def run(self, ctx: FrameContext, session: "StreamSession") -> None:
         streamer = session.streamer
-        config = session.config
-        allocation = ctx.allocation
-        assert allocation is not None and ctx.encoder is not None
-        assert ctx.assignments is not None
-        ctx.true_state = session.trace.at_time(ctx.now).true_state
-        ctx.rate_limits = streamer._rate_limits(allocation, session.cohort_bw)
-        fault_kwargs = (
-            {"active_users": ctx.users, "faults": session.faults}
-            if session.faults is not None
-            else {}
+        assert ctx.encoder is not None
+        budget_s = session.config.frame_budget_s
+        true_state = session.trace.at_time(ctx.now).true_state
+        ctx.true_state = true_state
+        transmitter = streamer.transmitter
+        receivers = transmitter.open_frame(ctx.encoder, ctx.users)
+        ap_airtime = [0.0] * len(ctx.ap_allocations)
+        packets_sent = packets_dropped = rounds = 0
+        ctx.rate_limits = {}
+        for ap, allocation in enumerate(ctx.ap_allocations):
+            if allocation is None:
+                continue
+            limits = streamer._rate_limits(allocation, session.cohort_bw)
+            ctx.rate_limits.update(limits)
+            result = transmitter.transmit(
+                ctx.encoder,
+                ctx.ap_assignments[ap],
+                allocation.groups,
+                true_state.for_ap(ap),
+                budget_s,
+                streamer.rng,
+                rate_limits_bytes_per_s=limits,
+                active_users=ctx.ap_users[ap],
+                faults=(
+                    session.faults.for_ap(ap)
+                    if session.faults is not None
+                    else None
+                ),
+                receivers=receivers,
+            )
+            ap_airtime[ap] = result.airtime_s
+            packets_sent += result.packets_sent
+            packets_dropped += result.packets_dropped_at_queue
+            rounds = max(rounds, result.feedback_rounds_used)
+        packets_sent += cross_ap_repair(
+            ctx, session, receivers, true_state, ap_airtime, budget_s
         )
-        ctx.result = streamer.transmitter.transmit(
-            ctx.encoder,
-            ctx.assignments,
-            allocation.groups,
-            ctx.true_state,
-            config.frame_budget_s,
-            streamer.rng,
-            rate_limits_bytes_per_s=ctx.rate_limits,
-            **fault_kwargs,
+        transmitter.close_frame(receivers)
+        airtime = max(ap_airtime)
+        ctx.result = TransmissionResult(
+            receivers, min(airtime, budget_s), packets_sent, packets_dropped,
+            rounds,
         )
-        ctx.deadline_met = (
-            ctx.result.airtime_s <= config.frame_budget_s + 1e-9
-        )
+        ctx.deadline_met = airtime <= budget_s + 1e-9
 
 
 class FeedbackUpdater:
@@ -360,18 +499,6 @@ class Scorer:
         )
 
 
-def default_stages() -> List[PipelineStage]:
-    """The paper's per-frame loop as an ordered stage list."""
-    return [
-        Planner(),
-        FrameEncoder(),
-        CodingGroupMapper(),
-        Transmitter(),
-        FeedbackUpdater(),
-        Scorer(),
-    ]
-
-
 class StreamSession:
     """Drives one streaming session's frames through the stage pipeline.
 
@@ -379,7 +506,9 @@ class StreamSession:
         streamer: The component bundle (planner, codec, transmitter, rng)
             the stages draw from.
         trace: Recorded CSI trace to stream over.
-        stages: Stage list override (default: :func:`default_stages`).
+        stages: Stage list override (default: ``Planner`` ->
+            ``FrameEncoder`` -> ``CodingGroupMapper`` -> ``Transmitter`` ->
+            ``FeedbackUpdater`` -> ``Scorer``, at every AP count).
         strategy: Adaptation strategy override (default: derived from the
             streamer's config via :func:`repro.core.policy.strategy_for`).
         faults: Fault controller override.  When ``None`` and the config's
@@ -413,20 +542,24 @@ class StreamSession:
         self.strategy = (
             strategy if strategy is not None else strategy_for(streamer.config)
         )
-        if stages is not None:
-            self.stages: List[PipelineStage] = list(stages)
-        elif self.config.multi_ap:
-            if trace.n_aps < self.config.num_aps:
-                raise ConfigurationError(
-                    f"config asks for {self.config.num_aps} APs but the "
-                    f"trace carries channels for {trace.n_aps}; record it "
-                    f"with num_aps={self.config.num_aps}"
-                )
-            from .multi_ap import multi_ap_stages
-
-            self.stages = multi_ap_stages()
-        else:
-            self.stages = default_stages()
+        if trace.n_aps < self.config.num_aps:
+            raise ConfigurationError(
+                f"config asks for {self.config.num_aps} APs but the "
+                f"trace carries channels for {trace.n_aps}; record it "
+                f"with num_aps={self.config.num_aps}"
+            )
+        self.stages: List[PipelineStage] = (
+            list(stages)
+            if stages is not None
+            else [
+                Planner(),
+                FrameEncoder(),
+                CodingGroupMapper(),
+                Transmitter(),
+                FeedbackUpdater(),
+                Scorer(),
+            ]
+        )
         self.faults = faults
         self._previous_active: Optional[Tuple[int, ...]] = None
         #: Full membership the trace was recorded for; external joins may
@@ -604,10 +737,12 @@ class StreamSession:
         OBS.count("frames.streamed")
         if not ctx.deadline_met:
             OBS.count("frames.deadline_missed")
-        assert ctx.allocation is not None and ctx.result is not None
+        assert ctx.result is not None
         frame_span.set(
             users=len(ctx.users),
-            groups=len(ctx.allocation.groups),
+            groups=sum(
+                len(a.groups) for a in ctx.ap_allocations if a is not None
+            ),
             packets_sent=ctx.result.packets_sent,
             airtime_s=ctx.result.airtime_s,
             feedback_rounds=ctx.result.feedback_rounds_used,

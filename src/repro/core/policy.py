@@ -3,16 +3,18 @@
 The per-beacon branch of the old monolithic streamer — replan in real time,
 keep only firmware beam tracking, or freeze everything at t=0 — lives here
 as three small strategy objects behind one :class:`AdaptationStrategy`
-interface.  The pipeline's ``Planner`` stage asks the session's strategy
-for the allocation to use whenever a beacon boundary passes; the strategy
-decides whether that means a fresh Problem-1 solve, a firmware sector
-re-alignment, or nothing at all.
+interface.  Whenever a beacon boundary passes, the pipeline's ``Planner``
+stage hands the strategy each AP's allocation together with that AP's view
+of the estimated channels (``estimated.for_ap(ap)``), at every AP count;
+the strategy decides whether that means a fresh plan (every user
+re-associated, every AP replanned), a firmware sector re-alignment, or
+nothing at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace as dc_replace
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -21,80 +23,93 @@ from ..types import AdaptationPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..beamforming import SectorCodebook
-    from ..phy.channel import ChannelModel
+    from ..phy.channel import ChannelModel, ChannelState
     from .config import SystemConfig
-    from .pipeline import FrameContext, StreamSession
+    from .pipeline import StreamSession
 
 
 @runtime_checkable
 class AdaptationStrategy(Protocol):
-    """What a session does at each beacon boundary after the initial plan."""
+    """What a session does at each beacon boundary after the initial plan.
+
+    Both hooks are asked once per AP that serves someone, with that AP's
+    allocation and its own estimated channels.
+    """
 
     name: str
 
     def on_beacon(
         self,
         session: "StreamSession",
-        ctx: "FrameContext",
-        estimated_state,
-    ) -> AllocationResult:
-        """Return the allocation to carry forward from this beacon on."""
+        allocation: AllocationResult,
+        estimated_state: "ChannelState",
+    ) -> Optional[AllocationResult]:
+        """Return the allocation this AP carries forward from this beacon
+        on, or ``None`` for a fresh plan: every user re-associated and
+        every AP replanned from this beacon's estimate."""
         ...
 
     def on_beacon_lost(
         self,
         session: "StreamSession",
-        ctx: "FrameContext",
-        stale_estimated_state,
+        allocation: AllocationResult,
+        stale_estimated_state: Optional["ChannelState"],
     ) -> AllocationResult:
         """Graceful degradation once the beacon-retry budget is exhausted.
 
-        Called with the *last successfully received* estimated state (or
-        ``None`` when even the initial one is gone); must return the
-        allocation to limp along with until the next beacon boundary.
+        Called with the *last successfully received* estimated state of
+        this AP (or ``None`` when even the initial one is gone); must
+        return the allocation to limp along with until the next beacon
+        boundary.  The association is kept.
         """
         ...
 
 
 class RealtimeUpdateStrategy:
-    """Re-solve beams, rates and the time allocation every beacon."""
+    """Re-associate and re-solve beams, rates and the time allocation of
+    every AP every beacon."""
 
     name = "realtime_update"
 
     def on_beacon(
-        self, session: "StreamSession", ctx: "FrameContext", estimated_state
-    ) -> AllocationResult:
-        return session.streamer._plan(
-            estimated_state, ctx.users, ctx.feature_contexts
-        )
+        self,
+        session: "StreamSession",
+        allocation: AllocationResult,
+        estimated_state: "ChannelState",
+    ) -> None:
+        """Nothing is adapted in place: every beacon is a fresh plan."""
+        return None
 
     def on_beacon_lost(
-        self, session: "StreamSession", ctx: "FrameContext", stale_estimated_state
+        self,
+        session: "StreamSession",
+        allocation: AllocationResult,
+        stale_estimated_state: Optional["ChannelState"],
     ) -> AllocationResult:
         """Without fresh CSI there is nothing to re-solve against: keep the
         last-known-good allocation (rate-limit decay and feedback rounds
         still adapt the send rate underneath it)."""
-        allocation = session.state.allocation
-        assert allocation is not None
         return allocation
 
 
 class BeamTrackingStrategy:
     """No Update, but with the NIC's autonomous sector tracking.
 
-    "No Update" freezes the schedule, groups, MCS, time allocation and the
-    *optimized* beam weights at t=0 — but 802.11ad NICs autonomously keep a
-    codebook sector aligned (mandatory beam tracking), so each group falls
-    back to the best predefined sector for its members.
+    "No Update" freezes the association, schedule, groups, MCS, time
+    allocation and the *optimized* beam weights at t=0 — but 802.11ad NICs
+    autonomously keep a codebook sector aligned (mandatory beam tracking),
+    so each group falls back to the best predefined sector for its members,
+    against its own AP's channels.
     """
 
     name = "no_update"
 
     def on_beacon(
-        self, session: "StreamSession", ctx: "FrameContext", estimated_state
+        self,
+        session: "StreamSession",
+        allocation: AllocationResult,
+        estimated_state: "ChannelState",
     ) -> AllocationResult:
-        allocation = session.state.allocation
-        assert allocation is not None
         return self.retrack_beams(
             session.streamer.codebook,
             session.streamer.channel_model,
@@ -103,21 +118,17 @@ class BeamTrackingStrategy:
         )
 
     def on_beacon_lost(
-        self, session: "StreamSession", ctx: "FrameContext", stale_estimated_state
+        self,
+        session: "StreamSession",
+        allocation: AllocationResult,
+        stale_estimated_state: Optional["ChannelState"],
     ) -> AllocationResult:
         """The NIC's sector tracking is local to the radios — it keeps
         running without AP-side beacons, so re-track against the freshest
         estimate we ever had (or keep everything if there is none)."""
-        allocation = session.state.allocation
-        assert allocation is not None
         if stale_estimated_state is None:
             return allocation
-        return self.retrack_beams(
-            session.streamer.codebook,
-            session.streamer.channel_model,
-            allocation,
-            stale_estimated_state,
-        )
+        return self.on_beacon(session, allocation, stale_estimated_state)
 
     @staticmethod
     def retrack_beams(
@@ -172,18 +183,20 @@ class FrozenStrategy:
     name = "no_update_frozen"
 
     def on_beacon(
-        self, session: "StreamSession", ctx: "FrameContext", estimated_state
+        self,
+        session: "StreamSession",
+        allocation: AllocationResult,
+        estimated_state: "ChannelState",
     ) -> AllocationResult:
-        allocation = session.state.allocation
-        assert allocation is not None
         return allocation
 
     def on_beacon_lost(
-        self, session: "StreamSession", ctx: "FrameContext", stale_estimated_state
+        self,
+        session: "StreamSession",
+        allocation: AllocationResult,
+        stale_estimated_state: Optional["ChannelState"],
     ) -> AllocationResult:
         """Frozen is frozen: a lost beacon changes nothing."""
-        allocation = session.state.allocation
-        assert allocation is not None
         return allocation
 
 

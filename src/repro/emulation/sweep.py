@@ -20,7 +20,7 @@ compare the resulting quality.  This module owns that shape once:
 The campaign engine that runs these tasks — in-process or on the
 persistent worker pool, optionally sharded and checkpointed — is
 :mod:`repro.emulation.shard` (:func:`run_variant_sweep`,
-:func:`run_session_sweep`).  Both names still resolve from this module.
+:func:`run_session_sweep`).
 """
 
 from __future__ import annotations
@@ -61,20 +61,6 @@ __all__ = [
     "install_context",
     "merge_runs",
 ]
-
-#: The campaign entry points, defined in :mod:`.shard` (which imports this
-#: module) and resolved lazily here so ``repro.emulation.sweep`` keeps
-#: serving them without an import cycle.
-_ENGINE_NAMES = ("run_variant_sweep", "run_session_sweep")
-
-
-def __getattr__(name: str) -> Any:
-    if name in _ENGINE_NAMES:
-        from . import shard
-
-        return getattr(shard, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 #: A factory building a session object for ``(ctx, seed)``; the returned
 #: object must expose ``stream_trace(trace, num_frames)``.

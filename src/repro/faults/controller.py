@@ -84,8 +84,7 @@ class FaultController:
     def rss_offset_db(self, user: int, ap: Optional[int] = None) -> float:
         """Signed RSS offset for ``user`` at the current frame time.
 
-        ``ap`` scopes the query to one AP's link; ``None`` (the single-AP
-        pipeline) means AP 0.
+        ``ap`` scopes the query to one AP's link; ``None`` means AP 0.
         """
         return self.schedule.rss_offset_db(self.now, user, ap=ap)
 

@@ -124,8 +124,7 @@ class FaultEvent:
         """Whether this event reaches the link to AP ``ap``.
 
         An untagged event (``self.ap is None``) reaches every AP; an
-        untagged *query* (``ap is None`` — the single-AP pipeline, which
-        never names APs) means AP 0.
+        untagged *query* (``ap is None``) means AP 0.
         """
         return self.ap is None or self.ap == (ap if ap is not None else 0)
 
@@ -174,7 +173,7 @@ class FaultSchedule:
 
         Concurrent blockage bursts and SNR dips stack — two bodies in the
         LoS attenuate more than one.  ``ap`` scopes the query to one AP's
-        link; ``None`` (the single-AP pipeline) means AP 0.
+        link; ``None`` means AP 0.
         """
         return -sum(
             e.magnitude_db

@@ -142,8 +142,8 @@ class TopologyConfig:
 
     Every field is a plain scalar so dotted sweep overrides
     (``topology.num_aps=2``) compose exactly like the ``faults.*`` axis.
-    ``num_aps == 1`` (or an absent block) streams through the single-AP
-    pipeline bit-identically to the pre-topology system.
+    ``num_aps == 1`` (or an absent block) is a one-AP session and streams
+    bit-identically to the pre-topology system.
 
     Attributes:
         num_aps: Access points covering the room (wall-midpoint layout via

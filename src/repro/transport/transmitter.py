@@ -21,6 +21,7 @@ the burst, so losses hit base layers too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -72,42 +73,26 @@ class TransmissionResult:
     """Outcome of one frame's transmission.
 
     Attributes:
-        receptions: Per-user scalar views into ``cohort`` (each one's
-            decoder is built only when read).
+        cohort: The frame's struct-of-arrays reception state, which the
+            pipeline stages read.
         airtime_s: Total air/queue time consumed.
         packets_sent: Packets put on the air (post rate-control/queue).
         packets_dropped_at_queue: Packets lost in the kernel queue (only in
             the no-rate-control mode).
         feedback_rounds_used: Retransmission rounds that actually ran.
-        cohort: The frame's struct-of-arrays reception state, which the
-            pipeline stages read.
     """
 
-    receptions: Dict[int, CohortUserReception]
+    cohort: FrameCohort
     airtime_s: float
     packets_sent: int
     packets_dropped_at_queue: int
     feedback_rounds_used: int
-    cohort: FrameCohort
 
-    @classmethod
-    def of(
-        cls,
-        cohort: FrameCohort,
-        airtime_s: float,
-        packets_sent: int,
-        packets_dropped_at_queue: int,
-        feedback_rounds_used: int,
-    ) -> "TransmissionResult":
-        """The result over ``cohort``'s final state."""
-        return cls(
-            receptions=cohort.receptions(),
-            airtime_s=airtime_s,
-            packets_sent=packets_sent,
-            packets_dropped_at_queue=packets_dropped_at_queue,
-            feedback_rounds_used=feedback_rounds_used,
-            cohort=cohort,
-        )
+    @cached_property
+    def receptions(self) -> Dict[int, CohortUserReception]:
+        """Per-user scalar views into ``cohort``, built on first read (each
+        one's decoder is built only when read)."""
+        return self.cohort.receptions()
 
 
 #: One expanded plan entry: (group index, unit, symbols to send).
@@ -306,7 +291,7 @@ class FrameTransmitter:
             self._paced_pass(makeup, groups, rates, member_probs, receivers,
                              packet_bytes, budget_s, state, rng)
 
-        return TransmissionResult.of(
+        return TransmissionResult(
             receivers,
             min(state.clock_s, budget_s),
             state.packets_sent,

@@ -1,4 +1,4 @@
-"""Multi-AP pipeline: stage selection, 1-AP bit-identity, failover, repair.
+"""Multi-AP sessions: one stage list, 1-AP bit-identity, failover, repair.
 
 The load-bearing contract: the topology axis is purely *additive*.  A
 config without a topology block (or with ``num_aps == 1``) must stream
@@ -17,16 +17,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    MulticastStreamer,
-    MultiApCodingGroupMapper,
-    MultiApPlanner,
-    MultiApTransmitter,
-    SystemConfig,
-)
+from repro.core import BeamTrackingStrategy, MulticastStreamer, SystemConfig
 from repro.errors import ConfigurationError
 from repro.obs import OBS, observed
 from repro.phy.topology import TopologyConfig
+from repro.transport.cohort import FrameCohort
+from repro.types import AdaptationPolicy, Position
 
 from tests.faults.conftest import fingerprint
 
@@ -62,32 +58,70 @@ def _run(scenario, tiny_dnn, hr_probe, trace, seed=0, frames=4, **overrides):
 
 
 class TestStageSelection:
-    def test_multi_ap_config_selects_multi_ap_stages(
+    def test_one_stage_list_at_every_ap_count(
         self, scenario, tiny_dnn, hr_probe
     ):
         trace = _trace(scenario, 2, seed=3, num_aps=2)
-        config = SystemConfig(**RES, topology=TopologyConfig(num_aps=2))
-        streamer = MulticastStreamer(
-            config, tiny_dnn, [hr_probe], scenario.channel_model, seed=0
-        )
-        session = streamer.session(trace)
-        names = [type(stage) for stage in session.stages]
-        assert MultiApPlanner in names
-        assert MultiApCodingGroupMapper in names
-        assert MultiApTransmitter in names
+        stage_types = []
+        for topology in (None, TopologyConfig(num_aps=1),
+                         TopologyConfig(num_aps=2)):
+            config = SystemConfig(**RES, topology=topology)
+            streamer = MulticastStreamer(
+                config, tiny_dnn, [hr_probe], scenario.channel_model, seed=0
+            )
+            session = streamer.session(trace)
+            stage_types.append([type(stage) for stage in session.stages])
+        assert stage_types[0] == stage_types[1] == stage_types[2]
 
-    def test_single_ap_topology_selects_default_stages(
+    def test_one_ap_does_no_association_work(
         self, scenario, tiny_dnn, hr_probe
     ):
-        trace = _trace(scenario, 2, seed=3)
+        """At one AP, AP 0 serves everyone: no association policy is ever
+        built, so no RSS matrix is computed, and nothing is repaired."""
+        trace = _trace(scenario, 3, seed=3, num_aps=2)
         config = SystemConfig(**RES, topology=TopologyConfig(num_aps=1))
         streamer = MulticastStreamer(
             config, tiny_dnn, [hr_probe], scenario.channel_model, seed=0
         )
         session = streamer.session(trace)
-        assert not any(
-            isinstance(stage, MultiApTransmitter) for stage in session.stages
+        with observed("counters"):
+            session.run(4)
+            counters = OBS.counters()
+        assert session.stages[0].association is None
+        assert session.state.ap_users == [[0, 1, 2]]
+        assert session.state.repair_plans == [{}]
+        assert not any(name.startswith("core.multi_ap") for name in counters)
+
+    @pytest.mark.parametrize("num_aps", (1, 2))
+    def test_receptions_built_once_per_frame(
+        self, scenario, tiny_dnn, hr_probe, monkeypatch, num_aps
+    ):
+        """Per-AP passes share one receiver state and build no per-user
+        views of it; the frame's result builds them once, on first read."""
+        built = []
+        receptions = FrameCohort.receptions
+
+        def counting(cohort):
+            built.append(cohort.frame_index)
+            return receptions(cohort)
+
+        monkeypatch.setattr(FrameCohort, "receptions", counting)
+
+        class Reader:
+            name = "reader"
+
+            def run(self, ctx, session):
+                assert ctx.result.receptions is ctx.result.receptions
+
+        trace = _trace(scenario, 3, seed=9, num_aps=2)
+        config = SystemConfig(**RES, topology=TopologyConfig(num_aps=num_aps))
+        streamer = MulticastStreamer(
+            config, tiny_dnn, [hr_probe], scenario.channel_model, seed=0
         )
+        session = streamer.session(trace)
+        session.stages.append(Reader())
+        session.run(4)
+        assert built == [0, 1, 2, 3]
 
     def test_insufficient_trace_rejected(self, scenario, tiny_dnn, hr_probe):
         """A 2-AP config on a 1-AP trace is a recording mistake, not
@@ -103,7 +137,6 @@ class TestStageSelection:
     def test_topology_dict_coerced(self):
         config = SystemConfig(**RES, topology={"num_aps": 2})
         assert config.num_aps == 2
-        assert config.multi_ap
 
 
 class TestSingleApIdentity:
@@ -221,8 +254,8 @@ class TestMultiApSession:
 
             def run(self, ctx, session):
                 seen.append((
-                    ctx.association, ctx.ap_users,
-                    ctx.ap_allocations, ctx.repair_plans,
+                    ctx.ap_users, ctx.ap_allocations, ctx.ap_assignments,
+                    ctx.repair_plans,
                 ))
 
         trace = _trace(scenario, 3, seed=9, num_aps=2, duration_s=0.4)
@@ -230,17 +263,17 @@ class TestMultiApSession:
         streamer = MulticastStreamer(
             config, tiny_dnn, [hr_probe], scenario.channel_model, seed=0
         )
-        from repro.core.multi_ap import multi_ap_stages
-        session = streamer.session(trace, stages=multi_ap_stages() + [Spy()])
+        session = streamer.session(trace)
+        session.stages.append(Spy())
         session.run(2)
         assert len(seen) == 2
-        for association, ap_users, ap_allocations, repair_plans in seen:
-            assert set(association) == {0, 1, 2}
-            assert all(ap in (0, 1) for ap in association.values())
+        for ap_users, ap_allocations, ap_assignments, repair_plans in seen:
             assert len(ap_users) == 2
             assert sorted(u for users in ap_users for u in users) == [0, 1, 2]
-            assert len(ap_allocations) == 2
-            assert repair_plans is not None
+            assert len(ap_allocations) == len(ap_assignments) == 2
+            assert len(repair_plans) == 2
+            for ap, plans in enumerate(repair_plans):
+                assert not set(plans) & set(ap_users[ap])
 
     def test_cross_ap_repair_delivers_symbols_under_blockage(
         self, scenario, tiny_dnn, hr_probe
@@ -277,12 +310,13 @@ class TestMultiApSession:
         config = SystemConfig(
             **RES, topology=TopologyConfig(num_aps=2), faults=dict(BLOCKAGE)
         )
-        from repro.core.multi_ap import multi_ap_stages
         with observed("counters"):
             streamer = MulticastStreamer(
                 config, tiny_dnn, [hr_probe], scenario.channel_model, seed=0
             )
-            streamer.session(trace, stages=multi_ap_stages() + [Sum()]).run(6)
+            session = streamer.session(trace)
+            session.stages.append(Sum())
+            session.run(6)
             repaired = OBS.counters().get("core.multi_ap.repair.packets", 0)
         assert repaired > 0
         for user, (got, lost) in totals.items():
@@ -311,3 +345,75 @@ class TestMultiApSession:
             return float(np.mean([s.ssim for s in outcome.stats]))
 
         assert mean_ssim(double) >= mean_ssim(single) - 1e-9
+
+
+class TestStrategiesAtTwoAps:
+    """The session's adaptation strategy runs at every AP count, on each
+    AP's own allocation and channels."""
+
+    def _frames(self, scenario, tiny_dnn, hr_probe, **overrides):
+        """Per frame, the (ap_users, ap_allocations) the stages saw."""
+        seen = []
+
+        class Spy:
+            name = "spy"
+
+            def run(self, ctx, session):
+                seen.append((ctx.ap_users, list(ctx.ap_allocations)))
+
+        # Two users near each AP, so both APs serve from the first plan on.
+        positions = [
+            Position(3.0, 5.0), Position(3.5, 7.0),
+            Position(16.5, 5.5), Position(17.0, 7.0),
+        ]
+        trace = scenario.static_trace(
+            positions, duration_s=0.4, seed=5, num_aps=2
+        )
+        config = SystemConfig(
+            **RES, topology=TopologyConfig(num_aps=2),
+            adaptation=AdaptationPolicy.NO_UPDATE, faults=dict(BLOCKAGE),
+            **overrides,
+        )
+        streamer = MulticastStreamer(
+            config, tiny_dnn, [hr_probe], scenario.channel_model, seed=0
+        )
+        session = streamer.session(trace)
+        session.stages.append(Spy())
+        session.run(10)  # beacons at frames 3, 6 and 9
+        return seen, trace, streamer
+
+    def test_frozen_keeps_every_allocation_and_the_association(
+        self, scenario, tiny_dnn, hr_probe
+    ):
+        seen, _, _ = self._frames(
+            scenario, tiny_dnn, hr_probe, no_update_beam_tracking=False
+        )
+        users, allocations = seen[0]
+        assert all(users) and None not in allocations
+        for later_users, later_allocations in seen[1:]:
+            assert later_users == users
+            assert all(
+                a is b for a, b in zip(later_allocations, allocations)
+            )
+
+    def test_beam_tracking_retracks_each_ap_on_its_own_channels(
+        self, scenario, tiny_dnn, hr_probe
+    ):
+        seen, trace, streamer = self._frames(scenario, tiny_dnn, hr_probe)
+        users, initial = seen[0]
+        assert all(users) and None not in initial
+        tracked_users, tracked = seen[3]
+        assert tracked_users == users
+        estimated = trace.at_time(3 / 30).estimated_state
+        for ap, (before, after) in enumerate(zip(initial, tracked)):
+            expected = BeamTrackingStrategy.retrack_beams(
+                streamer.codebook, streamer.channel_model, before,
+                estimated.for_ap(ap),
+            )
+            assert after is not before
+            assert after.time_s is before.time_s
+            assert [g.user_ids for g in after.groups] == [
+                g.user_ids for g in before.groups
+            ]
+            for got, want in zip(after.groups, expected.groups):
+                np.testing.assert_array_equal(got.plan.beam, want.plan.beam)

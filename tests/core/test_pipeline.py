@@ -5,12 +5,16 @@ import pytest
 
 from repro.core import (
     BeamTrackingStrategy,
+    CodingGroupMapper,
+    FeedbackUpdater,
+    FrameEncoder,
     FrozenStrategy,
     MulticastStreamer,
+    Planner,
     RealtimeUpdateStrategy,
     Scorer,
     SystemConfig,
-    default_stages,
+    Transmitter,
     strategy_for,
 )
 from repro.errors import ConfigurationError
@@ -52,9 +56,17 @@ class TestStrategySelection:
         assert isinstance(strategy_for(config), FrozenStrategy)
 
 
+def _stages():
+    return [
+        Planner(), FrameEncoder(), CodingGroupMapper(), Transmitter(),
+        FeedbackUpdater(), Scorer(),
+    ]
+
+
 class TestDefaultStages:
-    def test_stage_order(self):
-        names = [stage.name for stage in default_stages()]
+    def test_stage_order(self, parts):
+        session = _streamer(parts).session(parts[3])
+        names = [stage.name for stage in session.stages]
         assert names == [
             "plan", "encode", "map", "transmit", "feedback", "score",
         ]
@@ -106,7 +118,7 @@ class TestStreamSession:
 
         spy = SpyStage()
         streamer = _streamer(parts, seed=2)
-        session = streamer.session(trace, stages=default_stages() + [spy])
+        session = streamer.session(trace, stages=_stages() + [spy])
         session.run(4)
         assert spy.frames == [0, 1, 2, 3]
 
@@ -114,10 +126,29 @@ class TestStreamSession:
         """Dropping the Scorer yields an empty outcome — stages really are
         the only writers."""
         _, _, _, trace = parts
-        stages = [s for s in default_stages() if not isinstance(s, Scorer)]
+        stages = [s for s in _stages() if not isinstance(s, Scorer)]
         session = _streamer(parts, seed=2).session(trace, stages=stages)
         outcome = session.run(2)
         assert outcome.stats == []
+
+
+class TestControlPlaneLeave:
+    def test_evicted_user_is_not_tracked_again(self, parts):
+        """A control-plane leave drops the receiver for good: later frames
+        open their receiver state for the live membership only, so closing
+        them does not re-create the leaver's tally (faults off)."""
+        scenario = parts[0]
+        positions = scenario.place_arc(3, 3.0, 60, seed=4)
+        trace = scenario.static_trace(positions, duration_s=0.3, seed=5)
+        streamer = _streamer(parts, seed=1)
+        session = streamer.session(trace)
+        session.begin(3)
+        session.stream_frame(0)
+        assert session.evict_user(2)
+        session.stream_frame(1)
+        session.stream_frame(2)
+        assert streamer.transmitter.tracked_users() == [0, 1]
+        assert streamer.transmitter.user_state(2) is None
 
 
 class TestRetrackBeams:

@@ -2,13 +2,12 @@
 
 import pytest
 
+from repro.emulation.shard import run_session_sweep, run_variant_sweep
 from repro.emulation.sweep import (
     Variant,
     ap_fault_grid,
     merge_runs,
     parse_config_overrides,
-    run_session_sweep,
-    run_variant_sweep,
     sweep_num_aps,
     variant_from_spec,
 )

@@ -76,7 +76,7 @@ class TestBeaconLossDegradation:
         assert counters["fault.beacon.lost"] == 4
         assert counters["fault.beacon.timeouts"] == 1
         assert session.state.beacon_retries == 0
-        assert session.state.allocation is not None
+        assert session.state.ap_allocations[0] is not None
 
     def test_short_outage_never_times_out(self, parts):
         """One lost beacon with a healthy next frame: retried, no timeout."""

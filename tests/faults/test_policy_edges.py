@@ -22,24 +22,20 @@ def planned_session(parts):
     return session
 
 
-def _ctx(session):
-    return session.frame_context(1)
-
-
 class TestOnBeaconLostFallbacks:
     def test_realtime_keeps_last_allocation(self, planned_session):
         session = planned_session
-        allocation = session.state.allocation
+        allocation = session.state.ap_allocations[0]
         result = RealtimeUpdateStrategy().on_beacon_lost(
-            session, _ctx(session), session.state.last_estimated_state
+            session, allocation, session.state.last_estimated_state
         )
         assert result is allocation
 
     def test_frozen_is_frozen(self, planned_session):
         session = planned_session
-        allocation = session.state.allocation
+        allocation = session.state.ap_allocations[0]
         result = FrozenStrategy().on_beacon_lost(
-            session, _ctx(session), session.state.last_estimated_state
+            session, allocation, session.state.last_estimated_state
         )
         assert result is allocation
 
@@ -47,17 +43,17 @@ class TestOnBeaconLostFallbacks:
         self, planned_session
     ):
         session = planned_session
-        allocation = session.state.allocation
+        allocation = session.state.ap_allocations[0]
         result = BeamTrackingStrategy().on_beacon_lost(
-            session, _ctx(session), None
+            session, allocation, None
         )
         assert result is allocation
 
     def test_beam_tracking_retracks_on_stale_estimate(self, planned_session):
         session = planned_session
-        allocation = session.state.allocation
+        allocation = session.state.ap_allocations[0]
         result = BeamTrackingStrategy().on_beacon_lost(
-            session, _ctx(session), session.state.last_estimated_state
+            session, allocation, session.state.last_estimated_state
         )
         assert result is not allocation
         assert len(result.groups) == len(allocation.groups)
@@ -69,7 +65,7 @@ class TestRetrackAllSectorsBlocked:
         """When every sector sees a dead channel (all gains zero), firmware
         tracking has nothing better to offer: beams stay frozen."""
         session = planned_session
-        allocation = session.state.allocation
+        allocation = session.state.ap_allocations[0]
         live = session.state.last_estimated_state
 
         class BlockedState:
@@ -111,4 +107,4 @@ class TestFrozenUnderBeaconLoss:
         outcome = session.run(12)  # crosses 3 beacon boundaries
         assert len(calls) == 1  # only the t=0 plan
         assert len(outcome.stats) == 12 * 2
-        assert session.state.allocation is not None
+        assert session.state.ap_allocations[0] is not None

@@ -13,7 +13,8 @@ batch engine.  Two anchors:
 
 import asyncio
 
-from repro.emulation.sweep import Variant, run_variant_sweep
+from repro.emulation.shard import run_variant_sweep
+from repro.emulation.sweep import Variant
 from repro.service import ReceiverClient, ServiceServer, http_request
 from repro.service.session import SessionSpec
 

@@ -25,8 +25,6 @@ from hypothesis import strategies as st
 
 from repro.beamforming import GroupBeamPlanner, SectorCodebook
 from repro.core import MulticastStreamer, SystemConfig
-from repro.core.multi_ap import multi_ap_stages
-from repro.core.pipeline import default_stages
 from repro.faults import FaultController, FaultEvent, FaultKind, FaultSchedule
 from repro.fountain.block import (
     FOUNTAIN_CODECS,
@@ -442,11 +440,9 @@ class TestSessionEquivalence:
             positions, duration_s=0.3, seed=seed + 1, num_aps=num_aps
         )
         overrides = {}
-        stages = default_stages
         if num_aps > 1:
             faults = {**BLOCKAGE_FAILOVER, **faults}
             overrides["topology"] = TopologyConfig(num_aps=num_aps)
-            stages = multi_ap_stages
         results = []
         for receiver_model in (DecoderReceivers, CheckedCohort):
             totals = {}
@@ -479,9 +475,8 @@ class TestSessionEquivalence:
                     if events is not None
                     else None
                 )
-                session = streamer.session(
-                    trace, faults=controller, stages=stages() + [Audit()]
-                )
+                session = streamer.session(trace, faults=controller)
+                session.stages.append(Audit())
                 outcome = session.run(frames)
                 results.append((fingerprint(outcome), totals, OBS.counters()))
         return results
