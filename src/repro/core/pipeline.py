@@ -127,7 +127,6 @@ class FrameContext:
     repair_plans: List[Dict[int, "BeamPlan"]] = field(default_factory=list)
     encoder: Optional[FrameBlockEncoder] = None
     true_state: Optional["ChannelState"] = None
-    rate_limits: Dict[int, float] = field(default_factory=dict)
     result: Optional["TransmissionResult"] = None
     deadline_met: bool = True
     span: Optional[object] = None
@@ -353,15 +352,18 @@ class Transmitter:
         receivers = transmitter.open_frame(ctx.encoder, ctx.users)
         ap_airtime = [0.0] * len(ctx.ap_allocations)
         packets_sent = packets_dropped = rounds = 0
-        ctx.rate_limits = {}
         for ap, allocation in enumerate(ctx.ap_allocations):
             if allocation is None:
                 continue
-            limits = streamer._rate_limits(allocation, session.cohort_bw)
-            ctx.rate_limits.update(limits)
+            assignments = ctx.ap_assignments[ap]
+            limits = streamer._rate_limits(
+                allocation,
+                session.cohort_bw,
+                dict.fromkeys(a.group_index for a in assignments),
+            )
             result = transmitter.transmit(
                 ctx.encoder,
-                ctx.ap_assignments[ap],
+                assignments,
                 allocation.groups,
                 true_state.for_ap(ap),
                 budget_s,

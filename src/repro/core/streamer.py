@@ -14,7 +14,7 @@ the true channels, then decode at every receiver and score SSIM/PSNR.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -157,15 +157,20 @@ class MulticastStreamer:
 
     @staticmethod
     def _rate_limits(
-        allocation: AllocationResult, estimator: CohortBandwidthEstimator
+        allocation: AllocationResult,
+        estimator: CohortBandwidthEstimator,
+        sent: Iterable[int],
     ) -> Dict[int, float]:
-        """Per-group pacing caps from the previous frame's receiver feedback.
+        """Pacing caps, from the previous frame's receiver feedback, of the
+        groups a pass sends to: ``sent`` lists their positions in
+        ``allocation.groups`` (each once); caps are keyed by group index,
+        in ``sent``'s order.
 
         Estimates hold smoothed delivery fractions; a group's sustainable
         goodput is its least-served member's fraction x nominal MCS goodput
         (members without a measurement yet do not cap it).
         """
-        groups = allocation.groups
+        groups = [allocation.groups[gi] for gi in sent]
         members = [g.user_ids for g in groups]
         sizes = np.fromiter(map(len, members), dtype=np.intp, count=len(groups))
         rows = estimator.rows([u for users in members for u in users])

@@ -1,17 +1,17 @@
 """GF(256) arithmetic on numpy arrays.
 
 The Galois field GF(2^8) with the AES/RaptorQ-standard primitive polynomial
-``x^8 + x^4 + x^3 + x^2 + 1`` (0x11D generator tables).  Multiplication uses
-log/antilog tables so whole symbol rows multiply in one vectorised lookup.
+``x^8 + x^4 + x^3 + x^2 + 1`` (0x11D generator tables).
 
-Zero handling uses the log-table sentinel trick: ``log[0]`` maps to a
-sentinel index past every reachable nonzero sum, and the antilog table is
-zero from that region onward, so ``exp[log[a] + log[b]]`` is correct for all
-inputs — including zeros — with a single gather and no boolean masks.
-
-A dense 256x256 product table (:data:`_MUL`, 64 KiB) drives the matrix
-kernels: one fancy-indexed gather per source column replaces the
-log-add-antilog round trip, which is what makes batched encoding fast.
+Every product is one lookup in a dense 256x256 product table (:data:`_MUL`,
+64 KiB) read flat: the product of ``a`` and ``b`` sits at index
+``(a << 8) | b``, so a whole batch of products is one uint16 index
+expression and one ``np.take`` — no log/antilog round trip, no zero masks
+and no two-array fancy gather.  The table itself is built from log/antilog
+tables with the log-table sentinel trick: ``log[0]`` maps to a sentinel
+index past every reachable nonzero sum, and the antilog table is zero from
+that region onward, so ``exp[log[a] + log[b]]`` is correct for all inputs,
+zeros included.
 
 The ``*_reference`` functions preserve the original mask-based
 implementations as oracles for the table kernels; nothing on a hot path
@@ -56,6 +56,9 @@ _EXP, _LOG = _build_tables()
 #: Dense product table: ``_MUL[a, b]`` is the GF(256) product of a and b.
 _MUL = _EXP[_LOG[:, None] + _LOG[None, :]]
 
+#: The product table read flat: ``a * b`` sits at ``(a << 8) | b``.
+_MUL_FLAT = _MUL.ravel()
+
 #: Multiplicative inverses, with ``_INV[0] = 0`` so a missing pivot scales
 #: its column's elimination factors to zero instead of needing a mask.
 _INV = np.zeros(256, dtype=np.uint8)
@@ -68,11 +71,15 @@ _EXP_REF[:510] = _EXP[:510]
 _LOG_REF = np.where(np.arange(256) == 0, 0, _LOG).astype(np.int32)
 
 
+def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Element-wise products of uint8 arrays (broadcasting): one flat-table
+    lookup through a uint16 index the size of the broadcast result."""
+    return _MUL_FLAT.take((a.astype(np.uint16) << 8) | b)
+
+
 def gf_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Element-wise GF(256) product of two uint8 arrays (broadcasting)."""
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
-    return _EXP[_LOG[a] + _LOG[b]]
+    return _products(np.asarray(a, dtype=np.uint8), np.asarray(b, dtype=np.uint8))
 
 
 def gf_multiply_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -98,24 +105,27 @@ def gf_scale_row(row: np.ndarray, factor: int) -> np.ndarray:
         return np.zeros_like(row)
     if factor == 1:
         return row.copy()
-    return _EXP[_LOG[row] + _LOG[factor]]
+    return _products(row, np.asarray(factor, dtype=np.uint8))
 
 
-#: Temp-buffer budget (elements) for one table-blocked gather; 4M uint8
-#: keeps each block's ``(rows, k, n)`` product inside L2/L3-friendly sizes.
-_BLOCK_ELEMS = 1 << 22
+#: Element budget of one row block's ``(rows, k, n)`` products: 256K keeps
+#: the block's uint16 index (512 KiB) and its products (256 KiB) in L2;
+#: budgets of 1M and more measured slower on 4.8M-product encodes.
+_BLOCK_ELEMS = 1 << 18
 
 
-def gf_matmul_blocked(
+def gf_matmul(
     a: np.ndarray, b: np.ndarray, block_elems: int = _BLOCK_ELEMS
 ) -> np.ndarray:
-    """Table-blocked GF(256) matrix product ``(m, k) @ (k, n)``.
+    """GF(256) matrix product of uint8 matrices ``(m, k) @ (k, n)``.
 
-    One three-dimensional product-table gather per row block — XOR-reduced
-    along ``k`` — instead of a ``k``-iteration Python loop over source
-    columns.  Row blocks are sized so the ``(rows, k, n)`` temporary stays
-    under ``block_elems`` elements, which keeps the kernel cache-resident
-    for the wide coefficient batches the precode encoder produces.
+    The one kernel for every row count: dense repair encoding, precode
+    intermediates and the decoder's single-row elimination steps.  Per row
+    block, every ``(rows, k, n)`` product is one flat-table lookup
+    (:func:`_products`), XOR-reduced along ``k`` straight into the output —
+    no Python loop over source columns.  Row blocks are sized so the
+    products and their uint16 index stay under ``block_elems`` elements
+    (tests shrink it to force several blocks).
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.uint8))
     b = np.atleast_2d(np.asarray(b, dtype=np.uint8))
@@ -123,15 +133,14 @@ def gf_matmul_blocked(
         raise FountainCodeError(f"shape mismatch: {a.shape} @ {b.shape}")
     m, k = a.shape
     n = b.shape[1]
-    out = np.zeros((m, n), dtype=np.uint8)
-    if m == 0 or n == 0 or k == 0:
-        return out
+    out = np.empty((m, n), dtype=np.uint8)  # k = 0 reduces to XOR's identity, 0
     rows_per_block = max(1, int(block_elems) // max(1, k * n))
     for start in range(0, m, rows_per_block):
         block = a[start : start + rows_per_block]
-        products = _MUL[block[:, :, None], b[None, :, :]]
-        out[start : start + block.shape[0]] = np.bitwise_xor.reduce(
-            products, axis=1
+        np.bitwise_xor.reduce(
+            _products(block[:, :, None], b[None, :, :]),
+            axis=1,
+            out=out[start : start + block.shape[0]],
         )
     return out
 
@@ -164,28 +173,6 @@ def gf2_matmul(mask: np.ndarray, b: np.ndarray) -> np.ndarray:
     counts = mask.astype(np.float32) @ bits
     parity = (counts.astype(np.int64) & 1).astype(np.uint8)
     return np.packbits(parity, axis=1)
-
-
-def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """GF(256) matrix product of uint8 matrices ``(m, k) @ (k, n)``.
-
-    Used for encoding: coefficient rows times the source-symbol matrix.
-    Single rows keep the one-gather fast path (the decoder's elimination
-    steps); wider batches run the table-blocked kernel, whose Python
-    overhead is per row *block* rather than per source column.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=np.uint8))
-    b = np.atleast_2d(np.asarray(b, dtype=np.uint8))
-    if a.shape[1] != b.shape[0]:
-        raise FountainCodeError(f"shape mismatch: {a.shape} @ {b.shape}")
-    if a.shape[0] == 1:
-        # Row-vector product (the decoder's elimination steps): one (k, n)
-        # table gather + XOR reduction instead of a k-iteration Python loop.
-        if a.shape[1] == 0:
-            return np.zeros((1, b.shape[1]), dtype=np.uint8)
-        products = _MUL[a[0][:, None], b]
-        return np.bitwise_xor.reduce(products, axis=0, keepdims=True)
-    return gf_matmul_blocked(a, b)
 
 
 def gf_matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -234,8 +221,8 @@ def gf_ranks(matrices: Sequence[np.ndarray]) -> np.ndarray:
         column = stack[:, :, col]
         pivot_rows = stack[which, column.argmax(axis=1), col:]
         pivots[col] = pivot_rows[:, 0]
-        factors = _MUL[column, _INV[pivots[col]][:, None]]
-        stack[:, :, col:] ^= _MUL[factors[:, :, None], pivot_rows[:, None, :]]
+        factors = _products(column, _INV[pivots[col]][:, None])
+        stack[:, :, col:] ^= _products(factors[:, :, None], pivot_rows[:, None, :])
     return np.count_nonzero(pivots, axis=0)
 
 

@@ -68,6 +68,10 @@ DEFAULT_HEARTBEAT_S = 0.5
 #: timeout each time) raises instead of being retried again.
 DEFAULT_MAX_TASK_RETRIES = 2
 
+#: How long an idle worker waits for a task before checking that the
+#: process that started it is still its parent.
+ORPHAN_CHECK_S = 1.0
+
 
 def effective_jobs(jobs: Optional[int] = None) -> int:
     """Resolve a worker count from the argument or ``REPRO_JOBS``.
@@ -218,8 +222,14 @@ def _worker_main(
     initargs: Sequence,
     task_q,
     result_q,
+    parent_pid: int,
 ) -> None:
-    """Worker loop: initialize once, then serve tasks until the sentinel."""
+    """Worker loop: initialize once, then serve tasks until the sentinel.
+
+    A worker whose parent died without sending the sentinel (SIGKILL)
+    notices within :data:`ORPHAN_CHECK_S` of going idle — it has been
+    re-parented — and exits instead of blocking on its queue forever.
+    """
     try:
         if initializer is not None:
             initializer(*initargs)
@@ -228,7 +238,15 @@ def _worker_main(
         return
     result_q.put(("ready", worker_id))
     while True:
-        task = task_q.get()
+        try:
+            task = task_q.get(timeout=ORPHAN_CHECK_S)
+        except queue.Empty:
+            if os.getppid() != parent_pid:
+                # Nobody reads the results any more: exit without waiting
+                # for the queue's feeder thread to flush into a full pipe.
+                result_q.cancel_join_thread()
+                return
+            continue
         if task is None:
             return
         task_id, payload = task
@@ -318,6 +336,7 @@ class PersistentPool:
                 self._initargs,
                 task_q,
                 self._result_q,
+                os.getpid(),
             ),
             daemon=True,
         )

@@ -1,9 +1,10 @@
 """The pacing caps and the Scorer's decode-pattern dedup, off their
 per-group and structured-row paths, still produce the same bits.
 
-``MulticastStreamer._rate_limits`` takes one NaN-padded
-``(groups, largest group)`` matrix of member estimates and one row-wise
-``fmin`` instead of an ``estimator.rows`` call per group; the Scorer packs
+``MulticastStreamer._rate_limits`` caps only the groups a pass sends to,
+with one NaN-padded ``(groups, largest group)`` matrix of member estimates
+and one row-wise ``fmin`` instead of an ``estimator.rows`` call per group
+over every group; the Scorer packs
 each boolean signature row into big-endian bytes and deduplicates the byte
 strings instead of sorting structured rows.  Both must equal the frozen
 forms kept here with ``==`` and ``array_equal``.
@@ -34,6 +35,25 @@ def frozen_rate_limits(allocation, estimator):
         if rows.size:
             limits[group.index] = float(estimates[rows].min()) * group.rate_bytes_per_s
     return limits
+
+
+def frozen_sent_limits(allocation, estimator, sent):
+    """The frozen caps restricted to the groups at positions ``sent``, in
+    ``sent``'s order."""
+    frozen = frozen_rate_limits(allocation, estimator)
+    indices = (allocation.groups[gi].index for gi in sent)
+    return {i: frozen[i] for i in indices if i in frozen}
+
+
+def _sent(rng, num_groups):
+    """Sent group positions as a pass names them: each once, in the first-
+    appearance order of a random assignment list."""
+    picks = rng.integers(0, num_groups, size=int(rng.integers(0, 3 * num_groups)))
+    return list(dict.fromkeys(picks.tolist()))
+
+
+def _all(allocation):
+    return range(len(allocation.groups))
 
 
 def frozen_distinct_rows(matrix):
@@ -82,18 +102,27 @@ class TestRateLimitsMatchFrozenLoop:
         allocation = _allocation(rng, num_users, num_groups)
         measured_share = float(rng.choice([0.0, 0.3, 1.0]))
         estimator = _estimator(rng, list(range(num_users)), measured_share)
-        limits = MulticastStreamer._rate_limits(allocation, estimator)
-        frozen = frozen_rate_limits(allocation, estimator)
+        sent = _sent(rng, num_groups)
+        limits = MulticastStreamer._rate_limits(allocation, estimator, sent)
+        frozen = frozen_sent_limits(allocation, estimator, sent)
         assert limits == frozen
         assert list(limits) == list(frozen)
         assert all(type(v) is float for v in limits.values())
+
+    def test_nothing_sent_no_caps(self):
+        rng = np.random.default_rng(6)
+        allocation = _allocation(rng, 5, 9)
+        estimator = _estimator(rng, list(range(5)), 1.0)
+        assert MulticastStreamer._rate_limits(allocation, estimator, []) == {}
 
     def test_groups_with_no_estimate_get_no_cap(self):
         rng = np.random.default_rng(3)
         allocation = _allocation(rng, 6, 12)
         estimator = CohortBandwidthEstimator(range(6))
         estimator.observe_fraction_rows(estimator.rows([0]), np.array([0.5]), rng)
-        limits = MulticastStreamer._rate_limits(allocation, estimator)
+        limits = MulticastStreamer._rate_limits(
+            allocation, estimator, _all(allocation)
+        )
         assert limits == frozen_rate_limits(allocation, estimator)
         assert all(0 in allocation.groups[gi].user_ids for gi in limits)
 
@@ -101,7 +130,9 @@ class TestRateLimitsMatchFrozenLoop:
         rng = np.random.default_rng(4)
         allocation = _allocation(rng, 5, 9)
         estimator = CohortBandwidthEstimator(range(5))
-        assert MulticastStreamer._rate_limits(allocation, estimator) == {}
+        assert MulticastStreamer._rate_limits(
+            allocation, estimator, _all(allocation)
+        ) == {}
 
     def test_unknown_member_is_a_key_error(self):
         rng = np.random.default_rng(5)
@@ -110,7 +141,7 @@ class TestRateLimitsMatchFrozenLoop:
         with pytest.raises(KeyError):
             frozen_rate_limits(allocation, estimator)
         with pytest.raises(KeyError):
-            MulticastStreamer._rate_limits(allocation, estimator)
+            MulticastStreamer._rate_limits(allocation, estimator, _all(allocation))
 
 
 def _assert_same_dedup(matrix):

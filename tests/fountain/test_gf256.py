@@ -10,9 +10,9 @@ from repro.fountain.gf256 import (
     gf2_matmul,
     gf_inverse,
     gf_matmul,
-    gf_matmul_blocked,
     gf_matmul_reference,
     gf_multiply,
+    gf_multiply_reference,
     gf_rank,
     gf_ranks,
     gf_scale_row,
@@ -211,7 +211,7 @@ class TestBlockedMatmul:
         a = rng.integers(0, 256, (m, k), dtype=np.uint8)
         b = rng.integers(0, 256, (k, n), dtype=np.uint8)
         np.testing.assert_array_equal(
-            gf_matmul_blocked(a, b), gf_matmul_reference(a, b)
+            gf_matmul(a, b), gf_matmul_reference(a, b)
         )
 
     @given(
@@ -228,7 +228,7 @@ class TestBlockedMatmul:
         a = rng.integers(0, 256, (m, k), dtype=np.uint8)
         b = rng.integers(0, 256, (k, n), dtype=np.uint8)
         np.testing.assert_array_equal(
-            gf_matmul_blocked(a, b, block_elems=block_elems),
+            gf_matmul(a, b, block_elems=block_elems),
             gf_matmul_reference(a, b),
         )
 
@@ -240,7 +240,7 @@ class TestBlockedMatmul:
     )
     @settings(deadline=None, max_examples=60)
     def test_gf_matmul_multi_row_uses_blocked_result(self, m, k, n, seed):
-        """The gf_matmul fallback is the blocked kernel, not a column loop."""
+        """gf_matmul at several rows equals the column-loop reference."""
         rng = np.random.default_rng(seed)
         a = rng.integers(0, 256, (m, k), dtype=np.uint8)
         b = rng.integers(0, 256, (k, n), dtype=np.uint8)
@@ -249,11 +249,90 @@ class TestBlockedMatmul:
         )
 
     def test_single_row_fast_path_matches(self, rng):
+        """One row (a decoder elimination step) runs the same kernel."""
         a = rng.integers(0, 256, (1, 50), dtype=np.uint8)
         b = rng.integers(0, 256, (50, 64), dtype=np.uint8)
         np.testing.assert_array_equal(
             gf_matmul(a, b), gf_matmul_reference(a, b)
         )
+
+
+class TestFlatTableKernel:
+    """The flat-table kernel at the shapes and operand layouts production
+    hands it: K source symbols of n bytes, zero, one or many coefficient
+    rows, row blocks down to one row, views into larger arrays."""
+
+    @staticmethod
+    def _operands(rng, m, k, n, layout, fill):
+        if fill == "max":  # every product reads the table's last entry
+            a = np.full((m, k), 255, dtype=np.uint8)
+            b = np.full((k, n), 255, dtype=np.uint8)
+        else:
+            a = rng.integers(0, 256, (m, k), dtype=np.uint8)
+            b = rng.integers(0, 256, (k, n), dtype=np.uint8)
+        if layout == "row slice":  # rows[start:start + coded] of one pass
+            rows = np.zeros((m + 5, k), dtype=np.uint8)
+            rows[3 : 3 + m] = a
+            a = rows[3 : 3 + m]
+        elif layout == "strided":  # every-other-column / -row views
+            wide = np.zeros((m, 2 * k), dtype=np.uint8)
+            wide[:, ::2] = a
+            tall = np.zeros((2 * k, n + 1), dtype=np.uint8)
+            tall[::2, 1:] = b
+            a, b = wide[:, ::2], tall[::2, 1:]
+        return a, b
+
+    @given(
+        k=st.sampled_from([20, 27]),
+        n=st.sampled_from([116, 6000]),
+        m=st.sampled_from([0, 1, 2, 5]),
+        rows_per_block=st.sampled_from([None, 1, 2]),
+        layout=st.sampled_from(["contiguous", "row slice", "strided"]),
+        fill=st.sampled_from(["random", "max"]),
+        seed=st.integers(min_value=0, max_value=999),
+    )
+    @settings(deadline=None, max_examples=40)
+    def test_matches_reference(self, k, n, m, rows_per_block, layout, fill, seed):
+        rng = np.random.default_rng(seed)
+        a, b = self._operands(rng, m, k, n, layout, fill)
+        expected = gf_matmul_reference(a, b)
+        if rows_per_block is None:
+            got = gf_matmul(a, b)
+        else:  # a budget of one or two rows: m > 2 spans several blocks
+            got = gf_matmul(a, b, block_elems=rows_per_block * k * n)
+        assert got.dtype == np.uint8 and got.shape == (m, n)
+        np.testing.assert_array_equal(got, expected)
+
+    @given(
+        k=st.sampled_from([20, 27]),
+        n=st.sampled_from([116, 6000]),
+        seed=st.integers(min_value=0, max_value=999),
+    )
+    @settings(deadline=None, max_examples=20)
+    def test_one_strided_column_as_a_row(self, k, n, seed):
+        """A column ``a[:, j]`` of a wider matrix is a one-row product."""
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, 256, (k, 9), dtype=np.uint8)
+        b = rng.integers(0, 256, (k, n), dtype=np.uint8)
+        j = int(rng.integers(0, 9))
+        np.testing.assert_array_equal(
+            gf_matmul(a[:, j], b), gf_matmul_reference(a[:, j], b)
+        )
+
+    def test_every_product_matches_reference(self):
+        """All 65,536 table entries, the corners 0 and 65535 included."""
+        a, b = np.meshgrid(
+            np.arange(256, dtype=np.uint8), np.arange(256, dtype=np.uint8),
+            indexing="ij",
+        )
+        np.testing.assert_array_equal(
+            gf_multiply(a, b), gf_multiply_reference(a, b)
+        )
+        for factor in (0, 1, 2, 255):
+            np.testing.assert_array_equal(
+                gf_scale_row(b[0], factor),
+                gf_multiply_reference(np.uint8(factor), b[0]),
+            )
 
 
 class TestGF2Matmul:

@@ -1,11 +1,15 @@
 """Tests for the worker count, the persistent pool and shared-memory shipping."""
 
 import os
+import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import ConfigurationError, ParallelWorkerError
 from repro.perf.workers import (
     JOBS_ENV_VAR,
@@ -197,3 +201,59 @@ class TestPersistentPool:
             )
         assert out == [6, 8, 10]
         assert sorted(seen) == [(0, 6), (1, 8), (2, 10)]
+
+
+#: A campaign parent: starts a two-worker pool, prints the worker pids once
+#: both are serving, then idles until it is killed.
+_ORPHAN_PARENT = """
+import time
+from repro.perf.workers import PersistentPool
+pool = PersistentPool(abs, jobs=2, heartbeat_s=0.05)
+pool.run_tasks([-1, -2, -3, -4])
+print(*(w.process.pid for w in pool._workers.values()), flush=True)
+time.sleep(60)
+"""
+
+
+def _gone_or_zombie(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return True
+    return state == "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc/<pid>/stat")
+def test_workers_exit_when_their_parent_is_sigkilled():
+    """A SIGKILLed campaign parent sends no sentinel; its idle workers
+    notice the re-parenting and exit instead of blocking forever."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_PARENT],
+        stdout=subprocess.PIPE, env=env, text=True,
+    )
+    pids = []
+    try:
+        pids = [int(pid) for pid in parent.stdout.readline().split()]
+        assert len(pids) == 2
+        parent.send_signal(signal.SIGKILL)
+        parent.wait(timeout=5.0)
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and not all(map(_gone_or_zombie, pids)):
+            time.sleep(0.05)
+        assert [pid for pid in pids if not _gone_or_zombie(pid)] == []
+    finally:
+        parent.kill()
+        parent.wait()
+        parent.stdout.close()
+        for pid in pids:  # a worker that outlived the check
+            if not _gone_or_zombie(pid):
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
