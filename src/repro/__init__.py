@@ -15,8 +15,8 @@ A from-scratch Python implementation of the paper's entire system:
   (:mod:`repro.fountain`),
 * the Problem-1 time-allocation optimizer and Problem-4 coding-group
   greedy plus the round-robin baseline (:mod:`repro.scheduling`),
-* packet transport with leaky-bucket rate control, pseudo multicast and
-  sublayer feedback (:mod:`repro.transport`),
+* packet transport with per-group paced rate control, pseudo multicast
+  and sublayer feedback (:mod:`repro.transport`),
 * the end-to-end multicast streamer (:mod:`repro.core`),
 * Robust/Fast MPC DASH baselines (:mod:`repro.baselines`), and
 * the emulation harness regenerating every table and figure

@@ -18,12 +18,10 @@ from .multicast import (
     per_user_gains,
     svd_multicast_beam,
 )
-from .sls import sector_sweep
 from .selection import BeamPlan, GroupBeamPlanner
 
 __all__ = [
     "SectorCodebook",
-    "sector_sweep",
     "svd_multicast_beam",
     "max_min_multicast_beam",
     "max_min_multicast_beams",

@@ -112,24 +112,6 @@ def analyze_pattern(
     )
 
 
-def coverage_fraction(
-    array: PhasedArray,
-    beam: np.ndarray,
-    threshold_db_below_peak: float = 6.0,
-    num_points: int = 361,
-) -> float:
-    """Fraction of the azimuth cut within ``threshold`` dB of the peak.
-
-    Wide (discovery) sectors cover much more than pencil beams; multicast
-    beams sit in between.
-    """
-    _, gains = pattern_cut(array, beam, num_points=num_points)
-    peak = gains.max()
-    if peak <= 0:
-        return 0.0
-    return float(np.mean(gains >= peak * 10 ** (-threshold_db_below_peak / 10)))
-
-
 def ascii_pattern(
     array: PhasedArray,
     beam: np.ndarray,

@@ -22,7 +22,7 @@ class SystemConfig:
     Attributes:
         height, width: Emulated frame resolution.  The codec and pipeline
             are resolution-agnostic; the default keeps decodes cheap while
-            ``emulate_4k_load`` preserves 4K scheduling pressure.
+            :attr:`rate_scale` preserves 4K scheduling pressure.
         fps: Live frame rate (paper: 30).
         scheme: Beamforming scheme (the Sec 4.2.1 comparison axis).
         scheduler: Optimized (Problem 1) or round-robin.
@@ -35,30 +35,19 @@ class SystemConfig:
             inactivation decoding; same systematic wire framing, sparse
             repair symbols).  The default stays bit-identical to earlier
             versions.
-        emulate_4k_load: Scale link rates down by the pixel ratio so reduced
-            resolution behaves like 4K.
-        num_elements, phase_bits: AP phased-array geometry.
-        codebook_beams, codebook_wide_beams: Predefined-codebook layout.
         min_group_rate_mbps: Group pruning threshold (Sec 2.4).
-        exhaustive_max_users: Exhaustive group enumeration limit.
         max_group_size: Cap on multicast group membership during candidate
             enumeration.  ``None`` (default) enumerates unbounded
             azimuth-contiguous windows, exactly as before; setting a cap
             bounds the candidate count to O(N x cap) so thousand-receiver
             cohort sweeps plan in linear time.
-        optimizer_iterations: Problem-1 gradient steps.
         traffic_penalty_per_byte: The paper's lambda.
-        max_feedback_rounds: Retransmission rounds per frame.
-        associated_user: The one STA that is MAC-associated (Sec 3.2 pseudo
-            multicast); others run in monitor mode.
         no_update_beam_tracking: When True (default) the No-Update baseline
             keeps a predefined codebook sector aligned per beacon — 802.11ad
             NICs perform this beam tracking autonomously in firmware — while
             MCS, groups, optimized beam weights and the time allocation stay
             frozen at t=0.  Set False to freeze beams entirely (ablation).
-        mac_retries: MAC retransmissions for the associated STA.
         beacon_interval_s: ACO beacon (CSI + re-optimization) period.
-        csi_error_std: Relative ACO CSI estimation error.
         faults: Fault-injection block (:class:`repro.faults.FaultConfig`).
             All rates default to zero, so the default config streams
             fault-free and bit-identically to earlier versions; a mapping
@@ -79,21 +68,10 @@ class SystemConfig:
     rate_control: bool = True
     source_coding: bool = True
     fountain_codec: str = "dense"
-    emulate_4k_load: bool = True
-    num_elements: int = 32
-    phase_bits: int = 2
-    codebook_beams: int = 16
-    codebook_wide_beams: int = 8
     min_group_rate_mbps: float = 200.0
-    exhaustive_max_users: int = 4
     max_group_size: Optional[int] = None
-    optimizer_iterations: int = 120
     traffic_penalty_per_byte: float = 1e-9
-    max_feedback_rounds: int = 2
-    associated_user: int = 0
-    mac_retries: int = 2
     beacon_interval_s: float = 0.1
-    csi_error_std: float = 0.1
     mcs_backoff_db: float = 2.0
     retransmit_reserve: float = 0.15
     no_update_beam_tracking: bool = True
@@ -142,9 +120,8 @@ class SystemConfig:
 
     @property
     def rate_scale(self) -> float:
-        """Link-rate divisor for reduced-resolution emulation."""
-        if not self.emulate_4k_load:
-            return 1.0
+        """Link-rate divisor for reduced-resolution emulation: link rates
+        shrink by the pixel ratio, so any resolution carries 4K load."""
         return _UHD_PIXELS / float(self.height * self.width)
 
     @property

@@ -42,6 +42,12 @@ from .policy import AdaptationStrategy
 
 __all__ = ["MulticastStreamer", "StreamOutcome"]
 
+#: Narrow sectors of the predefined codebook (beside its 8 default wide ones).
+CODEBOOK_BEAMS = 16
+#: The one STA that is MAC-associated (Sec 3.2 pseudo multicast); the
+#: others run in monitor mode.
+ASSOCIATED_USER = 0
+
 
 class MulticastStreamer:
     """Runs the full system over a CSI trace.
@@ -83,11 +89,7 @@ class MulticastStreamer:
         self.fountain_codec = config.fountain_codec
 
         array = channel_model.array
-        self.codebook = SectorCodebook(
-            array,
-            num_beams=config.codebook_beams,
-            num_wide_beams=config.codebook_wide_beams,
-        )
+        self.codebook = SectorCodebook(array, num_beams=CODEBOOK_BEAMS)
         self.planner = GroupBeamPlanner(
             array,
             self.codebook,
@@ -98,24 +100,17 @@ class MulticastStreamer:
         self.enumerator = GroupEnumerator(
             self.planner,
             min_rate_mbps=config.min_group_rate_mbps,
-            exhaustive_max_users=config.exhaustive_max_users,
             rate_scale=config.rate_scale,
             max_group_size=config.max_group_size,
         )
         self.optimizer = TimeAllocationOptimizer(
             quality_model,
             traffic_penalty_per_byte=config.traffic_penalty_per_byte,
-            iterations=config.optimizer_iterations,
         )
         self.transmitter = FrameTransmitter(
-            link=LinkModel(
-                channel_model,
-                associated_user=config.associated_user,
-                mac_retries=config.mac_retries,
-            ),
+            link=LinkModel(channel_model, associated_user=ASSOCIATED_USER),
             rate_control=config.rate_control,
             source_coding=config.source_coding,
-            max_feedback_rounds=config.max_feedback_rounds,
         )
 
     # ------------------------------------------------------------------ run

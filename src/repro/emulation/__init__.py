@@ -7,7 +7,6 @@ few users, and "emulation" covers the larger topologies and the trace-driven
 mobile experiments.
 """
 
-from .analysis import TraceSummary, classify_regime, summarize_trace, trace_rss_series
 from .context import ExperimentContext, build_context, trace_for_placement
 from .scenario import EmulationScenario
 from .stats import BoxStats, summarize
@@ -41,10 +40,6 @@ from .runner import (
 
 __all__ = [
     "EmulationScenario",
-    "TraceSummary",
-    "classify_regime",
-    "summarize_trace",
-    "trace_rss_series",
     "BoxStats",
     "summarize",
     "ExperimentContext",

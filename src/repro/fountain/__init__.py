@@ -17,7 +17,6 @@ from .raptor import (
     FountainEncoder,
     FountainSymbol,
     SymbolBatch,
-    decode_failure_probability,
 )
 from .block import (
     DEFAULT_SYMBOL_SIZE,
@@ -27,7 +26,6 @@ from .block import (
     CodingUnitId,
     FrameBlockEncoder,
     FrameBlockDecoder,
-    unit_decodable,
     units_decodable,
 )
 
@@ -41,7 +39,6 @@ __all__ = [
     "SymbolBatch",
     "FountainEncoder",
     "FountainDecoder",
-    "decode_failure_probability",
     "Precode",
     "PrecodeEncoder",
     "PrecodeDecoder",
@@ -54,6 +51,5 @@ __all__ = [
     "CodingUnitId",
     "FrameBlockEncoder",
     "FrameBlockDecoder",
-    "unit_decodable",
     "units_decodable",
 ]

@@ -124,11 +124,6 @@ def units_decodable(requests: Sequence[DecodableRequest]) -> np.ndarray:
     return verdicts
 
 
-def unit_decodable(codec: str, block_id: int, k: int, symbol_ids) -> bool:
-    """:func:`units_decodable` for one received-id set."""
-    return bool(units_decodable([(codec, block_id, k, symbol_ids)])[0])
-
-
 @dataclass(frozen=True, order=True)
 class CodingUnitId:
     """Identifies one coding unit (= one sublayer of one frame).

@@ -226,11 +226,6 @@ def gf_ranks(matrices: Sequence[np.ndarray]) -> np.ndarray:
     return np.count_nonzero(pivots, axis=0)
 
 
-def gf_rank(matrix: np.ndarray) -> int:
-    """Rank of a uint8 matrix over GF(256): :func:`gf_ranks` of one."""
-    return int(gf_ranks([matrix])[0])
-
-
 def gf_solve(
     matrix: np.ndarray, rhs: np.ndarray
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:

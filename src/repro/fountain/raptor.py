@@ -50,13 +50,6 @@ from ..obs import OBS
 from .gf256 import gf_inverse, gf_matmul, gf_multiply, gf_scale_row
 
 
-def decode_failure_probability(extra_symbols: int) -> float:
-    """Probability that ``K + extra`` random symbols fail to decode."""
-    if extra_symbols < 0:
-        return 1.0
-    return float(256.0 ** -(extra_symbols + 1))
-
-
 #: 2**64 / golden ratio: the splitmix64 stream increment.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
@@ -88,11 +81,6 @@ def coefficient_rows(block_ids, symbol_ids, k: int) -> np.ndarray:
     rows = words.astype("<u8", copy=False).view(np.uint8)[:, :k]
     rows[~rows.any(axis=1), 0] = 1
     return rows
-
-
-def _coefficients(block_id: int, symbol_id: int, k: int) -> np.ndarray:
-    """Coefficient row of one repair symbol: :func:`coefficient_rows` of one."""
-    return coefficient_rows(block_id, symbol_id, k)[0]
 
 
 class CoefficientCache:

@@ -1,7 +1,7 @@
 """Performance layer: the campaign worker pool and bench timing.
 
-``repro.perf`` concentrates everything that makes the reproduction fast
-without changing results:
+``repro.perf`` holds what runs campaigns and benchmarks, not the
+per-frame hot paths (those live with their own layer):
 
 * :mod:`repro.perf.workers` — the ``REPRO_JOBS`` worker count and the
   persistent worker pool + shared-memory payload shipping that every

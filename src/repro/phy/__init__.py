@@ -15,7 +15,7 @@ The MCS/sensitivity/UDP-throughput table is the paper's own Table 2.
 
 from .antenna import PhasedArray
 from .channel import ChannelModel, ChannelState, LinkBudget
-from .mcs import MCS_TABLE, McsEntry, highest_supported_mcs, rate_for_rss_mbps
+from .mcs import MCS_TABLE, McsEntry, highest_supported_mcs
 from .mobility import EnvironmentMotionModel, RandomWalkModel
 from .raytracer import Path, Room, RayTracer
 from .csi import CsiEstimator, CsiSnapshot, CsiTrace
@@ -29,7 +29,6 @@ __all__ = [
     "MCS_TABLE",
     "McsEntry",
     "highest_supported_mcs",
-    "rate_for_rss_mbps",
     "Room",
     "Path",
     "RayTracer",

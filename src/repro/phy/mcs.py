@@ -10,7 +10,7 @@ everything above 12) — they carry a sensitivity but no rate here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..errors import ChannelError
 
@@ -61,11 +61,6 @@ HIGH_RSS_THRESHOLD_DBM = -61.0
 _SUPPORTED: Tuple[McsEntry, ...] = tuple(e for e in MCS_TABLE if e.supported)
 
 
-def supported_entries() -> Tuple[McsEntry, ...]:
-    """All MCS entries usable for data traffic, ascending by throughput."""
-    return _SUPPORTED
-
-
 def highest_supported_mcs(rss_dbm: float) -> Optional[McsEntry]:
     """Highest data-capable MCS whose sensitivity the RSS satisfies.
 
@@ -80,31 +75,9 @@ def highest_supported_mcs(rss_dbm: float) -> Optional[McsEntry]:
     return best
 
 
-def rate_for_rss_mbps(rss_dbm: float) -> float:
-    """UDP goodput available at an RSS, or 0.0 when no data MCS decodes."""
-    entry = highest_supported_mcs(rss_dbm)
-    return float(entry.udp_throughput_mbps) if entry else 0.0
-
-
 def entry_for_index(index: float) -> McsEntry:
     """Look up an MCS entry by index."""
     for entry in MCS_TABLE:
         if entry.index == index:
             return entry
     raise ChannelError(f"unknown MCS index {index}")
-
-
-def snr_margin_db(rss_dbm: float, entry: McsEntry) -> float:
-    """How far the RSS sits above the MCS sensitivity (negative = below)."""
-    return float(rss_dbm - entry.sensitivity_dbm)
-
-
-def rate_ladder_mbps() -> List[float]:
-    """Ascending list of supported UDP throughputs (the ABR bitrate ladder
-    the MPC baselines select from, Sec 4.3.4)."""
-    return sorted(float(e.udp_throughput_mbps) for e in _SUPPORTED)
-
-
-def sensitivity_map() -> Dict[float, float]:
-    """MCS index -> sensitivity in dBm for every table entry."""
-    return {e.index: e.sensitivity_dbm for e in MCS_TABLE}

@@ -26,7 +26,7 @@ see exactly the data they always saw.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
@@ -226,15 +226,3 @@ def coerce_topology(
 def topology_num_aps(config_topology: Optional[TopologyConfig]) -> int:
     """AP count of an optional topology block (1 when absent)."""
     return config_topology.num_aps if config_topology is not None else 1
-
-
-def ap_positions(topology: Topology) -> List[Position]:
-    """Positions of every AP, in AP order."""
-    return [ap.position for ap in topology]
-
-
-def validate_ap_index(ap: int, n_aps: int) -> int:
-    """Bounds-check an AP index against a topology size."""
-    if not 0 <= ap < n_aps:
-        raise ConfigurationError(f"AP index {ap} out of range [0, {n_aps})")
-    return ap

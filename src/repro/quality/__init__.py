@@ -16,7 +16,7 @@ from .model import (
     train_quality_models,
     train_default_dnn,
 )
-from .curves import FrameFeatureContext, ProgressiveQualityCurve
+from .curves import FrameFeatureContext
 
 __all__ = [
     "QualityModel",
@@ -27,5 +27,4 @@ __all__ = [
     "train_quality_models",
     "train_default_dnn",
     "FrameFeatureContext",
-    "ProgressiveQualityCurve",
 ]

@@ -1,19 +1,13 @@
-"""Per-frame quality context and ground-truth quality curves.
+"""Per-frame quality context for the scheduler.
 
-Two distinct consumers need per-frame quality information:
+The **scheduler** (Sec 2.4) evaluates the DNN ``Q(D_1..D_4)`` while
+optimizing time allocation.  It needs the per-frame features that are
+constant during the optimization — the cumulative per-layer SSIM values and
+the blank-frame SSIM — bundled here as :class:`FrameFeatureContext`.
 
-* The **scheduler** (Sec 2.4) evaluates the DNN ``Q(D_1..D_4)`` while
-  optimizing time allocation.  It needs the per-frame features that are
-  constant during the optimization — the cumulative per-layer SSIM values and
-  the blank-frame SSIM — bundled here as :class:`FrameFeatureContext`.
-* **Tests and sanity checks** need a fast ground-truth quality estimate
-  without running the decoder; :class:`ProgressiveQualityCurve` interpolates
-  real decoded quality along the progressive-fill path (lower layers first),
-  which is the path a well-behaved scheduler produces.
-
-End-to-end emulation never uses the interpolated curve for reported numbers —
-it decodes the actual delivered sublayers and measures SSIM/PSNR directly, so
-reported quality is not circular with the model the optimizer climbs.
+End-to-end emulation never uses the model for reported numbers — it decodes
+the actual delivered sublayers and measures SSIM/PSNR directly, so reported
+quality is not circular with the model the optimizer climbs.
 """
 
 from __future__ import annotations
@@ -120,45 +114,3 @@ class FrameFeatureBatch:
         """
         self._rows[:, :NUM_LAYERS] = (bytes_per_layer / self.layer_sizes).clip(0, 1)
         return self._rows
-
-
-class ProgressiveQualityCurve:
-    """Interpolated ground-truth quality along the progressive-fill path.
-
-    Progress ``p`` in ``[0, 4]`` means layers ``0 .. floor(p)-1`` are complete
-    and layer ``floor(p)`` is ``frac(p)`` received.  Quality at sampled
-    progress points is measured by actually decoding; queries interpolate
-    linearly.
-    """
-
-    def __init__(self, probe: FrameQualityProbe, points_per_layer: int = 4):
-        if points_per_layer < 1:
-            raise QualityModelError("points_per_layer must be >= 1")
-        progress = np.linspace(0.0, float(NUM_LAYERS), NUM_LAYERS * points_per_layer + 1)
-        ssims = []
-        psnrs = []
-        for p in progress:
-            fractions = np.clip(p - np.arange(NUM_LAYERS), 0.0, 1.0)
-            quality, quality_db = probe.measure(fractions)
-            ssims.append(quality)
-            psnrs.append(quality_db)
-        self._progress = progress
-        self._ssim = np.asarray(ssims)
-        self._psnr = np.asarray(psnrs)
-
-    def ssim_at(self, progress: float) -> float:
-        """Interpolated SSIM at a progressive-fill progress in [0, 4]."""
-        return float(np.interp(progress, self._progress, self._ssim))
-
-    def psnr_at(self, progress: float) -> float:
-        """Interpolated PSNR (dB) at a progressive-fill progress in [0, 4]."""
-        return float(np.interp(progress, self._progress, self._psnr))
-
-    @staticmethod
-    def progress_of_fractions(fractions: Sequence[float]) -> float:
-        """Collapse a per-layer fraction vector onto the progressive path.
-
-        Exact when the vector actually is progressive; a conservative
-        lower-ish summary otherwise (it just sums the fractions).
-        """
-        return float(np.sum(np.clip(np.asarray(fractions, dtype=float), 0.0, 1.0)))

@@ -15,7 +15,6 @@ The round-robin baseline of Sec 4.2.2 lives in
 
 from .groups import CandidateGroup, GroupEnumerator
 from .allocation import AllocationResult, TimeAllocationOptimizer
-from .scipy_allocation import ScipyAllocationOptimizer
 from .coding_groups import UnitAssignment, assign_coding_groups
 from .round_robin import round_robin_allocation
 
@@ -24,7 +23,6 @@ __all__ = [
     "GroupEnumerator",
     "AllocationResult",
     "TimeAllocationOptimizer",
-    "ScipyAllocationOptimizer",
     "UnitAssignment",
     "assign_coding_groups",
     "round_robin_allocation",

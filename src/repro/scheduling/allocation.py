@@ -78,7 +78,7 @@ class TimeAllocationOptimizer:
         self,
         quality_model: DNNQualityModel,
         traffic_penalty_per_byte: float = 1e-9,
-        iterations: int = 200,
+        iterations: int = 120,
     ) -> None:
         if traffic_penalty_per_byte < 0:
             raise SchedulingError("lambda must be >= 0")

@@ -16,7 +16,7 @@ deficit for a group is the *maximum* deficit over its members).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -108,29 +108,3 @@ def assign_coding_groups(
     # members stays unspent: the allocation exceeded the layer's useful
     # content for that group, and nothing is carried to another layer.
     return assignments
-
-
-def decoded_bytes_per_user(
-    assignments: Sequence[UnitAssignment],
-    groups: Sequence[CandidateGroup],
-    unit_nbytes: float,
-) -> Dict[int, np.ndarray]:
-    """Ideal (loss-free) decodable bytes per user per layer.
-
-    A unit counts for a user only when the user's aggregated assignment
-    reaches the full unit size — the fountain-code threshold behaviour of
-    Problem 4's second constraint.
-    """
-    all_users = sorted({u for g in groups for u in g.user_ids})
-    progress: Dict[Tuple[int, int, int], Dict[int, float]] = {}
-    for assignment in assignments:
-        key = (assignment.layer, assignment.sublayer, 0)
-        unit_progress = progress.setdefault(key, {u: 0.0 for u in all_users})
-        for u in groups[assignment.group_index].user_ids:
-            unit_progress[u] += assignment.nbytes
-    totals = {u: np.zeros(NUM_LAYERS) for u in all_users}
-    for (layer, _sub, _), unit_progress in progress.items():
-        for u, got in unit_progress.items():
-            if got >= unit_nbytes - 1e-6:
-                totals[u][layer] += unit_nbytes
-    return totals

@@ -37,7 +37,7 @@ import asyncio
 import json
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..errors import ProtocolError, ServiceError
+from ..errors import ProtocolError, ReproError, ServiceError
 from ..obs import OBS, TRACE
 from ..emulation.context import ExperimentContext
 from .protocol import encode_message, read_message, validate_control_message
@@ -420,7 +420,7 @@ class ServiceServer:
             try:
                 spec = SessionSpec.from_dict(self._json_body(body))
                 served = self.start_session(spec)
-            except ServiceError as exc:
+            except ReproError as exc:  # a bad spec, override or config
                 return 400, {"error": str(exc)}, False
             return 200, {"session": served.id, "status": served.status()}, False
         if path == "/stop" and method == "POST":

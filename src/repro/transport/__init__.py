@@ -9,7 +9,6 @@ estimation, and — for the Fig 9 ablation — an unpaced kernel queue that
 tail-drops on overflow.
 """
 
-from .leaky_bucket import LeakyBucket
 from .link import LinkModel, packet_error_rate
 from .kernel_queue import KernelQueue
 from .bandwidth import CohortBandwidthEstimator, CohortBandwidthView
@@ -17,15 +16,12 @@ from .cohort import CohortUserReception, FrameCohort, UserTallies
 from .association import (
     ApAssociationPolicy,
     association_rss_matrix,
-    delivery_probability_matrix,
 )
 from .transmitter import FrameTransmitter, TransmissionResult
 
 __all__ = [
     "ApAssociationPolicy",
     "association_rss_matrix",
-    "delivery_probability_matrix",
-    "LeakyBucket",
     "LinkModel",
     "packet_error_rate",
     "KernelQueue",

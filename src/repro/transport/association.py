@@ -24,13 +24,11 @@ import numpy as np
 from ..errors import TransportError
 from ..obs import OBS
 from ..phy.channel import ChannelState, LinkBudget
-from ..phy.mcs import McsEntry
-from .link import LinkModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.controller import FaultController
 
-__all__ = ["ApAssociationPolicy", "association_rss_matrix", "delivery_probability_matrix"]
+__all__ = ["ApAssociationPolicy", "association_rss_matrix"]
 
 
 def association_rss_matrix(
@@ -71,38 +69,6 @@ def association_rss_matrix(
                 if offset:
                     rss[ap, column] += offset
     return rss
-
-
-def delivery_probability_matrix(
-    link: LinkModel,
-    user_ids: Sequence[int],
-    beams: Sequence[np.ndarray],
-    true_state: ChannelState,
-    mcss: Sequence[Optional[McsEntry]],
-    rss_offsets_db: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Delivery probabilities on an ``(n_aps, n_users)`` grid.
-
-    Row ``a`` evaluates AP ``a``'s beam/MCS against AP ``a``'s channels via
-    the existing :meth:`LinkModel.delivery_probability_array` (the ulp-exact
-    scalar-PER path), so per-AP numbers agree bit-for-bit with what a
-    single-AP transmitter pass computes.  APs with no MCS (unreachable
-    group) get a zero row.
-    """
-    n_aps = len(beams)
-    if len(mcss) != n_aps:
-        raise TransportError(f"{n_aps} beams but {len(mcss)} MCS entries")
-    probs = np.zeros((n_aps, len(user_ids)))
-    for ap in range(n_aps):
-        mcs = mcss[ap]
-        if mcs is None:
-            continue
-        offsets = None if rss_offsets_db is None else rss_offsets_db[ap]
-        probs[ap] = link.delivery_probability_array(
-            user_ids, beams[ap], true_state.for_ap(ap), mcs,
-            rss_offsets_db=offsets,
-        )
-    return probs
 
 
 class ApAssociationPolicy:

@@ -116,16 +116,12 @@ class FrameTransmitter:
         source_coding: Fountain coding on (fresh symbols, Sec 2.6) or off
             (plain segments, duplicated across groups).
         max_feedback_rounds: Retransmission rounds within the deadline.
-        kernel_queue: Queue model for the no-rate-control mode.
-        bucket_capacity_packets: Leaky-bucket depth in packets.
     """
 
     link: LinkModel
     rate_control: bool = True
     source_coding: bool = True
     max_feedback_rounds: int = 2
-    kernel_queue: Optional[KernelQueue] = None
-    bucket_capacity_packets: int = 10
     _tallies: UserTallies = field(
         default_factory=UserTallies, init=False, repr=False, compare=False
     )
@@ -422,7 +418,7 @@ class FrameTransmitter:
         The queue/clock walk is decided first (it draws no per-member
         randomness), then delivery draws are batched per contiguous
         same-group run of sent packets."""
-        queue = self.kernel_queue or KernelQueue()
+        queue = KernelQueue()
         counts = [len(batch) for _, _, batch in plan]
         total = sum(counts)
         if not total:

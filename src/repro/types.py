@@ -72,43 +72,6 @@ class Position:
         return np.array([self.x, self.y], dtype=float)
 
 
-@dataclass(frozen=True)
-class LayerAmounts:
-    """Per-layer data volumes (bytes) delivered to one user for one frame."""
-
-    bytes_per_layer: Tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.bytes_per_layer) != NUM_LAYERS:
-            raise ConfigurationError(
-                f"expected {NUM_LAYERS} layer amounts, got "
-                f"{len(self.bytes_per_layer)}"
-            )
-        if any(b < 0 for b in self.bytes_per_layer):
-            raise ConfigurationError("layer byte counts must be non-negative")
-
-    @property
-    def total(self) -> float:
-        """Total bytes across all layers."""
-        return float(sum(self.bytes_per_layer))
-
-    def as_array(self) -> np.ndarray:
-        """Return per-layer byte counts as a float array of length 4."""
-        return np.asarray(self.bytes_per_layer, dtype=float)
-
-
-@dataclass(frozen=True)
-class QualityScore:
-    """Video quality of a single decoded frame."""
-
-    ssim: float
-    psnr_db: float
-
-    def __post_init__(self) -> None:
-        if not (-1.0 <= self.ssim <= 1.0):
-            raise ConfigurationError(f"SSIM {self.ssim} outside [-1, 1]")
-
-
 @dataclass
 class FrameStats:
     """Per-frame streaming outcome for one receiver.

@@ -129,14 +129,3 @@ def psnr(reference: _PlaneOrFrame, distorted: _PlaneOrFrame) -> float:
     if mse <= 0.0:
         return PSNR_CAP_DB
     return float(min(10.0 * np.log10(255.0**2 / mse), PSNR_CAP_DB))
-
-
-def ssim_to_psnr_rough(ssim_value: float) -> float:
-    """Rough monotone SSIM -> PSNR mapping used only for sanity checks.
-
-    Empirical fit over natural video content; not used in any benchmark
-    result, only to validate that jointly reported SSIM/PSNR pairs are
-    plausible.
-    """
-    clipped = float(np.clip(ssim_value, 1e-6, 1.0 - 1e-9))
-    return float(10.0 * np.log10(1.0 / (1.0 - clipped)) + 13.0)

@@ -19,7 +19,7 @@ experiments are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -229,14 +229,3 @@ def make_standard_videos(
             )
         )
     return videos
-
-
-def evaluation_videos(
-    height: int = DEFAULT_HEIGHT,
-    width: int = DEFAULT_WIDTH,
-    num_frames: int = 30,
-    seed: Optional[int] = 11,
-) -> List[SyntheticVideo]:
-    """The 2 HR + 2 LR evaluation sequences used in Sec 4.1."""
-    corpus = make_standard_videos(height, width, num_frames, seed=int(seed or 11))
-    return [corpus[0], corpus[1], corpus[3], corpus[4]]

@@ -7,7 +7,6 @@ from repro.beamforming.multicast import max_min_multicast_beam
 from repro.beamforming.patterns import (
     analyze_pattern,
     ascii_pattern,
-    coverage_fraction,
     pattern_cut,
 )
 from repro.errors import BeamformingError
@@ -62,20 +61,6 @@ class TestAnalyzePattern:
         beam = array.conjugate_beam(array.steering_vector(0.2))
         stats = analyze_pattern(array, beam)
         assert stats.num_lobes <= 3  # main lobe + quantisation artefacts
-
-
-class TestCoverage:
-    def test_wide_beam_covers_more(self, array):
-        from repro.beamforming.codebook import SectorCodebook
-
-        codebook = SectorCodebook(array, num_beams=8, num_wide_beams=4)
-        narrow = coverage_fraction(array, codebook.beam(4))
-        wide = coverage_fraction(array, codebook.beam(8 + 2))
-        assert wide > narrow
-
-    def test_coverage_in_unit_range(self, array):
-        beam = array.conjugate_beam(array.steering_vector(0.0))
-        assert 0.0 < coverage_fraction(array, beam) < 1.0
 
 
 class TestAsciiPattern:

@@ -1,11 +1,10 @@
-"""Tests for scheme-aware beam/rate planning (and SLS)."""
+"""Tests for scheme-aware beam/rate planning."""
 
 import numpy as np
 import pytest
 
 from repro.beamforming.codebook import SectorCodebook
 from repro.beamforming.selection import GroupBeamPlanner
-from repro.beamforming.sls import sector_sweep
 from repro.errors import BeamformingError
 from repro.types import BeamformingScheme, Position
 
@@ -22,27 +21,6 @@ def world(request):
     state = scenario.channel_model.snapshot(users, rng)
     codebook = SectorCodebook(scenario.array, num_beams=16, num_wide_beams=4)
     return scenario, state, codebook
-
-
-class TestSls:
-    def test_best_beam_has_max_gain(self, world, rng):
-        scenario, state, codebook = world
-        result = sector_sweep(codebook, state.channels[0])
-        assert result.best_gain == pytest.approx(result.per_beam_gain.max())
-
-    def test_measurement_noise_requires_rng(self, world):
-        _, state, codebook = world
-        with pytest.raises(ValueError):
-            sector_sweep(codebook, state.channels[0], measurement_noise_db=1.0)
-
-    def test_noise_can_change_selection(self, world, rng):
-        _, state, codebook = world
-        clean = sector_sweep(codebook, state.channels[0]).best_index
-        picks = {
-            sector_sweep(codebook, state.channels[0], rng, 6.0).best_index
-            for _ in range(30)
-        }
-        assert clean in picks or len(picks) > 1
 
 
 class TestGroupBeamPlanner:

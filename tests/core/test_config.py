@@ -22,10 +22,6 @@ class TestSystemConfig:
         config = SystemConfig(height=2160, width=3840)
         assert config.rate_scale == pytest.approx(1.0)
 
-    def test_rate_scale_disabled(self):
-        config = SystemConfig(emulate_4k_load=False)
-        assert config.rate_scale == 1.0
-
     def test_plan_budget_leaves_reserve(self):
         config = SystemConfig(retransmit_reserve=0.2)
         assert config.plan_budget_s == pytest.approx(0.8 / 30)

@@ -58,6 +58,13 @@ class TestOverrideParsing:
         with pytest.raises(EmulationError, match="unknown SystemConfig field"):
             parse_config_overrides({"warp_drive": "on"})
 
+    @pytest.mark.parametrize("name", ["num_elements", "phase_bits", "csi_error_std"])
+    def test_fields_the_streamer_never_read_are_rejected(self, name):
+        """The streamer's array comes from the channel model and the CSI
+        error from the scenario, so these would stream the base config."""
+        with pytest.raises(EmulationError, match="unknown SystemConfig field"):
+            parse_config_overrides({name: "64"})
+
     def test_bad_bool_rejected(self):
         with pytest.raises(EmulationError, match="expects a boolean"):
             parse_config_overrides({"rate_control": "sideways"})

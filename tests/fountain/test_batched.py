@@ -19,7 +19,7 @@ from repro.fountain.raptor import (
     CoefficientCache,
     FountainDecoder,
     FountainEncoder,
-    _coefficients,
+    coefficient_rows,
 )
 
 _SETTINGS = dict(
@@ -44,7 +44,7 @@ def _reference_payload(block_id, data, symbol_size, symbol_id):
     ).reshape(k, symbol_size)
     if symbol_id < k:
         return source[symbol_id].tobytes()
-    row = _coefficients(block_id, symbol_id, k)
+    row = coefficient_rows(block_id, symbol_id, k)[0]
     return gf_matmul_reference(row[None], source)[0].tobytes()
 
 
@@ -64,7 +64,7 @@ def _resolve(block_id, data_len, symbol_size, symbols):
             if symbol_id < k:
                 matrix[row, symbol_id] = 1
             else:
-                matrix[row] = _coefficients(block_id, symbol_id, k)
+                matrix[row] = coefficient_rows(block_id, symbol_id, k)[0]
         rhs = np.stack([np.frombuffer(held[i], dtype=np.uint8) for i in ids])
         solved = gf_solve(matrix, rhs)
         if solved is not None:
@@ -120,7 +120,7 @@ class TestBatchedEncodeEquivalence:
         k = 20
         for symbol_id in (20, 21, 57, 300):
             row = cache.row(77, k, symbol_id)
-            np.testing.assert_array_equal(row, _coefficients(77, symbol_id, k))
+            np.testing.assert_array_equal(row, coefficient_rows(77, symbol_id, k)[0])
 
     def test_cache_eviction_bounds_memory(self):
         cache = CoefficientCache(max_blocks=4)
@@ -129,7 +129,7 @@ class TestBatchedEncodeEquivalence:
         assert len(cache._blocks) <= 4
         # Evicted entries are recomputed correctly on the next request.
         np.testing.assert_array_equal(
-            cache.row(0, 5, 7), _coefficients(0, 7, 5)
+            cache.row(0, 5, 7), coefficient_rows(0, 7, 5)[0]
         )
 
 

@@ -13,7 +13,6 @@ from repro.fountain.gf256 import (
     gf_matmul_reference,
     gf_multiply,
     gf_multiply_reference,
-    gf_rank,
     gf_ranks,
     gf_scale_row,
     gf_solve,
@@ -187,13 +186,13 @@ class TestStackedRank:
     def test_one_matrix_form(self, rng):
         matrix = rng.integers(0, 256, (9, 7), dtype=np.uint8)
         matrix[5] = matrix[2]
-        assert gf_rank(matrix) == _scalar_rank(matrix) == 7
-        assert gf_rank(np.eye(4, dtype=np.uint8)[:3]) == 3
+        assert gf_ranks([matrix])[0] == _scalar_rank(matrix) == 7
+        assert gf_ranks([np.eye(4, dtype=np.uint8)[:3]])[0] == 3
 
     def test_degenerate_shapes(self):
         assert gf_ranks([]).tolist() == []
         assert gf_ranks([np.zeros((0, 5), np.uint8), np.zeros((3, 0), np.uint8)]).tolist() == [0, 0]
-        assert gf_rank(np.zeros((0, 0), dtype=np.uint8)) == 0
+        assert gf_ranks([np.zeros((0, 0), dtype=np.uint8)])[0] == 0
 
 
 class TestBlockedMatmul:

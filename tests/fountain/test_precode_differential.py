@@ -26,7 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FountainCodeError
-from repro.fountain.block import unit_decodable, units_decodable
+from repro.fountain.block import units_decodable
 from repro.fountain.precode import Precode, PrecodeDecoder, PrecodeEncoder
 from repro.fountain.raptor import (
     COEFFICIENT_CACHE,
@@ -263,7 +263,7 @@ class TestRandomizedEquivalence:
 
 
 class TestDecodabilityOracle:
-    """``unit_decodable`` — the payload-free verdict the cohort receiver
+    """``units_decodable`` — the payload-free verdict the cohort receiver
     model runs on — against each codec's real decoder, around the K
     threshold where rank deficiency lives."""
 
@@ -296,7 +296,7 @@ class TestDecodabilityOracle:
         # then one by one (the precode's now out of its verdict memo).
         assert units_decodable(requests).tolist() == decoded
         for request, verdict in zip(requests, decoded):
-            assert unit_decodable(*request) == verdict, request
+            assert units_decodable([request])[0] == verdict, request
         for codec in codecs:
             assert any(v for r, v in zip(requests, decoded) if r[0] == codec)
 
@@ -315,7 +315,7 @@ class TestDecodabilityOracle:
         for i in ids:
             decoder.add_symbol(d_enc.symbol(i))
         assert not decoder.is_decoded
-        assert not unit_decodable("dense", block_id, k, ids)
+        assert not units_decodable([("dense", block_id, k, ids)])[0]
 
         rng = np.random.default_rng(0)
         failures = 0
@@ -324,7 +324,7 @@ class TestDecodabilityOracle:
             decoder = PrecodeDecoder(block_id, len(data), symbol_size)
             for i in ids:
                 decoder.add_symbol(p_enc.symbol(i))
-            assert unit_decodable("precode", block_id, k, ids) == decoder.is_decoded
+            assert units_decodable([("precode", block_id, k, ids)])[0] == decoder.is_decoded
             failures += not decoder.is_decoded
         assert 0 < failures < 200
 

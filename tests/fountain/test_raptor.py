@@ -11,9 +11,7 @@ from repro.fountain.raptor import (
     COEFFICIENT_CACHE,
     FountainDecoder,
     FountainEncoder,
-    _coefficients,
     coefficient_rows,
-    decode_failure_probability,
 )
 from repro.obs import OBS, observed
 
@@ -143,12 +141,6 @@ class TestOverheadProperty:
             successes += decoder.is_decoded
         assert successes >= trials - 2
 
-    def test_failure_probability_formula(self):
-        assert decode_failure_probability(0) == pytest.approx(1 / 256)
-        assert decode_failure_probability(1) == pytest.approx(1 / 256**2)
-        assert decode_failure_probability(-1) == 1.0
-
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -187,14 +179,14 @@ class TestCoefficientWireFormat:
 
     def test_known_answers(self):
         for (block_id, symbol_id, k), row in self.KNOWN.items():
-            assert _coefficients(block_id, symbol_id, k).tobytes().hex() == row
+            assert coefficient_rows(block_id, symbol_id, k)[0].tobytes().hex() == row
 
     def test_matches_the_documented_formula(self, rng):
         for _ in range(200):
             block_id = int(rng.integers(0, 2**40))
             symbol_id = int(rng.integers(0, 2**20))
             k = int(rng.integers(1, 70))
-            assert _coefficients(block_id, symbol_id, k).tobytes() == (
+            assert coefficient_rows(block_id, symbol_id, k)[0].tobytes() == (
                 _documented_row(block_id, symbol_id, k)
             )
 
@@ -205,7 +197,7 @@ class TestCoefficientWireFormat:
         scattered = coefficient_rows(block_ids, symbol_ids, k)
         assert scattered.shape == (300, k) and scattered.dtype == np.uint8
         for row, block_id, symbol_id in zip(scattered, block_ids, symbol_ids):
-            assert row.tobytes() == _coefficients(int(block_id), int(symbol_id), k).tobytes()
+            assert row.tobytes() == coefficient_rows(int(block_id), int(symbol_id), k)[0].tobytes()
         block_id = int(block_ids[0])
         contiguous = coefficient_rows(block_id, np.arange(k, 5 * k), k)
         cached = COEFFICIENT_CACHE.rows(block_id, k, k, 4 * k)

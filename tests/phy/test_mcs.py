@@ -8,10 +8,6 @@ from repro.phy.mcs import (
     MCS_TABLE,
     entry_for_index,
     highest_supported_mcs,
-    rate_for_rss_mbps,
-    rate_ladder_mbps,
-    snr_margin_db,
-    supported_entries,
 )
 
 
@@ -34,7 +30,7 @@ class TestTableContents:
         assert entry.udp_throughput_mbps == 300.0
 
     def test_supported_throughputs_increase_with_index(self):
-        rates = [e.udp_throughput_mbps for e in supported_entries()]
+        rates = [e.udp_throughput_mbps for e in MCS_TABLE if e.supported]
         assert rates == sorted(rates)
 
     def test_high_rss_threshold_is_mcs8_sensitivity(self):
@@ -54,23 +50,12 @@ class TestRssMapping:
 
     def test_dead_link_gets_none(self):
         assert highest_supported_mcs(-75.0) is None
-        assert rate_for_rss_mbps(-75.0) == 0.0
 
     def test_boundary_is_inclusive(self):
         assert highest_supported_mcs(-53.0).index == 12
         assert highest_supported_mcs(-53.01).index == 11
 
     def test_rate_monotone_in_rss(self):
-        rates = [rate_for_rss_mbps(rss) for rss in range(-70, -50)]
+        entries = [highest_supported_mcs(rss) for rss in range(-70, -50)]
+        rates = [e.udp_throughput_mbps if e else 0.0 for e in entries]
         assert rates == sorted(rates)
-
-    def test_ladder_is_supported_rates(self):
-        ladder = rate_ladder_mbps()
-        assert ladder[0] == 300.0
-        assert ladder[-1] == 2400.0
-        assert len(ladder) == 10
-
-    def test_snr_margin(self):
-        entry = entry_for_index(8)
-        assert snr_margin_db(-58.0, entry) == pytest.approx(3.0)
-        assert snr_margin_db(-64.0, entry) == pytest.approx(-3.0)

@@ -7,7 +7,6 @@ from repro.errors import QualityModelError
 from repro.quality.curves import (
     FrameFeatureBatch,
     FrameFeatureContext,
-    ProgressiveQualityCurve,
 )
 
 
@@ -77,31 +76,3 @@ class TestFrameFeatureBatch:
         context = FrameFeatureContext.from_probe(hr_probe)
         batch = FrameFeatureBatch([context, context])
         np.testing.assert_array_equal(batch.layer_sizes, [context.layer_sizes] * 2)
-
-
-class TestProgressiveQualityCurve:
-    @pytest.fixture(scope="class")
-    def curve(self, request):
-        probe = request.getfixturevalue("hr_probe")
-        return ProgressiveQualityCurve(probe, points_per_layer=2)
-
-    def test_monotone_nondecreasing(self, curve):
-        samples = [curve.ssim_at(p) for p in np.linspace(0, 4, 17)]
-        assert all(b >= a - 1e-6 for a, b in zip(samples, samples[1:]))
-
-    def test_endpoints(self, curve, hr_probe):
-        assert curve.ssim_at(4.0) == pytest.approx(
-            hr_probe.cumulative_ssim[-1], abs=1e-6
-        )
-        assert curve.ssim_at(0.0) <= hr_probe.cumulative_ssim[0]
-
-    def test_psnr_also_monotone(self, curve):
-        samples = [curve.psnr_at(p) for p in np.linspace(0, 4, 9)]
-        assert all(b >= a - 1e-6 for a, b in zip(samples, samples[1:]))
-
-    def test_progress_of_fractions(self, curve):
-        assert curve.progress_of_fractions([1, 1, 0.5, 0]) == pytest.approx(2.5)
-
-    def test_rejects_bad_points(self, hr_probe):
-        with pytest.raises(QualityModelError):
-            ProgressiveQualityCurve(hr_probe, points_per_layer=0)

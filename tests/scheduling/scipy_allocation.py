@@ -15,12 +15,12 @@ from typing import Dict, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from ..errors import SchedulingError
-from ..quality.curves import FrameFeatureContext
-from ..quality.dnn import DNNQualityModel
-from ..types import FRAME_BUDGET_30FPS, NUM_LAYERS
-from .allocation import AllocationResult
-from .groups import CandidateGroup
+from repro.errors import SchedulingError
+from repro.quality.curves import FrameFeatureContext
+from repro.quality.dnn import DNNQualityModel
+from repro.types import FRAME_BUDGET_30FPS, NUM_LAYERS
+from repro.scheduling.allocation import AllocationResult
+from repro.scheduling.groups import CandidateGroup
 
 
 class ScipyAllocationOptimizer:

@@ -8,7 +8,6 @@ from repro.errors import SchedulingError
 from repro.phy.mcs import entry_for_index
 from repro.scheduling.coding_groups import (
     assign_coding_groups,
-    decoded_bytes_per_user,
 )
 from repro.scheduling.groups import CandidateGroup
 
@@ -77,31 +76,3 @@ class TestGreedyAssignment:
         groups = [_group(0, (0,))]
         with pytest.raises(SchedulingError):
             assign_coding_groups(np.zeros((1, 4)), groups, 0.0)
-
-
-class TestDecodedBytes:
-    def test_complete_units_count(self):
-        groups = [_group(0, (0,))]
-        budgets = np.zeros((1, 4))
-        budgets[0, 0] = 2.0 * UNIT
-        assignments = assign_coding_groups(budgets, groups, UNIT)
-        decoded = decoded_bytes_per_user(assignments, groups, UNIT)
-        assert decoded[0][0] == pytest.approx(2 * UNIT)  # two complete units
-
-    def test_partial_units_do_not_count(self):
-        groups = [_group(0, (0,))]
-        budgets = np.zeros((1, 4))
-        budgets[0, 1] = 0.4 * UNIT
-        assignments = assign_coding_groups(budgets, groups, UNIT)
-        decoded = decoded_bytes_per_user(assignments, groups, UNIT)
-        assert decoded[0][1] == 0.0
-
-    def test_aggregation_across_groups_decodes(self):
-        groups = [_group(0, (0, 1)), _group(1, (0,))]
-        budgets = np.zeros((2, 4))
-        budgets[0, 0] = 0.5 * UNIT
-        budgets[1, 0] = 0.5 * UNIT
-        assignments = assign_coding_groups(budgets, groups, UNIT)
-        decoded = decoded_bytes_per_user(assignments, groups, UNIT)
-        assert decoded[0][0] == pytest.approx(UNIT)  # aggregated to a full unit
-        assert decoded[1][0] == 0.0  # user 1 only saw half a unit

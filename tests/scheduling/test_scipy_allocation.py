@@ -8,7 +8,7 @@ from repro.errors import SchedulingError
 from repro.quality.curves import FrameFeatureContext
 from repro.scheduling.allocation import TimeAllocationOptimizer
 from repro.scheduling.groups import GroupEnumerator
-from repro.scheduling.scipy_allocation import ScipyAllocationOptimizer
+from tests.scheduling.scipy_allocation import ScipyAllocationOptimizer
 from repro.types import BeamformingScheme, Position
 
 

@@ -97,6 +97,11 @@ class TestSessionLifecycle:
                 host, port, "POST", "/start", _spec(bogus_field=1)
             )
             assert status == 400 and "bogus_field" in body["error"]
+            status, body = await http_request(
+                host, port, "POST", "/start",
+                _spec(overrides={"num_elements": "64"}),
+            )
+            assert status == 400 and "num_elements" in body["error"]
             status, _ = await http_request(
                 host, port, "POST", "/stop", {"session": "s99"}
             )

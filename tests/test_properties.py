@@ -9,7 +9,6 @@ from repro.fountain.gf256 import gf_inverse, gf_multiply
 from repro.fountain.raptor import FountainDecoder, FountainEncoder
 from repro.phy.antenna import PhasedArray
 from repro.scheduling.allocation import _project_capped_simplex
-from repro.transport.leaky_bucket import LeakyBucket
 from repro.transport.link import packet_error_rate
 from repro.video.frame import VideoFrame
 from repro.video.jigsaw import JigsawCodec
@@ -142,61 +141,11 @@ class TestSimplexProjectionProperties:
 
 
 class TestTransportProperties:
-    @given(
-        rate=st.floats(min_value=100.0, max_value=1e7),
-        capacity=st.floats(min_value=10.0, max_value=1e5),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    @settings(**_SETTINGS)
-    def test_bucket_never_exceeds_rate(self, rate, capacity, seed):
-        """Sustained sends can never exceed capacity + rate * elapsed."""
-        rng = np.random.default_rng(seed)
-        bucket = LeakyBucket(rate, capacity)
-        sent = 0.0
-        now = 0.0
-        for _ in range(200):
-            now += float(rng.uniform(0, 1e-3))
-            size = float(rng.uniform(1, capacity))
-            if bucket.try_send(size, now):
-                sent += size
-        assert sent <= capacity + rate * now + 1e-6
-
     @given(margin=st.floats(min_value=-30, max_value=30))
     @settings(**_SETTINGS)
     def test_per_is_probability(self, margin):
         per = packet_error_rate(margin)
         assert 0.0 < per < 1.0
-
-
-class TestY4mProperties:
-    @given(
-        seed=st.integers(min_value=0, max_value=2**16),
-        num_frames=st.integers(min_value=1, max_value=3),
-    )
-    @settings(deadline=None, max_examples=10)
-    def test_y4m_roundtrip_random_frames(self, seed, num_frames, tmp_path_factory):
-        import io as _io
-
-        from repro.video.io import Y4mReader, Y4mWriter
-
-        rng = np.random.default_rng(seed)
-        h, w = 32, 48
-        buffer = _io.BytesIO()
-        frames = []
-        with Y4mWriter(buffer, w, h) as writer:
-            for _ in range(num_frames):
-                y = rng.integers(0, 256, size=(h, w), dtype=np.uint8).astype(np.uint8)
-                u = rng.integers(0, 256, size=(h // 2, w // 2), dtype=np.uint8).astype(np.uint8)
-                frame = VideoFrame(y, u, u.copy())
-                frames.append(frame)
-                writer.write_frame(frame)
-        buffer.seek(0)
-        with Y4mReader(buffer) as reader:
-            restored = reader.read_all()
-        assert len(restored) == num_frames
-        for original, copy in zip(frames, restored):
-            np.testing.assert_array_equal(original.y, copy.y)
-            np.testing.assert_array_equal(original.u, copy.u)
 
 
 class TestCodingGroupProperties:

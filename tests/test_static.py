@@ -18,12 +18,27 @@ under ``src/``, ``tests/`` and ``benchmarks/``:
   are exempt; a class body is its own scope, so class attributes of a
   class defined inside a function are not the function's locals.
 
-Run alone with ``python -m pytest tests/test_static.py``.
+Two more, about whether the code has a reader:
+
+* **reachability** — walking the imports from the entry points (the
+  ``repro-wigig`` CLI, the ``serve`` server, ``benchmarks/``,
+  ``examples/`` and the Python the CI workflows run), is every ``src/``
+  module, top-level function and class read by something other than tests
+  and package re-exports, does some entry point both read and set every
+  ``SystemConfig`` field, and does every name an entry point imports
+  exist?  One case per module; ``REACHABILITY_ALLOWLIST`` names what is
+  kept anyway, with a reason.
+* **doc names** — is every backticked ``repro.…`` name in the top-level
+  docs a module or something a module defines?
+
+Run alone with ``python -m pytest --noconftest tests/test_static.py``.
 """
 
 from __future__ import annotations
 
 import ast
+import re
+import textwrap
 import builtins
 from pathlib import Path
 from typing import Iterator, List, Set, Tuple
@@ -394,3 +409,371 @@ def test_undefined_annotation_names_case(source, expected):
 )
 def test_unused_locals_case(source, expected):
     assert unused_locals(source) == expected
+
+
+# ----------------------------------------------------------- reachability
+
+SRC = ROOT / "src"
+PACKAGE = "repro"
+WORKFLOWS = ROOT / ".github" / "workflows"
+#: Files outside ``src/`` that run the package: every script and harness.
+ROOT_TREES = ("benchmarks", "examples")
+#: ``src/`` modules that are entry points themselves: the ``repro-wigig``
+#: script (``repro.cli:main``) and the ``serve`` server.
+ROOT_MODULES = ("repro.cli", "repro.service.server")
+
+#: What no entry point reads or varies, kept on purpose: name -> reason.
+REACHABILITY_ALLOWLIST = {
+    "repro.fountain.gf256.gf_matmul_reference":
+        "test oracle: the gather form the flat-table gf_matmul must equal",
+    "repro.fountain.gf256.gf_multiply_reference":
+        "test oracle: the gather form the flat-table gf_multiply must equal",
+    "repro.phy.mcs.entry_for_index":
+        "Table 2 lookup by MCS index, which test fixtures pin groups with",
+    "SystemConfig.fps":
+        "the paper's 30 fps live rate, from which every frame deadline derives",
+}
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _workflow_scripts() -> Iterator[Tuple[str, str]]:
+    """``(label, python source)`` of what the CI workflows run: each
+    heredoc script of a ``run:`` block, and each ``python -m`` module as
+    an import of that module."""
+    for path in sorted(WORKFLOWS.glob("*.yml")):
+        text = path.read_text(encoding="utf-8")
+        heredoc = re.compile(r"<<'?(\w+)'?\n(.*?)\n[ \t]*\1[ \t]*$", re.S | re.M)
+        for match in heredoc.finditer(text):
+            yield path.name, textwrap.dedent(match.group(2))
+        for module in re.findall(r"-m (repro[\w.]*)", text):
+            yield path.name, f"import {module}\n"
+
+
+def _bindings(tree: ast.Module) -> Set[str]:
+    """Names a module binds at top level."""
+    names: Set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(_bound_names(node))
+        else:
+            names.update(
+                sub.id
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)
+            )
+    return names
+
+
+def _attributes(tree: ast.AST) -> Set[str]:
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+class _Reach:
+    """Which ``src/`` modules the roots import, following a package's
+    re-exports only for the names asked of it: an ``__init__`` that
+    imports a module does not make it reachable."""
+
+    def __init__(self) -> None:
+        self.modules = {
+            _module_name(path): (path, _parse(path)) for path in sorted(SRC.rglob("*.py"))
+        }
+        self.reached: Set[str] = set()
+        self.missing: List[Tuple[str, str, str]] = []
+        #: Every root and every reached module outside an ``__init__``.
+        self.readers: List[Tuple[str, ast.Module]] = []
+        self._queue: List[str] = []
+
+    def is_package(self, name: str) -> bool:
+        return self.modules[name][0].name == "__init__.py"
+
+    def run(self, roots: List[Tuple[str, ast.Module]]) -> "_Reach":
+        for name in ROOT_MODULES:
+            self._module(name)
+        for label, tree in roots:
+            self._read(label, tree)
+        while self._queue:
+            name = self._queue.pop()
+            if not self.is_package(name):
+                self._read(name, self.modules[name][1])
+        return self
+
+    def _module(self, name: str) -> None:
+        if name not in self.modules or name in self.reached:
+            return
+        self.reached.add(name)
+        self._queue.append(name)
+        parent = name.rpartition(".")[0]
+        if parent:
+            self._module(parent)
+
+    def _absent(self, name: str, by: str) -> bool:
+        """Whether ``name`` is no module here; one of the package's is
+        reported missing against the nearest package that exists."""
+        if name in self.modules:
+            return False
+        if name.split(".")[0] == PACKAGE:
+            parent = name.rpartition(".")[0]
+            while parent not in self.modules:
+                parent = parent.rpartition(".")[0]
+            self.missing.append((parent, name, by))
+        return True
+
+    def _whole(self, name: str, attributes: Set[str], seen: Set[str], by: str) -> None:
+        """Module ``name`` imported as a module: its attributes the
+        importer reads are asked of it."""
+        if self._absent(name, by) or name in seen:
+            return
+        seen.add(name)
+        self._module(name)
+        if not self.is_package(name):
+            return
+        exported = _bindings(self.modules[name][1])
+        for attribute in sorted(attributes):
+            if f"{name}.{attribute}" in self.modules:
+                self._whole(f"{name}.{attribute}", attributes, seen, by)
+            elif attribute in exported:
+                self._name(name, attribute, "")
+
+    def _name(self, module: str, name: str, by: str) -> None:
+        """``from module import name``, by the reader labelled ``by``."""
+        if f"{module}.{name}" in self.modules:
+            self._module(f"{module}.{name}")
+            return
+        if self._absent(module, by):
+            return
+        self._module(module)
+        tree = self.modules[module][1]
+        for node in tree.body if self.is_package(module) else ():
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if (alias.asname or alias.name) == name:
+                        source = _import_source(module, True, node)
+                        return self._name(source, alias.name, by)
+        if by and name not in _bindings(tree):
+            self.missing.append((module, name, by))
+
+    def _read(self, label: str, tree: ast.Module) -> None:
+        self.readers.append((label, tree))
+        is_package = label in self.modules and self.is_package(label)
+        attributes = _attributes(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    self._whole(alias.name, attributes, set(), label)
+            elif isinstance(node, ast.ImportFrom):
+                module = _import_source(label, is_package, node)
+                for alias in node.names:
+                    if f"{module}.{alias.name}" in self.modules:
+                        self._whole(f"{module}.{alias.name}", attributes, set(), label)
+                    else:
+                        self._name(module, alias.name, label)
+
+
+def _import_source(importer: str, is_package: bool, node: ast.ImportFrom) -> str:
+    """The absolute module an ``ImportFrom`` in module ``importer`` names."""
+    if not node.level:
+        return node.module or ""
+    base = importer.split(".")
+    if not is_package:
+        base = base[:-1]
+    base = base[: len(base) - (node.level - 1)]
+    return ".".join(base + ([node.module] if node.module else []))
+
+
+def _roots() -> List[Tuple[str, ast.Module]]:
+    files = sorted(p for tree in ROOT_TREES for p in (ROOT / tree).rglob("*.py"))
+    roots = [(str(p.relative_to(ROOT)), _parse(p)) for p in files]
+    roots += [(label, ast.parse(source)) for label, source in _workflow_scripts()]
+    return roots
+
+
+def _reads(statement: ast.AST) -> Set[str]:
+    """Names a statement reads: loads, attributes and annotation names."""
+    names = {
+        node.id
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    names.update(
+        node.attr
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+    for annotation in _annotations(statement):
+        names.update(_annotation_names(annotation))
+    return names
+
+
+def _references(readers: List[Tuple[str, ast.Module]]) -> dict:
+    """Name -> the ``(reader, top-level statement)`` pairs that read it."""
+    references: dict = {}
+    for label, tree in readers:
+        for index, statement in enumerate(tree.body):
+            for name in _reads(statement):
+                references.setdefault(name, set()).add((label, index))
+    return references
+
+
+#: An attribute read is a ``SystemConfig`` read when it is taken of a
+#: value named like a config (``config.fps``, ``self.config.fps``,
+#: ``ctx.base_config.fps``) or of ``self`` inside ``SystemConfig``.
+_CONFIG_VALUE = re.compile(r"(^|_)(config|cfg)$")
+
+
+def _value_name(node: ast.Attribute) -> str:
+    """The last name of what an attribute is taken of (``config`` in
+    ``self.config.fps``)."""
+    value = node.value
+    if isinstance(value, ast.Name):
+        return value.id
+    return value.attr if isinstance(value, ast.Attribute) else ""
+
+
+def _config_fields(tree: ast.Module) -> List[str]:
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == "SystemConfig":
+            return [
+                item.target.id
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            ]
+    return []
+
+
+def _config_reads(tree: ast.AST, inside_config: bool = False) -> Set[str]:
+    reads: Set[str] = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            reads |= _config_reads(node, node.name == "SystemConfig")
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            named = _value_name(node)
+            if _CONFIG_VALUE.search(named) or (inside_config and named == "self"):
+                reads.add(node.attr)
+        reads |= _config_reads(node, inside_config)
+    return reads
+
+
+def _config_sets(tree: ast.AST) -> Set[str]:
+    """Names a file could set a field by: keyword arguments, attribute
+    stores and strings (override mappings, ``field=value`` pairs); a
+    keyword that passes on the same-named attribute sets nothing."""
+    sets: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg:
+            value = node.value
+            if not (isinstance(value, ast.Attribute) and value.attr == node.arg):
+                sets.add(node.arg)  # ``x=config.x`` hands a value on
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            if _CONFIG_VALUE.search(_value_name(node)):
+                sets.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            sets.add(node.value.split("=")[0])
+    return sets
+
+
+def reachability_report() -> dict:
+    """Module name -> what in it no root reaches, one line per finding."""
+    reach = _Reach().run(_roots())
+    references = _references(reach.readers)
+    report: dict = {name: [] for name in reach.modules}
+    for module, name, by in reach.missing:
+        report[module].append(f"{by} imports {name}, which {module} does not define")
+    for module, (path, tree) in reach.modules.items():
+        if module not in reach.reached:
+            report[module].append(f"{module} is imported only by tests and re-exports")
+            continue
+        for index, node in enumerate(tree.body):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            readers = references.get(node.name, set()) - {(module, index)}
+            if not readers and f"{module}.{node.name}" not in REACHABILITY_ALLOWLIST:
+                report[module].append(f"{module}.{node.name} is read only by tests")
+    config_module = "repro.core.config"
+    reads: Set[str] = set()
+    sets: Set[str] = set()
+    for _, tree in reach.readers:
+        reads |= _config_reads(tree)
+        sets |= _config_sets(tree)
+    for field in _config_fields(reach.modules[config_module][1]):
+        if f"SystemConfig.{field}" in REACHABILITY_ALLOWLIST:
+            continue
+        if field not in reads or field not in sets:
+            verbs = [v for v, seen in (("reads", reads), ("sets", sets)) if field not in seen]
+            report[config_module].append(
+                f"no entry point {' or '.join(verbs)} SystemConfig.{field}"
+            )
+    return report
+
+
+REACHABILITY = reachability_report()
+
+
+@pytest.mark.parametrize("module", sorted(REACHABILITY))
+def test_every_line_has_a_reader(module):
+    assert not REACHABILITY[module], "\n".join(REACHABILITY[module])
+
+
+# ------------------------------------------------------------- doc names
+
+DOCS = ("README.md", "DESIGN.md", "PAPER.md", "CONTRIBUTING.md")
+
+
+def _defines(tree: ast.Module, path: List[str]) -> bool:
+    """Whether a module binds ``path[0]`` and, when that is a class of the
+    module, the class body binds ``path[1]``."""
+    if path[0] not in _bindings(tree):
+        return False
+    if len(path) == 1:
+        return True
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == path[0]:
+            return path[1] in _bindings(ast.Module(body=node.body, type_ignores=[]))
+    return True
+
+
+def unresolved_doc_names(text: str, modules: dict) -> List[Tuple[int, str]]:
+    """``(line, name)`` of every backticked ``repro.…`` name outside fenced
+    code blocks that is neither a module nor defined in one."""
+    problems = []
+    fenced = False
+    for number, line in enumerate(text.splitlines(), 1):
+        if line.lstrip().startswith("```"):
+            fenced = not fenced
+            continue
+        if fenced:
+            continue
+        for span in re.findall(r"`([^`]+)`", line):
+            for name in re.findall(r"(?<![\w.])repro(?:\.\w+)+", span):
+                parts = name.split(".")
+                prefix = max(
+                    (i for i in range(1, len(parts) + 1)
+                     if ".".join(parts[:i]) in modules),
+                    default=0,
+                )
+                if not prefix or (
+                    prefix < len(parts)
+                    and not _defines(modules[".".join(parts[:prefix])], parts[prefix:])
+                ):
+                    problems.append((number, name))
+    return problems
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_docs_name_only_code_that_exists(doc):
+    modules = {name: tree for name, (_, tree) in _Reach().modules.items()}
+    text = (ROOT / doc).read_text(encoding="utf-8")
+    problems = [
+        f"{doc}:{line}: {name}" for line, name in unresolved_doc_names(text, modules)
+    ]
+    assert not problems, "\n".join(problems)

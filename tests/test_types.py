@@ -7,9 +7,7 @@ from repro.errors import ConfigurationError
 from repro.types import (
     FRAME_BUDGET_30FPS,
     NUM_LAYERS,
-    LayerAmounts,
     Position,
-    QualityScore,
     validate_seed,
 )
 
@@ -27,31 +25,6 @@ class TestPosition:
     def test_hashable_and_equal(self):
         assert Position(1, 2) == Position(1, 2)
         assert len({Position(1, 2), Position(1, 2)}) == 1
-
-
-class TestLayerAmounts:
-    def test_total(self):
-        amounts = LayerAmounts((1.0, 2.0, 3.0, 4.0))
-        assert amounts.total == 10.0
-        assert amounts.as_array().shape == (NUM_LAYERS,)
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LayerAmounts((1.0, 2.0))
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LayerAmounts((1.0, -2.0, 3.0, 4.0))
-
-
-class TestQualityScore:
-    def test_valid(self):
-        score = QualityScore(ssim=0.95, psnr_db=40.0)
-        assert score.ssim == 0.95
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ConfigurationError):
-            QualityScore(ssim=1.5, psnr_db=40.0)
 
 
 class TestSeeds:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import VideoFormatError
 from repro.video.frame import blank_frame
-from repro.video.metrics import PSNR_CAP_DB, psnr, ssim, ssim_to_psnr_rough
+from repro.video.metrics import PSNR_CAP_DB, psnr, ssim
 
 
 def _image(rng, h=64, w=64):
@@ -90,10 +90,6 @@ class TestPsnr:
 
 
 class TestSsimPsnrCorrespondence:
-    def test_rough_mapping_is_monotone(self):
-        values = [ssim_to_psnr_rough(v) for v in (0.8, 0.9, 0.95, 0.99)]
-        assert values == sorted(values)
-
     def test_metrics_rank_distortions_consistently(self, codec, hr_video):
         """SSIM and PSNR must agree on which reception decodes better."""
         frame = hr_video.frame(0)

@@ -8,7 +8,6 @@ from repro.types import Richness
 from repro.video.metrics import ssim
 from repro.video.synthetic import (
     SyntheticVideo,
-    evaluation_videos,
     make_standard_videos,
 )
 
@@ -76,9 +75,3 @@ class TestCorpus:
         hr = np.mean([v.y_variance() for v in videos if v.richness is Richness.HIGH])
         lr = np.mean([v.y_variance() for v in videos if v.richness is Richness.LOW])
         assert hr > lr
-
-    def test_evaluation_subset_is_2_hr_2_lr(self):
-        videos = evaluation_videos(height=144, width=256, num_frames=2)
-        richness = [v.richness for v in videos]
-        assert richness.count(Richness.HIGH) == 2
-        assert richness.count(Richness.LOW) == 2
