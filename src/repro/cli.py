@@ -40,10 +40,10 @@ from .emulation import (
     run_mobile_comparison,
     run_scheduler_comparison,
     run_variant_sweep,
+    trace_for_placement,
     variant_from_spec,
     write_results_json,
 )
-from .emulation.runner import trace_for_placement
 from .emulation.stats import print_table, summarize
 
 #: Named --fault-base bundles for common chaos campaigns.  The
@@ -282,16 +282,11 @@ def _cmd_observe(args) -> int:
     return 0
 
 
-def _outcome_fingerprint(outcome) -> str:
-    """A bit-exact, order-independent digest of a session's OutcomeStats."""
-    return outcome.fingerprint()
-
-
 def _cmd_chaos(args) -> int:
     """Stream one seeded fault schedule, twice, and check determinism.
 
     Runs with counters-mode observability so the ``fault.*`` counters the
-    injectors emit are printed, and replays the identical (seed, schedule,
+    fault controller emits are printed, and replays the identical (seed, schedule,
     trace) ``--repeat`` times: any divergence in the per-frame/per-user
     OutcomeStats across repeats is a reproducibility bug and exits nonzero.
     """
@@ -332,7 +327,7 @@ def _cmd_chaos(args) -> int:
             # repeat: same seed, same schedule.
             outcome = streamer.stream_trace(trace, num_frames=args.frames)
             counters = obs.OBS.counters()
-        fingerprints.append(_outcome_fingerprint(outcome))
+        fingerprints.append(outcome.fingerprint())
         print(f"run {repeat}: mean SSIM={outcome.mean_ssim:.4f} "
               f"mean PSNR={outcome.mean_psnr_db:.2f} dB "
               f"({len(outcome.stats)} frame/user stats)")

@@ -124,15 +124,17 @@ def cross_ap_repair(
         if not units or remaining <= GROUP_SWITCH_OVERHEAD_S:
             continue
         row = receivers.member_rows([user])
-        faults_ap = session.faults.for_ap(ap) if session.faults is not None else None
-        link = streamer.transmitter.link
-        if faults_ap is not None:
-            link = faults_ap.wrap_link(link)
-        prob = link.delivery_probability(
-            user, plan.beam, true_state.for_ap(ap), plan.mcs
+        faults = session.faults
+        prob = float(
+            streamer.transmitter.link.delivery_probability_array(
+                [user], plan.beam, true_state.for_ap(ap), plan.mcs,
+                rss_offsets_db=(
+                    None if faults is None else faults.rss_offsets_db([user], ap)
+                ),
+            )[0]
         )
-        if faults_ap is not None:
-            scale = faults_ap.erasure_scale()
+        if faults is not None:
+            scale = faults.erasure_scale()
             if scale < 1.0:
                 prob *= scale
         rate = CandidateGroup(

@@ -370,11 +370,8 @@ class Transmitter:
                 streamer.rng,
                 rate_limits_bytes_per_s=limits,
                 active_users=ctx.ap_users[ap],
-                faults=(
-                    session.faults.for_ap(ap)
-                    if session.faults is not None
-                    else None
-                ),
+                faults=session.faults,
+                ap=ap,
                 receivers=receivers,
             )
             ap_airtime[ap] = result.airtime_s
@@ -608,7 +605,9 @@ class StreamSession:
                 ctx
             ):
                 return False
-            self._run_stages(ctx)
+            for stage in self.stages:
+                with OBS.span(f"frame.stage.{stage.name}", frame=frame_index):
+                    stage.run(ctx, self)
             self._finalize_frame(ctx, frame_span)
         return True
 
@@ -721,17 +720,6 @@ class StreamSession:
             probe=probe,
             feature_contexts={u: context for u in self.users},
         )
-
-    def _run_stages(self, ctx: FrameContext) -> None:
-        if OBS.mode:
-            for stage in self.stages:
-                with OBS.span(
-                    f"frame.stage.{stage.name}", frame=ctx.frame_index
-                ):
-                    stage.run(ctx, self)
-        else:
-            for stage in self.stages:
-                stage.run(ctx, self)
 
     def _finalize_frame(self, ctx: FrameContext, frame_span) -> None:
         if not OBS.mode:

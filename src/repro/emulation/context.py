@@ -27,12 +27,12 @@ from ..video.synthetic import SyntheticVideo, make_standard_videos
 from .scenario import EmulationScenario
 
 #: Default number of random runs per configuration (paper: 10 testbed /
-#: 100 emulation; reduce for tractable CI, override via REPRO_BENCH_RUNS).
-DEFAULT_RUNS = int(os.environ.get("REPRO_BENCH_RUNS", "3"))
+#: 100 emulation; kept small for tractable CI; callers pass ``runs=``).
+DEFAULT_RUNS = 3
 
 #: Default frames streamed per run (paper streams minutes; the per-frame
 #: metric converges within a dozen frames under static channels).
-DEFAULT_FRAMES = int(os.environ.get("REPRO_BENCH_FRAMES", "9"))
+DEFAULT_FRAMES = 9
 
 
 @dataclass

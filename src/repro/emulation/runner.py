@@ -16,8 +16,7 @@ statistics the paper plots.  Seed schedules are per-family constants, so
 metrics are identical at any job count and unchanged from the historical
 monolithic runners.
 
-The heavyweight shared state lives in :mod:`repro.emulation.context`
-(re-exported here for compatibility).
+The heavyweight shared state lives in :mod:`repro.emulation.context`.
 """
 
 from __future__ import annotations
@@ -29,13 +28,7 @@ from ..baselines import AbrSession, FastMpc, RobustMpc
 from ..core import MulticastStreamer
 from ..errors import EmulationError
 from ..types import AdaptationPolicy, BeamformingScheme, SchedulerKind
-from .context import (  # noqa: F401  (re-exported public API)
-    DEFAULT_FRAMES,
-    DEFAULT_RUNS,
-    ExperimentContext,
-    build_context,
-    trace_for_placement,
-)
+from .context import DEFAULT_FRAMES, DEFAULT_RUNS, ExperimentContext
 from .shard import run_session_sweep, run_variant_sweep
 from .sweep import Variant
 

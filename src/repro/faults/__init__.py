@@ -6,25 +6,23 @@ Failure is a first-class, schedulable input to every session: a
 :class:`FaultSchedule` turns them into a concrete, reproducible event
 timeline; a :class:`FaultController` binds the timeline to one running
 :class:`repro.core.pipeline.StreamSession` and exposes the point queries
-the injectors consume — RSS attenuation for blockage bursts and SNR dips
-(via :class:`FaultedLinkModel`), packet-erasure scaling in the
-transmitter, per-user feedback loss, beacon loss, and receiver churn.
+the pipeline consumes — per-user RSS offsets for blockage bursts and SNR
+dips (:meth:`FaultController.rss_offsets_db`, an array the link model
+takes as data), packet-erasure scaling in the transmitter, per-user
+feedback loss, beacon loss, and receiver churn.
 
 With all rates at zero (the default) nothing is injected and the pipeline
 is bit-identical to a fault-free run; see ``DESIGN.md`` ("Fault model")
-for the mapping from each injector to the paper's impairment.
+for the mapping from each fault to the paper's impairment.
 """
 
 from .config import FaultConfig
-from .controller import ApScopedFaults, FaultController
-from .injectors import FaultedLinkModel
+from .controller import FaultController
 from .schedule import FaultEvent, FaultKind, FaultSchedule
 
 __all__ = [
     "FaultConfig",
     "FaultController",
-    "ApScopedFaults",
-    "FaultedLinkModel",
     "FaultEvent",
     "FaultKind",
     "FaultSchedule",

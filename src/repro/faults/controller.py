@@ -5,23 +5,24 @@ calls :meth:`begin_frame` once per frame (which advances the fault clock,
 resolves receiver membership and emits the ``fault.*`` observability
 counters/events), and the stages/transmitter issue point queries against
 the frozen per-frame clock.  Keeping the clock on the controller means the
-transmitter and link wrapper see frame-time-accurate windows without
-threading ``now`` through every call signature.
+transmitter and association see frame-time-accurate windows without
+threading ``now`` through every call signature.  Attenuation reaches the
+link as data: :meth:`FaultController.rss_offsets_db` is the per-user RSS
+offset array :meth:`repro.transport.LinkModel.delivery_probability_array`
+takes.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..obs import OBS
 from .config import FaultConfig
-from .injectors import FaultedLinkModel
 from .schedule import FaultEvent, FaultKind, FaultSchedule
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..transport.link import LinkModel
-
-__all__ = ["FaultController", "ApScopedFaults"]
+__all__ = ["FaultController"]
 
 
 class FaultController:
@@ -81,12 +82,25 @@ class FaultController:
 
     # -------------------------------------------------------------- queries
 
-    def rss_offset_db(self, user: int, ap: Optional[int] = None) -> float:
-        """Signed RSS offset for ``user`` at the current frame time.
+    def rss_offsets_db(
+        self, users: Sequence[int], ap: Optional[int] = None
+    ) -> Optional[np.ndarray]:
+        """Signed RSS offsets of ``users``' links to AP ``ap`` at the
+        current frame time, aligned with ``users``.
 
-        ``ap`` scopes the query to one AP's link; ``None`` means AP 0.
+        ``ap=None`` means AP 0.
+
+        The result is ``None`` — no offsets at all — when the schedule
+        holds no blockage or SNR-dip event, so fault-free links skip the
+        per-user lookups.
         """
-        return self.schedule.rss_offset_db(self.now, user, ap=ap)
+        if not self._has_attenuation:
+            return None
+        return np.fromiter(
+            (self.schedule.rss_offset_db(self.now, u, ap=ap) for u in users),
+            dtype=np.float64,
+            count=len(users),
+        )
 
     def erasure_scale(self) -> float:
         """Factor to multiply delivery probabilities by (1.0 = no erasure)."""
@@ -99,27 +113,6 @@ class FaultController:
     def beacon_lost(self) -> bool:
         """Whether the beacon update due this frame is lost."""
         return self.schedule.beacon_lost(self.now)
-
-    def wrap_link(self, link: "LinkModel"):
-        """``link`` seen through the active attenuation faults.
-
-        Returns the original model untouched when the schedule contains no
-        blockage/SNR-dip events at all, keeping the common path allocation-
-        free.
-        """
-        if not self._has_attenuation:
-            return link
-        return FaultedLinkModel(link, self)
-
-    def for_ap(self, ap: int) -> "ApScopedFaults":
-        """This controller's queries scoped to AP ``ap``'s links.
-
-        The scoped view shares the controller's frame clock and schedule;
-        only the AP tag on attenuation queries changes.  The multi-AP
-        transmitter hands each per-AP pass its own view so an AP-tagged
-        blockage burst attenuates exactly one AP's links.
-        """
-        return ApScopedFaults(self, ap)
 
     # ------------------------------------------------------------- factory
 
@@ -137,36 +130,3 @@ class FaultController:
             config, duration_s, users, extra_events=extra_events, n_aps=n_aps
         )
         return cls(schedule, config)
-
-
-class ApScopedFaults:
-    """A :class:`FaultController` view pinned to one AP's links.
-
-    Exposes the query surface the transmitter and feedback stages use
-    (``rss_offset_db`` / ``erasure_scale`` / ``feedback_lost`` /
-    ``beacon_lost`` / ``wrap_link``), delegating to the shared controller
-    with the AP tag applied.  :class:`FaultedLinkModel` only ever calls
-    ``rss_offset_db(user)``, so wrapping a link with this view scopes its
-    attenuation per AP with no transmitter changes.
-    """
-
-    def __init__(self, controller: FaultController, ap: int) -> None:
-        self.controller = controller
-        self.ap = int(ap)
-
-    def rss_offset_db(self, user: int) -> float:
-        return self.controller.rss_offset_db(user, ap=self.ap)
-
-    def erasure_scale(self) -> float:
-        return self.controller.erasure_scale()
-
-    def feedback_lost(self, user: int) -> bool:
-        return self.controller.feedback_lost(user)
-
-    def beacon_lost(self) -> bool:
-        return self.controller.beacon_lost()
-
-    def wrap_link(self, link: "LinkModel"):
-        if not self.controller._has_attenuation:
-            return link
-        return FaultedLinkModel(link, self)

@@ -1,7 +1,7 @@
 """Seeded, declarative fault timelines.
 
 A :class:`FaultSchedule` is an ordered list of :class:`FaultEvent` windows —
-*what* goes wrong, *when*, and *to whom* — decoupled from the injectors that
+*what* goes wrong, *when*, and *to whom* — decoupled from the pipeline seams that
 apply them.  Schedules are either written out explicitly (tests, targeted
 chaos runs) or drawn from a :class:`~repro.faults.config.FaultConfig` by
 :meth:`FaultSchedule.generate`, which uses Poisson arrivals from a seeded
@@ -131,7 +131,7 @@ class FaultEvent:
 
 @dataclass
 class FaultSchedule:
-    """An ordered fault timeline with the per-frame queries injectors need."""
+    """An ordered fault timeline with the per-frame queries the pipeline needs."""
 
     events: List[FaultEvent] = field(default_factory=list)
 

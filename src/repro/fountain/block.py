@@ -250,19 +250,18 @@ class FrameBlockEncoder:
             ranges.append((self._encoders[unit], self._next_symbol_id[unit], count))
             self._next_symbol_id[unit] += count
         encode_many = _ENCODER_OF_CODEC[self.codec].encode_many
-        if not OBS.mode:
-            return encode_many(ranges)
-        t0 = perf_counter()
+        t0 = perf_counter() if OBS.mode else 0.0
         batches = encode_many(ranges)
-        symbols = sum(count for _, count in requests)
-        OBS.count("fountain.symbols_encoded", symbols)
-        OBS.record_span(
-            "encode.fountain",
-            t0,
-            perf_counter(),
-            frame=self.frame_index,
-            fields={"symbols": symbols},
-        )
+        if OBS.mode:
+            symbols = sum(count for _, count in requests)
+            OBS.count("fountain.symbols_encoded", symbols)
+            OBS.record_span(
+                "encode.fountain",
+                t0,
+                perf_counter(),
+                frame=self.frame_index,
+                fields={"symbols": symbols},
+            )
         return batches
 
     def next_symbols(self, unit: CodingUnitId, count: int) -> SymbolBatch:

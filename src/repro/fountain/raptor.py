@@ -409,24 +409,22 @@ class FountainDecoder:
             )
         if self._decoded is not None:
             return True
-        if not OBS.mode:
-            self._ingest(symbol)
-            return self._decoded is not None
-        t0 = perf_counter()
+        t0 = perf_counter() if OBS.mode else 0.0
         self._ingest(symbol)
-        t1 = perf_counter()
-        OBS.count("fountain.symbols_received")
-        OBS.histogram("decode.fountain").observe(t1 - t0)
-        if self._decoded is not None:
-            OBS.count("fountain.blocks_decoded")
-            OBS.event(
-                "decode.fountain",
-                t0,
-                t1,
-                block=self.block_id,
-                symbols=self.received_count,
-                k=self.num_source_symbols,
-            )
+        if OBS.mode:
+            t1 = perf_counter()
+            OBS.count("fountain.symbols_received")
+            OBS.histogram("decode.fountain").observe(t1 - t0)
+            if self._decoded is not None:
+                OBS.count("fountain.blocks_decoded")
+                OBS.event(
+                    "decode.fountain",
+                    t0,
+                    t1,
+                    block=self.block_id,
+                    symbols=self.received_count,
+                    k=self.num_source_symbols,
+                )
         return self._decoded is not None
 
     def _ingest(self, symbol: FountainSymbol) -> None:

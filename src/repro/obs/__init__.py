@@ -36,7 +36,6 @@ from .registry import (
     configure,
     observed,
     parse_mode,
-    timed,
 )
 from .report import PIPELINE_STAGES, build_report, format_report, write_report
 from .trace import (
@@ -63,7 +62,6 @@ __all__ = [
     "configure",
     "observed",
     "parse_mode",
-    "timed",
     "PIPELINE_STAGES",
     "build_report",
     "format_report",

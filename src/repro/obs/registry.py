@@ -26,7 +26,6 @@ default) to capture a complete trace.
 from __future__ import annotations
 
 import atexit
-import functools
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -405,22 +404,3 @@ def observed(
     finally:
         OBS.mode = previous_mode
         OBS.trace.path = previous_path
-
-
-def timed(stage: str, frame: Optional[int] = None):
-    """Decorator timing every call of a function as a span.
-
-    The disabled-mode cost is one attribute check per call.
-    """
-
-    def decorate(fn):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            if not OBS.mode:
-                return fn(*args, **kwargs)
-            with OBS.span(stage, frame=frame):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

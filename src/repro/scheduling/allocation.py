@@ -105,8 +105,6 @@ class TimeAllocationOptimizer:
         users = sorted(contexts)
         if not users:
             raise SchedulingError("no user contexts")
-        if not OBS.mode:
-            return self._optimize(groups, contexts, users, frame_budget_s)
         with OBS.span(
             "schedule.allocate",
             groups=len(groups),

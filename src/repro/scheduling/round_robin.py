@@ -39,15 +39,13 @@ def round_robin_allocation(
     """
     if not groups:
         raise SchedulingError("no candidate groups")
-    if OBS.mode:
-        with OBS.span(
-            "schedule.allocate",
-            groups=len(groups),
-            users=len(contexts),
-            scheduler="round_robin",
-        ):
-            return _round_robin(groups, contexts, frame_budget_s)
-    return _round_robin(groups, contexts, frame_budget_s)
+    with OBS.span(
+        "schedule.allocate",
+        groups=len(groups),
+        users=len(contexts),
+        scheduler="round_robin",
+    ):
+        return _round_robin(groups, contexts, frame_budget_s)
 
 
 def _round_robin(

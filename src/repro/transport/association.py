@@ -64,10 +64,9 @@ def association_rss_matrix(
     )
     if faults is not None:
         for ap in range(n_aps):
-            for column, user in enumerate(users):
-                offset = faults.rss_offset_db(user, ap=ap)
-                if offset:
-                    rss[ap, column] += offset
+            offsets = faults.rss_offsets_db(users, ap)
+            if offsets is not None:
+                rss[ap] += offsets
     return rss
 
 

@@ -9,12 +9,17 @@ Pseudo multicast (Sec 3.2): one STA is associated normally and keeps 802.11
 MAC retransmissions (its effective loss is ``PER^(1+retries)``); the other
 STAs run in monitor mode, capture frames not addressed to them, and see the
 raw PER.
+
+Fault injection enters as data: blockage bursts and SNR dips are per-user
+RSS offsets (:meth:`repro.faults.FaultController.rss_offsets_db`) passed to
+:meth:`LinkModel.delivery_probability_array`, which shifts the received
+strength before the PER mapping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -62,38 +67,6 @@ class LinkModel:
     associated_user: Optional[int] = None
     mac_retries: int = 2
 
-    def delivery_probability(
-        self,
-        user: int,
-        beam: np.ndarray,
-        true_state: ChannelState,
-        mcs: McsEntry,
-        rss_offset_db: float = 0.0,
-    ) -> float:
-        """Probability one packet reaches ``user`` under ``beam`` at ``mcs``.
-
-        ``rss_offset_db`` shifts the received strength before the PER
-        mapping — the seam fault injection uses for blockage bursts and
-        SNR dips (:class:`repro.faults.FaultedLinkModel`).
-        """
-        if user not in true_state.channels:
-            raise TransportError(f"no channel for user {user}")
-        rss = self.channel_model.rss_dbm(beam, true_state.channels[user])
-        if rss_offset_db:
-            rss += rss_offset_db
-        per = packet_error_rate(rss - mcs.sensitivity_dbm)
-        if user == self.associated_user:
-            per = per ** (1 + max(0, self.mac_retries))
-        prob = float(1.0 - per)
-        if OBS.mode:
-            OBS.count("link.prob_evals")
-            OBS.observe("link.delivery_prob", prob)
-            OBS.set_gauge(f"link.user.{user}.rss_dbm", rss)
-            OBS.set_gauge(
-                f"link.user.{user}.margin_db", rss - mcs.sensitivity_dbm
-            )
-        return prob
-
     def delivery_probability_array(
         self,
         user_ids: Sequence[int],
@@ -104,12 +77,10 @@ class LinkModel:
     ) -> np.ndarray:
         """Delivery probabilities for a whole cohort under one beam/MCS.
 
-        Array-in/array-out companion to :meth:`delivery_probability`: the
-        margin/offset/erasure arithmetic and the final ``1 - PER`` step run
-        as whole-vector operations.  Two steps deliberately stay scalar per
-        element, because bit-identity with the scalar
-        :meth:`delivery_probability` is a hard contract (the golden suites
-        pin it):
+        The link's one delivery-probability entry point: a single receiver
+        is a one-element cohort.  The margin/offset arithmetic and the final
+        ``1 - PER`` step run as whole-vector operations.  Two steps stay
+        scalar per element, because the golden suites pin their last bit:
 
         * the beam-gain dot product — BLAS batches a stacked ``(n, Nt) @
           beam`` through a different kernel than the per-user ``vdot``,
@@ -119,7 +90,10 @@ class LinkModel:
           unclipped PER band.
 
         Both run once per (group, beam) per frame and are memoized by the
-        transmitter, so they are off the per-symbol hot path.
+        transmitter, so they are off the per-symbol hot path.  With
+        observability on, the ``link.*`` counter, histogram and per-user
+        gauges are recorded from the result; the arithmetic is the same
+        in every mode.
 
         Args:
             user_ids: Cohort members, in draw-column order.
@@ -134,22 +108,6 @@ class LinkModel:
             with ``user_ids``.
         """
         users = list(user_ids)
-        out = np.empty(len(users), dtype=np.float64)
-        if not users:
-            return out
-        if OBS.mode:
-            # The scalar path emits the per-user link gauges; route through
-            # it so observability runs see identical counters.
-            offsets = (
-                np.zeros(len(users))
-                if rss_offsets_db is None
-                else np.asarray(rss_offsets_db, dtype=np.float64)
-            )
-            for i, user in enumerate(users):
-                out[i] = self.delivery_probability(
-                    user, beam, true_state, mcs, float(offsets[i])
-                )
-            return out
         missing = [u for u in users if u not in true_state.channels]
         if missing:
             raise TransportError(f"no channel for user {missing[0]}")
@@ -162,13 +120,7 @@ class LinkModel:
             count=len(users),
         )
         if rss_offsets_db is not None:
-            offsets = np.asarray(rss_offsets_db, dtype=np.float64)
-            # Only add where non-zero, mirroring the scalar path's
-            # ``if rss_offset_db:`` guard (adding 0.0 flips -0.0 to +0.0).
-            nonzero = offsets != 0.0
-            if nonzero.any():
-                rss = rss.copy()
-                rss[nonzero] += offsets[nonzero]
+            rss += rss_offsets_db
         margins = rss - mcs.sensitivity_dbm
         per = np.fromiter(
             (packet_error_rate(m) for m in margins),
@@ -178,16 +130,13 @@ class LinkModel:
         if self.associated_user is not None and self.associated_user in users:
             i = users.index(self.associated_user)
             per[i] = per[i] ** (1 + max(0, self.mac_retries))
-        return 1.0 - per
-
-    def delivery_probabilities(
-        self,
-        users: Dict[int, None] | list,
-        beam: np.ndarray,
-        true_state: ChannelState,
-        mcs: McsEntry,
-    ) -> Dict[int, float]:
-        """Delivery probability for several users under one beam/MCS."""
-        ordered = list(users)
-        probs = self.delivery_probability_array(ordered, beam, true_state, mcs)
-        return dict(zip(ordered, probs.tolist()))
+        probs = 1.0 - per
+        if OBS.mode and users:
+            OBS.count("link.prob_evals", len(users))
+            for user, user_rss, margin, prob in zip(
+                users, rss.tolist(), margins.tolist(), probs.tolist()
+            ):
+                OBS.observe("link.delivery_prob", prob)
+                OBS.set_gauge(f"link.user.{user}.rss_dbm", user_rss)
+                OBS.set_gauge(f"link.user.{user}.margin_db", margin)
+        return probs

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -38,11 +38,7 @@ from .kernel_queue import KernelQueue
 from .link import LinkModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..faults.controller import ApScopedFaults, FaultController
-
-    #: Anything the transmitter consults for faults: the session's
-    #: controller, or one AP's scoped view of it.
-    FaultView = Union["FaultController", "ApScopedFaults"]
+    from ..faults.controller import FaultController
 
 #: Firmware beam + MCS switch overhead (Sec 3.1: ~25 us).
 GROUP_SWITCH_OVERHEAD_S = 25e-6
@@ -151,7 +147,8 @@ class FrameTransmitter:
         rng: np.random.Generator,
         rate_limits_bytes_per_s: Optional[Dict[int, float]] = None,
         active_users: Optional[Sequence[int]] = None,
-        faults: Optional["FaultView"] = None,
+        faults: Optional["FaultController"] = None,
+        ap: int = 0,
         receivers: Optional[FrameCohort] = None,
     ) -> TransmissionResult:
         """Run one frame's transmission and return per-user receptions.
@@ -173,10 +170,11 @@ class FrameTransmitter:
                 (from the previous frame's receiver estimates).
             active_users: Receivers currently in the session; ``None``
                 means every user in ``true_state`` (no churn).
-            faults: Active fault controller (or an AP-scoped view of one);
-                applies blockage/SNR-dip attenuation through the link
-                wrapper and packet-erasure bursts on the delivery
-                probabilities.
+            faults: Active fault controller; its blockage/SNR-dip RSS
+                offsets enter the link model and its packet-erasure bursts
+                scale the delivery probabilities.
+            ap: The AP this pass transmits from, which scopes the fault
+                controller's AP-tagged attenuation.
             receivers: Receiver state from :meth:`open_frame` that several
                 passes of one frame share (one pass per AP, then cross-AP
                 repair); the caller calls :meth:`close_frame` once the
@@ -195,7 +193,8 @@ class FrameTransmitter:
         with OBS.span("transport.transmit", frame=encoder.frame_index) as span:
             result = self._transmit(
                 encoder, assignments, groups, true_state, budget_s, rng,
-                rate_limits_bytes_per_s or {}, set(users), faults, receivers,
+                rate_limits_bytes_per_s or {}, set(users), faults, ap,
+                receivers,
             )
             span.set(
                 packets_sent=result.packets_sent,
@@ -224,7 +223,8 @@ class FrameTransmitter:
         rng: np.random.Generator,
         limits: Dict[int, float],
         present: Set[int],
-        faults: Optional["FaultView"],
+        faults: Optional["FaultController"],
+        ap: int,
         receivers: FrameCohort,
     ) -> TransmissionResult:
         packet_bytes = encoder.symbol_size + HEADER_BYTES
@@ -243,9 +243,8 @@ class FrameTransmitter:
         plan = self._expand_assignments(encoder, assignments)
 
         # Delivery probabilities are deterministic per group within a frame
-        # (fixed beam, MCS and true channel): memoize them across plan
-        # entries and feedback rounds.
-        link = self.link if faults is None else faults.wrap_link(self.link)
+        # (fixed beam, MCS, true channel and fault offsets): memoize them
+        # across plan entries and feedback rounds.
         # Erasure bursts kill packets independently of the channel: scaling
         # the delivery probability (instead of drawing extra randomness)
         # keeps the rng stream — and hence zero-intensity runs —
@@ -260,8 +259,13 @@ class FrameTransmitter:
             if entry is None:
                 group = groups[group_index]
                 member_ids = [u for u in group.user_ids if u in present]
-                probs = link.delivery_probability_array(
-                    member_ids, group.plan.beam, true_state, group.plan.mcs
+                probs = self.link.delivery_probability_array(
+                    member_ids, group.plan.beam, true_state, group.plan.mcs,
+                    rss_offsets_db=(
+                        None
+                        if faults is None
+                        else faults.rss_offsets_db(member_ids, ap)
+                    ),
                 )
                 if erasure_scale < 1.0:
                     probs = probs * erasure_scale

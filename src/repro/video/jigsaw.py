@@ -223,8 +223,6 @@ class JigsawCodec:
                 f"frame is {frame.height}x{frame.width}, codec expects "
                 f"{self.structure.height}x{self.structure.width}"
             )
-        if not OBS.mode:
-            return self._encode(frame)
         with OBS.span("encode.jigsaw", bytes=self.structure.total_nbytes):
             return self._encode(frame)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.emulation.runner import (
+from repro.emulation import (
     build_context,
     run_ablation,
     run_beamforming_comparison,

@@ -7,7 +7,6 @@ from repro.errors import TransportError
 from repro.faults import (
     FaultConfig,
     FaultController,
-    FaultedLinkModel,
     FaultEvent,
     FaultKind,
     FaultSchedule,
@@ -46,8 +45,7 @@ class TestControllerQueries:
             FaultEvent(FaultKind.BEACON_LOSS, 0.0, 1.0),
         ])
         controller.begin_frame(0, 0.5, [0, 1])
-        assert controller.rss_offset_db(0) == -18.0
-        assert controller.rss_offset_db(1) == 0.0
+        assert controller.rss_offsets_db([0, 1]).tolist() == [-18.0, 0.0]
         assert controller.feedback_lost(1)
         assert not controller.feedback_lost(0)
         assert controller.beacon_lost()
@@ -91,57 +89,6 @@ class TestObsEmission:
         assert OBS.counters() == {}
 
 
-class _StubLink:
-    """Records the offsets the wrapper hands down."""
-
-    def __init__(self):
-        self.calls = []
-
-    def delivery_probability(self, user, beam, true_state, mcs,
-                             rss_offset_db=0.0):
-        self.calls.append((user, rss_offset_db))
-        return 1.0 / (1.0 + abs(rss_offset_db))
-
-
-class TestLinkWrapping:
-    def test_wrap_is_identity_without_attenuation_events(self):
-        controller = _controller([
-            FaultEvent(FaultKind.ERASURE, 0.0, 1.0, probability=0.5),
-        ])
-        link = _StubLink()
-        assert controller.wrap_link(link) is link
-
-    def test_wrap_applies_current_offset(self):
-        controller = _controller([
-            FaultEvent(FaultKind.BLOCKAGE, 0.0, 0.5, user=0,
-                       magnitude_db=18.0),
-        ])
-        link = _StubLink()
-        wrapped = controller.wrap_link(link)
-        assert isinstance(wrapped, FaultedLinkModel)
-        controller.begin_frame(0, 0.25, [0, 1])
-        probs = wrapped.delivery_probabilities([0, 1], None, None, None)
-        assert link.calls == [(0, -18.0), (1, 0.0)]
-        assert probs[0] < probs[1]
-        controller.begin_frame(20, 0.75, [0, 1])  # window over
-        assert wrapped.delivery_probability(0, None, None, None) == 1.0
-
-    def test_real_link_attenuation_lowers_delivery(self, tx_world):
-        scenario, state, groups, _ = tx_world
-        from repro.transport import LinkModel
-
-        link = LinkModel(scenario.channel_model)
-        group = groups[0]
-        user = group.user_ids[0]
-        clean = link.delivery_probability(
-            user, group.plan.beam, state, group.plan.mcs
-        )
-        blocked = link.delivery_probability(
-            user, group.plan.beam, state, group.plan.mcs, rss_offset_db=-30.0
-        )
-        assert blocked < clean
-
-
 class TestEstimatorDecay:
     def test_decay_shrinks_estimate(self):
         estimator = _estimator(noise_std_fraction=0.0)
@@ -166,8 +113,8 @@ class TestEstimatorDecay:
         assert estimator.estimate_bytes_per_s >= 1e-9
 
 
-class TestApScopedViews:
-    """``controller.for_ap(ap)`` pins attenuation queries to one AP."""
+class TestRssOffsets:
+    """``rss_offsets_db`` is the per-user offset array the link takes."""
 
     def _two_ap_controller(self):
         return _controller([
@@ -175,48 +122,58 @@ class TestApScopedViews:
                        magnitude_db=25.0, ap=0),
             FaultEvent(FaultKind.BLOCKAGE, 0.0, 0.5, user=0,
                        magnitude_db=7.0, ap=1),
+            FaultEvent(FaultKind.SNR_DIP, 0.0, 0.5, user=1,
+                       magnitude_db=3.0, ap=1),
         ])
 
-    def test_offsets_scoped_per_ap(self):
+    def test_ap_tagged_event_attenuates_only_its_ap(self):
         controller = self._two_ap_controller()
-        controller.begin_frame(0, 0.25, [0])
-        assert controller.for_ap(0).rss_offset_db(0) == -25.0
-        assert controller.for_ap(1).rss_offset_db(0) == -7.0
-        # The unscoped (single-AP pipeline) query means AP 0.
-        assert controller.rss_offset_db(0) == -25.0
+        controller.begin_frame(0, 0.25, [0, 1])
+        assert controller.rss_offsets_db([0, 1], 0).tolist() == [-25.0, 0.0]
+        assert controller.rss_offsets_db([0, 1], 1).tolist() == [-7.0, -3.0]
+        assert controller.rss_offsets_db([0, 1], 2).tolist() == [0.0, 0.0]
 
-    def test_scoped_views_share_the_frame_clock(self):
+    def test_ap_zero_equals_the_untagged_query(self):
         controller = self._two_ap_controller()
-        view = controller.for_ap(1)
-        controller.begin_frame(0, 0.25, [0])
-        assert view.rss_offset_db(0) == -7.0
-        controller.begin_frame(20, 0.75, [0])  # window over
-        assert view.rss_offset_db(0) == 0.0
+        controller.begin_frame(0, 0.25, [0, 1])
+        untagged = controller.rss_offsets_db([1, 0])
+        assert untagged.tolist() == [0.0, -25.0]  # aligned with the ids
+        assert controller.rss_offsets_db([1, 0], 0).tolist() == untagged.tolist()
 
-    def test_scoped_wrap_link_applies_ap_offset(self):
-        controller = self._two_ap_controller()
-        controller.begin_frame(0, 0.25, [0])
-        link = _StubLink()
-        wrapped = controller.for_ap(1).wrap_link(link)
-        assert isinstance(wrapped, FaultedLinkModel)
-        wrapped.delivery_probability(0, None, None, None)
-        assert link.calls == [(0, -7.0)]
-
-    def test_scoped_wrap_is_identity_without_attenuation(self):
+    def test_no_offsets_without_attenuation_events(self):
         controller = _controller([
             FaultEvent(FaultKind.ERASURE, 0.0, 1.0, probability=0.5),
+            FaultEvent(FaultKind.FEEDBACK_LOSS, 0.0, 1.0, user=0),
         ])
-        link = _StubLink()
-        assert controller.for_ap(1).wrap_link(link) is link
+        controller.begin_frame(0, 0.25, [0, 1])
+        assert controller.rss_offsets_db([0, 1]) is None
+        assert controller.rss_offsets_db([0, 1], 1) is None
 
-    def test_non_attenuation_queries_unscoped(self):
+    def test_offsets_follow_the_frame_clock(self):
+        controller = self._two_ap_controller()
+        controller.begin_frame(0, 0.25, [0, 1])
+        assert controller.rss_offsets_db([0], 1).tolist() == [-7.0]
+        controller.begin_frame(20, 0.75, [0, 1])  # window over
+        assert controller.rss_offsets_db([0], 1).tolist() == [0.0]
+
+    def test_real_link_takes_the_offsets(self, tx_world):
+        scenario, state, groups, _ = tx_world
+        from repro.transport import LinkModel
+
+        plan = groups[0].plan
+        target = groups[0].user_ids[0]
+        other = 1 - target
         controller = _controller([
-            FaultEvent(FaultKind.FEEDBACK_LOSS, 0.0, 0.5, user=2),
-            FaultEvent(FaultKind.ERASURE, 0.0, 0.5, probability=0.25),
+            FaultEvent(FaultKind.BLOCKAGE, 0.0, 0.5, user=target,
+                       magnitude_db=30.0),
         ])
-        controller.begin_frame(0, 0.25, [0, 2])
-        for view in (controller.for_ap(0), controller.for_ap(1)):
-            assert view.feedback_lost(2)
-            assert not view.feedback_lost(0)
-            assert view.erasure_scale() == 0.75
-            assert not view.beacon_lost()
+        controller.begin_frame(0, 0.25, [0, 1])
+        link = LinkModel(scenario.channel_model)
+        users = [target, other]
+        clean = link.delivery_probability_array(users, plan.beam, state, plan.mcs)
+        blocked = link.delivery_probability_array(
+            users, plan.beam, state, plan.mcs,
+            rss_offsets_db=controller.rss_offsets_db(users),
+        )
+        assert blocked[0] < clean[0]
+        assert blocked[1] == clean[1]

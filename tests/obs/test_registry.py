@@ -13,7 +13,6 @@ from repro.obs import (
     ObsRegistry,
     observed,
     parse_mode,
-    timed,
 )
 from repro.obs.registry import _NULL_SPAN
 
@@ -154,14 +153,3 @@ class TestGlobalHelpers:
             OBS.count("stale")
         with observed(mode="counters"):
             assert "stale" not in OBS.counters()
-
-    def test_timed_decorator_records_calls(self):
-        @timed("helper.stage")
-        def double(x):
-            return 2 * x
-
-        with observed(mode="counters"):
-            assert double(21) == 42
-            assert OBS.counters()["helper.stage.calls"] == 1
-        # Disabled: passthrough, no metrics.
-        assert double(1) == 2

@@ -24,7 +24,9 @@ Two more, about whether the code has a reader:
   ``repro-wigig`` CLI, the ``serve`` server, ``benchmarks/``,
   ``examples/`` and the Python the CI workflows run), is every ``src/``
   module, top-level function and class read by something other than tests
-  and package re-exports, does some entry point both read and set every
+  and package re-exports (an attribute of that name, or a bare name in a
+  reader that defines or imports it: a local or a parameter that shares
+  the name does not count), does some entry point both read and set every
   ``SystemConfig`` field, and does every name an entry point imports
   exist?  One case per module; ``REACHABILITY_ALLOWLIST`` names what is
   kept anyway, with a reason.
@@ -597,20 +599,45 @@ def _roots() -> List[Tuple[str, ast.Module]]:
     return roots
 
 
-def _reads(statement: ast.AST) -> Set[str]:
-    """Names a statement reads: loads, attributes and annotation names."""
+def _declared(tree: ast.Module) -> Set[str]:
+    """Names by which a reader can mean a top-level definition: the
+    functions and classes it defines at module level (inside ``if`` /
+    ``try`` blocks too) and every name any of its imports binds."""
+    names: Set[str] = set()
+    statements = list(tree.body)
+    while statements:
+        node = statements.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.If, ast.Try)):
+            statements.extend(
+                child for child in ast.iter_child_nodes(node) if isinstance(child, ast.stmt)
+            )
+            for handler in getattr(node, "handlers", ()):
+                statements.extend(handler.body)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(_bound_names(node))
+    return names
+
+
+def _reads(statement: ast.AST, declared: Set[str]) -> Set[str]:
+    """Names a statement reads: attributes, and the loads and annotation
+    names among ``declared`` — a bare name its module neither defines nor
+    imports is a local or a parameter, not a top-level definition."""
     names = {
         node.id
         for node in ast.walk(statement)
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
     }
+    for annotation in _annotations(statement):
+        names.update(_annotation_names(annotation))
+    names &= declared
     names.update(
         node.attr
         for node in ast.walk(statement)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     )
-    for annotation in _annotations(statement):
-        names.update(_annotation_names(annotation))
     return names
 
 
@@ -618,10 +645,34 @@ def _references(readers: List[Tuple[str, ast.Module]]) -> dict:
     """Name -> the ``(reader, top-level statement)`` pairs that read it."""
     references: dict = {}
     for label, tree in readers:
+        declared = _declared(tree)
         for index, statement in enumerate(tree.body):
-            for name in _reads(statement):
+            for name in _reads(statement, declared):
                 references.setdefault(name, set()).add((label, index))
     return references
+
+
+@pytest.mark.parametrize(
+    "source, name, read",
+    [
+        ("from m import f\nf()\n", "f", True),
+        ("def f(): ...\ndef g():\n    return f()\n", "f", True),
+        ("import m\nm.f()\n", "f", True),
+        ("def g(o):\n    return o.f\n", "f", True),
+        ("def g():\n    from m import f\n    return f()\n", "f", True),
+        ("if True:\n    def f(): ...\ng = f\n", "f", True),
+        ("from m import F\ndef g(x: 'F'): ...\n", "F", True),
+        ("def g():\n    f = 1\n    return f\n", "f", False),
+        ("def g(f):\n    return f()\n", "f", False),
+    ],
+    ids=[
+        "imported", "defined", "module_attribute", "attribute", "local_import",
+        "defined_in_block", "string_annotation", "local_variable", "parameter",
+    ],
+)
+def test_references_case(source, name, read):
+    """Whether a reader keeps a top-level ``name`` elsewhere alive."""
+    assert (name in _references([("reader", ast.parse(source))])) == read
 
 
 #: An attribute read is a ``SystemConfig`` read when it is taken of a
