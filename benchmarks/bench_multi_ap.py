@@ -37,6 +37,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 import numpy as np
 
 from repro.emulation import ap_fault_grid, build_context, run_variant_sweep
+from repro.emulation.context import QUICK_CONTEXT
 
 #: Deep-blockage base shared by every arm: long bursts, high rate, pinned
 #: schedule seed — intense enough that quick CI runs still catch bursts
@@ -138,7 +139,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.quick:
-        ctx = build_context(height=144, width=256, dnn_epochs=60, probe_frames=2)
+        ctx = build_context(**QUICK_CONTEXT)
         runs = args.runs or 2
         frames = args.frames or 6
         depths = (0.0, 25.0)

@@ -38,6 +38,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 from repro.core import MulticastStreamer
 from repro.emulation import ExperimentContext, build_context
+from repro.emulation.context import QUICK_CONTEXT
 from repro.perf import time_call, write_bench_report
 from repro.types import BeamformingScheme, SchedulerKind
 
@@ -134,7 +135,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.quick:
-        ctx = build_context(height=144, width=256, dnn_epochs=60, probe_frames=2)
+        ctx = build_context(**QUICK_CONTEXT)
     else:
         ctx = build_context()
     measured_beacons = MEASURED_BEACONS[1 if args.quick else 0]

@@ -41,6 +41,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 import numpy as np
 
 from repro.emulation import ExperimentContext, build_context
+from repro.emulation.context import QUICK_CONTEXT
 from repro.errors import ServiceError
 from repro.perf import throughput, write_bench_report
 from repro.service import ReceiverClient, ServiceServer, http_request
@@ -302,8 +303,7 @@ def main(argv=None) -> int:
         40 if args.quick else 80
     )
     if args.quick:
-        ctx = build_context(height=144, width=256, dnn_epochs=60,
-                            probe_frames=2)
+        ctx = build_context(**QUICK_CONTEXT)
     else:
         ctx = build_context()
 

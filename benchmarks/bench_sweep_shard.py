@@ -37,6 +37,7 @@ from repro.emulation import (
     run_variant_sweep,
     variant_from_spec,
 )
+from repro.emulation.context import QUICK_CONTEXT
 from repro.perf import speedup, throughput, time_call, write_bench_report
 
 PLACEMENT = ("arc", 5.0, 60)
@@ -118,7 +119,7 @@ def main(argv=None) -> int:
     frames = args.frames or (2 if args.quick else 3)
     shards = args.shards or runs
     if args.quick:
-        ctx = build_context(height=144, width=256, dnn_epochs=60, probe_frames=2)
+        ctx = build_context(**QUICK_CONTEXT)
     else:
         ctx = build_context()
 

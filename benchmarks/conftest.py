@@ -27,7 +27,7 @@ MOBILE_DURATION_S = float(os.environ.get("REPRO_BENCH_MOBILE_S", "4"))
 
 @pytest.fixture(scope="session")
 def ctx():
-    """The shared experiment context (DNN disk-cached across sessions)."""
+    """The shared experiment context (its DNN is the committed model)."""
     return build_context()
 
 

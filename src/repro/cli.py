@@ -44,6 +44,7 @@ from .emulation import (
     variant_from_spec,
     write_results_json,
 )
+from .emulation.context import QUICK_CONTEXT
 from .emulation.stats import print_table, summarize
 
 #: Named --fault-base bundles for common chaos campaigns.  The
@@ -58,6 +59,9 @@ FAULT_BASE_PRESETS = {
         "faults.blockage_depth_db": "25",
     },
 }
+
+#: Same-seed replays ``chaos`` streams and compares.
+CHAOS_REPEATS = 2
 
 
 def _placement(args) -> tuple:
@@ -198,18 +202,14 @@ def _cmd_sweep(args) -> int:
     if not variants:
         print("need at least one arm: --variant and/or --fault-grid")
         return 2
-    if args.quick_context:
-        ctx = build_context(
-            height=144, width=256, dnn_epochs=60, probe_frames=2,
-            seed=args.seed,
-        )
-    else:
-        ctx = build_context(seed=args.seed)
+    ctx = build_context(
+        **(QUICK_CONTEXT if args.quick_context else {}), seed=args.seed
+    )
     results = run_variant_sweep(
         ctx, variants, args.users, _placement(args),
         runs=args.runs, frames=args.frames, jobs=args.jobs,
         shards=args.shards, checkpoint=args.checkpoint,
-        resume=args.resume, task_timeout_s=args.task_timeout,
+        resume=args.resume,
     )
     if args.result_json is not None:
         spec = None
@@ -246,8 +246,9 @@ def _cmd_observe(args) -> int:
     obs.OBS.reset()
     obs.configure(mode=args.mode, trace_path=str(args.trace))
     # Build the context *after* enabling observability: reference probes are
-    # (re-)encoded here, so the encode.jigsaw stage lands in the trace.  Only
-    # the trained DNN is disk-cached, and that is not an instrumented stage.
+    # encoded here, so the encode.jigsaw stage lands in the trace.  The DNN
+    # is loaded (or, off the committed shapes, trained) without encoding
+    # through the instrumented stages.
     ctx = build_context(seed=args.seed)
     placement = _placement(args)
     for run in range(args.runs):
@@ -287,7 +288,7 @@ def _cmd_chaos(args) -> int:
 
     Runs with counters-mode observability so the ``fault.*`` counters the
     fault controller emits are printed, and replays the identical (seed, schedule,
-    trace) ``--repeat`` times: any divergence in the per-frame/per-user
+    trace) ``CHAOS_REPEATS`` times: any divergence in the per-frame/per-user
     OutcomeStats across repeats is a reproducibility bug and exits nonzero.
     """
     from .faults import FaultController
@@ -314,7 +315,7 @@ def _cmd_chaos(args) -> int:
 
     fingerprints = []
     counters = {}
-    for repeat in range(args.repeat):
+    for repeat in range(CHAOS_REPEATS):
         with obs.observed("counters"):
             streamer = MulticastStreamer(
                 config,
@@ -344,7 +345,7 @@ def _cmd_chaos(args) -> int:
         print("  (none fired)")
 
     deterministic = all(fp == fingerprints[0] for fp in fingerprints[1:])
-    print(f"\ndeterministic across {args.repeat} same-seed runs: "
+    print(f"\ndeterministic across {CHAOS_REPEATS} same-seed runs: "
           f"{'yes' if deterministic else 'NO — OutcomeStats diverged'}")
     return 0 if deterministic else 1
 
@@ -366,13 +367,9 @@ def _cmd_serve(args) -> int:
 
     if args.obs != "off":
         obs.configure(mode=args.obs, trace_path=str(args.trace))
-    if args.quick_context:
-        ctx = build_context(
-            height=144, width=256, dnn_epochs=60, probe_frames=2,
-            seed=args.seed,
-        )
-    else:
-        ctx = build_context(seed=args.seed)
+    ctx = build_context(
+        **(QUICK_CONTEXT if args.quick_context else {}), seed=args.seed
+    )
 
     def _log(line: str) -> None:
         # Unbuffered: supervisors (and the smoke test) parse these lines
@@ -386,7 +383,6 @@ def _cmd_serve(args) -> int:
             receiver_port=args.receiver_port,
             control_port=args.control_port,
             frame_interval_s=args.frame_interval,
-            drain_s=args.drain,
             log=_log,
         )
         stop = asyncio.Event()
@@ -507,11 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default: REPRO_JOBS or 1)",
     )
     p.add_argument(
-        "--task-timeout", type=float, default=600.0, metavar="SECONDS",
-        help="per-shard deadline before a worker counts as hung "
-             "(default: 600)",
-    )
-    p.add_argument(
         "--result-json", type=Path, default=None, metavar="PATH",
         help="dump merged results as hex-float JSON for bit-exact diffing",
     )
@@ -551,10 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="one FaultConfig knob, e.g. blockage_rate_hz=2 "
              "(repeat for more; seed defaults to --seed)",
     )
-    p.add_argument(
-        "--repeat", type=int, default=2,
-        help="same-seed replays to compare (default: 2)",
-    )
     p.set_defaults(func=_cmd_chaos)
 
     p = sub.add_parser(
@@ -574,10 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--frame-interval", type=float, default=0.0, metavar="SECONDS",
         help="wall-clock pacing between frames (0 = as fast as possible)",
-    )
-    p.add_argument(
-        "--drain", type=float, default=0.25, metavar="SECONDS",
-        help="shutdown grace window for in-flight receiver messages",
     )
     p.add_argument(
         "--obs", choices=["off", "counters", "trace"], default="counters",

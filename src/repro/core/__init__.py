@@ -9,7 +9,7 @@ The per-frame loop itself is a staged session pipeline
 (:mod:`repro.core.pipeline`): pluggable :class:`PipelineStage` objects
 driven by a :class:`StreamSession`, one stage list at every AP count, with
 beacon-boundary adaptation delegated to :mod:`repro.core.policy`
-strategies and cross-AP repair in :mod:`repro.core.multi_ap`.
+strategies and cross-AP repair in :mod:`repro.core.repair`.
 """
 
 from .config import SystemConfig

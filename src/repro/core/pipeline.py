@@ -10,7 +10,7 @@ one shared :class:`FrameContext`:
 Every session runs this one list, at any AP count.  The plan, map and
 transmit stages loop over the topology's APs; a session without a topology
 is a one-AP session in which AP 0 serves every user.  Cross-AP repair, the
-one algorithm specific to several APs, lives in :mod:`repro.core.multi_ap`
+one algorithm specific to several APs, lives in :mod:`repro.core.repair`
 and is called by the planner and the transmit stage.
 
 :class:`StreamSession` owns the loop-carried state (bandwidth estimators,
@@ -31,6 +31,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..faults import FaultController
+from ..faults.config import MAX_BEACON_RETRIES, STALE_DECAY
 from ..fountain.block import FrameBlockEncoder
 from ..obs import OBS
 from ..quality.curves import FrameFeatureContext
@@ -43,7 +44,7 @@ from ..transport import (
 from ..transport.association import ApAssociationPolicy
 from ..types import OutcomeStats
 from ..video.jigsaw import SUBLAYER_COUNTS
-from .multi_ap import cross_ap_repair, plan_repair
+from .repair import cross_ap_repair, plan_repair
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..beamforming import BeamPlan
@@ -82,7 +83,7 @@ class SessionState:
         planned_users: Membership the current allocations were planned
             for; a churn-induced mismatch forces a replan.
         beacon_retries: Consecutive frames the planner has retried a lost
-            beacon update (bounded by ``faults.max_beacon_retries``).
+            beacon update (bounded by ``MAX_BEACON_RETRIES``).
         last_estimated_state: Freshest successfully received CSI estimate,
             for strategies degrading gracefully under beacon loss.
         feedback_staleness: Frames since the last feedback report arrived,
@@ -234,9 +235,6 @@ class Planner:
             self.association = ApAssociationPolicy(
                 n_aps=topology.num_aps,
                 budget=session.streamer.channel_model.budget,
-                hysteresis_db=topology.hysteresis_db,
-                noise_db=topology.handover_noise_db,
-                seed=topology.handover_seed,
             )
         self.association.update(estimated, ctx.users, faults=session.faults)
         ap_users = [
@@ -244,7 +242,7 @@ class Planner:
         ]
         if OBS.mode:
             for ap, users in enumerate(ap_users):
-                OBS.set_gauge(f"core.multi_ap.ap.{ap}.users", len(users))
+                OBS.set_gauge(f"transport.association.ap.{ap}.users", len(users))
         return ap_users
 
     def _on_beacon(
@@ -282,7 +280,7 @@ class Planner:
         state = session.state
         state.beacon_retries += 1
         OBS.count("fault.beacon.lost")
-        if state.beacon_retries > session.config.faults.max_beacon_retries:
+        if state.beacon_retries > MAX_BEACON_RETRIES:
             OBS.count("fault.beacon.timeouts")
             stale = state.last_estimated_state
             state.ap_allocations = [
@@ -334,7 +332,7 @@ class Transmitter:
     One transmitter pass per AP, each over that AP's channel view and
     AP-scoped fault view, all recording into one receiver state opened for
     the frame's users; then cross-AP repair
-    (:func:`repro.core.multi_ap.cross_ap_repair`, a no-op at one AP), and
+    (:func:`repro.core.repair.cross_ap_repair`, a no-op at one AP), and
     the frame is closed once.  APs transmit concurrently on separated
     beams, so the frame's airtime is the maximum per-AP clock.  Every pass
     stops at the frame budget, so ``deadline_met`` is True by construction.
@@ -395,8 +393,8 @@ class FeedbackUpdater:
 
     Graceful degradation under injected feedback loss: a user whose report
     never arrives keeps its last-known-good estimate, exponentially decayed
-    (``faults.stale_decay`` per silent frame), so a long outage steers the
-    pacing rate conservatively instead of pinning it at the last healthy
+    (``STALE_DECAY`` per silent frame), so a long outage steers the pacing
+    rate conservatively instead of pinning it at the last healthy
     measurement.
     """
 
@@ -433,9 +431,7 @@ class FeedbackUpdater:
         for user in ctx.users:
             if faults.feedback_lost(user):
                 staleness[user] = staleness.get(user, 0) + 1
-                session.state.bw_estimators[user].decay(
-                    session.config.faults.stale_decay
-                )
+                session.state.bw_estimators[user].decay(STALE_DECAY)
                 OBS.count("fault.feedback_loss.reports_lost")
                 OBS.set_gauge(
                     f"fault.feedback_loss.user.{user}.staleness",

@@ -53,13 +53,11 @@ def plan_repair(
     """Per AP, the singleton repair beam of each user it backs up.
 
     Users whose secondary AP cannot reach them at any MCS get no plan.
-    Empty everywhere when the topology turns repair off or source coding
-    is off (plain segments have no fresh symbols to send).
+    Empty everywhere when source coding is off (plain segments have no
+    fresh symbols to send).
     """
-    config = session.config
-    topology = config.topology
     repair: List[Dict[int, "BeamPlan"]] = [{} for _ in range(policy.n_aps)]
-    if topology is None or not (topology.cross_ap_repair and config.source_coding):
+    if not session.config.source_coding:
         return repair
     backups: List[List[int]] = [[] for _ in range(policy.n_aps)]
     for user in sorted(policy.serving):
@@ -155,15 +153,15 @@ def cross_ap_repair(
             receivers.record(unit, symbols[:n_send], row, delivered[:, None])
             sent += n_send
             if OBS.mode:
-                OBS.count("core.multi_ap.repair.delivered", int(delivered.sum()))
+                OBS.count("core.repair.delivered", int(delivered.sum()))
             if clock + symbol_airtime > remaining:
                 break
         if clock > GROUP_SWITCH_OVERHEAD_S:
             ap_airtime[ap] += clock
             if OBS.mode:
-                OBS.count("core.multi_ap.repair.users")
+                OBS.count("core.repair.users")
     if sent and OBS.mode:
-        OBS.count("core.multi_ap.repair.packets", sent)
+        OBS.count("core.repair.packets", sent)
     return sent
 
 

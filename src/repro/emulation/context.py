@@ -1,14 +1,19 @@
 """Shared experiment state and placement->trace plumbing.
 
-Builds the heavyweight shared state once (trained DNN quality model — disk
-cached — plus encoded reference-frame probes) so every runner and sweep
-works from the same :class:`ExperimentContext`, and turns placement specs
-into CSI traces.
+Builds the heavyweight shared state once (the DNN quality model plus
+encoded reference-frame probes) so every runner and sweep works from the
+same :class:`ExperimentContext`, and turns placement specs into CSI traces.
+
+The quality model is an instrument trained once, offline (paper Sec 2.3):
+the models of the default and the quick context are committed beside
+:mod:`repro.quality.dnn` and loaded; any other resolution or epoch count
+is trained in memory and written nowhere.  A model depends only on
+``(height, width, dnn_epochs)``; ``scripts/regen_quality_models.py``
+regenerates the committed ones.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -20,6 +25,7 @@ from ..core import SystemConfig
 from ..errors import EmulationError
 from ..phy.csi import CsiTrace
 from ..quality.dnn import DNNQualityModel
+from ..quality.model import train_default_dnn
 from ..types import Richness
 from ..video.dataset import FrameQualityProbe, generate_dataset
 from ..video.jigsaw import JigsawCodec
@@ -72,11 +78,26 @@ class ExperimentContext:
         return replace(self.base_config, **overrides)
 
 
-def _cache_dir() -> Path:
-    root = os.environ.get("REPRO_CACHE_DIR")
-    path = Path(root) if root else Path.home() / ".cache" / "repro_wigig"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+#: The small context of CI-sized runs (``--quick-context``): 144x256, a
+#: 60-epoch model (committed too) and two probes.
+QUICK_CONTEXT = {"height": 144, "width": 256, "dnn_epochs": 60, "probe_frames": 2}
+
+
+def model_file(height: int, width: int, dnn_epochs: int) -> Path:
+    """The committed model of one ``(height, width, dnn_epochs)``, beside
+    ``repro.quality.dnn``; only the default and quick shapes exist."""
+    quality = Path(__file__).resolve().parents[1] / "quality"
+    return quality / f"dnn_{height}x{width}_e{dnn_epochs}.npz"
+
+
+def train_context_dnn(
+    videos: List[SyntheticVideo], dnn_epochs: int
+) -> DNNQualityModel:
+    """Train the context's quality model from scratch, seed 0 throughout."""
+    dataset = generate_dataset(
+        videos, frames_per_video=3, samples_per_frame=24, seed=0
+    )
+    return train_default_dnn(dataset, epochs=dnn_epochs)
 
 
 def build_context(
@@ -85,21 +106,15 @@ def build_context(
     dnn_epochs: int = 300,
     probe_frames: int = 4,
     seed: int = 0,
-    use_cache: bool = True,
 ) -> ExperimentContext:
-    """Build (or load from cache) the shared experiment context."""
+    """Build the shared experiment context; ``seed`` seeds the scenario."""
     videos = make_standard_videos(height=height, width=width, num_frames=16, seed=7)
-    cache_file = _cache_dir() / f"dnn_{height}x{width}_e{dnn_epochs}_s{seed}.npz"
-    if use_cache and cache_file.exists():
-        dnn = DNNQualityModel.load(cache_file)
-    else:
-        dataset = generate_dataset(
-            videos, frames_per_video=3, samples_per_frame=24, seed=seed
-        )
-        dnn = DNNQualityModel(epochs=dnn_epochs, seed=seed)
-        dnn.fit(dataset.features, dataset.ssim)
-        if use_cache:
-            dnn.save(cache_file)
+    path = model_file(height, width, dnn_epochs)
+    dnn = (
+        DNNQualityModel.load(path)
+        if path.exists()
+        else train_context_dnn(videos, dnn_epochs)
+    )
     codec = JigsawCodec(height, width)
     # The paper evaluates on 2 HR + 2 LR sequences and reports the average;
     # we cycle probes drawn from one HR and one LR video.

@@ -69,7 +69,6 @@ from typing import (
 from ..errors import EmulationError
 from ..obs import OBS
 from ..perf.workers import (
-    DEFAULT_TASK_TIMEOUT_S,
     PersistentPool,
     SharedPayload,
     effective_jobs,
@@ -386,7 +385,6 @@ def _execute(
     ctx: ExperimentContext,
     jobs: Optional[int],
     on_result: Callable[[Any], None],
-    task_timeout_s: Optional[float] = DEFAULT_TASK_TIMEOUT_S,
 ) -> None:
     """Run ``task_fn`` over ``payloads``, handing each result to ``on_result``.
 
@@ -409,7 +407,6 @@ def _execute(
             jobs=count,
             initializer=_install_shared_context,
             initargs=(shipped.handle,),
-            task_timeout_s=task_timeout_s,
         ) as pool:
             pool.run_tasks(payloads, on_result=lambda _id, res: on_result(res))
 
@@ -447,7 +444,6 @@ def run_variant_sweep(
     shards: Optional[int] = None,
     checkpoint: Optional[Union[str, Path]] = None,
     resume: bool = False,
-    task_timeout_s: Optional[float] = DEFAULT_TASK_TIMEOUT_S,
 ) -> Dict[str, Dict[str, List[float]]]:
     """Per-variant SSIM/PSNR samples over random placements.
 
@@ -477,8 +473,6 @@ def run_variant_sweep(
             execute.
         resume: Continue a previous (interrupted) campaign; needs
             ``checkpoint``.
-        task_timeout_s: Per-shard deadline before a pool worker counts as
-            hung.
     """
     if resume and checkpoint is None:
         raise EmulationError("resume needs a checkpoint path to resume from")
@@ -532,7 +526,7 @@ def run_variant_sweep(
                     len(results) * len(spec.variants),
                 )
 
-            _execute(_shard_task, payloads, ctx, jobs, record, task_timeout_s)
+            _execute(_shard_task, payloads, ctx, jobs, record)
 
     return merge_shards([v.name for v in spec.variants], spec.runs, finished)
 

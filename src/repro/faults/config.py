@@ -1,9 +1,9 @@
 """The ``faults`` configuration block: declarative fault-injection knobs.
 
 :class:`FaultConfig` is embedded in :class:`repro.core.SystemConfig` and
-describes *rates and shapes* of impairments, not concrete occurrences —
-the concrete, seeded event timeline is drawn from it by
-:meth:`repro.faults.schedule.FaultSchedule.generate`.  All rates default to
+describes *rates* of impairments (and a blockage burst's shape), not
+concrete occurrences — the concrete, seeded event timeline is drawn from it
+by :meth:`repro.faults.schedule.FaultSchedule.generate`.  All rates default to
 zero, so the default config injects nothing and the streaming pipeline is
 bit-identical to a fault-free run.
 
@@ -28,9 +28,39 @@ from dataclasses import dataclass
 from ..errors import ConfigurationError
 
 
+# Every fault window's shape but the blockage burst's is a constant: the
+# failover curve varies blockage over its realisations, as Drago et al.
+# (arXiv 1711.06154) do, and no experiment varies the other shapes.
+
+#: Length of one all-user SNR dip and the attenuation it applies.
+SNR_DIP_DURATION_S = 0.4
+SNR_DIP_DEPTH_DB = 6.0
+#: Length of one erasure burst and the chance a packet inside it is erased.
+ERASURE_DURATION_S = 0.05
+ERASURE_PROB = 0.5
+#: Length of one per-user feedback outage and of one beacon outage.
+FEEDBACK_LOSS_DURATION_S = 0.2
+BEACON_LOSS_DURATION_S = 0.15
+#: How long a departed receiver stays away before rejoining.
+CHURN_DOWNTIME_S = 0.3
+
+#: Graceful degradation: consecutive frames the planner retries a lost
+#: beacon update before giving up until the next beacon boundary.
+MAX_BEACON_RETRIES = 3
+#: Graceful degradation: multiplicative decay of a receiver's
+#: last-known-good bandwidth estimate per frame its feedback is lost.
+STALE_DECAY = 0.9
+
+#: The arrival-rate fields, one per fault axis.
+RATE_FIELDS = (
+    "blockage_rate_hz", "snr_dip_rate_hz", "erasure_rate_hz",
+    "feedback_loss_rate_hz", "beacon_loss_rate_hz", "churn_rate_hz",
+)
+
+
 @dataclass(frozen=True)
 class FaultConfig:
-    """Rates, durations and magnitudes of schedulable faults.
+    """Arrival rates of schedulable faults, and the blockage burst's shape.
 
     Attributes:
         seed: Seed for drawing the concrete event timeline; the same seed
@@ -40,24 +70,10 @@ class FaultConfig:
         blockage_duration_s: Length of one blockage burst.
         blockage_depth_db: Attenuation applied to the blocked user's RSS.
         snr_dip_rate_hz: All-user SNR-dip arrivals per second.
-        snr_dip_duration_s: Length of one dip.
-        snr_dip_depth_db: Attenuation applied to every user during a dip.
         erasure_rate_hz: Erasure-burst arrivals per second.
-        erasure_duration_s: Length of one erasure burst.
-        erasure_prob: Probability a packet inside a burst is erased.
         feedback_loss_rate_hz: Per-user feedback-outage arrivals per second.
-        feedback_loss_duration_s: Length of one feedback outage.
         beacon_loss_rate_hz: Beacon-outage arrivals per second.
-        beacon_loss_duration_s: Length of one beacon outage.
         churn_rate_hz: Per-user leave arrivals per second.
-        churn_downtime_s: How long a departed receiver stays away before
-            rejoining.
-        max_beacon_retries: Graceful-degradation bound — consecutive frames
-            the planner retries a lost beacon update before giving up until
-            the next beacon boundary.
-        stale_decay: Graceful-degradation knob — multiplicative decay
-            applied to a receiver's last-known-good bandwidth estimate for
-            every frame its feedback report is lost.
     """
 
     seed: int = 0
@@ -65,65 +81,27 @@ class FaultConfig:
     blockage_duration_s: float = 0.12
     blockage_depth_db: float = 18.0
     snr_dip_rate_hz: float = 0.0
-    snr_dip_duration_s: float = 0.4
-    snr_dip_depth_db: float = 6.0
     erasure_rate_hz: float = 0.0
-    erasure_duration_s: float = 0.05
-    erasure_prob: float = 0.5
     feedback_loss_rate_hz: float = 0.0
-    feedback_loss_duration_s: float = 0.2
     beacon_loss_rate_hz: float = 0.0
-    beacon_loss_duration_s: float = 0.15
     churn_rate_hz: float = 0.0
-    churn_downtime_s: float = 0.3
-    max_beacon_retries: int = 3
-    stale_decay: float = 0.9
 
     def __post_init__(self) -> None:
-        for name in (
-            "blockage_rate_hz", "snr_dip_rate_hz", "erasure_rate_hz",
-            "feedback_loss_rate_hz", "beacon_loss_rate_hz", "churn_rate_hz",
-        ):
+        for name in RATE_FIELDS:
             if getattr(self, name) < 0:
                 raise ConfigurationError(
                     f"{name} must be non-negative, got {getattr(self, name)}"
                 )
-        for name in (
-            "blockage_duration_s", "snr_dip_duration_s", "erasure_duration_s",
-            "feedback_loss_duration_s", "beacon_loss_duration_s",
-            "churn_downtime_s",
-        ):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(
-                    f"{name} must be positive, got {getattr(self, name)}"
-                )
-        for name in ("blockage_depth_db", "snr_dip_depth_db"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(
-                    f"{name} must be non-negative, got {getattr(self, name)}"
-                )
-        if not 0.0 <= self.erasure_prob <= 1.0:
+        if self.blockage_duration_s <= 0:
             raise ConfigurationError(
-                f"erasure_prob must be in [0, 1], got {self.erasure_prob}"
+                f"blockage_duration_s must be positive, got {self.blockage_duration_s}"
             )
-        if self.max_beacon_retries < 0:
+        if self.blockage_depth_db < 0:
             raise ConfigurationError(
-                f"max_beacon_retries must be non-negative, "
-                f"got {self.max_beacon_retries}"
-            )
-        if not 0.0 < self.stale_decay <= 1.0:
-            raise ConfigurationError(
-                f"stale_decay must be in (0, 1], got {self.stale_decay}"
+                f"blockage_depth_db must be non-negative, got {self.blockage_depth_db}"
             )
 
     @property
     def enabled(self) -> bool:
         """True when any fault axis has a non-zero arrival rate."""
-        return any(
-            getattr(self, name) > 0
-            for name in (
-                "blockage_rate_hz", "snr_dip_rate_hz", "erasure_rate_hz",
-                "feedback_loss_rate_hz", "beacon_loss_rate_hz",
-                "churn_rate_hz",
-            )
-        )
+        return any(getattr(self, name) > 0 for name in RATE_FIELDS)

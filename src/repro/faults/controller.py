@@ -30,15 +30,10 @@ class FaultController:
 
     Args:
         schedule: The concrete event timeline to apply.
-        config: Graceful-degradation knobs (retry bounds, stale decay);
-            defaults to a plain :class:`FaultConfig`.
     """
 
-    def __init__(
-        self, schedule: FaultSchedule, config: Optional[FaultConfig] = None
-    ) -> None:
+    def __init__(self, schedule: FaultSchedule) -> None:
         self.schedule = schedule
-        self.config = config if config is not None else FaultConfig()
         self.now: float = 0.0
         self.frame_index: int = -1
         self._has_attenuation = any(
@@ -129,4 +124,4 @@ class FaultController:
         schedule = FaultSchedule.generate(
             config, duration_s, users, extra_events=extra_events, n_aps=n_aps
         )
-        return cls(schedule, config)
+        return cls(schedule)

@@ -19,7 +19,16 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..types import validate_seed
-from .config import FaultConfig
+from .config import (
+    BEACON_LOSS_DURATION_S,
+    CHURN_DOWNTIME_S,
+    ERASURE_DURATION_S,
+    ERASURE_PROB,
+    FEEDBACK_LOSS_DURATION_S,
+    SNR_DIP_DEPTH_DB,
+    SNR_DIP_DURATION_S,
+    FaultConfig,
+)
 
 __all__ = ["FaultKind", "FaultEvent", "FaultSchedule"]
 
@@ -289,16 +298,16 @@ class FaultSchedule:
             events.append(
                 FaultEvent(
                     FaultKind.SNR_DIP, float(start),
-                    config.snr_dip_duration_s,
-                    magnitude_db=config.snr_dip_depth_db,
+                    SNR_DIP_DURATION_S,
+                    magnitude_db=SNR_DIP_DEPTH_DB,
                 )
             )
         for start in starts(config.erasure_rate_hz):
             events.append(
                 FaultEvent(
                     FaultKind.ERASURE, float(start),
-                    config.erasure_duration_s,
-                    probability=config.erasure_prob,
+                    ERASURE_DURATION_S,
+                    probability=ERASURE_PROB,
                 )
             )
         for user in ordered_users:
@@ -306,14 +315,14 @@ class FaultSchedule:
                 events.append(
                     FaultEvent(
                         FaultKind.FEEDBACK_LOSS, float(start),
-                        config.feedback_loss_duration_s, user=user,
+                        FEEDBACK_LOSS_DURATION_S, user=user,
                     )
                 )
         for start in starts(config.beacon_loss_rate_hz):
             events.append(
                 FaultEvent(
                     FaultKind.BEACON_LOSS, float(start),
-                    config.beacon_loss_duration_s,
+                    BEACON_LOSS_DURATION_S,
                 )
             )
         for user in ordered_users:
@@ -324,7 +333,7 @@ class FaultSchedule:
                 events.append(
                     FaultEvent(
                         FaultKind.JOIN,
-                        float(start) + config.churn_downtime_s,
+                        float(start) + CHURN_DOWNTIME_S,
                         user=user,
                     )
                 )

@@ -39,6 +39,9 @@ __all__ = ["AccessPoint", "Topology", "TopologyConfig", "MAX_APS"]
 #: Wall-midpoint placement supports up to one AP per wall.
 MAX_APS = 4
 
+#: AP standoff from its wall in the wall-midpoint layout.
+AP_WALL_MARGIN_M = 0.3
+
 
 @dataclass(frozen=True)
 class AccessPoint:
@@ -101,8 +104,6 @@ class Topology:
         room: Room,
         num_aps: int,
         first_ap: Optional[Position] = None,
-        first_boresight_rad: float = 0.0,
-        wall_margin_m: float = 0.3,
     ) -> "Topology":
         """Deterministic wall-midpoint topology.
 
@@ -117,19 +118,20 @@ class Topology:
             raise ConfigurationError(
                 f"num_aps must be in [1, {MAX_APS}], got {num_aps}"
             )
-        margin = float(wall_margin_m)
         if first_ap is None:
-            first_ap = Position(margin, room.width / 2.0)
+            first_ap = Position(AP_WALL_MARGIN_M, room.width / 2.0)
         candidates = [
-            AccessPoint(0, first_ap, float(first_boresight_rad)),
+            AccessPoint(0, first_ap, 0.0),
             AccessPoint(
-                1, Position(room.length - margin, room.width / 2.0), float(np.pi)
+                1, Position(room.length - AP_WALL_MARGIN_M, room.width / 2.0),
+                float(np.pi),
             ),
             AccessPoint(
-                2, Position(room.length / 2.0, margin), float(np.pi / 2.0)
+                2, Position(room.length / 2.0, AP_WALL_MARGIN_M),
+                float(np.pi / 2.0),
             ),
             AccessPoint(
-                3, Position(room.length / 2.0, room.width - margin),
+                3, Position(room.length / 2.0, room.width - AP_WALL_MARGIN_M),
                 float(-np.pi / 2.0),
             ),
         ]
@@ -138,76 +140,25 @@ class Topology:
 
 @dataclass(frozen=True)
 class TopologyConfig:
-    """The ``topology`` configuration block: multi-AP knobs as scalars.
+    """The ``topology`` configuration block: how many APs cover the room.
 
-    Every field is a plain scalar so dotted sweep overrides
-    (``topology.num_aps=2``) compose exactly like the ``faults.*`` axis.
-    ``num_aps == 1`` (or an absent block) is a one-AP session and streams
-    bit-identically to the pre-topology system.
+    A plain scalar, so dotted sweep overrides (``topology.num_aps=2``)
+    compose exactly like the ``faults.*`` axis.  ``num_aps == 1`` (or an
+    absent block) is a one-AP session and streams bit-identically to the
+    pre-topology system.
 
     Attributes:
         num_aps: Access points covering the room (wall-midpoint layout via
             :meth:`Topology.for_room`).
-        hysteresis_db: A user hands over only when another AP's RSS beats
-            the serving AP's by more than this margin (ping-pong damping).
-        handover_noise_db: Std-dev of seeded measurement noise added to
-            the association RSS comparison (real handover decisions see
-            noisy beacon measurements); 0 keeps association exact.
-        handover_seed: Seed of the association-noise stream, so handover
-            sequences are reproducible independent of packet-loss draws.
-        cross_ap_repair: Secondary APs spend leftover airtime sending
-            fresh fountain symbols for their backup users' undecoded
-            units (the rateless decoder combines symbols from any AP).
-        ap_wall_margin_m: AP standoff from its wall in the generated
-            topology.
     """
 
     num_aps: int = 1
-    hysteresis_db: float = 3.0
-    handover_noise_db: float = 0.0
-    handover_seed: int = 0
-    cross_ap_repair: bool = True
-    ap_wall_margin_m: float = 0.3
 
     def __post_init__(self) -> None:
         if not 1 <= self.num_aps <= MAX_APS:
             raise ConfigurationError(
                 f"topology.num_aps must be in [1, {MAX_APS}], got {self.num_aps}"
             )
-        if self.hysteresis_db < 0:
-            raise ConfigurationError(
-                f"topology.hysteresis_db must be >= 0, got {self.hysteresis_db}"
-            )
-        if self.handover_noise_db < 0:
-            raise ConfigurationError(
-                "topology.handover_noise_db must be >= 0, "
-                f"got {self.handover_noise_db}"
-            )
-        if self.ap_wall_margin_m <= 0:
-            raise ConfigurationError(
-                "topology.ap_wall_margin_m must be positive, "
-                f"got {self.ap_wall_margin_m}"
-            )
-
-    @property
-    def enabled(self) -> bool:
-        """True when the config actually asks for more than one AP."""
-        return self.num_aps > 1
-
-    def build(
-        self,
-        room: Room,
-        first_ap: Optional[Position] = None,
-        first_boresight_rad: float = 0.0,
-    ) -> Topology:
-        """The concrete :class:`Topology` for ``room`` under this config."""
-        return Topology.for_room(
-            room,
-            self.num_aps,
-            first_ap=first_ap,
-            first_boresight_rad=first_boresight_rad,
-            wall_margin_m=self.ap_wall_margin_m,
-        )
 
 
 def coerce_topology(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import BinaryIO, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -192,7 +192,7 @@ class DNNQualityModel:
 
     # ------------------------------------------------------------ persistence
 
-    def save(self, path: Union[str, Path]) -> None:
+    def save(self, path: Union[str, Path, BinaryIO]) -> None:
         """Serialise weights and hyper-parameters to an ``.npz`` file."""
         if self._params is None:
             raise QualityModelError("cannot save an unfitted model")
@@ -204,12 +204,12 @@ class DNNQualityModel:
             }
         )
         arrays = {f"param_{i}": p for i, p in enumerate(self._params)}
-        np.savez(Path(path), meta=np.frombuffer(meta.encode(), dtype=np.uint8), **arrays)
+        np.savez(path, meta=np.frombuffer(meta.encode(), dtype=np.uint8), **arrays)
 
     @classmethod
-    def load(cls, path: Union[str, Path]) -> "DNNQualityModel":
+    def load(cls, path: Union[str, Path, BinaryIO]) -> "DNNQualityModel":
         """Load a model previously written by :meth:`save`."""
-        with np.load(Path(path)) as data:
+        with np.load(path) as data:
             meta = json.loads(bytes(data["meta"]).decode())
             count = sum(1 for key in data.files if key.startswith("param_"))
             params = [data[f"param_{i}"] for i in range(count)]

@@ -3,8 +3,7 @@
 Generalises the transport layer's implicit "the AP" to an
 ``(n_aps, n_users)`` axis: an RSS matrix over every AP/user link, a
 strongest-RSS association rule with hysteresis (ping-pong damping, the
-standard cellular/WLAN handover primitive), and an optional seeded
-measurement-noise stream so noisy-handover scenarios stay reproducible.
+standard cellular/WLAN handover primitive).
 
 Association is computed from the *matched-filter* RSS bound
 ``budget.rss_dbm(||h||^2)`` — the RSS a conjugate beam would deliver —
@@ -28,7 +27,11 @@ from ..phy.channel import ChannelState, LinkBudget
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.controller import FaultController
 
-__all__ = ["ApAssociationPolicy", "association_rss_matrix"]
+__all__ = ["ApAssociationPolicy", "association_rss_matrix", "HYSTERESIS_DB"]
+
+#: A user leaves its serving AP only when a challenger's RSS beats the
+#: serving AP's by more than this margin.
+HYSTERESIS_DB = 3.0
 
 
 def association_rss_matrix(
@@ -71,35 +74,18 @@ def association_rss_matrix(
 
 
 class ApAssociationPolicy:
-    """Strongest-RSS association with hysteresis and seeded handover noise.
+    """Strongest-RSS association with ``HYSTERESIS_DB`` of hysteresis.
 
     Args:
         n_aps: Access points in the topology.
         budget: Link budget used for the RSS bound.
-        hysteresis_db: A user leaves its serving AP only when a challenger
-            beats it by more than this margin.
-        noise_db: Std-dev of measurement noise added to each comparison
-            (drawn from a dedicated seeded stream; 0 disables the draw
-            entirely so noiseless runs consume no randomness).
-        seed: Seed of the association-noise stream, independent of the
-            streamer's packet-loss RNG.
     """
 
-    def __init__(
-        self,
-        n_aps: int,
-        budget: LinkBudget,
-        hysteresis_db: float = 3.0,
-        noise_db: float = 0.0,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, n_aps: int, budget: LinkBudget) -> None:
         if n_aps < 1:
             raise TransportError(f"n_aps must be >= 1, got {n_aps}")
         self.n_aps = int(n_aps)
         self.budget = budget
-        self.hysteresis_db = float(hysteresis_db)
-        self.noise_db = float(noise_db)
-        self._rng = np.random.default_rng(seed)
         self.serving: Dict[int, int] = {}
         self._secondary: Dict[int, Optional[int]] = {}
 
@@ -111,17 +97,14 @@ class ApAssociationPolicy:
     ) -> Dict[int, int]:
         """Re-evaluate association for ``users`` against a fresh snapshot.
 
-        Users are processed in the given order with one noise matrix drawn
-        up front, so the handover sequence is a pure function of
-        ``(seed, call sequence)``.  Users not seen before associate to
-        their strongest AP outright; known users keep their serving AP
-        unless a challenger clears the hysteresis margin.  Departed users
-        are evicted so a later rejoin re-associates fresh.
+        Users are processed in the given order, so the handover sequence
+        is a pure function of the call sequence.  Users not seen before
+        associate to their strongest AP outright; known users keep their
+        serving AP unless a challenger clears the hysteresis margin.
+        Departed users are evicted so a later rejoin re-associates fresh.
         """
         users = list(users)
         rss = association_rss_matrix(state, users, self.budget, faults=faults)
-        if self.noise_db > 0.0:
-            rss = rss + self._rng.normal(0.0, self.noise_db, size=rss.shape)
         for column, user in enumerate(users):
             column_rss = rss[:, column]
             best = int(np.argmax(column_rss))
@@ -130,7 +113,7 @@ class ApAssociationPolicy:
                 self.serving[user] = best
             elif (
                 best != current
-                and column_rss[best] > column_rss[current] + self.hysteresis_db
+                and column_rss[best] > column_rss[current] + HYSTERESIS_DB
             ):
                 self.serving[user] = best
                 if OBS.mode:

@@ -90,7 +90,10 @@ class TestStageSelection:
         assert session.stages[0].association is None
         assert session.state.ap_users == [[0, 1, 2]]
         assert session.state.repair_plans == [{}]
-        assert not any(name.startswith("core.multi_ap") for name in counters)
+        assert not any(
+            name.startswith(("core.repair", "transport.association"))
+            for name in counters
+        )
 
     @pytest.mark.parametrize("num_aps", (1, 2))
     def test_receptions_built_once_per_frame(
@@ -240,7 +243,7 @@ class TestMultiApSession:
         assert outcome.fingerprint() == (
             "f88619760bda156724792da6f32e742f13126893e97ecbf6a7ff2ef23cfb9b6c"
         )
-        assert counters["core.multi_ap.repair.packets"] == 890
+        assert counters["core.repair.packets"] == 890
         assert counters["fountain.symbols_encoded"] == 24226
 
     def test_frame_context_carries_topology_state(
@@ -275,6 +278,23 @@ class TestMultiApSession:
             for ap, plans in enumerate(repair_plans):
                 assert not set(plans) & set(ap_users[ap])
 
+    def test_association_gauges_count_each_aps_users(
+        self, scenario, tiny_dnn, hr_probe
+    ):
+        """The association publishes, per AP, how many users it serves."""
+        trace = _trace(scenario, 3, seed=9, num_aps=2, duration_s=0.4)
+        config = SystemConfig(**RES, topology=TopologyConfig(num_aps=2))
+        streamer = MulticastStreamer(
+            config, tiny_dnn, [hr_probe], scenario.channel_model, seed=0
+        )
+        session = streamer.session(trace)
+        with observed("counters"):
+            session.run(2)
+            gauges = OBS.gauges()
+        counts = [gauges[f"transport.association.ap.{ap}.users"] for ap in (0, 1)]
+        assert counts == [len(users) for users in session.state.ap_users]
+        assert sum(counts) == 3
+
     def test_cross_ap_repair_delivers_symbols_under_blockage(
         self, scenario, tiny_dnn, hr_probe
     ):
@@ -285,8 +305,8 @@ class TestMultiApSession:
                 scenario, tiny_dnn, hr_probe, faults=dict(BLOCKAGE),
             )
             counters = OBS.counters()
-        assert counters.get("core.multi_ap.repair.users", 0) > 0
-        assert counters.get("core.multi_ap.repair.delivered", 0) > 0
+        assert counters.get("core.repair.users", 0) > 0
+        assert counters.get("core.repair.delivered", 0) > 0
 
     def test_tallies_include_cross_ap_repair(
         self, scenario, tiny_dnn, hr_probe
@@ -317,7 +337,7 @@ class TestMultiApSession:
             session = streamer.session(trace)
             session.stages.append(Sum())
             session.run(6)
-            repaired = OBS.counters().get("core.multi_ap.repair.packets", 0)
+            repaired = OBS.counters().get("core.repair.packets", 0)
         assert repaired > 0
         for user, (got, lost) in totals.items():
             tally = streamer.transmitter.user_state(user)

@@ -10,21 +10,17 @@ from repro.emulation import (
     run_mobile_comparison,
     run_scheduler_comparison,
 )
+from repro.emulation.context import QUICK_CONTEXT, model_file
 from repro.errors import EmulationError
+from repro.quality import DNNQualityModel
 from repro.types import BeamformingScheme
 
 
 @pytest.fixture(scope="module")
-def ctx(tmp_path_factory):
-    import os
-
-    os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("cache"))
-    try:
-        return build_context(
-            height=144, width=256, dnn_epochs=150, probe_frames=2, seed=0
-        )
-    finally:
-        del os.environ["REPRO_CACHE_DIR"]
+def ctx():
+    return build_context(
+        height=144, width=256, dnn_epochs=150, probe_frames=2, seed=0
+    )
 
 
 class TestBuildContext:
@@ -33,19 +29,30 @@ class TestBuildContext:
         assert len(ctx.probes) >= 2
         assert len(ctx.videos) == 6
 
-    def test_dnn_cache_roundtrip(self, tmp_path):
-        import os
+    def test_dnn_load_equals_committed(self):
+        """The quick context's model is the committed file, at any seed."""
+        committed = DNNQualityModel.load(model_file(144, 256, 60))
+        x = np.random.default_rng(0).random((8, 9))
+        for seed in (0, 1):
+            ctx = build_context(**QUICK_CONTEXT, seed=seed)
+            assert ctx.dnn.predict(x).tobytes() == committed.predict(x).tobytes()
 
-        os.environ["REPRO_CACHE_DIR"] = str(tmp_path)
-        try:
-            first = build_context(height=144, width=256, dnn_epochs=60,
-                                  probe_frames=2, seed=1)
-            second = build_context(height=144, width=256, dnn_epochs=60,
-                                   probe_frames=2, seed=1)
-            x = first.probes[0].features([1, 0.5, 0, 0])
-            np.testing.assert_allclose(first.dnn.predict(x), second.dnn.predict(x))
-        finally:
-            del os.environ["REPRO_CACHE_DIR"]
+    def test_other_shapes_train_in_memory_at_any_seed(self, tmp_path, monkeypatch):
+        """Off the committed shapes the model is trained, written nowhere,
+        and the same whatever the scenario seed."""
+        monkeypatch.setenv("HOME", str(tmp_path))
+        quality_dir = model_file(144, 256, 60).parent
+        before = sorted(quality_dir.iterdir())
+        x = np.random.default_rng(0).random((8, 9))
+        predictions = [
+            build_context(height=144, width=256, dnn_epochs=5, probe_frames=2,
+                          seed=seed).dnn.predict(x).tobytes()
+            for seed in (0, 3)
+        ]
+        assert predictions[0] == predictions[1]
+        assert not model_file(144, 256, 5).exists()
+        assert sorted(quality_dir.iterdir()) == before
+        assert not any(tmp_path.iterdir())
 
     def test_config_override(self, ctx):
         config = ctx.config(rate_control=False)

@@ -12,7 +12,6 @@ from repro.emulation.sweep import (
     variant_from_spec,
 )
 from repro.errors import EmulationError
-from repro.phy.topology import TopologyConfig
 from repro.types import BeamformingScheme, SchedulerKind
 
 
@@ -167,17 +166,6 @@ class TestSweepEngine:
 
 
 class TestTopologyOverrides:
-    def test_topology_dotted_overrides_merge(self):
-        overrides = parse_config_overrides({
-            "topology.num_aps": "2",
-            "topology.hysteresis_db": "5",
-            "topology.cross_ap_repair": "off",
-        })
-        topology = overrides["topology"]
-        assert topology == TopologyConfig(
-            num_aps=2, hysteresis_db=5.0, cross_ap_repair=False
-        )
-
     def test_topology_composes_with_fault_overrides(self):
         overrides = parse_config_overrides({
             "topology.num_aps": "2",

@@ -23,7 +23,6 @@ CHAOS = dict(
     beacon_loss_rate_hz=3.0,
     snr_dip_rate_hz=2.0,
     churn_rate_hz=2.0,
-    churn_downtime_s=0.05,
 )
 
 

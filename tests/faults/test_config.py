@@ -6,6 +6,7 @@ from repro.core import SystemConfig
 from repro.emulation import fault_grid, parse_config_overrides
 from repro.errors import ConfigurationError, EmulationError
 from repro.faults import FaultConfig
+from repro.faults import config as fault_config
 
 RES = dict(height=144, width=256)
 
@@ -26,17 +27,24 @@ class TestFaultConfig:
         dict(blockage_rate_hz=-1.0),
         dict(churn_rate_hz=-0.1),
         dict(blockage_duration_s=0.0),
-        dict(feedback_loss_duration_s=-2.0),
         dict(blockage_depth_db=-3.0),
-        dict(erasure_prob=1.5),
-        dict(erasure_prob=-0.1),
-        dict(max_beacon_retries=-1),
-        dict(stale_decay=0.0),
-        dict(stale_decay=1.1),
     ])
     def test_validation_rejects(self, bad):
         with pytest.raises(ConfigurationError):
             FaultConfig(**bad)
+
+    def test_window_shapes_are_valid_constants(self):
+        """The shapes no experiment varies hold what the fields checked."""
+        for name in (
+            "SNR_DIP_DURATION_S", "ERASURE_DURATION_S",
+            "FEEDBACK_LOSS_DURATION_S", "BEACON_LOSS_DURATION_S",
+            "CHURN_DOWNTIME_S",
+        ):
+            assert getattr(fault_config, name) > 0, name
+        assert fault_config.SNR_DIP_DEPTH_DB >= 0
+        assert 0.0 <= fault_config.ERASURE_PROB <= 1.0
+        assert fault_config.MAX_BEACON_RETRIES >= 0
+        assert 0.0 < fault_config.STALE_DECAY <= 1.0
 
     def test_frozen(self):
         with pytest.raises(Exception):
@@ -59,7 +67,7 @@ class TestSystemConfigEmbedding:
 
     def test_bad_mapping_rejected(self):
         with pytest.raises(ConfigurationError):
-            SystemConfig(**RES, faults={"erasure_prob": 2.0})
+            SystemConfig(**RES, faults={"blockage_depth_db": -2.0})
 
 
 class TestParseOverrides:
@@ -68,7 +76,7 @@ class TestParseOverrides:
             {
                 "faults.blockage_rate_hz": "2",
                 "faults.seed": "5",
-                "faults.max_beacon_retries": "4",
+                "faults.blockage_duration_s": "0.3",
                 "fps": "60",
             }
         )
@@ -76,7 +84,7 @@ class TestParseOverrides:
         assert isinstance(faults, FaultConfig)
         assert faults.blockage_rate_hz == 2.0
         assert faults.seed == 5
-        assert faults.max_beacon_retries == 4
+        assert faults.blockage_duration_s == 0.3
         assert overrides["fps"] == 60
 
     def test_unknown_fault_field_rejected(self):

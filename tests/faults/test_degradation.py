@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core import pipeline
 from repro.faults import FaultController, FaultEvent, FaultKind, FaultSchedule
+from repro.faults.config import STALE_DECAY
 from repro.obs import OBS, observed
 
 from tests.faults.conftest import build_streamer
@@ -10,9 +12,7 @@ from tests.faults.conftest import build_streamer
 
 def _session_with(parts, events, seed=7, **overrides):
     streamer = build_streamer(parts, seed=seed, **overrides)
-    controller = FaultController(
-        FaultSchedule(events=list(events)), streamer.config.faults
-    )
+    controller = FaultController(FaultSchedule(events=list(events)))
     return streamer.session(parts[3], faults=controller)
 
 
@@ -42,14 +42,30 @@ class TestFeedbackLossDegradation:
         session = _session_with(
             parts,
             [FaultEvent(FaultKind.FEEDBACK_LOSS, 0.02, 10.0, user=0)],
-            faults={"stale_decay": 0.5},
         )
         session.run(5)
-        # User 0 reported once (frame 0) then decayed four times at 0.5.
+        # User 0 reported once (frame 0) then decayed four times by
+        # STALE_DECAY.
         faulted = session.state.bw_estimators[0].estimate_bytes_per_s
         assert faulted is not None and clean is not None
         assert session.state.feedback_staleness[0] == 4
         assert faulted < clean
+
+    def test_each_silent_frame_decays_by_stale_decay(self, parts):
+        """Frame 0 reports; every later frame is silent and multiplies the
+        last-known-good estimate by ``STALE_DECAY``."""
+        session = _session_with(parts, [
+            FaultEvent(FaultKind.FEEDBACK_LOSS, 0.02, 10.0, user=0),
+        ])
+        session.begin(5)
+        session.stream_frame(0)
+        view = session.state.bw_estimators[0]
+        estimates = [view.estimate_bytes_per_s]
+        for frame in range(1, 5):
+            session.stream_frame(frame)
+            estimates.append(view.estimate_bytes_per_s)
+        for before, after in zip(estimates, estimates[1:]):
+            assert after == pytest.approx(before * STALE_DECAY, rel=1e-12)
 
     def test_untouched_user_unaffected(self, parts):
         """User 1 keeps observing normally during user 0's outage."""
@@ -89,12 +105,11 @@ class TestBeaconLossDegradation:
         assert counters["fault.beacon.lost"] == 1
         assert "fault.beacon.timeouts" not in counters
 
-    def test_retry_bound_respected(self, parts):
-        """max_beacon_retries=0 times out on the first lost beacon."""
+    def test_retry_bound_respected(self, parts, monkeypatch):
+        """A retry bound of 0 times out on the first lost beacon."""
+        monkeypatch.setattr(pipeline, "MAX_BEACON_RETRIES", 0)
         session = _session_with(
-            parts,
-            [FaultEvent(FaultKind.BEACON_LOSS, 0.09, 0.16)],
-            faults={"max_beacon_retries": 0},
+            parts, [FaultEvent(FaultKind.BEACON_LOSS, 0.09, 0.16)]
         )
         with observed("counters"):
             session.run(7)

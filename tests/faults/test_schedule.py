@@ -6,6 +6,12 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.faults import FaultConfig, FaultEvent, FaultKind, FaultSchedule
+from repro.faults.config import (
+    BEACON_LOSS_DURATION_S,
+    CHURN_DOWNTIME_S,
+    ERASURE_DURATION_S,
+    ERASURE_PROB,
+)
 
 
 def _ev(kind, start, duration=0.0, **kwargs):
@@ -138,7 +144,7 @@ class TestGeneration:
         assert schedule.events == [extra]
 
     def test_churn_pairs_leave_with_join(self):
-        config = FaultConfig(seed=3, churn_rate_hz=2.0, churn_downtime_s=0.25)
+        config = FaultConfig(seed=3, churn_rate_hz=2.0)
         schedule = FaultSchedule.generate(config, 2.0, [0, 1])
         summary = schedule.summary()
         assert summary.get("leave", 0) == summary.get("join", 0)
@@ -147,7 +153,8 @@ class TestGeneration:
                 assert any(
                     other.kind is FaultKind.LEAVE
                     and other.user == event.user
-                    and other.start_s == pytest.approx(event.start_s - 0.25)
+                    and other.start_s
+                    == pytest.approx(event.start_s - CHURN_DOWNTIME_S)
                     for other in schedule.events
                 )
 
@@ -190,7 +197,10 @@ class TestGeneration:
             if event.kind is FaultKind.BLOCKAGE:
                 assert event.magnitude_db == config.blockage_depth_db
             if event.kind is FaultKind.ERASURE:
-                assert event.probability == config.erasure_prob
+                assert event.probability == ERASURE_PROB
+                assert event.duration_s == ERASURE_DURATION_S
+            if event.kind is FaultKind.BEACON_LOSS:
+                assert event.duration_s == BEACON_LOSS_DURATION_S
 
 
 class TestPerApEvents:

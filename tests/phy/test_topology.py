@@ -71,24 +71,11 @@ class TestTopology:
 
 class TestTopologyConfig:
     def test_defaults_are_single_ap(self):
-        config = TopologyConfig()
-        assert config.num_aps == 1
-        assert not config.enabled
-
-    def test_enabled_with_two_aps(self):
-        assert TopologyConfig(num_aps=2).enabled
-
-    def test_build_respects_wall_margin(self):
-        topo = TopologyConfig(num_aps=2, ap_wall_margin_m=1.0).build(Room(20, 12))
-        assert topo[0].position == Position(1.0, 6.0)
-        assert topo[1].position == Position(19.0, 6.0)
+        assert TopologyConfig().num_aps == 1
 
     @pytest.mark.parametrize("bad", [
         dict(num_aps=0),
         dict(num_aps=MAX_APS + 1),
-        dict(hysteresis_db=-1.0),
-        dict(handover_noise_db=-0.5),
-        dict(ap_wall_margin_m=0.0),
     ])
     def test_validation_rejects(self, bad):
         with pytest.raises(ConfigurationError):
@@ -104,8 +91,7 @@ class TestCoercion:
         assert coerce_topology(config) is config
 
     def test_mapping_coerced(self):
-        config = coerce_topology({"num_aps": 2, "hysteresis_db": 5.0})
-        assert config == TopologyConfig(num_aps=2, hysteresis_db=5.0)
+        assert coerce_topology({"num_aps": 2}) == TopologyConfig(num_aps=2)
 
     def test_bad_type_rejected(self):
         with pytest.raises(ConfigurationError):

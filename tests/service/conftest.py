@@ -6,29 +6,13 @@ its coroutine through ``asyncio.run`` inside a plain sync function — the
 suite must pass in environments where the plugin is absent.
 """
 
-import os
-
 import pytest
 
 from repro.emulation import build_context
+from repro.emulation.context import QUICK_CONTEXT
 
 
 @pytest.fixture(scope="package")
-def service_cache(tmp_path_factory):
-    """Point the DNN disk cache at a temp dir for the whole package."""
-    previous = os.environ.get("REPRO_CACHE_DIR")
-    cache_dir = str(tmp_path_factory.mktemp("service_cache"))
-    os.environ["REPRO_CACHE_DIR"] = cache_dir
-    yield cache_dir
-    if previous is None:
-        os.environ.pop("REPRO_CACHE_DIR", None)
-    else:
-        os.environ["REPRO_CACHE_DIR"] = previous
-
-
-@pytest.fixture(scope="package")
-def service_ctx(service_cache):
+def service_ctx():
     """A small shared experiment context for service tests."""
-    return build_context(
-        height=144, width=256, dnn_epochs=60, probe_frames=2, seed=0
-    )
+    return build_context(**QUICK_CONTEXT)

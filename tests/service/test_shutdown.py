@@ -29,10 +29,9 @@ EXIT_TIMEOUT_S = 60.0
 class _ServeProcess:
     """The serve CLI in a subprocess, with parsed ephemeral ports."""
 
-    def __init__(self, tmp_path, cache_dir):
+    def __init__(self, tmp_path):
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC_ROOT
-        env["REPRO_CACHE_DIR"] = cache_dir
         self.server_trace = tmp_path / "server_obs.jsonl"
         self.proc = subprocess.Popen(
             [
@@ -89,8 +88,8 @@ class _ServeProcess:
             self.proc.wait(timeout=10.0)
 
 
-def test_sigterm_flushes_traces_and_drains_feedback(tmp_path, service_cache):
-    serve = _ServeProcess(tmp_path, service_cache)
+def test_sigterm_flushes_traces_and_drains_feedback(tmp_path):
+    serve = _ServeProcess(tmp_path)
     session_trace = tmp_path / "session_s1.jsonl"
     try:
         async def drive():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.cli import build_parser, main
 
 
@@ -44,14 +45,12 @@ class TestParser:
         args = build_parser().parse_args([
             "sweep", "--variant", "base", "--shards", "4",
             "--checkpoint", "ck.jsonl", "--resume", "--jobs", "2",
-            "--task-timeout", "30", "--result-json", "out.json",
-            "--quick-context",
+            "--result-json", "out.json", "--quick-context",
         ])
         assert args.shards == 4
         assert str(args.checkpoint) == "ck.jsonl"
         assert args.resume
         assert args.jobs == 2
-        assert args.task_timeout == 30.0
         assert str(args.result_json) == "out.json"
         assert args.quick_context
 
@@ -115,8 +114,7 @@ class TestParser:
 
 
 class TestExecution:
-    def test_quality_model_command_runs(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    def test_quality_model_command_runs(self, capsys, monkeypatch):
         # Patch the trainer to a fast configuration.
         from repro.quality.model import train_quality_models as real_train
 
@@ -144,7 +142,6 @@ class TestExecution:
         must arrive as an int (and ``none`` as None), end to end."""
         import json
 
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         result_path = tmp_path / "sweep.json"
         exit_code = main([
@@ -159,3 +156,25 @@ class TestExecution:
         results = json.loads(result_path.read_text())["results"]
         assert results["open"] == results["base"]
         assert len(results["cap2"]["ssim"]) == 1
+
+    def test_observe_counts_the_same_work_at_any_seed(self):
+        """The quality model is loaded, not trained inside the observed
+        block: only the four probes are jigsaw-encoded, and the seed moves
+        the placement but not which stages run how often."""
+        calls = {}
+        previous = obs.OBS.mode
+        try:
+            for seed in (0, 5):
+                assert main([
+                    "--seed", str(seed), "observe", "--mode", "counters",
+                    "--users", "3", "--frames", "6",
+                ]) == 0
+                calls[seed] = {
+                    name: value for name, value in obs.OBS.counters().items()
+                    if name.endswith(".calls")
+                }
+        finally:
+            obs.OBS.reset()
+            obs.OBS.mode = previous
+        assert calls[0]["encode.jigsaw.calls"] == 4
+        assert calls[0] == calls[5]

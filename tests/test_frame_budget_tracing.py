@@ -16,16 +16,16 @@ from pathlib import Path
 E2E = Path(__file__).resolve().parent.parent / "benchmarks" / "e2e"
 
 
-def test_traced_and_untraced_sessions_share_one_digest(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+def test_traced_and_untraced_sessions_share_one_digest(monkeypatch):
     monkeypatch.syspath_prepend(str(E2E))
     import session_bench
     import workloads
     from tracing import NAME, Tracer
 
     from repro.emulation import build_context
+    from repro.emulation.context import QUICK_CONTEXT
 
-    ctx = build_context(height=144, width=256, dnn_epochs=30, probe_frames=2)
+    ctx = build_context(**QUICK_CONTEXT)
     for base in (workloads.LIVE4_DENSE, workloads.REPAIR2AP_PRECODE):
         workload = base.sized(workloads.SIZING_SECONDS, smoke=True)
         errors = []

@@ -18,7 +18,7 @@ under ``src/``, ``tests/`` and ``benchmarks/``:
   are exempt; a class body is its own scope, so class attributes of a
   class defined inside a function are not the function's locals.
 
-Two more, about whether the code has a reader:
+Three more, about whether the code has a reader and each option a varier:
 
 * **reachability** — walking the imports from the entry points (the
   ``repro-wigig`` CLI, the ``serve`` server, ``benchmarks/``,
@@ -30,6 +30,12 @@ Two more, about whether the code has a reader:
   ``SystemConfig`` field, and does every name an entry point imports
   exist?  One case per module; ``REACHABILITY_ALLOWLIST`` names what is
   kept anyway, with a reason.
+* **option setters** — does committed code (a benchmark, an example, a
+  workflow step, a CLI preset or a command line in the docs) name every
+  field of ``FaultConfig``, ``TopologyConfig`` and ``SessionSpec`` and
+  every ``repro-wigig`` flag with a value?  One case per surface; the
+  override parsers reaching a field and tests setting it do not count,
+  and addresses, ports and paths are exempt.
 * **doc names** — is every backticked ``repro.…`` name in the top-level
   docs a module or something a module defines?
 
@@ -690,9 +696,10 @@ def _value_name(node: ast.Attribute) -> str:
     return value.attr if isinstance(value, ast.Attribute) else ""
 
 
-def _config_fields(tree: ast.Module) -> List[str]:
+def _class_fields(tree: ast.Module, name: str) -> List[str]:
+    """The annotated fields of class ``name`` (a dataclass's options)."""
     for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == "SystemConfig":
+        if isinstance(node, ast.ClassDef) and node.name == name:
             return [
                 item.target.id
                 for item in node.body
@@ -756,7 +763,7 @@ def reachability_report() -> dict:
     for _, tree in reach.readers:
         reads |= _config_reads(tree)
         sets |= _config_sets(tree)
-    for field in _config_fields(reach.modules[config_module][1]):
+    for field in _class_fields(reach.modules[config_module][1], "SystemConfig"):
         if f"SystemConfig.{field}" in REACHABILITY_ALLOWLIST:
             continue
         if field not in reads or field not in sets:
@@ -773,6 +780,211 @@ REACHABILITY = reachability_report()
 @pytest.mark.parametrize("module", sorted(REACHABILITY))
 def test_every_line_has_a_reader(module):
     assert not REACHABILITY[module], "\n".join(REACHABILITY[module])
+
+
+# --------------------------------------------------------- option setters
+
+#: Docs whose fenced code blocks are command lines.
+COMMAND_DOCS = ("README.md", "DESIGN.md", "CONTRIBUTING.md", "EXPERIMENTS.md")
+CLI = SRC / PACKAGE / "cli.py"
+#: Addresses, ports and paths are where a run puts things, not knobs.
+_LOCATION = re.compile(r"(^--host$|-port$|_path$)")
+
+
+def _command_lines() -> List[str]:
+    """Every committed command line, ``\\``-continuations joined: the lines
+    of the docs' fenced blocks and of ``cli.py``'s usage docstring, and
+    each ``run:`` step of the CI workflows."""
+    texts = [ast.get_docstring(_parse(CLI)) or ""]
+    for doc in COMMAND_DOCS:
+        text = (ROOT / doc).read_text(encoding="utf-8")
+        texts += re.findall(r"^\s*```[^\n]*\n(.*?)^\s*```", text, re.S | re.M)
+    lines = [line for text in texts for line in re.sub(r"\\\n", " ", text).splitlines()]
+    for path in sorted(WORKFLOWS.glob("*.yml")):
+        step: List[str] = []
+        indent = -1
+        for line in path.read_text(encoding="utf-8").splitlines():
+            if step and (not line.strip() or len(line) - len(line.lstrip()) > indent):
+                step.append(line.strip())
+                continue
+            if step:
+                lines.append(" ".join(step))
+                step = []
+            match = re.match(r"(\s*)(?:- )?run:\s*(.*)", line)
+            if match:
+                indent = len(match.group(1))
+                step = [match.group(2)]
+        if step:
+            lines.append(" ".join(step))
+    return lines
+
+
+def _setters() -> List[Tuple[str, ast.Module]]:
+    """The Python that sets options: benchmarks (not their tests),
+    examples, the workflows' scripts and the CLI's presets."""
+    files = sorted(
+        p for tree in ROOT_TREES for p in (ROOT / tree).rglob("*.py")
+        if "tests" not in p.relative_to(ROOT).parts
+    )
+    trees = [(str(p.relative_to(ROOT)), _parse(p)) for p in files]
+    trees += [(label, ast.parse(source)) for label, source in _workflow_scripts()]
+    presets = [
+        node for node in _parse(CLI).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id.endswith("_PRESETS") for t in node.targets)
+    ]
+    return trees + [("repro.cli presets", ast.Module(body=presets, type_ignores=[]))]
+
+
+def _call_name(node: ast.Call) -> str:
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+
+def _strings(node: ast.AST) -> Iterator[str]:
+    return (
+        sub.value for sub in ast.walk(node)
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+    )
+
+
+def _block_setters(
+    cls: str, prefix: str, setters: List[Tuple[str, ast.Module]], commands: List[str]
+) -> Set[str]:
+    """Fields of a config block that committed code names with a value: a
+    keyword of a ``cls(...)`` call, a ``"<prefix>.field"`` override key or
+    ``<prefix>.field=value`` pair, a fault-grid axis (``faults`` only)."""
+    pair = re.compile(rf"(?<![\w]){prefix}\.(\w+)=")
+    named: Set[str] = set()
+    for _, tree in setters:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _call_name(node) == cls:
+                named.update(k.arg for k in node.keywords if k.arg)
+            elif isinstance(node, ast.Call) and _call_name(node).endswith("fault_grid"):
+                if prefix == "faults" and node.args and isinstance(node.args[0], ast.Constant):
+                    named.add(str(node.args[0].value))
+            elif isinstance(node, ast.Dict):
+                named.update(
+                    key.value[len(prefix) + 1:]
+                    for key in node.keys
+                    if isinstance(key, ast.Constant) and isinstance(key.value, str)
+                    and key.value.startswith(f"{prefix}.")
+                )
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.update(pair.findall(node.value))
+    for line in commands:
+        named.update(pair.findall(line))
+        if prefix == "faults":
+            named.update(re.findall(r"--fault(?:-base)?\s+(\w+)=", line))
+            named.update(re.findall(r"--fault-grid\s+(\w+)", line))
+    return named
+
+
+def _session_setters(
+    setters: List[Tuple[str, ast.Module]], commands: List[str]
+) -> Set[str]:
+    """``SessionSpec`` fields named in a ``/start`` body or a ``SessionSpec``
+    call."""
+    named: Set[str] = set()
+    for _, tree in setters:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if _call_name(node) == "SessionSpec":
+                named.update(k.arg for k in node.keywords if k.arg)
+            elif "/start" in [a.value for a in node.args if isinstance(a, ast.Constant)]:
+                for arg in node.args:
+                    if isinstance(arg, ast.Dict):
+                        named.update(
+                            key.value for key in arg.keys
+                            if isinstance(key, ast.Constant) and isinstance(key.value, str)
+                        )
+    for line in commands:
+        if "/start" in line:
+            named.update(re.findall(r'"(\w+)"\s*:', line))
+    return named
+
+
+def _cli_flags() -> List[str]:
+    """Every flag ``cli.py`` adds, addresses, ports and paths aside."""
+    flags = []
+    for node in ast.walk(_parse(CLI)):
+        if isinstance(node, ast.Call) and _call_name(node) == "add_argument":
+            flag = node.args[0].value if isinstance(node.args[0], ast.Constant) else ""
+            paths = any(
+                k.arg == "type" and isinstance(k.value, ast.Name) and k.value.id == "Path"
+                for k in node.keywords
+            )
+            if flag.startswith("--") and not paths and not _LOCATION.search(flag):
+                flags.append(flag)
+    return sorted(set(flags))
+
+
+def _cli_setters(
+    setters: List[Tuple[str, ast.Module]], commands: List[str]
+) -> Set[str]:
+    """Flags a committed ``repro-wigig`` command line passes: a doc or
+    workflow line, or a benchmark or example that runs the CLI."""
+    flags: Set[str] = set()
+    for line in commands:
+        if "repro-wigig" in line or "repro.cli" in line:
+            flags.update(re.findall(r"(?<![\w-])(--[a-z][\w-]*)", line))
+    for _, tree in setters:
+        if not any("repro.cli" in s or "repro-wigig" in s for s in _strings(tree)):
+            continue
+        declared = {
+            id(arg) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _call_name(node) == "add_argument"
+            for arg in node.args
+        }
+        flags.update(
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.startswith("--") and id(node) not in declared
+        )
+    return flags
+
+
+def options_report() -> dict:
+    """Option surface -> its options no committed code sets."""
+    package = SRC / PACKAGE
+    setters, commands = _setters(), _command_lines()
+    surfaces = {
+        "FaultConfig": (
+            _class_fields(_parse(package / "faults" / "config.py"), "FaultConfig"),
+            _block_setters("FaultConfig", "faults", setters, commands),
+        ),
+        "TopologyConfig": (
+            _class_fields(_parse(package / "phy" / "topology.py"), "TopologyConfig"),
+            _block_setters("TopologyConfig", "topology", setters, commands),
+        ),
+        "SessionSpec": (
+            [
+                name
+                for name in _class_fields(_parse(package / "service" / "session.py"), "SessionSpec")
+                if not _LOCATION.search(name)
+            ],
+            _session_setters(setters, commands),
+        ),
+        "repro-wigig flags": (_cli_flags(), _cli_setters(setters, commands)),
+    }
+    return {
+        surface: [name for name in names if name not in sets]
+        for surface, (names, sets) in surfaces.items()
+    }
+
+
+OPTIONS = options_report()
+
+
+@pytest.mark.parametrize("surface", sorted(OPTIONS))
+def test_every_option_has_a_setter(surface):
+    """A knob that no benchmark, example, workflow, preset or documented
+    command line sets with a value is a constant: the generic override
+    parsers reaching it and tests setting it do not count."""
+    assert not OPTIONS[surface], f"nothing committed sets {surface} " + ", ".join(
+        OPTIONS[surface]
+    )
 
 
 # ------------------------------------------------------------- doc names

@@ -1,6 +1,6 @@
 """Tests for per-user AP association (strongest-RSS + hysteresis).
 
-Association decisions must be pure functions of ``(channels, seed, call
+Association decisions must be pure functions of ``(channels, call
 sequence)`` — the multi-AP pipeline replays them every beacon, so any
 hidden nondeterminism would break the sweep engine's bit-identity
 contract.  Synthetic two-AP channel states make the geometry explicit:
@@ -13,6 +13,7 @@ import pytest
 from repro.errors import TransportError
 from repro.phy.channel import ChannelState
 from repro.transport.association import (
+    HYSTERESIS_DB,
     ApAssociationPolicy,
     association_rss_matrix,
 )
@@ -82,15 +83,25 @@ class TestAssociationPolicy:
     def test_hysteresis_blocks_small_improvement(self, budget):
         """A challenger inside the margin must not steal the user —
         ping-pong damping is the whole point of the hysteresis."""
-        policy = ApAssociationPolicy(2, budget, hysteresis_db=3.0)
+        assert HYSTERESIS_DB == 3.0
+        policy = ApAssociationPolicy(2, budget)
         policy.update(_two_ap_state({0: 1e-8}, {0: 1e-9}), [0])
         assert policy.serving[0] == 0
         # AP 1 now ~2 dB better: inside the 3 dB margin -> no handover.
         policy.update(_two_ap_state({0: 1e-8}, {0: 1.6e-8}), [0])
         assert policy.serving[0] == 0
 
+    @pytest.mark.parametrize("excess_db, hands_over", [(-0.01, False), (0.01, True)])
+    def test_the_margin_is_hysteresis_db(self, budget, excess_db, hands_over):
+        """A challenger hands over only past ``HYSTERESIS_DB``, not before."""
+        policy = ApAssociationPolicy(2, budget)
+        policy.update(_two_ap_state({0: 1e-8}, {0: 1e-9}), [0])
+        gain = 1e-8 * 10 ** ((HYSTERESIS_DB + excess_db) / 10)
+        policy.update(_two_ap_state({0: 1e-8}, {0: gain}), [0])
+        assert policy.serving[0] == (1 if hands_over else 0)
+
     def test_handover_beyond_margin(self, budget):
-        policy = ApAssociationPolicy(2, budget, hysteresis_db=3.0)
+        policy = ApAssociationPolicy(2, budget)
         policy.update(_two_ap_state({0: 1e-8}, {0: 1e-9}), [0])
         # AP 1 now 10 dB better: clears the margin -> handover.
         policy.update(_two_ap_state({0: 1e-8}, {0: 1e-7}), [0])
@@ -108,7 +119,7 @@ class TestAssociationPolicy:
         assert policy.secondary(0) is None
 
     def test_departed_user_evicted_and_rejoins_fresh(self, budget):
-        policy = ApAssociationPolicy(2, budget, hysteresis_db=3.0)
+        policy = ApAssociationPolicy(2, budget)
         policy.update(_two_ap_state({0: 1e-8}, {0: 1e-9}), [0])
         assert policy.serving == {0: 0}
         policy.update(_two_ap_state({1: 1e-9}, {1: 1e-8}), [1])
@@ -134,43 +145,18 @@ class TestAssociationPolicy:
 
 
 class TestHandoverDeterminism:
-    """Noisy handover sequences replay exactly at equal seeds."""
+    """Handover sequences replay exactly."""
 
-    #: Near-tied geometry where measurement noise can flip decisions.
+    #: Near-tied geometry: small gain changes flip the strongest AP.
     def _states(self):
         return [
             _two_ap_state({0: 1e-8, 1: 2e-9}, {0: 9e-9, 1: 2.2e-9}, seed=s)
             for s in range(6)
         ]
 
-    def _sequence(self, budget, seed):
-        policy = ApAssociationPolicy(
-            2, budget, hysteresis_db=1.0, noise_db=4.0, seed=seed
-        )
+    def _sequence(self, budget):
+        policy = ApAssociationPolicy(2, budget)
         return [dict(policy.update(s, [0, 1])) for s in self._states()]
 
-    def test_same_seed_same_sequence(self, budget):
-        assert self._sequence(budget, seed=7) == self._sequence(budget, seed=7)
-
-    def test_noise_actually_perturbs_some_seed(self, budget):
-        """At least one seed in a small pool must deviate from the
-        noiseless sequence — otherwise the noise knob is dead code."""
-        noiseless = [
-            dict(
-                ApAssociationPolicy(2, budget, hysteresis_db=1.0).update(
-                    s, [0, 1]
-                )
-            )
-            for s in self._states()
-        ]
-        assert any(
-            self._sequence(budget, seed) != noiseless for seed in range(8)
-        )
-
-    def test_zero_noise_ignores_seed(self, budget):
-        policy_a = ApAssociationPolicy(2, budget, noise_db=0.0, seed=1)
-        policy_b = ApAssociationPolicy(2, budget, noise_db=0.0, seed=999)
-        for state in self._states():
-            assert policy_a.update(state, [0, 1]) == policy_b.update(
-                state, [0, 1]
-            )
+    def test_same_calls_same_sequence(self, budget):
+        assert self._sequence(budget) == self._sequence(budget)

@@ -51,10 +51,10 @@ RES = dict(height=144, width=256)
 # links, and receiver churn.
 FAULT_MIXES = (
     {},
-    {"erasure_rate_hz": 8.0, "erasure_prob": 0.6, "seed": 11},
-    {"feedback_loss_rate_hz": 6.0, "feedback_loss_duration_s": 0.1, "seed": 12},
+    {"erasure_rate_hz": 8.0, "seed": 11},
+    {"feedback_loss_rate_hz": 6.0, "seed": 12},
     {"blockage_rate_hz": 4.0, "blockage_depth_db": 15.0, "seed": 13},
-    {"churn_rate_hz": 3.0, "churn_downtime_s": 0.07, "seed": 14},
+    {"churn_rate_hz": 3.0, "seed": 14},
     {
         "erasure_rate_hz": 5.0,
         "feedback_loss_rate_hz": 5.0,
@@ -565,7 +565,7 @@ class TestSessionEquivalence:
         assert counters["fountain.blocks_decoded"] > 0
         assert counters["decode.fountain.calls"] == 6
         if num_aps > 1:
-            assert counters["core.multi_ap.repair.packets"] > 0
+            assert counters["core.repair.packets"] > 0
 
     def test_churn_evict_rejoin_bit_identical(
         self, scenario, tiny_dnn, hr_probe
