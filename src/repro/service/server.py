@@ -51,6 +51,10 @@ _HTTP_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
 #: Cap on a control-plane request body (a session spec is tiny).
 MAX_BODY_BYTES = 256 * 1024
 
+#: Grace window, in seconds, on shutdown for receivers to flush in-flight
+#: control messages.
+DRAIN_S = 0.25
+
 
 class _ReceiverConnection:
     """Book-keeping for one receiver-plane TCP connection."""
@@ -76,8 +80,6 @@ class ServiceServer:
         control_port: Control-plane HTTP port (0 = ephemeral).
         frame_interval_s: Wall-clock pacing between frames (0 = as fast
             as the event loop allows).
-        drain_s: Grace window on shutdown for receivers to flush
-            in-flight control messages.
         log: Optional line logger (the CLI passes ``print``).
     """
 
@@ -88,7 +90,6 @@ class ServiceServer:
         receiver_port: int = 0,
         control_port: int = 0,
         frame_interval_s: float = 0.0,
-        drain_s: float = 0.25,
         log: Optional[Callable[[str], None]] = None,
     ) -> None:
         self.ctx = ctx
@@ -97,7 +98,6 @@ class ServiceServer:
         self.receiver_port: Optional[int] = None
         self.control_port: Optional[int] = None
         self.frame_interval_s = frame_interval_s
-        self.drain_s = drain_s
         self._log = log
         self.scope = OBS.scoped("service")
         self.sessions: Dict[str, ServedSession] = {}
@@ -150,11 +150,11 @@ class ServiceServer:
             await self._send(conn.writer, {"type": "bye", "reason": "shutdown"})
         tasks = [conn.task for conn in self._connections]
         if tasks:
-            _, pending = await asyncio.wait(tasks, timeout=self.drain_s)
+            _, pending = await asyncio.wait(tasks, timeout=DRAIN_S)
             for conn in list(self._connections):
                 conn.writer.close()
             if pending:
-                await asyncio.wait(tasks, timeout=self.drain_s)
+                await asyncio.wait(tasks, timeout=DRAIN_S)
 
         # Broadcasters stop at their next frame boundary.
         for served in self.sessions.values():

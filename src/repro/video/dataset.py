@@ -92,12 +92,17 @@ class FrameQualityProbe:
         This is the emulation path: the transport reports exactly which
         sublayers each receiver decoded before the frame deadline.
         """
-        key = b"".join(np.asarray(m, dtype=bool).tobytes() for m in masks)
+        # Keyed on what the decoded Y reads: the layer-0 Y bit and layers
+        # 1-3.  Both scores are luma-only, so receptions that differ only in
+        # the U/V sublayers share one entry.
+        key = b"".join(
+            np.asarray(m, dtype=bool).tobytes() for m in ([masks[0][0]], *masks[1:])
+        )
         cached = self._mask_cache.get(key)
         if cached is not None:
             self._mask_cache.move_to_end(key)
             return cached
-        decoded = self.codec.decode(self.layered, masks)
+        decoded = self.codec.decode_luma(self.layered, masks)
         if self._ssim_reference is None:
             self._ssim_reference = SsimReference(self.reference)
         result = (

@@ -278,23 +278,39 @@ class JigsawCodec:
             sublayers fall back to neutral grey.
         """
         masks = self._validate_masks(received)
-        h8, w8 = self.structure.base_shape
-
-        base_y = np.where(masks[0][0], layered.base_y, 128).astype(np.float32)
-        base_y = np.broadcast_to(base_y, (h8, w8)).astype(np.float32)
-
-        level = _upsample2(base_y)
-        for layer in (1, 2, 3):
-            subs = layered.deltas[layer - 1].astype(np.float32)
-            subs = subs * masks[layer][:, None, None]
-            level = _upsample2(level) if layer > 1 else level
-            level = level + _merge_sublayers(subs, _GRID_SIDE[layer])
-        y_hat = np.clip(np.round(level), 0, 255).astype(np.uint8)
-
         half = (self.structure.height // 2, self.structure.width // 2)
         u_hat = self._decode_chroma(layered.base_u, bool(masks[0][1]), half)
         v_hat = self._decode_chroma(layered.base_v, bool(masks[0][2]), half)
-        return VideoFrame(y_hat, u_hat, v_hat)
+        return VideoFrame(self.decode_luma(layered, masks), u_hat, v_hat)
+
+    def decode_luma(
+        self, layered: LayeredFrame, received: Sequence[np.ndarray]
+    ) -> np.ndarray:
+        """The Y plane :meth:`decode` reconstructs, ``uint8 (H, W)``.
+
+        Reads neither chroma sublayer, so masks that differ only in
+        ``received[0][1:]`` decode to the same plane.
+        """
+        masks = self._validate_masks(received)
+        # The pyramid is summed in sublayer layout: after layer j, ``level``
+        # is (g, g, h8, w8) with g = _GRID_SIDE[j], one plane per intra-block
+        # position, and each finer layer adds its sublayers to the coarser
+        # plane covering them (a broadcast over the 2x2 children) -- every
+        # operation runs over whole contiguous (h8, w8) planes.  Per pixel
+        # it is the float32 sum base + d1 + d2 + d3 in that order, the
+        # nearest-neighbour upsample-and-add of the pixel-layout pyramid.
+        h8, w8 = layered.base_y.shape
+        level = np.where(masks[0][0], layered.base_y, 128).astype(np.float32)
+        for layer in (1, 2, 3):
+            subs = layered.deltas[layer - 1].astype(np.float32)
+            subs *= masks[layer].astype(np.float32)[:, None, None]
+            g = _GRID_SIDE[layer]
+            coarse = level.reshape(g // 2, 1, g // 2, 1, h8, w8)
+            fine = subs.reshape(g // 2, 2, g // 2, 2, h8, w8)
+            level = (coarse + fine).reshape(g * g, h8, w8)
+        np.round(level, out=level)
+        np.clip(level, 0, 255, out=level)
+        return _merge_sublayers(level.astype(np.uint8), BASE_BLOCK)
 
     def decode_fractions(
         self, layered: LayeredFrame, fractions: Sequence[float]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.emulation import build_context, shard
+from repro.emulation.context import QUICK_CONTEXT
 from repro.perf.workers import PersistentPool
 
 
@@ -26,7 +27,6 @@ def pool_spy(monkeypatch):
 
 @pytest.fixture(scope="package")
 def sweep_ctx():
-    """A small shared experiment context for sweep-engine tests."""
-    return build_context(
-        height=144, width=256, dnn_epochs=100, probe_frames=2, seed=0
-    )
+    """A small shared experiment context for sweep-engine tests (the
+    committed quick model: nothing is trained)."""
+    return build_context(**QUICK_CONTEXT)

@@ -18,9 +18,7 @@ from repro.types import BeamformingScheme
 
 @pytest.fixture(scope="module")
 def ctx():
-    return build_context(
-        height=144, width=256, dnn_epochs=150, probe_frames=2, seed=0
-    )
+    return build_context(**QUICK_CONTEXT)
 
 
 class TestBuildContext:

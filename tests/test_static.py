@@ -945,6 +945,28 @@ def _cli_setters(
     return flags
 
 
+def _init_keywords(tree: ast.Module, name: str) -> List[str]:
+    """The parameters of class ``name``'s ``__init__`` that have defaults."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == name:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    args = item.args
+                    positional = args.posonlyargs + args.args
+                    defaulted = positional[len(positional) - len(args.defaults):]
+                    return [a.arg for a in defaulted + args.kwonlyargs]
+    return []
+
+
+def _call_keywords(cls: str, trees: List[ast.Module]) -> Set[str]:
+    """Keywords of every ``cls(...)`` call in ``trees``."""
+    return {
+        k.arg for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _call_name(node) == cls
+        for k in node.keywords if k.arg
+    }
+
+
 def options_report() -> dict:
     """Option surface -> its options no committed code sets."""
     package = SRC / PACKAGE
@@ -967,6 +989,11 @@ def options_report() -> dict:
             _session_setters(setters, commands),
         ),
         "repro-wigig flags": (_cli_flags(), _cli_setters(setters, commands)),
+        # The CLI's ``serve`` builds the server, so its code counts here.
+        "ServiceServer": (
+            _init_keywords(_parse(package / "service" / "server.py"), "ServiceServer"),
+            _call_keywords("ServiceServer", [t for _, t in setters] + [_parse(CLI)]),
+        ),
     }
     return {
         surface: [name for name in names if name not in sets]

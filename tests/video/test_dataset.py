@@ -97,23 +97,41 @@ class TestCachedSsimReferenceHalf:
         # Everything else it keeps is the probe's own reference, not a copy.
         assert any(v is probe.reference for v in kept.values())
 
-    def test_three_filter_passes_per_memo_miss(self, rng, hr_probe, monkeypatch):
-        calls = []
-        real = metrics.gaussian_filter
+    def test_two_stacked_filter_passes_per_memo_miss(self, rng, hr_probe, monkeypatch):
+        depths = []
+        real = metrics.gaussian_filter1d
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(stack, *args, **kwargs):
+            depths.append(stack.shape[0])
+            return real(stack, *args, **kwargs)
 
-        monkeypatch.setattr(metrics, "gaussian_filter", counting)
+        monkeypatch.setattr(metrics, "gaussian_filter1d", counting)
         probe = self._fresh(hr_probe)
         first, second = self._random_masks(rng, 2)
         probe.measure_masks(first)
-        assert len(calls) == 2 + 3  # the reference half, once, then a score
+        # The reference half (x, x^2), once; then the score's y, y^2, x*y:
+        # each a stack filtered in one call per axis.
+        assert depths == [2, 2, 3, 3]
         probe.measure_masks(second)
-        assert len(calls) == 2 + 3 + 3
+        assert depths == [2, 2, 3, 3, 3, 3]
         probe.measure_masks(first)  # memo hit
-        assert len(calls) == 2 + 3 + 3
+        assert depths == [2, 2, 3, 3, 3, 3]
+
+    def test_chroma_bits_share_one_memo_entry(self, rng, hr_probe):
+        """The memo keys on what decoded Y reads: receptions that differ
+        only in the U/V base sublayers decode the same Y and share a score."""
+        probe = self._fresh(hr_probe)
+        refinements = self._random_masks(rng, 1)[0][1:]
+        lumas, scores = set(), set()
+        for u in (False, True):
+            for v in (False, True):
+                masks = [np.array([True, u, v]), *refinements]
+                lumas.add(probe.codec.decode(probe.layered, masks).y.tobytes())
+                scores.add(probe.measure_masks(masks))
+        assert len(lumas) == 1 and len(scores) == 1
+        assert len(probe._mask_cache) == 1
+        probe.measure_masks([np.array([False, True, True]), *refinements])
+        assert len(probe._mask_cache) == 2
 
 
 class TestGenerateDataset:

@@ -9,6 +9,7 @@ from repro.video.jigsaw import (
     SUBLAYER_COUNTS,
     LayeredFrame,
     LayerStructure,
+    _GRID_SIDE,
     _merge_sublayers,
     _split_sublayers,
 )
@@ -140,6 +141,45 @@ class TestPayloads:
             hr_probe.layered.sublayer_payload(1, 4)
         with pytest.raises(CodecError):
             hr_probe.layered.sublayer_payload(4, 0)
+
+
+def _pixel_layout_luma(layered, masks):
+    """The luma pyramid as the paper states it: upsample each level 2x with
+    ``np.repeat`` and add the next layer's merged float32 deltas."""
+    level = np.where(masks[0][0], layered.base_y, 128).astype(np.float32)
+    for layer in (1, 2, 3):
+        subs = layered.deltas[layer - 1].astype(np.float32)
+        subs = subs * np.asarray(masks[layer])[:, None, None]
+        level = np.repeat(np.repeat(level, 2, axis=0), 2, axis=1)
+        level = level + _merge_sublayers(subs, _GRID_SIDE[layer])
+    return np.clip(np.round(level), 0, 255).astype(np.uint8)
+
+
+class TestLumaDecode:
+    def test_equals_the_pixel_layout_pyramid(self, rng, codec, hr_probe):
+        layered = hr_probe.layered
+        for _ in range(24):
+            masks = [rng.random(n) < rng.uniform(0.0, 1.0) for n in SUBLAYER_COUNTS]
+            expected = _pixel_layout_luma(layered, masks)
+            luma = codec.decode_luma(layered, masks)
+            assert luma.dtype == np.uint8
+            np.testing.assert_array_equal(luma, expected)
+            np.testing.assert_array_equal(codec.decode(layered, masks).y, expected)
+
+    def test_reads_no_chroma_bit(self, codec, hr_probe):
+        masks = codec.masks_for_fractions([1, 0.5, 0.25, 0.5])
+        lumas = {
+            codec.decode_luma(hr_probe.layered, [np.array([True, u, v]), *masks[1:]])
+            .tobytes()
+            for u in (False, True) for v in (False, True)
+        }
+        assert len(lumas) == 1
+
+    def test_validates_masks(self, codec, hr_probe):
+        masks = codec.masks_for_fractions([1, 1, 1, 1])
+        masks[3] = masks[3][:-1]
+        with pytest.raises(CodecError):
+            codec.decode_luma(hr_probe.layered, masks)
 
 
 class TestMasks:

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
 from repro.errors import VideoFormatError
 from repro.video.frame import blank_frame
+from repro.video.jigsaw import SUBLAYER_COUNTS
 from repro.video.metrics import PSNR_CAP_DB, psnr, ssim
 
 
@@ -87,6 +89,73 @@ class TestPsnr:
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(VideoFormatError):
             psnr(_image(rng, 64, 64), _image(rng, 32, 32))
+
+
+def _textbook_ssim(reference, distorted, dtype):
+    """Wang et al. 2004: five 2-D Gaussian filters (sigma 1.5) and the SSIM
+    formula, operand for operand, averaged in float64."""
+    c1, c2 = (0.01 * 255.0) ** 2, (0.03 * 255.0) ** 2
+    x, y = reference.astype(dtype), distorted.astype(dtype)
+    mu_x = gaussian_filter(x, 1.5)
+    mu_y = gaussian_filter(y, 1.5)
+    e_xx = gaussian_filter(x * x, 1.5)
+    e_yy = gaussian_filter(y * y, 1.5)
+    e_xy = gaussian_filter(x * y, 1.5)
+    mu_x2, mu_y2, mu_xy = mu_x * mu_x, mu_y * mu_y, mu_x * mu_y
+    sigma_x2, sigma_y2, sigma_xy = e_xx - mu_x2, e_yy - mu_y2, e_xy - mu_xy
+    numerator = (2.0 * mu_xy + c1) * (2.0 * sigma_xy + c2)
+    denominator = (mu_x2 + mu_y2 + c1) * (sigma_x2 + sigma_y2 + c2)
+    return float(np.mean(numerator / denominator, dtype=np.float64))
+
+
+def _textbook_psnr(reference, distorted):
+    mse = float(np.mean(
+        (reference.astype(np.float64) - distorted.astype(np.float64)) ** 2
+    ))
+    if mse <= 0.0:
+        return PSNR_CAP_DB
+    return float(min(10.0 * np.log10(255.0**2 / mse), PSNR_CAP_DB))
+
+
+class TestBitIdentity:
+    """SSIM and PSNR equal the textbook statements above, bit for bit."""
+
+    @staticmethod
+    def _pairs(rng, codec, hr_probe):
+        frame = hr_probe.reference.y
+        yield _image(rng), _image(rng)
+        yield _image(rng, 48, 80), _image(rng, 48, 80)
+        for _ in range(6):
+            masks = [rng.random(n) < rng.uniform(0.2, 1.0) for n in SUBLAYER_COUNTS]
+            yield frame, codec.decode_luma(hr_probe.layered, masks)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ssim_equals_textbook(self, rng, codec, hr_probe, dtype):
+        for reference, distorted in self._pairs(rng, codec, hr_probe):
+            assert ssim(reference, distorted, dtype=dtype) == _textbook_ssim(
+                reference, distorted, dtype
+            )
+
+    def test_psnr_equals_textbook(self, rng, codec, hr_probe):
+        for reference, distorted in self._pairs(rng, codec, hr_probe):
+            assert psnr(reference, distorted) == _textbook_psnr(reference, distorted)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_identical_pair(self, rng, dtype):
+        image = _image(rng)
+        assert psnr(image, image) == _textbook_psnr(image, image) == PSNR_CAP_DB
+        assert ssim(image, image, dtype=dtype) == _textbook_ssim(image, image, dtype)
+
+    def test_4k_extremes_do_not_overflow(self):
+        """All-0 against all-255 at 2160x3840: MSE is exactly 255^2."""
+        black = np.zeros((2160, 3840), dtype=np.uint8)
+        white = np.full((2160, 3840), 255, dtype=np.uint8)
+        assert psnr(black, white) == 0.0
+
+    def test_psnr_rejects_non_8_bit_planes(self, rng):
+        image = _image(rng)
+        with pytest.raises(VideoFormatError):
+            psnr(image.astype(np.float64), image)
 
 
 class TestSsimPsnrCorrespondence:
