@@ -20,7 +20,9 @@ the pool ships that state once and keeps its workers hot:
   every heartbeat interval) or exceeds the per-task deadline is killed,
   its task requeued to a fresh worker, and the campaign continues.  Task
   results are keyed by submission index, so retries and out-of-order
-  completion cannot change the output.
+  completion cannot change the output.  Each worker answers on a pipe of
+  its own, written synchronously: a worker that dies mid-message breaks
+  only that pipe, never a lock the other workers would wait on.
 
 A task exception is re-raised in the parent as
 :class:`repro.errors.ParallelWorkerError` carrying the worker-side
@@ -36,6 +38,7 @@ import queue
 import traceback
 from dataclasses import dataclass
 from multiprocessing import get_all_start_methods, get_context
+from multiprocessing.connection import wait
 from multiprocessing.shared_memory import SharedMemory
 from time import monotonic
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -221,7 +224,7 @@ def _worker_main(
     initializer: Optional[Callable[..., None]],
     initargs: Sequence,
     task_q,
-    result_q,
+    results,
     parent_pid: int,
 ) -> None:
     """Worker loop: initialize once, then serve tasks until the sentinel.
@@ -234,17 +237,14 @@ def _worker_main(
         if initializer is not None:
             initializer(*initargs)
     except BaseException:
-        result_q.put(("init_error", worker_id, traceback.format_exc()))
+        results.send(("init_error", worker_id, traceback.format_exc()))
         return
-    result_q.put(("ready", worker_id))
+    results.send(("ready", worker_id))
     while True:
         try:
             task = task_q.get(timeout=ORPHAN_CHECK_S)
         except queue.Empty:
             if os.getppid() != parent_pid:
-                # Nobody reads the results any more: exit without waiting
-                # for the queue's feeder thread to flush into a full pipe.
-                result_q.cancel_join_thread()
                 return
             continue
         if task is None:
@@ -253,9 +253,9 @@ def _worker_main(
         try:
             result = worker_fn(payload)
         except BaseException:
-            result_q.put(("error", worker_id, task_id, traceback.format_exc()))
+            results.send(("error", worker_id, task_id, traceback.format_exc()))
             continue
-        result_q.put(("done", worker_id, task_id, result))
+        results.send(("done", worker_id, task_id, result))
 
 
 @dataclass
@@ -264,6 +264,7 @@ class _Worker:
 
     process: Any
     task_q: Any
+    results: Any                         # read end of the worker's own pipe
     task_id: Optional[int] = None       # currently assigned task
     started_at: float = 0.0
     ready: bool = False                  # initializer finished
@@ -314,7 +315,6 @@ class PersistentPool:
         self._max_task_retries = int(max_task_retries)
         methods = get_all_start_methods()
         self._ctx = get_context("fork" if "fork" in methods else None)
-        self._result_q = self._ctx.Queue()
         self._workers: Dict[int, _Worker] = {}
         self._next_worker_id = 0
         self._closed = False
@@ -327,6 +327,7 @@ class PersistentPool:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
         task_q = self._ctx.Queue()
+        results, sender = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_worker_main,
             args=(
@@ -335,13 +336,17 @@ class PersistentPool:
                 self._initializer,
                 self._initargs,
                 task_q,
-                self._result_q,
+                sender,
                 os.getpid(),
             ),
             daemon=True,
         )
         process.start()
-        self._workers[worker_id] = _Worker(process=process, task_q=task_q)
+        # The worker holds the only write end, so its exit reads as EOF.
+        sender.close()
+        self._workers[worker_id] = _Worker(
+            process=process, task_q=task_q, results=results
+        )
         return worker_id
 
     def close(self) -> None:
@@ -363,7 +368,7 @@ class PersistentPool:
                 worker.process.kill()
                 worker.process.join(timeout=1.0)
             worker.task_q.close()
-        self._result_q.close()
+            worker.results.close()
         self._workers.clear()
 
     def __enter__(self) -> "PersistentPool":
@@ -396,6 +401,7 @@ class PersistentPool:
                 worker.process.kill()
                 worker.process.join(timeout=1.0)
         worker.task_q.close()
+        worker.results.close()
         OBS.count("sweep.pool.worker_respawned")
         self._spawn_worker()
         return orphan
@@ -443,41 +449,51 @@ class PersistentPool:
                 )
             pending.insert(0, task_id)
 
-        feed_idle()
-        while len(results) < len(payloads):
-            try:
-                message = self._result_q.get(timeout=self._heartbeat_s)
-            except queue.Empty:
-                self._check_liveness(requeue)
-                feed_idle()
-                continue
+        def handle(worker_id: int, message: tuple) -> None:
+            worker = self._workers[worker_id]
             kind = message[0]
             if kind == "ready":
-                worker = self._workers.get(message[1])
-                if worker is not None:
-                    worker.ready = True
+                worker.ready = True
             elif kind == "init_error":
                 raise ParallelWorkerError(
                     "worker initializer failed:\n" + message[2]
                 )
             elif kind == "done":
-                _, worker_id, task_id, result = message
-                worker = self._workers.get(worker_id)
-                if worker is not None and worker.task_id == task_id:
+                _, _, task_id, result = message
+                if worker.task_id == task_id:
                     worker.task_id = None
                 if task_id not in results:
                     results[task_id] = result
                     if on_result is not None:
                         on_result(task_id, result)
             elif kind == "error":
-                _, worker_id, task_id, formatted = message
-                worker = self._workers.get(worker_id)
-                if worker is not None and worker.task_id == task_id:
+                _, _, task_id, formatted = message
+                if worker.task_id == task_id:
                     worker.task_id = None
                 raise ParallelWorkerError(
                     f"worker task {task_id} failed:\n"
                     f"--- worker traceback ---\n{formatted}"
                 )
+
+        feed_idle()
+        while len(results) < len(payloads):
+            owners = {w.results: i for i, w in self._workers.items()}
+            readable = wait(list(owners), timeout=self._heartbeat_s)
+            if not readable:
+                self._check_liveness(requeue)
+                feed_idle()
+                continue
+            for conn in readable:
+                worker_id = owners[conn]
+                try:
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    # Every message the worker sent was read before EOF.
+                    orphan = self._replace_worker(worker_id, "worker died")
+                    if orphan is not None:
+                        requeue(orphan, f"worker pid exited (task {orphan})")
+                    continue
+                handle(worker_id, message)
             feed_idle()
         return [results[i] for i in range(len(payloads))]
 

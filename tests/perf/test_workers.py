@@ -193,6 +193,22 @@ class TestPersistentPool:
             with pytest.raises(ParallelWorkerError, match="abandoned"):
                 pool.run_tasks([0])
 
+    def test_workers_that_die_at_once_never_wedge_the_pool(self):
+        """A worker killed right after it reported ready must not leave a
+        lock its replacement waits on; dozens of pools in a child process
+        finish well inside the limit."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _CRASH_CYCLES],
+            env=env, capture_output=True, text=True, timeout=60.0,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["40"]
+
     def test_on_result_fires_per_completion(self):
         seen = []
         with PersistentPool(_double, jobs=2, heartbeat_s=0.1) as pool:
@@ -201,6 +217,23 @@ class TestPersistentPool:
             )
         assert out == [6, 8, 10]
         assert sorted(seen) == [(0, 6), (1, 8), (2, 10)]
+
+
+#: Forty one-worker pools whose worker exits as soon as it takes a task;
+#: prints how many gave up on the task as they should.
+_CRASH_CYCLES = """
+import os
+from repro.errors import ParallelWorkerError
+from repro.perf.workers import PersistentPool
+abandoned = 0
+for _ in range(40):
+    with PersistentPool(os._exit, jobs=1, heartbeat_s=0.05, max_task_retries=1) as pool:
+        try:
+            pool.run_tasks([1])
+        except ParallelWorkerError:
+            abandoned += 1
+print(abandoned)
+"""
 
 
 #: A campaign parent: starts a two-worker pool, prints the worker pids once
