@@ -5,7 +5,10 @@ For N in {4, 16, 64, 256, 1000} receivers, one static session streams a
 warm-up beacon, then steps ``stream_frame`` through the measured frames;
 each frame's wall time is compared with the 1/30 s live-4K frame budget.
 The report gives frame-ms p50/p80 per N and ``largest_n_within_budget``:
-the largest N whose p50 fits the budget.
+the largest N whose p50 fits the budget.  It also splits each rung's
+frames into replan frames (the session replanned at a beacon: group
+enumeration, beams and allocation) and steady frames, with a p50 each, so
+the planner's share of the frame shows at every N.
 
 Every rung uses the predefined-multicast scheme with the round-robin
 scheduler and ``max_group_size=2`` (the ``crowd1000_rr`` overrides), so
@@ -76,17 +79,23 @@ def ladder_rung(
     )
     session = streamer.session(trace)
     session.begin(total)
-    frame_ms = []
+    frame_ms, replanned = [], []
     for frame in range(total):
+        planned_at = session.state.last_plan_time
         start = time.perf_counter()
         session.stream_frame(frame)
         if frame >= per_beacon:
             frame_ms.append((time.perf_counter() - start) * 1e3)
+            replanned.append(session.state.last_plan_time != planned_at)
+    frame_ms, replanned = np.array(frame_ms), np.array(replanned)
     return {
         "users": num_users,
         "frames_measured": len(frame_ms),
         "frame_ms_p50": float(np.percentile(frame_ms, 50.0)),
         "frame_ms_p80": float(np.percentile(frame_ms, 80.0)),
+        "replan_frames": int(replanned.sum()),
+        "replan_frame_ms_p50": float(np.percentile(frame_ms[replanned], 50.0)),
+        "steady_frame_ms_p50": float(np.percentile(frame_ms[~replanned], 50.0)),
         "trace_setup_s": setup_s,
         "mean_ssim": session.outcome.mean_ssim,
     }
@@ -106,8 +115,10 @@ def capacity_ladder(
         rungs.append(rung)
         print(f"  {num_users:5d} receivers: frame p50 {rung['frame_ms_p50']:7.1f} ms, "
               f"p80 {rung['frame_ms_p80']:7.1f} ms "
-              f"({'fits' if rung['within_budget'] else 'over'} {budget_ms:.1f} ms; "
-              f"trace {rung['trace_setup_s']:.2f} s)", flush=True)
+              f"({'fits' if rung['within_budget'] else 'over'} {budget_ms:.1f} ms); "
+              f"p50 replan {rung['replan_frame_ms_p50']:7.1f} ms, "
+              f"steady {rung['steady_frame_ms_p50']:7.1f} ms; "
+              f"trace {rung['trace_setup_s']:.2f} s", flush=True)
     fitting = [r["users"] for r in rungs if r["within_budget"]]
     return {
         "resolution": f"{ctx.height}x{ctx.width}",

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
-from ..scheduling import AllocationResult
+from ..scheduling import AllocationResult, CandidateGroup
 from ..types import AdaptationPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -162,7 +162,11 @@ class BeamTrackingStrategy:
                 # beats the currently configured beam.
                 if sector_gain > frozen_gain:
                     new_groups.append(
-                        dc_replace(group, plan=dc_replace(group.plan, beam=sector))
+                        CandidateGroup(
+                            group.index,
+                            dc_replace(group.plan, beam=sector),
+                            group.rate_scale,
+                        )
                     )
                 else:
                     new_groups.append(group)

@@ -57,6 +57,20 @@ class LinkBudget:
             + 10.0 * np.log10(beam_channel_gain)
         )
 
+    def rss_dbm_array(self, beam_channel_gains: np.ndarray) -> np.ndarray:
+        """:meth:`rss_dbm` of every gain in an array (``-inf`` at 0).
+
+        The same operations in the same order; an element may differ from
+        the scalar form only where numpy's array ``log10`` rounds otherwise.
+        """
+        with np.errstate(divide="ignore"):
+            return (
+                self.tx_power_dbm
+                + self.rx_gain_db
+                - self.implementation_loss_db
+                + 10.0 * np.log10(beam_channel_gains)
+            )
+
 
 @dataclass
 class ChannelState:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+import numpy as np
+
 from ..errors import ChannelError
 
 
@@ -60,6 +62,17 @@ HIGH_RSS_THRESHOLD_DBM = -61.0
 
 _SUPPORTED: Tuple[McsEntry, ...] = tuple(e for e in MCS_TABLE if e.supported)
 
+#: The MCS of each level :func:`supported_mcs_levels` returns: None (no data
+#: MCS) at level 0, then the data-capable rows of Table 2 in order.
+MCS_BY_LEVEL: Tuple[Optional[McsEntry], ...] = (None,) + _SUPPORTED
+
+#: UDP goodput at each level, 0 where the link carries no data.
+RATE_BY_LEVEL_MBPS = np.array(
+    [0.0] + [float(e.udp_throughput_mbps) for e in _SUPPORTED]
+)
+
+_SUPPORTED_SENSITIVITY_DBM = np.array([e.sensitivity_dbm for e in _SUPPORTED])
+
 
 def highest_supported_mcs(rss_dbm: float) -> Optional[McsEntry]:
     """Highest data-capable MCS whose sensitivity the RSS satisfies.
@@ -73,6 +86,21 @@ def highest_supported_mcs(rss_dbm: float) -> Optional[McsEntry]:
             if best is None or entry.udp_throughput_mbps > best.udp_throughput_mbps:
                 best = entry
     return best
+
+
+def supported_mcs_levels(rss_dbm: np.ndarray) -> np.ndarray:
+    """:func:`highest_supported_mcs` of every RSS in an array, as levels.
+
+    Level ``l`` stands for ``MCS_BY_LEVEL[l]``.  The data-capable rows'
+    sensitivities and goodputs rise together, so the highest-goodput
+    decodable row is the number of sensitivities the RSS meets, and the
+    level counts exactly the ``>=`` comparisons the scalar form makes
+    (``-inf`` and NaN meet none).
+    """
+    rss = np.asarray(rss_dbm, dtype=float)
+    return np.count_nonzero(
+        rss[..., None] >= _SUPPORTED_SENSITIVITY_DBM, axis=-1
+    )
 
 
 def entry_for_index(index: float) -> McsEntry:

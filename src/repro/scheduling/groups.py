@@ -15,24 +15,22 @@ remains reachable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..beamforming.selection import BeamPlan, GroupBeamPlanner
+from ..beamforming.selection import BeamPlan, GroupBeamPlanner, PlannedBlock
 from ..errors import SchedulingError
 from ..phy.channel import ChannelState
 
 
-@dataclass(frozen=True)
 class CandidateGroup:
     """One candidate multicast group with its beam plan.
 
     Attributes:
         index: Stable index within this enumeration (used by the packet
             scheduler's "increasing order of group id" greedy).
+        user_ids: Members of the group.
         plan: Beam, per-user RSS, MCS, and rate.
         rate_scale: Divisor applied to the MCS rate.  The paper streams true
             4K; emulation at reduced resolution divides link rates by the
@@ -41,26 +39,64 @@ class CandidateGroup:
             the 4K system while frames stay cheap to decode.
     """
 
-    index: int
-    plan: BeamPlan
-    rate_scale: float = 1.0
+    __slots__ = ("index", "user_ids", "rate_scale", "_plan_rate_mbps", "_plan")
+
+    def __init__(self, index: int, plan: BeamPlan, rate_scale: float = 1.0) -> None:
+        self.index = index
+        self.user_ids: Tuple[int, ...] = plan.user_ids
+        self.rate_scale = rate_scale
+        self._plan_rate_mbps = plan.rate_mbps
+        self._plan = plan
 
     @property
-    def user_ids(self) -> Tuple[int, ...]:
-        """Members of the group."""
-        return self.plan.user_ids
+    def plan(self) -> BeamPlan:
+        """Beam, per-user RSS, MCS, and rate."""
+        return self._plan
 
     @property
     def rate_mbps(self) -> float:
         """Group UDP goodput (bottleneck user's MCS), after scaling."""
-        return self.plan.rate_mbps / self.rate_scale
+        return self._plan_rate_mbps / self.rate_scale
 
-    @cached_property
+    @property
     def rate_bytes_per_s(self) -> float:
-        """Group goodput in bytes per second, after scaling (computed once:
-        the round-robin split, the pacing caps and the transmitter all read
-        it every frame)."""
+        """Group goodput in bytes per second, after scaling."""
         return self.rate_mbps * 1e6 / 8.0
+
+
+class _PlannedCandidate(CandidateGroup):
+    """A candidate whose :class:`BeamPlan` is built when first read.
+
+    A replan keeps thousands of candidates at a thousand receivers, and
+    every frame reads their members and rates, but it sends to a few
+    dozen: only those need a plan object.
+    """
+
+    __slots__ = ("_block", "_row")
+
+    def __init__(
+        self,
+        index: int,
+        user_ids: Tuple[int, ...],
+        plan_rate_mbps: float,
+        rate_scale: float,
+        block: PlannedBlock,
+        row: int,
+    ) -> None:
+        self.index = index
+        self.user_ids = user_ids
+        self.rate_scale = rate_scale
+        self._plan_rate_mbps = plan_rate_mbps
+        self._plan = None
+        self._block = block
+        self._row = row
+
+    @property
+    def plan(self) -> BeamPlan:
+        """Beam, per-user RSS, MCS, and rate."""
+        if self._plan is None:
+            self._plan = self._block.plan(self._row)
+        return self._plan
 
 
 class GroupEnumerator:
@@ -104,58 +140,88 @@ class GroupEnumerator:
     def enumerate(
         self, state: ChannelState, user_ids: Sequence[int]
     ) -> List[CandidateGroup]:
-        """All kept candidate groups, singletons first then by size."""
-        users = sorted(user_ids)
-        if not users:
-            raise SchedulingError("need at least one user")
-        subsets: List[Tuple[int, ...]] = [(u,) for u in users]
-        if self.planner.allows_multiuser_groups and len(users) > 1:
-            subsets.extend(self._multiuser_subsets(state, users))
+        """All kept candidate groups, singletons first then by size.
 
-        plans = self.planner.plan_groups(state, subsets)
-        groups: List[CandidateGroup] = []
-        for plan in plans:
-            if plan.rate_mbps <= 0.0:
-                continue
-            if len(plan.user_ids) > 1 and plan.rate_mbps < self.min_rate_mbps:
-                continue
-            groups.append(
-                CandidateGroup(
-                    index=len(groups), plan=plan, rate_scale=self.rate_scale
-                )
+        One channel matrix serves the snapshot.  Singletons are planned
+        first (under a codebook scheme their sectors give the azimuth
+        order), then every multi-user candidate in one
+        :meth:`GroupBeamPlanner.plan_blocks` call.  Groups are pruned by
+        their planned rate before any per-group object is built, and a
+        kept group builds its :class:`BeamPlan` when first read.
+        """
+        users = np.array(sorted(user_ids), dtype=np.int64)
+        if not len(users):
+            raise SchedulingError("need at least one user")
+        planner = self.planner
+        channels = planner.channel_matrix(state, users)
+        singles = np.arange(len(users))[:, None]
+        planned = planner.plan_blocks(users, channels, [singles])
+        if planner.allows_multiuser_groups and len(users) > 1:
+            planned += planner.plan_blocks(
+                users, channels, self._multiuser_blocks(channels, planned[0])
             )
-        if not groups:
+
+        rates = [block.rate_mbps for block in planned]
+        kept = []
+        for block, rate in zip(planned, rates):
+            keep = rate > 0.0
+            if block.members.shape[1] > 1:
+                keep &= rate >= self.min_rate_mbps
+            kept.append(np.flatnonzero(keep))
+        if not any(len(rows) for rows in kept):
             # Degenerate snapshot (all users below every data MCS): keep the
             # least-bad singleton so upper layers can degrade gracefully.
-            least_bad = max(
-                (p for p in plans if len(p.user_ids) == 1),
-                key=lambda p: p.min_rss_dbm,
-            )
-            groups.append(
-                CandidateGroup(index=0, plan=least_bad, rate_scale=self.rate_scale)
+            kept[0] = np.array([np.argmax(planned[0].rss_dbm[:, 0])])
+        groups: List[CandidateGroup] = []
+        for block, rate, rows in zip(planned, rates, kept):
+            groups.extend(
+                map(
+                    _PlannedCandidate,
+                    range(len(groups), len(groups) + len(rows)),
+                    zip(*block.members[rows].T.tolist()),
+                    rate[rows].tolist(),
+                    itertools.repeat(self.rate_scale),
+                    itertools.repeat(block),
+                    rows.tolist(),
+                )
             )
         return groups
 
-    def _multiuser_subsets(
-        self, state: ChannelState, users: List[int]
-    ) -> List[Tuple[int, ...]]:
-        cap = self.max_group_size or len(users)
-        subsets: List[Tuple[int, ...]] = []
-        if len(users) <= self.exhaustive_max_users:
-            for size in range(2, min(len(users), cap) + 1):
-                subsets.extend(itertools.combinations(users, size))
-            return subsets
-        ordered = self._sort_by_azimuth(state, users)
-        for start in range(len(ordered)):
-            stop = min(len(ordered), start + cap)
-            for end in range(start + 2, stop + 1):
-                subsets.append(tuple(sorted(ordered[start:end])))
-        return sorted(set(subsets), key=lambda s: (len(s), s))
+    def _multiuser_blocks(
+        self, channels: np.ndarray, singles: PlannedBlock
+    ) -> List[np.ndarray]:
+        """One ``(groups, size)`` block of user rows per group size.
 
-    def _sort_by_azimuth(self, state: ChannelState, users: List[int]) -> List[int]:
-        """Order users by the pointing angle of their best codebook sector."""
+        Up to ``exhaustive_max_users`` users, every subset; above, every
+        window of consecutive users in azimuth order.  Each row is
+        ascending, and a block's rows are in lexicographic order without
+        repeats.
+        """
+        count = len(channels)
+        cap = min(self.max_group_size or count, count)
+        if count <= self.exhaustive_max_users:
+            return [
+                np.array(list(itertools.combinations(range(count), size)))
+                for size in range(2, cap + 1)
+            ]
+        ordered = self._azimuth_order(channels, singles)
+        blocks = []
+        for size in range(2, cap + 1):
+            windows = np.sort(
+                np.lib.stride_tricks.sliding_window_view(ordered, size), axis=1
+            )
+            windows = windows[np.lexsort(windows.T[::-1])]
+            repeat = np.all(windows[1:] == windows[:-1], axis=1)
+            blocks.append(windows[np.concatenate([[True], ~repeat])])
+        return blocks
+
+    def _azimuth_order(self, channels: np.ndarray, singles: PlannedBlock) -> np.ndarray:
+        """User rows ordered by the pointing angle of their best codebook
+        sector (ties in user order): the singletons' own sectors under a
+        codebook scheme, else one stacked codebook product."""
         codebook = self.planner.codebook
-        channels = np.array([[state.channels[u]] for u in users])
-        best = codebook.gains_stacked(channels)[:, :, 0].argmax(axis=1).tolist()
-        angles = dict(zip(users, (codebook.beam_angle_rad(k) for k in best)))
-        return sorted(users, key=lambda u: angles[u])
+        sectors = singles.sectors
+        if sectors is None:
+            # A fresh (users, 1, Nt) stack, laid out as the planner's are.
+            sectors = codebook.best_min_gain_beams(channels[:, None].copy())[0]
+        return np.argsort(codebook.angles_rad[sectors], kind="stable")

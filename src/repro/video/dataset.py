@@ -24,7 +24,7 @@ import numpy as np
 from ..types import NUM_LAYERS, validate_seed
 from .frame import VideoFrame, blank_frame
 from .jigsaw import JigsawCodec, LayeredFrame
-from .metrics import SsimReference, psnr, ssim
+from .metrics import SsimReference, psnr
 from .synthetic import SyntheticVideo
 
 #: Number of quality-model input features.
@@ -51,7 +51,7 @@ class FrameQualityProbe:
         default_factory=OrderedDict, repr=False, compare=False
     )
     #: The reference-side half of SSIM (two float32 planes), filtered on the
-    #: first mask-memo miss and reused by every later one.
+    #: first score and reused by every later one.
     _ssim_reference: Optional[SsimReference] = field(
         default=None, repr=False, compare=False
     )
@@ -60,14 +60,21 @@ class FrameQualityProbe:
 
     @classmethod
     def from_frame(cls, codec: JigsawCodec, frame: VideoFrame) -> "FrameQualityProbe":
-        """Encode ``frame`` and precompute its static quality features."""
+        """Encode ``frame`` and precompute its static quality features.
+
+        Every feature is a luma-only decode scored against one
+        :class:`SsimReference` of ``frame``.  The probe does not keep it:
+        a probe used only as a template (copied field by field per
+        session) would carry two frame-sized planes for nothing.
+        """
         layered = codec.encode(frame)
+        reference = SsimReference(frame)
         cumulative = []
         for upto in range(NUM_LAYERS):
             fractions = [1.0 if j <= upto else 0.0 for j in range(NUM_LAYERS)]
-            decoded = codec.decode_fractions(layered, fractions)
-            cumulative.append(ssim(frame, decoded))
-        blank = ssim(frame, blank_frame(frame.height, frame.width))
+            masks = codec.masks_for_fractions(fractions)
+            cumulative.append(reference.score(codec.decode_luma(layered, masks)))
+        blank = reference.score(blank_frame(frame.height, frame.width))
         return cls(
             codec=codec,
             reference=frame,
@@ -83,8 +90,7 @@ class FrameQualityProbe:
 
     def measure(self, fractions: Sequence[float]) -> Tuple[float, float]:
         """Decode at the given per-layer fractions and return (SSIM, PSNR)."""
-        decoded = self.codec.decode_fractions(self.layered, fractions)
-        return ssim(self.reference, decoded), psnr(self.reference, decoded)
+        return self._scores(self.codec.masks_for_fractions(fractions))
 
     def measure_masks(self, masks: Sequence[np.ndarray]) -> Tuple[float, float]:
         """Decode an explicit sublayer-mask reception and return (SSIM, PSNR).
@@ -102,17 +108,19 @@ class FrameQualityProbe:
         if cached is not None:
             self._mask_cache.move_to_end(key)
             return cached
-        decoded = self.codec.decode_luma(self.layered, masks)
-        if self._ssim_reference is None:
-            self._ssim_reference = SsimReference(self.reference)
-        result = (
-            self._ssim_reference.score(decoded),
-            psnr(self.reference, decoded),
-        )
+        result = self._scores(masks)
         self._mask_cache[key] = result
         while len(self._mask_cache) > self._MASK_CACHE_LIMIT:
             self._mask_cache.popitem(last=False)
         return result
+
+    def _scores(self, masks: Sequence[np.ndarray]) -> Tuple[float, float]:
+        """(SSIM, PSNR) of the luma plane ``masks`` decode to; both scores
+        read luma only, so no chroma is decoded."""
+        decoded = self.codec.decode_luma(self.layered, masks)
+        if self._ssim_reference is None:
+            self._ssim_reference = SsimReference(self.reference)
+        return self._ssim_reference.score(decoded), psnr(self.reference, decoded)
 
     def sample(self, fractions: Sequence[float]) -> Tuple[np.ndarray, float]:
         """One (features, SSIM) training sample."""

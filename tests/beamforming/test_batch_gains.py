@@ -1,19 +1,21 @@
 """``plan_groups`` and ``plan_group`` are one path and agree exactly.
 
-Gains are evaluated by the scalar :func:`per_user_gains` whichever entry
-point is used, and a group's beam does not depend on its batch, so a plan
-taken out of a batch equals the plan of that group on its own: same beam
-bytes, same RSS floats, same MCS.  The multi-AP repair planner (one
-singleton per backup user) relies on exactly that.
+Each group's beam and member gains come from its own product in a stack,
+so a plan taken out of a batch equals the plan of that group on its own:
+same beam bytes, same RSS floats, same MCS.  The multi-AP repair planner
+(one singleton per backup user) relies on exactly that.  Against the
+scalar :func:`per_user_gains` path the planner keeps the contract of
+``planner_reference``.
 """
 
 import numpy as np
 import pytest
 
 from repro.beamforming.codebook import SectorCodebook
-from repro.beamforming.multicast import per_user_gains
 from repro.beamforming.selection import GroupBeamPlanner
 from repro.types import BeamformingScheme
+
+from .planner_reference import contract_ties, frozen_plan_groups
 
 MULTICAST_GROUPS = [[0], [1], [2, 3], [0, 1, 2], [3, 1], [0, 1, 2, 3]]
 SINGLETONS = [[u] for u in range(4)]
@@ -57,18 +59,16 @@ class TestPlanGroupsEqualsPlanGroup:
         for group, plan in zip(groups, batched):
             assert_same_plan(plan, planner.plan_group(state, group))
 
-    def test_gains_are_the_scalar_path(self, snapshot):
-        """RSS comes from ``per_user_gains`` of the returned beam, bit for bit."""
+    @pytest.mark.parametrize("scheme", list(BeamformingScheme))
+    def test_rss_is_the_scalar_path_within_the_contract(self, snapshot, scheme):
+        """RSS within 1e-9 dB of ``per_user_gains`` of the returned beam;
+        members, beam, MCS and rate equal."""
         scenario, state = snapshot
-        planner = _planner(scenario, BeamformingScheme.OPTIMIZED_MULTICAST)
-        for plan in planner.plan_groups(state, MULTICAST_GROUPS):
-            channels = [state.channels[u] for u in plan.user_ids]
-            gains = per_user_gains(plan.beam, channels)
-            expected = {
-                u: planner.budget.rss_dbm(float(g))
-                for u, g in zip(plan.user_ids, gains)
-            }
-            assert plan.per_user_rss_dbm == expected
+        planner = _planner(scenario, scheme)
+        groups = MULTICAST_GROUPS if planner.allows_multiuser_groups else SINGLETONS
+        plans = planner.plan_groups(state, groups)
+        frozen = frozen_plan_groups(planner, state, groups)
+        assert contract_ties(plans, frozen, planner.mcs_backoff_db) == []
 
     def test_singleton_batch_is_the_conjugate_beam(self, snapshot):
         """The multi-AP repair planner's usage: one singleton per user."""

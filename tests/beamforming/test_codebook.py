@@ -35,7 +35,7 @@ class TestGains:
     def test_narrow_beam_peaks_at_its_angle(self, codebook):
         array = codebook.array
         for index in (0, 5, 10):
-            angle = codebook.beam_angle_rad(index)
+            angle = float(codebook.angles_rad[index])
             channel = array.steering_vector(angle) * 1e-4
             gains = codebook.gains(channel)
             # The designated beam should be within a hair of the best.

@@ -1,73 +1,31 @@
-"""Codebook (predefined-beam) planning, batched, still gives the same bits.
+"""Codebook (predefined-beam) planning, batched, against per-group loops.
 
 ``SectorCodebook.gains_stacked`` stacks each group's ``(K x Nt) @ (Nt x
 n)`` product along a group axis; beam selection
 (``best_min_gain_beams``) uses it instead of one ``gains_multi`` call per
 group, and the azimuth sort instead of one ``gains`` call per user.
-Neither changes a floating-point operation, so the gains, the beams, the
-plans built on them and the azimuth order must equal the frozen per-group
-loops kept here.  (One ``(K x Nt) @ (Nt x N)`` product for all users would
-not: BLAS sums it in another order.)
+Neither changes a floating-point operation, so the gains, the beams and
+the azimuth order must equal the frozen per-group loops bit for bit.  (One
+``(K x Nt) @ (Nt x N)`` product for all users would not: BLAS sums it in
+another order.)  Plans built on those beams keep the planner contract of
+``planner_reference``: same members, beam bytes, MCS and rate, RSS within
+1e-9 dB.
 """
 
 import numpy as np
 import pytest
 
 from repro.beamforming.codebook import SectorCodebook
-from repro.beamforming.multicast import max_min_multicast_beams, per_user_gains
-from repro.beamforming.selection import BeamPlan, GroupBeamPlanner
-from repro.phy.mcs import highest_supported_mcs
+from repro.beamforming.selection import GroupBeamPlanner
 from repro.scheduling.groups import GroupEnumerator
 from repro.types import BeamformingScheme
 
-from .test_batch_gains import assert_same_plan
-
-
-def frozen_codebook_beams(codebook, channel_groups):
-    """The predefined branch of ``beams_for_groups`` as it stood before."""
-    beams = []
-    for channels in channel_groups:
-        gains = codebook.gains_multi(list(channels))
-        beams.append(codebook.beam(int(np.argmax(gains.min(axis=1)))))
-    return beams
-
-
-def frozen_plan_groups(planner, state, groups):
-    """``plan_groups`` as it stood before: every member of every group."""
-    ordered = [tuple(sorted(g)) for g in groups]
-    channel_groups = [[state.channels[u] for u in users] for users in ordered]
-    if planner.scheme in (
-        BeamformingScheme.OPTIMIZED_MULTICAST,
-        BeamformingScheme.OPTIMIZED_UNICAST,
-    ):
-        beams = max_min_multicast_beams(planner.array, channel_groups)
-    else:
-        beams = frozen_codebook_beams(planner.codebook, channel_groups)
-    plans = []
-    for users, beam, channels in zip(ordered, beams, channel_groups):
-        gains = per_user_gains(beam, channels)
-        rss = {u: planner.budget.rss_dbm(float(g)) for u, g in zip(users, gains)}
-        min_rss = min(rss.values())
-        mcs = highest_supported_mcs(min_rss - planner.mcs_backoff_db)
-        plans.append(
-            BeamPlan(
-                user_ids=users,
-                beam=beam,
-                per_user_rss_dbm=rss,
-                min_rss_dbm=min_rss,
-                mcs=mcs,
-                rate_mbps=float(mcs.udp_throughput_mbps) if mcs else 0.0,
-            )
-        )
-    return plans
-
-
-def frozen_sort_by_azimuth(codebook, state, users):
-    angles = {}
-    for user in users:
-        gains = codebook.gains(state.channels[user])
-        angles[user] = codebook.beam_angle_rad(int(np.argmax(gains)))
-    return sorted(users, key=lambda u: angles[u])
+from .planner_reference import (
+    contract_ties,
+    frozen_codebook_beams,
+    frozen_plan_groups,
+    frozen_sort_by_azimuth,
+)
 
 
 @pytest.fixture(scope="module")
@@ -99,9 +57,20 @@ def _random_groups(rng, num_users, count):
 def _assert_same_plans(planner, state, groups):
     plans = planner.plan_groups(state, groups)
     frozen = frozen_plan_groups(planner, state, groups)
-    assert len(plans) == len(frozen) == len(groups)
-    for plan, frozen_plan in zip(plans, frozen):
-        assert_same_plan(plan, frozen_plan)
+    assert len(plans) == len(groups)
+    assert contract_ties(plans, frozen, planner.mcs_backoff_db) == []
+
+
+def _best_beams_by_size(codebook, channel_groups):
+    """``best_min_gain_beams`` over groups of mixed sizes, in input order."""
+    best = [None] * len(channel_groups)
+    sizes = sorted({len(g) for g in channel_groups})
+    for size in sizes:
+        positions = [i for i, g in enumerate(channel_groups) if len(g) == size]
+        stack = np.array([channel_groups[i] for i in positions])
+        for i, k in zip(positions, codebook.best_min_gain_beams(stack)[0].tolist()):
+            best[i] = k
+    return best
 
 
 class TestCodebookBeamsMatchFrozenLoop:
@@ -112,7 +81,7 @@ class TestCodebookBeamsMatchFrozenLoop:
         rng = np.random.default_rng(seed)
         groups = _random_groups(rng, 300, 400)
         channel_groups = [[state.channels[u] for u in g] for g in groups]
-        batched = codebook.best_min_gain_beams(channel_groups)
+        batched = _best_beams_by_size(codebook, channel_groups)
         frozen = frozen_codebook_beams(codebook, channel_groups)
         assert [codebook.beam(k).tobytes() for k in batched] == [
             b.tobytes() for b in frozen
@@ -127,15 +96,29 @@ class TestCodebookBeamsMatchFrozenLoop:
         channels = rng.normal(size=(60, 16)) + 1j * rng.normal(size=(60, 16))
         groups = _random_groups(rng, 60, 200)
         channel_groups = [[channels[u] for u in g] for g in groups]
-        batched = codebook.best_min_gain_beams(channel_groups)
+        batched = _best_beams_by_size(codebook, channel_groups)
         frozen = frozen_codebook_beams(codebook, channel_groups)
         assert [codebook.beam(k).tobytes() for k in batched] == [
             b.tobytes() for b in frozen
         ]
 
+    def test_member_gains_are_the_chosen_column(self, crowd):
+        scenario, state = crowd
+        codebook = SectorCodebook(scenario.array)
+        rng = np.random.default_rng(4)
+        groups = [rng.choice(300, size=3, replace=False) for _ in range(200)]
+        stack = np.array([[state.channels[u] for u in g] for g in groups])
+        best, member_gains = codebook.best_min_gain_beams(stack)
+        gains = codebook.gains_stacked(stack)
+        for block, k, row in zip(gains, best.tolist(), member_gains):
+            assert row.tobytes() == block[k].tobytes()
+
     def test_no_groups(self, crowd):
         scenario, _ = crowd
-        assert SectorCodebook(scenario.array).best_min_gain_beams([]) == []
+        best, gains = SectorCodebook(scenario.array).best_min_gain_beams(
+            np.zeros((0, 2, scenario.array.num_elements), dtype=complex)
+        )
+        assert best.shape == (0,) and gains.shape == (0, 2)
 
 
 class TestGainsStackedMatchesPerGroupProducts:
@@ -204,12 +187,25 @@ class TestPlanGroupsMatchesFrozenLoop:
 
 
 class TestAzimuthOrderMatchesFrozenLoop:
-    @pytest.mark.parametrize("cap", [2, 3])
-    def test_crowd_enumeration_order(self, crowd, cap):
+    @pytest.mark.parametrize(
+        "scheme",
+        [BeamformingScheme.PREDEFINED_MULTICAST, BeamformingScheme.OPTIMIZED_MULTICAST],
+    )
+    def test_crowd_enumeration_order(self, crowd, scheme):
+        """Codebook schemes reuse the singletons' sectors, optimised ones
+        take their own product: one order either way."""
         scenario, state = crowd
-        planner = _planner(scenario, BeamformingScheme.PREDEFINED_MULTICAST)
-        enumerator = GroupEnumerator(planner, max_group_size=cap)
-        users = sorted(state.channels)
-        assert enumerator._sort_by_azimuth(state, users) == frozen_sort_by_azimuth(
-            planner.codebook, state, users
+        planner = _planner(scenario, scheme)
+        enumerator = GroupEnumerator(planner, max_group_size=2)
+        users = np.array(sorted(state.channels))
+        channels = planner.channel_matrix(state, users)
+        singles = planner.plan_blocks(
+            users, channels, [np.arange(len(users))[:, None]]
+        )[0]
+        assert (singles.sectors is None) == (
+            scheme is BeamformingScheme.OPTIMIZED_MULTICAST
+        )
+        ordered = users[enumerator._azimuth_order(channels, singles)]
+        assert ordered.tolist() == frozen_sort_by_azimuth(
+            planner.codebook, state, users.tolist()
         )

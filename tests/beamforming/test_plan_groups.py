@@ -10,7 +10,7 @@ the per-group BLAS loop it replaced.  What is pinned instead:
     member's quantised matched filter, by true min-gain;
 (c) against a frozen copy of the per-group loop, bottleneck RSS agrees on
     average and the MCS agrees for nearly every group;
-(d) an enumeration is one kernel call, whatever the number of subsets.
+(d) an enumeration is one ascent, whatever the number of subsets.
 """
 
 import itertools
@@ -33,6 +33,7 @@ from repro.phy.mcs import highest_supported_mcs
 from repro.scheduling.groups import GroupEnumerator
 from repro.types import BeamformingScheme
 
+from .planner_reference import frozen_sort_by_azimuth
 from .test_batch_gains import assert_same_plan
 
 USERS = 7
@@ -113,7 +114,9 @@ class TestBatchIndependence:
         seed, subsets, window_start, order, batch_rows,
     ):
         state = _snapshot(scenario, seed)
-        by_azimuth = GroupEnumerator(planner)._sort_by_azimuth(state, list(range(USERS)))
+        by_azimuth = frozen_sort_by_azimuth(
+            planner.codebook, state, list(range(USERS))
+        )
         groups = [sorted(s) for s in subsets]
         groups.append(by_azimuth[window_start:window_start + 6])
         order.shuffle(groups)
@@ -220,7 +223,9 @@ class TestOneKernelCallPerEnumeration:
         state = _snapshot(scenario, 11, users=users)
         groups = enumerator.enumerate(state, list(range(users)))
         assert len(groups) == 2**users - 1
-        assert calls == {"beams": 1, "ascend": 1}
+        # One call plans the singletons (matched filters, no ascent), one
+        # every multi-user candidate.
+        assert calls == {"beams": 2, "ascend": 1}
 
     def test_singleton_only_batch_skips_the_ascent(self, scenario, monkeypatch):
         def no_ascent(*args, **kwargs):

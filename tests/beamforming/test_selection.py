@@ -102,4 +102,4 @@ class TestGroupBeamPlanner:
             scenario.array, codebook, scenario.channel_model.budget,
         )
         with pytest.raises(BeamformingError):
-            planner.beam_for_group([])
+            planner.plan_group(state, [])

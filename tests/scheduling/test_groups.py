@@ -179,17 +179,22 @@ class TestDegenerateSnapshot:
         scenario, weak = unreachable
         enum = _enumerator(scenario, BeamformingScheme.OPTIMIZED_MULTICAST)
         batches = []
-        real = enum.planner.plan_groups
+        real = enum.planner.plan_blocks
 
-        def recording(state, groups):
-            batches.append([tuple(g) for g in groups])
-            return real(state, groups)
+        def recording(users, channels, blocks):
+            batches.append(
+                [tuple(users[row].tolist()) for block in blocks for row in block]
+            )
+            return real(users, channels, blocks)
 
-        monkeypatch.setattr(enum.planner, "plan_groups", recording)
-        monkeypatch.setattr(
-            enum.planner, "plan_group",
-            lambda *a, **k: pytest.fail("enumerate plans through plan_groups"),
-        )
+        monkeypatch.setattr(enum.planner, "plan_blocks", recording)
+        for name in ("plan_group", "plan_groups"):
+            monkeypatch.setattr(
+                enum.planner, name,
+                lambda *a, **k: pytest.fail("enumerate plans through plan_blocks"),
+            )
         enum.enumerate(weak, [0, 1, 2])
-        assert len(batches) == 1
-        assert len(batches[0]) == len(set(batches[0])) == 7
+        # Singletons, then every multi-user candidate, each planned once.
+        assert [len(batch) for batch in batches] == [3, 4]
+        planned = [group for batch in batches for group in batch]
+        assert len(set(planned)) == 7

@@ -9,7 +9,9 @@ from repro.video.dataset import (
     FrameQualityProbe,
     generate_dataset,
 )
-from repro.video.jigsaw import SUBLAYER_COUNTS
+from repro.types import NUM_LAYERS
+from repro.video.frame import blank_frame
+from repro.video.jigsaw import SUBLAYER_COUNTS, JigsawCodec
 from repro.video.metrics import SsimReference, psnr, ssim
 
 
@@ -132,6 +134,69 @@ class TestCachedSsimReferenceHalf:
         assert len(probe._mask_cache) == 1
         probe.measure_masks([np.array([False, True, True]), *refinements])
         assert len(probe._mask_cache) == 2
+
+
+class TestProbesDecodeLumaOnly:
+    """``from_frame`` and ``measure`` decode the luma plane only and score
+    it against one :class:`SsimReference` each: the one-shot
+    ``decode_fractions`` + ``ssim`` values, bit for bit, with no chroma
+    decoded and the reference half filtered once, not once per score."""
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        calls = {"decode_fractions": 0, "decode": 0, "filter_depths": []}
+        real_filter = metrics.gaussian_filter1d
+
+        def filtering(stack, *args, **kwargs):
+            calls["filter_depths"].append(stack.shape[0])
+            return real_filter(stack, *args, **kwargs)
+
+        def counting(name):
+            real = getattr(JigsawCodec, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(metrics, "gaussian_filter1d", filtering)
+        for name in ("decode_fractions", "decode"):
+            monkeypatch.setattr(JigsawCodec, name, counting(name))
+        return calls
+
+    def test_from_frame_filters_the_reference_once(self, codec, hr_video, counted):
+        probe = FrameQualityProbe.from_frame(codec, hr_video.frame(0))
+        assert counted["decode_fractions"] == counted["decode"] == 0
+        # The reference half (x, x^2) once, then four cumulative scores and
+        # the blank score (y, y^2, x*y), each stack in one call per axis.
+        assert counted["filter_depths"] == [2, 2] + [3, 3] * (NUM_LAYERS + 1)
+        assert probe._ssim_reference is None
+
+    def test_from_frame_features_equal_one_shot_scores(self, codec, hr_video):
+        frame = hr_video.frame(0)
+        probe = FrameQualityProbe.from_frame(codec, frame)
+        cumulative = [
+            ssim(frame, codec.decode_fractions(
+                probe.layered, [1.0 if j <= upto else 0.0 for j in range(NUM_LAYERS)]
+            ))
+            for upto in range(NUM_LAYERS)
+        ]
+        assert probe.cumulative_ssim.tolist() == cumulative
+        assert probe.blank_ssim == ssim(frame, blank_frame(frame.height, frame.width))
+
+    def test_measure_equals_one_shot_scores(self, codec, hr_video, rng, counted):
+        probe = FrameQualityProbe.from_frame(codec, hr_video.frame(0))
+        counted["filter_depths"].clear()
+        fractions = [[1.0, *rng.uniform(0.0, 1.0, NUM_LAYERS - 1)] for _ in range(6)]
+        scores = [probe.measure(f) for f in fractions]
+        assert counted["decode_fractions"] == counted["decode"] == 0
+        # The reference half once, on the first score; then three planes.
+        assert counted["filter_depths"] == [2, 2] + [3, 3] * len(fractions)
+        for f, score in zip(fractions, scores):
+            decoded = codec.decode_fractions(probe.layered, f)
+            assert score == (
+                ssim(probe.reference, decoded), psnr(probe.reference, decoded)
+            )
 
 
 class TestGenerateDataset:
