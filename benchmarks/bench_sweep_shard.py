@@ -10,7 +10,10 @@ efficiency.
 Both arms must produce bit-identical merged results
 (``merged_identical``); the engine's per-run seeding makes the shard
 count, worker count, and completion order irrelevant to the output, and
-the script exits non-zero when they differ.
+the script exits non-zero when they differ.  A second, untimed campaign
+checks the same for the mobile comparison's shape
+(``mobile_merged_identical``): a multicast arm (``realtime_update``) and
+an MPC arm (``fast_mpc``) on a 0.3 s walk trace per run.
 
 Usage::
 
@@ -38,9 +41,16 @@ from repro.emulation import (
     variant_from_spec,
 )
 from repro.emulation.context import QUICK_CONTEXT
+from repro.emulation.runner import mobile_variant
 from repro.perf import speedup, throughput, time_call, write_bench_report
+from repro.types import frame_count
 
 PLACEMENT = ("arc", 5.0, 60)
+
+#: The mobile campaign: one multicast and one MPC arm, each run on its own
+#: 0.3 s walk trace.
+MOBILE_APPROACHES = ("realtime_update", "fast_mpc")
+MOBILE_WALK = ("walk", "high", (0,), 0.3)
 
 #: Two-variant campaign: the paper's default pipeline vs round-robin
 #: scheduling — cheap enough for CI, distinct enough that a merge bug
@@ -61,20 +71,29 @@ def bench_sweep_shard(
     variants = [variant_from_spec(spec) for spec in VARIANT_SPECS]
     points = runs * len(variants)
 
-    serial_results, serial_s = time_call(
-        lambda: run_variant_sweep(
-            ctx, variants, users, PLACEMENT, runs=runs, frames=frames, jobs=1
+    def serial_arm(variants, placement, frames) -> dict:
+        return run_variant_sweep(
+            ctx, variants, users, placement, runs=runs, frames=frames, jobs=1
         )
-    )
 
-    def persistent_arm() -> dict:
+    def persistent_arm(variants, placement, frames) -> dict:
         with tempfile.TemporaryDirectory(dir=checkpoint_dir) as tmp:
             return run_variant_sweep(
-                ctx, variants, users, PLACEMENT, runs=runs, frames=frames,
+                ctx, variants, users, placement, runs=runs, frames=frames,
                 shards=shards, checkpoint=Path(tmp) / "ck.jsonl", jobs=jobs,
             )
 
-    persistent_results, persistent_s = time_call(persistent_arm)
+    serial_results, serial_s = time_call(
+        lambda: serial_arm(variants, PLACEMENT, frames)
+    )
+    persistent_results, persistent_s = time_call(
+        lambda: persistent_arm(variants, PLACEMENT, frames)
+    )
+    mobile = [mobile_variant(approach) for approach in MOBILE_APPROACHES]
+    mobile_frames = frame_count(MOBILE_WALK[-1], ctx.base_config.fps)
+    mobile_identical = serial_arm(
+        mobile, MOBILE_WALK, mobile_frames
+    ) == persistent_arm(mobile, MOBILE_WALK, mobile_frames)
 
     return {
         "runs": runs,
@@ -91,6 +110,7 @@ def bench_sweep_shard(
         "speedup_vs_serial": speedup(serial_s, persistent_s),
         "parallel_efficiency": speedup(serial_s, persistent_s) / jobs,
         "merged_identical": serial_results == persistent_results,
+        "mobile_merged_identical": mobile_identical,
     }
 
 
@@ -137,8 +157,11 @@ def main(argv=None) -> int:
           f"x{stage['speedup_vs_serial']:.2f} vs serial, "
           f"{stage['parallel_efficiency']:.2f} efficiency)")
     print(f"identical   : {stage['merged_identical']}")
+    print(f"mobile      : {stage['mobile_merged_identical']} "
+          f"({' + '.join(MOBILE_APPROACHES)} on a {MOBILE_WALK[-1]} s walk)")
     print(f"report      : {path}")
-    return 0 if stage["merged_identical"] else 1
+    identical = stage["merged_identical"] and stage["mobile_merged_identical"]
+    return 0 if identical else 1
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ fragility the layered system avoids.
 
 from .abr import FreezeModel, RateQualityModel, BitrateLadder
 from .mpc import FastMpc, RobustMpc, simulate_abr_session, AbrOutcome
-from .session import AbrSession
 
 __all__ = [
     "RateQualityModel",
@@ -20,5 +19,4 @@ __all__ = [
     "FastMpc",
     "simulate_abr_session",
     "AbrOutcome",
-    "AbrSession",
 ]

@@ -33,21 +33,18 @@ from ..phy.antenna import PhasedArray
 _MAX_BATCH_ROWS = 2048
 
 
-def _stack(
-    channels: Sequence[np.ndarray], num_elements: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The group's channels as rows, raw and power-normalised."""
-    if not len(channels):
+def _normalised(stacks: np.ndarray, num_elements: int) -> np.ndarray:
+    """``(groups, size, Nt)`` channel stacks, each row power-normalised."""
+    if stacks.ndim != 3 or not stacks.shape[1]:
         raise BeamformingError("need at least one channel vector")
-    stacked = np.vstack([np.asarray(h, dtype=complex) for h in channels])
-    if stacked.shape[1] != num_elements:
+    if stacks.shape[2] != num_elements:
         raise BeamformingError(
-            f"channels must have {num_elements} elements, got {stacked.shape[1]}"
+            f"channels must have {num_elements} elements, got {stacks.shape[2]}"
         )
-    norms = np.linalg.norm(stacked, axis=1, keepdims=True)
+    norms = np.linalg.norm(stacks, axis=2, keepdims=True)
     if np.any(norms <= 0):
         raise BeamformingError("cannot beamform on an all-zero channel")
-    return stacked, stacked / norms
+    return stacks / norms
 
 
 def _weighted_max_sum_beam(stacked: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -66,7 +63,9 @@ def svd_multicast_beam(
     array: PhasedArray, channels: Sequence[np.ndarray]
 ) -> np.ndarray:
     """The paper's plain SVD max-sum heuristic, quantised for the hardware."""
-    _, normalised = _stack(channels, array.num_elements)
+    normalised = _normalised(
+        np.asarray(channels, dtype=complex)[None], array.num_elements
+    )[0]
     beam = _weighted_max_sum_beam(normalised, np.ones(normalised.shape[0]))
     return array.quantise_weights(beam)
 
@@ -113,7 +112,10 @@ def max_min_multicast_beams(
 
     Args:
         array: AP phased array.
-        channel_groups: For each group, one channel vector per member.
+        channel_groups: Each entry is one group's channels (one vector per
+            member) or a ``(groups, size, Nt)`` stack of equal-size groups,
+            as a planner holds them; stacks are normalised and checked
+            whole.
         steps: Gradient-ascent iterations.
         temperature: Soft-min sharpness (higher = closer to true min).
         step_size: Normalised ascent step.
@@ -121,7 +123,12 @@ def max_min_multicast_beams(
     Returns:
         Quantised unit-norm beam weights, one per group, in input order.
     """
-    stacks = [_stack(channels, array.num_elements) for channels in channel_groups]
+    stacks: List[Tuple[np.ndarray, np.ndarray]] = []
+    for entry in channel_groups:
+        raw = np.asarray(entry, dtype=complex)
+        if raw.ndim == 2:
+            raw = raw[None]
+        stacks.extend(zip(raw, _normalised(raw, array.num_elements)))
     beams = {
         index: array.conjugate_beam(stacked[0])
         for index, (stacked, _) in enumerate(stacks)

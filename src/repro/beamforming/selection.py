@@ -209,11 +209,7 @@ class GroupBeamPlanner:
             BeamformingScheme.OPTIMIZED_UNICAST,
         )
         if optimised:
-            synthesised = iter(
-                max_min_multicast_beams(
-                    self.array, [group for stack in stacks for group in stack]
-                )
-            )
+            synthesised = iter(max_min_multicast_beams(self.array, stacks))
         else:
             codebook_rows = list(self.codebook.beams)
         planned = []

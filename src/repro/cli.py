@@ -28,7 +28,6 @@ from typing import List, Optional
 import numpy as np
 
 from . import obs
-from .core import MulticastStreamer
 from .emulation import (
     CampaignSpec,
     ap_fault_grid,
@@ -46,6 +45,7 @@ from .emulation import (
 )
 from .emulation.context import QUICK_CONTEXT
 from .emulation.stats import print_table, summarize
+from .emulation.sweep import multicast_session
 
 #: Named --fault-base bundles for common chaos campaigns.  The
 #: ``blockage_failover`` preset is the deep-LoS-blockage base of the
@@ -255,14 +255,8 @@ def _cmd_observe(args) -> int:
         run_seed = 9000 + 31 * run
         trace = trace_for_placement(ctx, args.users, placement, run_seed)
         with obs.OBS.span("emulation.run", run=run, frames=args.frames) as span:
-            streamer = MulticastStreamer(
-                ctx.config(),
-                ctx.dnn,
-                ctx.probes,
-                ctx.scenario.channel_model,
-                seed=run_seed + 7,
-            )
-            outcome = streamer.stream_trace(trace, num_frames=args.frames)
+            session = multicast_session(ctx, ctx.config(), trace, run_seed)
+            outcome = session.run(args.frames)
             span.set(mean_ssim=outcome.mean_ssim)
 
     report = obs.build_report(obs.OBS)
@@ -317,16 +311,10 @@ def _cmd_chaos(args) -> int:
     counters = {}
     for repeat in range(CHAOS_REPEATS):
         with obs.observed("counters"):
-            streamer = MulticastStreamer(
-                config,
-                ctx.dnn,
-                ctx.probes,
-                ctx.scenario.channel_model,
-                seed=args.seed + 7,
-            )
             # The session draws a fresh controller from config.faults each
             # repeat: same seed, same schedule.
-            outcome = streamer.stream_trace(trace, num_frames=args.frames)
+            session = multicast_session(ctx, config, trace, args.seed)
+            outcome = session.run(args.frames)
             counters = obs.OBS.counters()
         fingerprints.append(outcome.fingerprint())
         print(f"run {repeat}: mean SSIM={outcome.mean_ssim:.4f} "

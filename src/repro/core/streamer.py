@@ -33,7 +33,7 @@ from ..scheduling import (
     round_robin_allocation,
 )
 from ..transport import CohortBandwidthEstimator, FrameTransmitter, LinkModel
-from ..types import SchedulerKind, validate_seed
+from ..types import SchedulerKind, frame_count, validate_seed
 from ..video.dataset import FrameQualityProbe
 from ..video.jigsaw import JigsawCodec
 from .config import SystemConfig
@@ -132,7 +132,7 @@ class MulticastStreamer:
     ) -> StreamOutcome:
         """Stream ``num_frames`` frames over a recorded CSI trace."""
         if num_frames is None:
-            num_frames = int(trace.duration_s * self.config.fps)
+            num_frames = frame_count(trace.duration_s, self.config.fps)
         return self.session(trace).run(int(num_frames))
 
     # ------------------------------------------------------------------ parts

@@ -26,7 +26,6 @@ from .shard import (
     merge_shards,
     merged_to_jsonable,
     plan_shards,
-    run_session_sweep,
     run_variant_sweep,
     write_results_json,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "sweep_num_aps",
     "merge_runs",
     "run_variant_sweep",
-    "run_session_sweep",
     "CampaignSpec",
     "CheckpointError",
     "load_checkpoint",

@@ -1,8 +1,8 @@
-"""Shared experiment state and placement->trace plumbing.
+"""Shared experiment state and trace-spec->trace plumbing.
 
 Builds the heavyweight shared state once (the DNN quality model plus
 encoded reference-frame probes) so every runner and sweep works from the
-same :class:`ExperimentContext`, and turns placement specs into CSI traces.
+same :class:`ExperimentContext`, and turns trace specs into CSI traces.
 
 The quality model is an instrument trained once, offline (paper Sec 2.3):
 the models of the default and the quick context are committed beside
@@ -145,15 +145,38 @@ def trace_for_placement(
     run_seed: int,
     num_aps: int = 1,
 ) -> CsiTrace:
-    """Build a static trace for an ('arc', d, mas) or ('range', d0, d1, mas)
-    placement spec.
+    """The CSI trace of one run, from its trace spec and the run seed.
 
-    With ``num_aps > 1`` the trace carries per-AP channels for every AP of
-    the room's default topology; AP0's sub-trace is bit-identical to the
-    ``num_aps=1`` trace, so one superset trace can serve both the 1-AP and
-    multi-AP arms of a comparison.
+    Trace specs:
+
+    * ``('arc', d, mas)`` / ``('range', d0, d1, mas)``: static receivers
+      placed from ``run_seed``, recorded for 1 s from ``run_seed + 1``.
+    * ``('walk', regime, moving_users, duration_s)``: the receivers in
+      ``moving_users`` random-walk in the ``'high'`` or ``'low'`` RSS
+      regime (Sec 4.3.4, Figs 16/17).
+    * ``('env', distance_m, duration_s)``: static receivers on a 60-degree
+      arc while people walk through the beams.
+
+    With ``num_aps > 1`` a static trace carries per-AP channels for every
+    AP of the room's default topology; AP0's sub-trace is bit-identical to
+    the ``num_aps=1`` trace, so one superset trace can serve both the 1-AP
+    and multi-AP arms of a comparison.  Walk and environment traces record
+    one AP.
     """
     kind = placement[0]
+    if kind in ("walk", "env") and num_aps > 1:
+        raise EmulationError(f"{kind!r} traces record one AP, not {num_aps}")
+    if kind == "walk":
+        _, regime, moving_users, duration_s = placement
+        return ctx.scenario.mobile_receiver_trace(
+            num_users, moving_users, duration_s, rss_regime=regime, seed=run_seed
+        )
+    if kind == "env":
+        _, distance, duration_s = placement
+        return ctx.scenario.moving_environment_trace(
+            num_users, distance_m=distance, mas_deg=60,
+            duration_s=duration_s, seed=run_seed,
+        )
     if kind == "arc":
         _, distance, mas = placement
         positions = ctx.scenario.place_arc(num_users, distance, mas, seed=run_seed)

@@ -8,28 +8,30 @@ Thin, figure-oriented shims over the campaign engine
 * :func:`run_ablation` — Figs 9, 10, 14 (rate control / source coding)
 * :func:`run_mobile_comparison` — Figs 16, 17 (vs No Update and the MPCs)
 
-Each runner builds its variant list, delegates to
-:func:`~repro.emulation.shard.run_variant_sweep` (random placements) or
-:func:`~repro.emulation.shard.run_session_sweep` (one shared mobile trace),
-and returns raw per-run samples so the benchmarks can print the same box
-statistics the paper plots.  Seed schedules are per-family constants, so
-metrics are identical at any job count and unchanged from the historical
-monolithic runners.
+Each runner builds its variant list and a trace spec, delegates to
+:func:`~repro.emulation.shard.run_variant_sweep`, and returns raw per-run
+samples so the benchmarks can print the same box statistics the paper
+plots; the mobile comparison is one run over a walk or
+moving-environment trace and returns its per-frame series.  Seed
+schedules are per-family constants, so metrics are identical at any job
+count and unchanged from the historical monolithic runners.
 
 The heavyweight shared state lives in :mod:`repro.emulation.context`.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..baselines import AbrSession, FastMpc, RobustMpc
-from ..core import MulticastStreamer
 from ..errors import EmulationError
-from ..types import AdaptationPolicy, BeamformingScheme, SchedulerKind
+from ..types import (
+    AdaptationPolicy,
+    BeamformingScheme,
+    SchedulerKind,
+    frame_count,
+)
 from .context import DEFAULT_FRAMES, DEFAULT_RUNS, ExperimentContext
-from .shard import run_session_sweep, run_variant_sweep
+from .shard import run_variant_sweep
 from .sweep import Variant
 
 
@@ -94,47 +96,29 @@ def run_ablation(
     )
 
 
-#: The four approaches of the mobile comparison (Sec 4.3.4).
-MOBILE_APPROACHES = ("realtime_update", "no_update", "robust_mpc", "fast_mpc")
+#: The four approaches of the mobile comparison (Sec 4.3.4) as variants:
+#: the multicast system under each adaptation policy, and the two MPCs.
+MOBILE_VARIANTS = {
+    "realtime_update": Variant(
+        "realtime_update", {"adaptation": AdaptationPolicy.REALTIME_UPDATE}
+    ),
+    "no_update": Variant("no_update", {"adaptation": AdaptationPolicy.NO_UPDATE}),
+    "robust_mpc": Variant("robust_mpc", approach="robust_mpc"),
+    "fast_mpc": Variant("fast_mpc", approach="fast_mpc"),
+}
 
-
-def _multicast_session(policy: AdaptationPolicy, ctx: ExperimentContext, seed: int):
-    """Session factory for the multicast system under one adaptation policy."""
-    config = ctx.config(adaptation=policy)
-    return MulticastStreamer(
-        config, ctx.dnn, ctx.probes, ctx.scenario.channel_model, seed=seed + 7
-    )
-
-
-def _abr_session(controller_factory, ctx: ExperimentContext, seed: int):
-    """Session factory for one MPC baseline (unicast DASH)."""
-    return AbrSession(
-        controller_factory,
-        ctx.scenario.channel_model,
-        ctx.rate_quality(),
-        ctx.freeze_model(),
-        fps=ctx.base_config.fps,
-        rate_scale=ctx.base_config.rate_scale,
-        seed=seed + 7,
-    )
+#: The names of :data:`MOBILE_VARIANTS`, in figure order.
+MOBILE_APPROACHES = tuple(MOBILE_VARIANTS)
 
 
 def mobile_variant(approach: str) -> Variant:
-    """The session-factory variant for one mobile-comparison approach."""
-    if approach == "realtime_update":
-        factory = partial(_multicast_session, AdaptationPolicy.REALTIME_UPDATE)
-    elif approach == "no_update":
-        factory = partial(_multicast_session, AdaptationPolicy.NO_UPDATE)
-    elif approach == "robust_mpc":
-        factory = partial(_abr_session, RobustMpc)
-    elif approach == "fast_mpc":
-        factory = partial(_abr_session, FastMpc)
-    else:
+    """The variant of one mobile-comparison approach."""
+    if approach not in MOBILE_VARIANTS:
         raise EmulationError(
             f"unknown mobile approach {approach!r} "
             f"(known: {', '.join(MOBILE_APPROACHES)})"
         )
-    return Variant(approach, session_factory=factory)
+    return MOBILE_VARIANTS[approach]
 
 
 def run_mobile_comparison(
@@ -146,9 +130,11 @@ def run_mobile_comparison(
     approaches: Sequence[str] = MOBILE_APPROACHES,
     seed: int = 0,
     arc_distance_m: float = 5.0,
-    jobs: Optional[int] = None,
 ) -> Dict[str, List[float]]:
     """Mean-over-users SSIM time series per approach on one shared trace.
+
+    One run of :func:`~repro.emulation.shard.run_variant_sweep` with run
+    seed ``seed``, over a ``'walk'`` or ``'env'`` trace spec.
 
     Args:
         ctx: Shared context.
@@ -158,22 +144,21 @@ def run_mobile_comparison(
             (moving environment).
         duration_s: Trace length.
         approaches: Subset of :data:`MOBILE_APPROACHES`.
-        seed: Trace seed — all approaches replay the identical trace, the
+        seed: Run seed — all approaches replay the identical trace, the
             point of trace-driven evaluation.
         arc_distance_m: User distance for the 'env' regime.
-        jobs: Worker processes (approaches fan out; ``REPRO_JOBS`` default).
     """
     if regime == "env":
-        trace = ctx.scenario.moving_environment_trace(
-            num_users, distance_m=arc_distance_m, mas_deg=60,
-            duration_s=duration_s, seed=seed,
-        )
+        placement: Tuple = ("env", arc_distance_m, duration_s)
     else:
-        trace = ctx.scenario.mobile_receiver_trace(
-            num_users, moving_users, duration_s, rss_regime=regime, seed=seed
-        )
-    num_frames = int(duration_s * ctx.base_config.fps)
-    variants = [mobile_variant(approach) for approach in approaches]
-    return run_session_sweep(
-        ctx, variants, trace, num_users, num_frames, seed=seed, jobs=jobs
+        placement = ("walk", regime, tuple(moving_users), duration_s)
+    merged = run_variant_sweep(
+        ctx,
+        [mobile_variant(approach) for approach in approaches],
+        num_users,
+        placement,
+        runs=1,
+        frames=frame_count(duration_s, ctx.base_config.fps),
+        seed_base=seed,
     )
+    return {name: metrics["frame_ssim"][0] for name, metrics in merged.items()}

@@ -1,8 +1,9 @@
 """The campaign engine: every emulation sweep runs here.
 
-:func:`run_variant_sweep` (placements × variants, the figure campaigns and
-``fault_grid`` chaos sweeps) and :func:`run_session_sweep` (variants over
-one shared mobile trace) both execute through one private executor:
+:func:`run_variant_sweep` runs every campaign — the placement figures,
+the mobile comparison (one run over a walk or moving-environment trace),
+``fault_grid`` chaos sweeps — as runs × variants, through one private
+executor:
 
 * One worker (the ``jobs`` argument, else ``REPRO_JOBS``, else 1, clamped
   to the task count) runs the tasks in this process, in order — the
@@ -27,8 +28,8 @@ checkpoint**: one fsync'd ``write()`` per shard, floats serialized via
 header line binding the file to the campaign through a SHA-256 hash of
 the canonical :class:`CampaignSpec`.  ``resume=True`` loads finished
 shards, re-runs only the missing ones, and merges to a result
-**bit-identical** to an uninterrupted run.  Session sweeps write no
-checkpoint: a ``session_factory`` callable has no canonical hash.
+**bit-identical** to an uninterrupted run.  Every variant is data, so
+every campaign hashes, shards and checkpoints.
 
 Corruption handling (exercised by ``tests/emulation/test_shard.py``): a
 truncated *trailing* line — the signature of a SIGKILL mid-append — is
@@ -74,13 +75,7 @@ from ..perf.workers import (
     effective_jobs,
 )
 from .context import ExperimentContext
-from .sweep import (
-    Variant,
-    _placement_run,
-    _session_run,
-    install_context,
-    merge_runs,
-)
+from .sweep import Sample, Variant, _run_task, install_context, merge_runs
 
 __all__ = [
     "CampaignSpec",
@@ -89,13 +84,12 @@ __all__ = [
     "load_checkpoint",
     "merge_shards",
     "run_variant_sweep",
-    "run_session_sweep",
     "merged_to_jsonable",
     "write_results_json",
 ]
 
 #: Checkpoint file format version (header field; bumped on layout changes).
-CHECKPOINT_SCHEMA = 1
+CHECKPOINT_SCHEMA = 2
 
 
 class CheckpointError(EmulationError):
@@ -123,17 +117,9 @@ def _canonical_value(value: Any) -> Any:
     return value
 
 
-def _unique_names(variants: Sequence[Variant]) -> List[str]:
-    """The variants' names, refusing duplicates (they key the results)."""
-    names = [variant.name for variant in variants]
-    if len(set(names)) != len(names):
-        raise EmulationError(f"duplicate variant names in sweep: {names}")
-    return names
-
-
 @dataclass(frozen=True)
 class CampaignSpec:
-    """Everything that determines a placement campaign's results.
+    """Everything that determines a campaign's results.
 
     Every :func:`run_variant_sweep` builds one, so this is where its
     variants are validated.  The canonical JSON of this spec is hashed
@@ -150,7 +136,6 @@ class CampaignSpec:
     shards: int
     seed_base: int = 1000
     seed_stride: int = 17
-    seed_offset: int = 7
 
     def __post_init__(self) -> None:
         if self.runs < 1:
@@ -160,14 +145,9 @@ class CampaignSpec:
                 f"campaign needs 1 <= shards <= runs, got shards={self.shards} "
                 f"for runs={self.runs}"
             )
-        _unique_names(self.variants)
-        for variant in self.variants:
-            if variant.session_factory is not None:
-                raise EmulationError(
-                    f"variant {variant.name!r}: session_factory variants "
-                    "cannot be sharded (their spec is not serializable); "
-                    "they are for run_session_sweep"
-                )
+        names = [variant.name for variant in self.variants]
+        if len(set(names)) != len(names):
+            raise EmulationError(f"duplicate variant names in sweep: {names}")
 
     @property
     def points(self) -> int:
@@ -181,6 +161,7 @@ class CampaignSpec:
             "variants": [
                 {
                     "name": v.name,
+                    "approach": v.approach,
                     "overrides": _canonical_value(
                         dict(v.config_overrides or {})
                     ),
@@ -194,7 +175,6 @@ class CampaignSpec:
             "shards": self.shards,
             "seed_base": self.seed_base,
             "seed_stride": self.seed_stride,
-            "seed_offset": self.seed_offset,
         }
 
     def spec_hash(self) -> str:
@@ -227,7 +207,7 @@ def plan_shards(runs: int, shards: int) -> List[Tuple[int, ...]]:
 
 # --------------------------------------------------------------- checkpoint
 
-_RunResult = Dict[str, Tuple[float, float]]
+_RunResult = Dict[str, Sample]
 
 
 def _encode_shard_line(
@@ -237,7 +217,10 @@ def _encode_shard_line(
         "kind": "shard",
         "shard_id": shard_id,
         "results": [
-            [run, {name: [s.hex(), p.hex()] for name, (s, p) in sorted(res.items())}]
+            [run, {
+                name: [s.hex(), p.hex(), [v.hex() for v in frames]]
+                for name, (s, p, frames) in sorted(res.items())
+            }]
             for run, res in results
         ],
     }
@@ -249,8 +232,12 @@ def _decode_shard_line(obj: Dict[str, Any]) -> Tuple[int, List[Tuple[int, _RunRe
         (
             int(run),
             {
-                name: (float.fromhex(pair[0]), float.fromhex(pair[1]))
-                for name, pair in res.items()
+                name: (
+                    float.fromhex(ssim),
+                    float.fromhex(psnr),
+                    [float.fromhex(v) for v in frames],
+                )
+                for name, (ssim, psnr, frames) in res.items()
             },
         )
         for run, res in obj["results"]
@@ -357,18 +344,8 @@ def load_checkpoint(
 
 def _shard_task(payload: Tuple) -> Tuple[int, List[Tuple[int, _RunResult]]]:
     """One shard, worker-side: every run in the range, every variant."""
-    (shard_id, run_indices, num_users, placement, variants, frames,
-     seed_base, seed_stride, seed_offset) = payload
-    results = []
-    for run in run_indices:
-        results.append((
-            run,
-            _placement_run((
-                run, num_users, placement, variants, frames,
-                seed_base, seed_stride, seed_offset,
-            )),
-        ))
-    return shard_id, results
+    shard_id, run_indices, *run_args = payload
+    return shard_id, [(run, _run_task((run, *run_args))) for run in run_indices]
 
 
 def _install_shared_context(handle) -> None:
@@ -380,13 +357,13 @@ def _install_shared_context(handle) -> None:
 
 
 def _execute(
-    task_fn: Callable[[Any], Any],
-    payloads: Sequence[Any],
+    payloads: Sequence[Tuple],
     ctx: ExperimentContext,
     jobs: Optional[int],
     on_result: Callable[[Any], None],
 ) -> None:
-    """Run ``task_fn`` over ``payloads``, handing each result to ``on_result``.
+    """Run the shard tasks of ``payloads``, handing each result to
+    ``on_result``.
 
     The one place a campaign decides how it runs.  With one worker (see
     :func:`repro.perf.workers.effective_jobs`; never more than there are
@@ -398,12 +375,12 @@ def _execute(
     if count <= 1:
         install_context(ctx)
         for payload in payloads:
-            on_result(task_fn(payload))
+            on_result(_shard_task(payload))
         return
     with SharedPayload(ctx) as shipped:
         OBS.set_gauge("sweep.shard.context_shm_bytes", shipped.nbytes_shared)
         with PersistentPool(
-            task_fn,
+            _shard_task,
             jobs=count,
             initializer=_install_shared_context,
             initargs=(shipped.handle,),
@@ -440,31 +417,32 @@ def run_variant_sweep(
     jobs: Optional[int] = None,
     seed_base: int = 1000,
     seed_stride: int = 17,
-    seed_offset: int = 7,
     shards: Optional[int] = None,
     checkpoint: Optional[Union[str, Path]] = None,
     resume: bool = False,
-) -> Dict[str, Dict[str, List[float]]]:
-    """Per-variant SSIM/PSNR samples over random placements.
+) -> Dict[str, Dict[str, List[Any]]]:
+    """Per-variant samples over independently seeded runs.
 
-    The merged result is bit-identical at any shard count, any job count,
-    and across any number of interrupt/resume cycles.
+    Returns ``{variant: {"ssim": [...], "psnr": [...], "frame_ssim":
+    [[...], ...]}}``: per run, the session's mean SSIM and PSNR and its
+    per-frame mean-over-users SSIM.  The merged result is bit-identical at
+    any shard count, any job count, and across any number of
+    interrupt/resume cycles.
 
     Args:
         ctx: Shared context (shipped to pool workers once, via shared
             memory).
-        variants: The comparison arms (config-override variants only —
-            placement sweeps rebuild a :class:`MulticastStreamer` per arm;
-            ``fault_grid`` output welcome).
-        num_users: Receivers per placement.
-        placement: ``('arc', d, mas)`` or ``('range', d0, d1, mas)`` spec.
-        runs: Independent placements.
+        variants: The comparison arms (``fault_grid`` output and MPC
+            baselines welcome).
+        num_users: Receivers per run.
+        placement: The trace spec every run records its trace from; see
+            :func:`~repro.emulation.context.trace_for_placement`.
+        runs: Independent runs (placements, for the static specs).
         frames: Frames streamed per session.
         jobs: Worker processes (``REPRO_JOBS`` default; 1 = in-process).
         seed_base, seed_stride: Per-run seed schedule
             (``seed_base + seed_stride * run``), kept distinct per
             experiment family so figures stay reproducible.
-        seed_offset: Extra offset for the streaming seed within a run.
         shards: How many independently checkpointable chunks to split the
             ``runs`` into (default: one per run).
         checkpoint: JSONL checkpoint path (default: write nothing).
@@ -485,7 +463,6 @@ def run_variant_sweep(
         shards=runs if shards is None else shards,
         seed_base=seed_base,
         seed_stride=seed_stride,
-        seed_offset=seed_offset,
     )
     path = None if checkpoint is None else Path(checkpoint)
     plan = plan_shards(spec.runs, spec.shards)
@@ -499,8 +476,7 @@ def run_variant_sweep(
     payloads = [
         (
             shard_id, plan[shard_id], spec.num_users, spec.placement,
-            spec.variants, spec.frames,
-            spec.seed_base, spec.seed_stride, spec.seed_offset,
+            spec.variants, spec.frames, spec.seed_base, spec.seed_stride,
         )
         for shard_id in range(spec.shards)
         if shard_id not in finished
@@ -526,46 +502,16 @@ def run_variant_sweep(
                     len(results) * len(spec.variants),
                 )
 
-            _execute(_shard_task, payloads, ctx, jobs, record)
+            _execute(payloads, ctx, jobs, record)
 
     return merge_shards([v.name for v in spec.variants], spec.runs, finished)
-
-
-def run_session_sweep(
-    ctx: ExperimentContext,
-    variants: Sequence[Variant],
-    trace: Any,
-    num_users: int,
-    num_frames: int,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-) -> Dict[str, List[float]]:
-    """Mean-over-users SSIM time series per variant on one shared trace.
-
-    All variants replay the identical trace — the point of trace-driven
-    evaluation; the fan-out axis is the variant, not the placement.
-    """
-    variants = tuple(variants)
-    names = _unique_names(variants)
-    series: Dict[str, List[float]] = {}
-
-    def record(result: Tuple[str, List[float]]) -> None:
-        name, values = result
-        series[name] = values
-
-    _execute(
-        _session_run,
-        [(variant, trace, num_users, num_frames, seed) for variant in variants],
-        ctx, jobs, record,
-    )
-    return {name: series[name] for name in names}
 
 
 def merge_shards(
     names: Sequence[str],
     runs: int,
     finished: Mapping[int, Sequence[Tuple[int, _RunResult]]],
-) -> Dict[str, Dict[str, List[float]]]:
+) -> Dict[str, Dict[str, List[Any]]]:
     """Stitch per-shard results back into ``run_variant_sweep``'s shape.
 
     Reassembly is keyed by run index, so the outcome is independent of
@@ -589,8 +535,8 @@ def merge_shards(
 
 
 def merged_to_jsonable(
-    merged: Mapping[str, Mapping[str, Sequence[float]]],
-) -> Dict[str, Dict[str, List[str]]]:
+    merged: Mapping[str, Mapping[str, Sequence[Any]]],
+) -> Dict[str, Dict[str, List[Any]]]:
     """Merged sweep results with every float as ``float.hex()``.
 
     The golden-suite serialization: byte-comparable across runs, lossless
@@ -598,16 +544,23 @@ def merged_to_jsonable(
     """
     return {
         name: {
-            metric: [float(v).hex() for v in series]
+            metric: _hex(series)
             for metric, series in sorted(dict(metrics).items())
         }
         for name, metrics in sorted(dict(merged).items())
     }
 
 
+def _hex(value: Any) -> Any:
+    """A float as ``float.hex()``, a (nested) series element-wise."""
+    if isinstance(value, (list, tuple)):
+        return [_hex(v) for v in value]
+    return float(value).hex()
+
+
 def write_results_json(
     path: Path,
-    merged: Mapping[str, Mapping[str, Sequence[float]]],
+    merged: Mapping[str, Mapping[str, Sequence[Any]]],
     spec: Optional[CampaignSpec] = None,
 ) -> Path:
     """Dump merged results (hex floats) for bit-exact diffing in CI."""

@@ -1,26 +1,30 @@
-"""What a variant sweep is: its arms, their overrides, and its worker tasks.
+"""What a variant sweep is: its arms, its runs, and its one worker task.
 
 Every experiment family in the paper is the same shape: stream the *same*
-channel conditions under a handful of configuration **variants** and
-compare the resulting quality.  This module owns that shape once:
+channel conditions under a handful of **variants** and compare the
+resulting quality.  This module owns that shape once, as data:
 
-* :class:`Variant` names one arm of a comparison — either a set of
-  :class:`~repro.core.SystemConfig` field overrides, or (for approaches
-  that are not config-expressible, like the MPC baselines) a
-  ``session_factory`` building any object with the
-  ``stream_trace(trace, num_frames)`` session interface.
+* :class:`Variant` names one arm of a comparison: an ``approach`` (the
+  multicast system, or the Robust/Fast MPC unicast DASH baselines) and,
+  for the multicast system, :class:`~repro.core.SystemConfig` field
+  overrides.
 * :func:`parse_config_overrides`, :func:`variant_from_spec` and the
   :func:`fault_grid` / :func:`ap_fault_grid` helpers turn shell strings
   and grids into variants.
-* The worker tasks: :func:`_placement_run` streams every variant on one
-  individually-seeded placement, :func:`_session_run` streams one variant
-  over a shared trace; :func:`merge_runs` stitches per-run samples into
-  per-variant SSIM/PSNR series.
+* One run is a trace spec (see
+  :func:`~repro.emulation.context.trace_for_placement`) and a run seed.
+  Its trace is recorded from the run seed and every streamer is seeded
+  ``run seed + STREAMER_SEED_OFFSET``; :func:`multicast_session` is the
+  one constructor of a run's multicast session, shared by campaign
+  points, served sessions and the CLI.
+* The worker task :func:`_run_task` streams every variant on one run's
+  trace and reduces each outcome to (mean SSIM, mean PSNR, per-frame
+  mean-over-users SSIM); :func:`merge_runs` stitches the runs into
+  per-variant series.
 
-The campaign engine that runs these tasks — in-process or on the
-persistent worker pool, optionally sharded and checkpointed — is
-:mod:`repro.emulation.shard` (:func:`run_variant_sweep`,
-:func:`run_session_sweep`).
+The campaign engine that runs the task — in-process or on the persistent
+worker pool, optionally sharded and checkpointed — is
+:mod:`repro.emulation.shard` (:func:`run_variant_sweep`).
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import enum
 from dataclasses import dataclass
 from typing import (
     Any,
-    Callable,
     Dict,
     List,
     Mapping,
@@ -45,13 +48,19 @@ from typing import (
 
 import numpy as np
 
+from ..baselines import FastMpc, RobustMpc, simulate_abr_session
 from ..core import MulticastStreamer, SystemConfig
+from ..core.pipeline import StreamSession
 from ..errors import EmulationError
 from ..obs import OBS
+from ..phy.csi import CsiTrace
 from ..phy.topology import TopologyConfig, topology_num_aps
+from ..types import OutcomeStats
 from .context import ExperimentContext, trace_for_placement
 
 __all__ = [
+    "APPROACHES",
+    "STREAMER_SEED_OFFSET",
     "Variant",
     "variant_from_spec",
     "parse_config_overrides",
@@ -59,12 +68,19 @@ __all__ = [
     "ap_fault_grid",
     "sweep_num_aps",
     "install_context",
+    "multicast_session",
     "merge_runs",
 ]
 
-#: A factory building a session object for ``(ctx, seed)``; the returned
-#: object must expose ``stream_trace(trace, num_frames)``.
-SessionFactory = Callable[[ExperimentContext, int], Any]
+#: A run's trace is recorded from the run seed; its streamers (multicast
+#: or MPC) are seeded with the run seed plus this offset.
+STREAMER_SEED_OFFSET = 7
+
+#: The unicast DASH baselines of the mobile comparison (Sec 4.3.4).
+MPC_CONTROLLERS = {"robust_mpc": RobustMpc, "fast_mpc": FastMpc}
+
+#: What a variant can stream with: the multicast system or an MPC baseline.
+APPROACHES = ("multicast", *MPC_CONTROLLERS)
 
 
 @dataclass(frozen=True)
@@ -73,34 +89,31 @@ class Variant:
 
     Args:
         name: Result key for this arm.
-        config_overrides: :class:`SystemConfig` fields that define the arm
-            (the default multicast streamer is built around the overridden
+        config_overrides: :class:`SystemConfig` fields that define a
+            multicast arm (the streamer is built around the overridden
             config).  ``None``/empty means the base config.
-        session_factory: Alternative to overrides — builds the session
-            object itself, for arms that are not config-expressible.
+        approach: One of :data:`APPROACHES`.  The MPC baselines stream at
+            the base config's frame rate and rate scale and take no
+            overrides.
     """
 
     name: str
     config_overrides: Optional[Mapping[str, Any]] = None
-    session_factory: Optional[SessionFactory] = None
+    approach: str = "multicast"
 
     def __post_init__(self) -> None:
         if not self.name:
             raise EmulationError("variant needs a non-empty name")
-        if self.config_overrides and self.session_factory:
+        if self.approach not in APPROACHES:
             raise EmulationError(
-                f"variant {self.name!r}: config_overrides and "
-                "session_factory are mutually exclusive"
+                f"variant {self.name!r}: unknown approach {self.approach!r} "
+                f"(known: {', '.join(APPROACHES)})"
             )
-
-    def build_session(self, ctx: ExperimentContext, seed: int) -> Any:
-        """The session object this variant streams with."""
-        if self.session_factory is not None:
-            return self.session_factory(ctx, seed)
-        config = ctx.config(**dict(self.config_overrides or {}))
-        return MulticastStreamer(
-            config, ctx.dnn, ctx.probes, ctx.scenario.channel_model, seed=seed
-        )
+        if self.approach != "multicast" and self.config_overrides:
+            raise EmulationError(
+                f"variant {self.name!r}: the {self.approach} baseline takes "
+                "no config overrides"
+            )
 
 
 def _coerce_field(current: Any, annotation: Any, name: str, raw: str) -> Any:
@@ -323,67 +336,91 @@ def _worker_context() -> ExperimentContext:
     return _WORKER_CTX
 
 
-def _stream_sample(
+def multicast_session(
+    ctx: ExperimentContext, config: SystemConfig, trace: CsiTrace, run_seed: int
+) -> StreamSession:
+    """A run's multicast session: ``config`` streaming ``trace``, the
+    streamer seeded ``run_seed + STREAMER_SEED_OFFSET``."""
+    streamer = MulticastStreamer(
+        config, ctx.dnn, ctx.probes, ctx.scenario.channel_model,
+        seed=run_seed + STREAMER_SEED_OFFSET,
+    )
+    return streamer.session(trace)
+
+
+#: One variant's sample of one run: (mean SSIM, mean PSNR, per-frame
+#: mean-over-users SSIM).
+Sample = Tuple[float, float, List[float]]
+
+
+def _stream_variant(
     ctx: ExperimentContext,
-    config: SystemConfig,
-    trace: Any,
+    variant: Variant,
+    trace: CsiTrace,
+    num_users: int,
     frames: int,
-    seed: int,
-) -> Tuple[float, float]:
-    """One streaming session's (mean SSIM, mean PSNR)."""
+    run_seed: int,
+) -> Sample:
+    """Stream one variant over a run's trace and reduce the outcome."""
+    seed = run_seed + STREAMER_SEED_OFFSET
+    outcome: OutcomeStats
     with OBS.span("emulation.run", frames=frames, seed=seed) as span:
-        streamer = MulticastStreamer(
-            config, ctx.dnn, ctx.probes, ctx.scenario.channel_model, seed=seed
-        )
-        outcome = streamer.stream_trace(trace, num_frames=frames)
-        span.set(mean_ssim=outcome.mean_ssim)
-    return outcome.mean_ssim, outcome.mean_psnr_db
+        if variant.approach == "multicast":
+            config = ctx.config(**dict(variant.config_overrides or {}))
+            outcome = multicast_session(ctx, config, trace, run_seed).run(frames)
+        else:
+            outcome = simulate_abr_session(
+                MPC_CONTROLLERS[variant.approach],
+                trace,
+                ctx.scenario.channel_model,
+                ctx.rate_quality(),
+                ctx.freeze_model(),
+                num_frames=frames,
+                fps=ctx.base_config.fps,
+                rate_scale=ctx.base_config.rate_scale,
+                seed=seed,
+            )
+        mean_ssim, mean_psnr = outcome.mean_ssim, outcome.mean_psnr_db
+        span.set(mean_ssim=mean_ssim)
+    per_frame = np.zeros(frames)
+    for user in range(num_users):
+        user_series = outcome.ssim_series(user)
+        per_frame[: len(user_series)] += np.asarray(
+            user_series[:frames]
+        ) / num_users
+    return mean_ssim, mean_psnr, per_frame.tolist()
 
 
-def _placement_run(args: Tuple) -> Dict[str, Tuple[float, float]]:
-    """One random placement, every variant (worker task)."""
-    run, num_users, placement, variants, frames, seed_base, seed_stride, seed_offset = args
+def _run_task(args: Tuple) -> Dict[str, Sample]:
+    """One run, every variant on its one trace (worker task)."""
+    run, num_users, placement, variants, frames, seed_base, seed_stride = args
     ctx = _worker_context()
     run_seed = seed_base + seed_stride * run
     trace = trace_for_placement(
         ctx, num_users, placement, run_seed, num_aps=sweep_num_aps(variants)
     )
-    out: Dict[str, Tuple[float, float]] = {}
-    for variant in variants:
-        config = ctx.config(**dict(variant.config_overrides or {}))
-        out[variant.name] = _stream_sample(
-            ctx, config, trace, frames, run_seed + seed_offset
+    return {
+        variant.name: _stream_variant(
+            ctx, variant, trace, num_users, frames, run_seed
         )
-    return out
-
-
-def _session_run(args: Tuple) -> Tuple[str, List[float]]:
-    """One variant's mean-over-users SSIM series (worker task)."""
-    variant, trace, num_users, num_frames, seed = args
-    ctx = _worker_context()
-    session = variant.build_session(ctx, seed)
-    outcome = session.stream_trace(trace, num_frames=num_frames)
-    per_frame = np.zeros(num_frames)
-    for user in range(num_users):
-        user_series = outcome.ssim_series(user)
-        per_frame[: len(user_series)] += np.asarray(
-            user_series[:num_frames]
-        ) / num_users
-    return variant.name, per_frame.tolist()
+        for variant in variants
+    }
 
 
 def merge_runs(
-    keys: Sequence[str], per_run: Sequence[Dict[str, Tuple[float, float]]]
-) -> Dict[str, Dict[str, List[float]]]:
-    """Stitch ordered per-run samples back into the per-key series shape.
+    keys: Sequence[str], per_run: Sequence[Dict[str, Sample]]
+) -> Dict[str, Dict[str, List[Any]]]:
+    """Stitch ordered per-run samples back into the per-key series shape:
+    ``ssim`` and ``psnr`` hold one mean per run, ``frame_ssim`` one
+    per-frame series per run.
 
     Every run must report exactly ``keys``; a worker returning a partial or
     unknown key set raises :class:`EmulationError` naming the offending run
     instead of silently corrupting (or KeyError-ing mid-merge) the series.
     """
     expected = set(keys)
-    results: Dict[str, Dict[str, List[float]]] = {
-        key: {"ssim": [], "psnr": []} for key in keys
+    results: Dict[str, Dict[str, List[Any]]] = {
+        key: {"ssim": [], "psnr": [], "frame_ssim": []} for key in keys
     }
     for run_index, run_result in enumerate(per_run):
         got = set(run_result)
@@ -395,7 +432,8 @@ def merge_runs(
                 f"missing {missing}, unexpected {unexpected} "
                 f"(expected {sorted(expected)})"
             )
-        for key, (ssim_value, psnr_value) in run_result.items():
+        for key, (ssim_value, psnr_value, frame_ssim) in run_result.items():
             results[key]["ssim"].append(ssim_value)
             results[key]["psnr"].append(psnr_value)
+            results[key]["frame_ssim"].append(frame_ssim)
     return results

@@ -4,10 +4,10 @@ A :class:`SessionSpec` is the serializable description of one streaming
 session — exactly the information a point of the in-process sweep engine
 gets: user count, placement, frame budget, config overrides (string
 pairs, parsed by :func:`repro.emulation.parse_config_overrides`, dotted
-``faults.*`` knobs welcome) and the run seed.  ``build()`` reproduces the
-sweep engine's construction order (trace from the run seed, streamer from
-``seed + SEED_OFFSET``), so a served session with an untouched membership
-is bit-identical to ``run_variant_sweep``'s sample for the same seed.
+``faults.*`` knobs welcome) and the run seed.  ``build()`` records the
+run's trace and builds its session through the sweep engine's own
+constructors, so a served session with an untouched membership is
+bit-identical to ``run_variant_sweep``'s sample for the same seed.
 
 :class:`ServedSession` wraps the built
 :class:`repro.core.pipeline.StreamSession` with everything the control
@@ -30,19 +30,13 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..core import MulticastStreamer
 from ..core.pipeline import StreamSession
 from ..errors import ReproError, ServiceError
 from ..obs import OBS, ScopedObs, TraceRecorder
 from ..emulation.context import ExperimentContext, trace_for_placement
-from ..emulation.sweep import parse_config_overrides
+from ..emulation.sweep import multicast_session, parse_config_overrides
 
-__all__ = ["SEED_OFFSET", "Broadcaster", "ServedSession", "SessionSpec"]
-
-#: Streamer-seed offset within a run, matching the sweep engine's default
-#: ``seed_offset`` — the constant that makes served results comparable to
-#: campaign points.
-SEED_OFFSET = 7
+__all__ = ["Broadcaster", "ServedSession", "SessionSpec"]
 
 #: Lifecycle states a served session moves through (forward-only).
 RUNNING = "running"
@@ -58,9 +52,9 @@ class SessionSpec:
     Attributes:
         users: Receivers in the placement (the session's full membership).
         frames: Frames to stream before the session finishes.
-        seed: Run seed; the trace derives from it directly and the
-            streamer from ``seed + SEED_OFFSET``, mirroring the sweep
-            engine's per-run schedule.
+        seed: Run seed, as in the sweep engine's per-run schedule: the
+            trace derives from it directly and the streamer from it plus
+            :data:`repro.emulation.sweep.STREAMER_SEED_OFFSET`.
         placement: ``('arc', d, mas)`` or ``('range', d0, d1, mas)``.
         overrides: ``field=value`` string pairs applied to the base
             config (``faults.*`` knobs nest with a dotted prefix).
@@ -141,23 +135,15 @@ class SessionSpec:
         }
 
     def build(self, ctx: ExperimentContext) -> StreamSession:
-        """Construct the pipeline session the sweep engine would.
-
-        Same order, same seeds: trace from ``seed``, streamer from
-        ``seed + SEED_OFFSET`` — the bit-identity contract with
-        ``run_variant_sweep``'s ``_placement_run``.
-        """
+        """Construct the pipeline session the sweep engine would: the same
+        trace builder and session constructor, in the same order."""
         overrides = parse_config_overrides(dict(self.overrides))
         config = ctx.config(**overrides)
         trace = trace_for_placement(
             ctx, self.users, self.placement, self.seed,
             num_aps=config.num_aps,
         )
-        streamer = MulticastStreamer(
-            config, ctx.dnn, ctx.probes, ctx.scenario.channel_model,
-            seed=self.seed + SEED_OFFSET,
-        )
-        return streamer.session(trace)
+        return multicast_session(ctx, config, trace, self.seed)
 
 
 class ServedSession:

@@ -240,6 +240,12 @@ class OutcomeStats:
         return digest.hexdigest()
 
 
+def frame_count(duration_s: float, fps: int) -> int:
+    """Frames in ``duration_s`` seconds at ``fps``, rounded: 4.1 s at 30 fps
+    is 123 frames, though ``4.1 * 30`` is a hair under 123."""
+    return int(round(duration_s * fps))
+
+
 def validate_seed(seed: Optional[int]) -> np.random.Generator:
     """Return a :class:`numpy.random.Generator` for ``seed``.
 

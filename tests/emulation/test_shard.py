@@ -16,14 +16,12 @@ from repro.emulation.shard import (
     merge_shards,
     merged_to_jsonable,
     plan_shards,
-    run_session_sweep,
     run_variant_sweep,
     write_results_json,
 )
 from repro.emulation.sweep import (
     Variant,
-    _placement_run,
-    _session_run,
+    _run_task,
     install_context,
     merge_runs,
 )
@@ -46,8 +44,8 @@ def _spec(runs=6, shards=3, variants=VARIANTS) -> CampaignSpec:
 def _fake_run_result(run: int) -> dict:
     """Synthetic per-run result with awkward (non-round) floats."""
     return {
-        "base": (0.9 + run / 7.0, 30.0 + run / 3.0),
-        "rr": (0.8 - run / 11.0, 25.0 + run / 9.0),
+        "base": (0.9 + run / 7.0, 30.0 + run / 3.0, [0.9 + run / 13.0]),
+        "rr": (0.8 - run / 11.0, 25.0 + run / 9.0, [0.8, 0.7 - run / 17.0]),
     }
 
 
@@ -107,11 +105,11 @@ class TestCampaignSpec:
         assert _spec(shards=2).spec_hash() != base
         assert _spec(variants=(Variant("base"),)).spec_hash() != base
 
-    def test_session_factory_variants_rejected(self):
-        with pytest.raises(EmulationError, match="cannot be sharded.*run_session_sweep"):
-            _spec(variants=(
-                Variant("x", session_factory=lambda ctx, seed: None),
-            ))
+    def test_hash_tracks_the_approach(self):
+        multicast = _spec(variants=(Variant("x"),)).spec_hash()
+        assert _spec(variants=(
+            Variant("x", approach="fast_mpc"),
+        )).spec_hash() != multicast
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(EmulationError, match="duplicate"):
@@ -238,16 +236,11 @@ def _placement_oracle(ctx, variants, runs, frames):
     return merge_runs(
         [v.name for v in variants],
         [
-            _placement_run((run, 2, ("arc", 3, 60), tuple(variants), frames,
-                            1000, 17, 7))
+            _run_task((run, 2, ("arc", 3, 60), tuple(variants), frames,
+                       1000, 17))
             for run in range(runs)
         ],
     )
-
-
-def _exploding_session(ctx, seed):
-    """Session factory whose session never gets built."""
-    raise RuntimeError(f"boom at seed {seed}")
 
 
 class TestCampaignEngine:
@@ -274,33 +267,51 @@ class TestCampaignEngine:
         )
         assert merged == _placement_oracle(sweep_ctx, variants, 4, 1)
 
-    def test_session_sweep_identical_at_any_job_count(self, sweep_ctx):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_mobile_campaign_resumes_bit_identically(
+        self, sweep_ctx, tmp_path, jobs
+    ):
+        """A multicast and an MPC arm on walk traces: sharded,
+        checkpointed, cut mid-append and resumed, it merges to the
+        uninterrupted in-process campaign."""
         variants = [mobile_variant("realtime_update"), mobile_variant("fast_mpc")]
-        trace = sweep_ctx.scenario.mobile_receiver_trace(
-            2, moving_users=[0], duration_s=0.2, rss_regime="high", seed=5
+        walk = ("walk", "high", (0,), 0.2)
+        full = run_variant_sweep(
+            sweep_ctx, variants, 2, walk, runs=3, frames=6, seed_base=5,
+            jobs=1,
         )
-        install_context(sweep_ctx)
-        oracle = dict(
-            _session_run((variant, trace, 2, 6, 5)) for variant in variants
+        ck = tmp_path / "ck.jsonl"
+        assert run_variant_sweep(
+            sweep_ctx, variants, 2, walk, runs=3, frames=6, seed_base=5,
+            shards=3, checkpoint=ck, jobs=jobs,
+        ) == full
+        # Keep the header and one shard, and half of the next line: a
+        # SIGKILL mid-append.
+        lines = ck.read_text().splitlines(keepends=True)
+        ck.write_text("".join(lines[:2]) + lines[2][: len(lines[2]) // 2])
+        resumed = run_variant_sweep(
+            sweep_ctx, variants, 2, walk, runs=3, frames=6, seed_base=5,
+            shards=3, checkpoint=ck, jobs=jobs, resume=True,
         )
-        for jobs in (1, 2):
-            assert run_session_sweep(
-                sweep_ctx, variants, trace, 2, 6, seed=5, jobs=jobs
-            ) == oracle
+        assert resumed == full
+        assert merged_to_jsonable(resumed) == merged_to_jsonable(full)
 
     def test_pooled_worker_error_carries_its_traceback(self, sweep_ctx):
-        variants = [
-            Variant("a", session_factory=_exploding_session),
-            Variant("b", session_factory=_exploding_session),
-        ]
-        with pytest.raises(RuntimeError, match="boom"):
-            run_session_sweep(sweep_ctx, variants, None, 1, 1, jobs=1)
+        bad_walk = ("walk", "sideways", (0,), 0.2)
+        with pytest.raises(EmulationError, match="rss_regime"):
+            run_variant_sweep(
+                sweep_ctx, [Variant("a")], 1, bad_walk, runs=2, frames=1,
+                jobs=1,
+            )
         with pytest.raises(ParallelWorkerError) as excinfo:
-            run_session_sweep(sweep_ctx, variants, None, 1, 1, jobs=2)
+            run_variant_sweep(
+                sweep_ctx, [Variant("a")], 1, bad_walk, runs=2, frames=1,
+                jobs=2,
+            )
         message = str(excinfo.value)
         assert "worker traceback" in message
-        assert "_exploding_session" in message
-        assert "RuntimeError: boom" in message
+        assert "mobile_receiver_trace" in message
+        assert "EmulationError: rss_regime" in message
 
     def test_no_checkpoint_writes_no_file(self, sweep_ctx, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

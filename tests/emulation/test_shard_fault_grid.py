@@ -11,7 +11,7 @@ import pytest
 
 from repro.emulation.shard import CampaignSpec, run_variant_sweep
 from repro.emulation.sweep import (
-    _placement_run,
+    _run_task,
     fault_grid,
     install_context,
     merge_runs,
@@ -64,8 +64,8 @@ class TestFaultGridSharding:
         reference = merge_runs(
             [v.name for v in variants],
             [
-                _placement_run((run, 2, ("arc", 3, 60), tuple(variants), 1,
-                                1000, 17, 7))
+                _run_task((run, 2, ("arc", 3, 60), tuple(variants), 1,
+                           1000, 17))
                 for run in range(3)
             ],
         )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.emulation.shard import run_session_sweep, run_variant_sweep
+from repro.emulation.shard import run_variant_sweep
 from repro.emulation.sweep import (
     Variant,
     ap_fault_grid,
@@ -20,10 +20,14 @@ class TestVariant:
         with pytest.raises(EmulationError):
             Variant("")
 
-    def test_overrides_and_factory_exclusive(self):
-        with pytest.raises(EmulationError):
-            Variant("x", config_overrides={"fps": 30},
-                    session_factory=lambda ctx, seed: None)
+    def test_unknown_approach_rejected(self):
+        with pytest.raises(EmulationError, match="unknown approach"):
+            Variant("x", approach="teleport")
+
+    def test_mpc_arm_takes_no_overrides(self):
+        Variant("x", approach="fast_mpc")
+        with pytest.raises(EmulationError, match="no config overrides"):
+            Variant("x", config_overrides={"fps": 30}, approach="fast_mpc")
 
 
 class TestOverrideParsing:
@@ -89,38 +93,33 @@ class TestMergeRuns:
     def test_merges_in_run_order(self):
         merged = merge_runs(
             ["a", "b"],
-            [{"a": (0.9, 30.0), "b": (0.8, 25.0)},
-             {"a": (0.7, 28.0), "b": (0.6, 22.0)}],
+            [{"a": (0.9, 30.0, [0.9]), "b": (0.8, 25.0, [0.8])},
+             {"a": (0.7, 28.0, [0.7]), "b": (0.6, 22.0, [0.6])}],
         )
         assert merged == {
-            "a": {"ssim": [0.9, 0.7], "psnr": [30.0, 28.0]},
-            "b": {"ssim": [0.8, 0.6], "psnr": [25.0, 22.0]},
+            "a": {"ssim": [0.9, 0.7], "psnr": [30.0, 28.0],
+                  "frame_ssim": [[0.9], [0.7]]},
+            "b": {"ssim": [0.8, 0.6], "psnr": [25.0, 22.0],
+                  "frame_ssim": [[0.8], [0.6]]},
         }
 
     def test_partial_run_rejected_naming_offender(self):
         with pytest.raises(EmulationError, match=r"run 1.*missing \['b'\]"):
             merge_runs(
                 ["a", "b"],
-                [{"a": (0.9, 30.0), "b": (0.8, 25.0)},
-                 {"a": (0.7, 28.0)}],
+                [{"a": (0.9, 30.0, []), "b": (0.8, 25.0, [])},
+                 {"a": (0.7, 28.0, [])}],
             )
 
     def test_unknown_key_rejected(self):
         with pytest.raises(EmulationError, match=r"unexpected \['zz'\]"):
-            merge_runs(["a"], [{"a": (0.9, 30.0), "zz": (0.1, 1.0)}])
+            merge_runs(["a"], [{"a": (0.9, 30.0, []), "zz": (0.1, 1.0, [])}])
 
 
 class TestSweepValidation:
     def test_duplicate_variant_names_rejected(self, sweep_ctx):
         variants = [Variant("same"), Variant("same", {"fps": 24})]
         with pytest.raises(EmulationError, match="duplicate"):
-            run_variant_sweep(
-                sweep_ctx, variants, 2, ("arc", 3, 60), runs=1, frames=1
-            )
-
-    def test_session_factory_variant_rejected_in_placement_sweep(self, sweep_ctx):
-        variants = [Variant("x", session_factory=lambda ctx, seed: None)]
-        with pytest.raises(EmulationError, match="run_session_sweep"):
             run_variant_sweep(
                 sweep_ctx, variants, 2, ("arc", 3, 60), runs=1, frames=1
             )
@@ -143,20 +142,26 @@ class TestSweepEngine:
         )
         assert generic == legacy
 
-    def test_session_sweep_shapes(self, sweep_ctx):
-        """Mixed factory/override variants stream the same shared trace."""
+    def test_multicast_and_mpc_arms_share_a_walk_trace(self, sweep_ctx):
+        """A multicast arm and an MPC arm stream one walk trace per run."""
         from repro.emulation.runner import mobile_variant
 
-        trace = sweep_ctx.scenario.mobile_receiver_trace(
-            2, moving_users=[0], duration_s=0.3, rss_regime="high", seed=11
-        )
-        series = run_session_sweep(
+        merged = run_variant_sweep(
             sweep_ctx,
             [mobile_variant("realtime_update"), mobile_variant("fast_mpc")],
-            trace, 2, num_frames=9, seed=11,
+            2, ("walk", "high", (0,), 0.3), runs=2, frames=9, seed_base=11,
         )
-        assert set(series) == {"realtime_update", "fast_mpc"}
-        assert all(len(v) == 9 for v in series.values())
+        assert set(merged) == {"realtime_update", "fast_mpc"}
+        for metrics in merged.values():
+            assert len(metrics["ssim"]) == len(metrics["psnr"]) == 2
+            assert [len(series) for series in metrics["frame_ssim"]] == [9, 9]
+
+    def test_walk_and_env_traces_record_one_ap(self, sweep_ctx):
+        from repro.emulation.context import trace_for_placement
+
+        for spec in (("walk", "high", (0,), 0.2), ("env", 5.0, 0.2)):
+            with pytest.raises(EmulationError, match="one AP"):
+                trace_for_placement(sweep_ctx, 2, spec, 0, num_aps=2)
 
     def test_unknown_mobile_approach_rejected(self):
         from repro.emulation.runner import mobile_variant

@@ -85,13 +85,14 @@ class TestServedDeterminism:
         the enumerator as the int a typed config would carry."""
         from repro.core import MulticastStreamer
         from repro.emulation.context import trace_for_placement
-        from repro.service.session import SEED_OFFSET
+        from repro.emulation.sweep import STREAMER_SEED_OFFSET
 
         seed, users = 42, 3
         config = service_ctx.config(max_group_size=2)
         streamer = MulticastStreamer(
             config, service_ctx.dnn, service_ctx.probes,
-            service_ctx.scenario.channel_model, seed=seed + SEED_OFFSET,
+            service_ctx.scenario.channel_model,
+            seed=seed + STREAMER_SEED_OFFSET,
         )
         trace = trace_for_placement(service_ctx, users, PLACEMENT, seed,
                                     num_aps=config.num_aps)

@@ -8,6 +8,7 @@ from repro.types import (
     FRAME_BUDGET_30FPS,
     NUM_LAYERS,
     Position,
+    frame_count,
     validate_seed,
 )
 
@@ -43,6 +44,20 @@ class TestSeeds:
     def test_bad_seed_rejected(self):
         with pytest.raises(ConfigurationError):
             validate_seed("nope")
+
+
+class TestFrameCount:
+    @pytest.mark.parametrize(
+        "duration_s,frames", [(4.1, 123), (8.2, 246), (16.4, 492), (16.9, 507)]
+    )
+    def test_rounds_where_the_product_falls_short(self, duration_s, frames):
+        # The float product is a hair under the frame count it means.
+        assert int(duration_s * 30) == frames - 1
+        assert frame_count(duration_s, 30) == frames
+
+    def test_exact_products_unchanged(self):
+        assert frame_count(0.5, 30) == 15
+        assert frame_count(3.0, 30) == 90
 
 
 class TestConstants:
