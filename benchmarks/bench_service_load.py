@@ -2,7 +2,7 @@
 """Service-layer load test: N receivers across M concurrent sessions.
 
 Boots a real :class:`repro.service.ServiceServer` inside one event loop,
-starts ``--sessions`` broadcasters, connects ``--receivers`` TCP receiver
+starts ``--sessions`` sessions (one process each), connects ``--receivers`` TCP receiver
 clients spread across them, then applies a seeded churn schedule (random
 leaves and rejoins through the wire protocol) and a feedback storm while
 every session is actively streaming frames.  It records:
@@ -13,7 +13,9 @@ every session is actively streaming frames.  It records:
   zero of both),
 * ``membership_reflected`` — after the churn schedule, ``/status`` must
   report exactly the membership the driver tracked locally,
-* ``clean_shutdown`` — the graceful drain path completed.
+* ``clean_shutdown`` — the graceful drain path completed,
+* ``children_left`` — session processes still alive after shutdown
+  (``multiprocessing.active_children()``); anything but 0 fails the run.
 
 Usage::
 
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import multiprocessing
 import random
 import sys
 import time
@@ -46,9 +49,9 @@ from repro.errors import ServiceError
 from repro.perf import throughput, write_bench_report
 from repro.service import ReceiverClient, ServiceServer, http_request
 
-#: Broadcasters pace frames so the (often single-core) event loop keeps
-#: scheduling room for control traffic while every stream stays live —
-#: roughly the cadence of a live feed at these bench resolutions.
+#: Session processes pace frames so the four sessions do not saturate a
+#: small CI host while every stream stays live — roughly the cadence of a
+#: live feed at these bench resolutions.
 FRAME_INTERVAL_S = 0.1
 
 #: Concurrent in-flight churn operations; ops on the same (session, user)
@@ -222,6 +225,7 @@ async def _drive_load(
 
         await server.shutdown()
         clean_shutdown = all_stopped and server._shutdown_done.is_set()
+        children_left = len(multiprocessing.active_children())
         phase("teardown")
     except BaseException:
         await server.shutdown()
@@ -255,6 +259,7 @@ async def _drive_load(
         "zero_dropped": dropped == 0 and rejected == 0,
         "membership_reflected": bool(membership_reflected),
         "clean_shutdown": bool(clean_shutdown),
+        "children_left": children_left,
         "phase_s": {name: round(value, 4)
                     for name, value in phase_s.items()},
     }
@@ -328,11 +333,12 @@ def main(argv=None) -> int:
           f"(reflected: {stage['membership_reflected']})")
     print(f"dropped / rejected   : {stage['dropped_msgs']} / "
           f"{stage['rejected_msgs']}")
-    print(f"clean shutdown       : {stage['clean_shutdown']}")
+    print(f"clean shutdown       : {stage['clean_shutdown']} "
+          f"({stage['children_left']} session processes left)")
     print(f"report               : {path}")
 
     ok = (stage["zero_dropped"] and stage["membership_reflected"]
-          and stage["clean_shutdown"])
+          and stage["clean_shutdown"] and stage["children_left"] == 0)
     return 0 if ok else 1
 
 

@@ -254,12 +254,11 @@ def _ascend(
     # the best *post-quantisation* beam by the true (unnormalised) max-min
     # objective — this also guarantees the refined result never falls below
     # the plain SVD heuristic.
+    # Row 0 is the refined beam, row 1 + k candidate k; the rows past a
+    # group's own candidates stay zero, as above.
     refined = beams[:, :elements] + 1j * beams[:, elements:]
-    quantised = np.zeros((most + 2, num_groups, elements), dtype=complex)
-    for g in range(num_groups):
-        quantised[0, g] = array.quantise_weights(refined[g])
-        for k in range(1 + sizes[g]):
-            quantised[1 + k, g] = array.quantise_weights(candidates[k, g])
+    quantised = array.quantise_weights(np.concatenate([refined[None], candidates]))
+    quantised[np.arange(most + 2)[:, None] > 1 + sizes] = 0.0
     return list(_best_by_min_gain(_real_rows(raw), member, quantised))
 
 

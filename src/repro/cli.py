@@ -342,11 +342,12 @@ def _cmd_serve(args) -> int:
     """Run the asyncio multicast service until SIGTERM/SIGINT.
 
     Sessions are created at runtime through ``POST /start`` on the
-    control plane; receivers join over the length-prefixed JSON protocol.
-    Both termination signals trigger the graceful drain path: receivers
-    get ``bye`` plus a grace window for in-flight feedback, broadcasters
-    stop at their next frame boundary, and every JSONL trace recorder is
-    flushed before the process exits.
+    control plane, each streaming in a process of its own; receivers join
+    over the length-prefixed JSON protocol.  Both termination signals
+    trigger the graceful drain path: receivers get ``bye`` plus a grace
+    window for in-flight feedback, session processes stop at their next
+    frame boundary and write their JSONL traces, and the server reaps
+    every one of them and flushes its own trace before it exits.
     """
     import asyncio
     import signal
@@ -548,7 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--frame-interval", type=float, default=0.0, metavar="SECONDS",
-        help="wall-clock pacing between frames (0 = as fast as possible)",
+        help="how long each session process waits for control commands "
+             "between frames (0 = stream as fast as its core allows)",
     )
     p.add_argument(
         "--obs", choices=["off", "counters", "trace"], default="counters",

@@ -75,6 +75,17 @@ class Histogram:
         self._buf[self._n] = value
         self._n += 1
 
+    def extend(self, values: np.ndarray) -> None:
+        """Record many samples at once, in order."""
+        values = np.asarray(values, dtype=np.float64)
+        needed = self._n + values.shape[0]
+        if needed > self._buf.shape[0]:
+            grown = np.empty(max(needed, self._buf.shape[0] * 2), dtype=np.float64)
+            grown[: self._n] = self._buf[: self._n]
+            self._buf = grown
+        self._buf[self._n : needed] = values
+        self._n = needed
+
     @property
     def count(self) -> int:
         """Number of samples observed."""

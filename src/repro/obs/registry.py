@@ -17,10 +17,14 @@ import) or :func:`configure` at runtime; ``REPRO_OBS_TRACE`` names the
 JSONL destination (default ``repro_obs_trace.jsonl``), flushed at process
 exit when trace mode was enabled from the environment.
 
-The registry is per-process.  Emulation campaigns on the persistent
-worker pool (``repro.perf.workers``) run tasks in child processes whose
-telemetry is not merged back; run observed scenarios with ``jobs=1`` (the
-default) to capture a complete trace.
+The registry is per-process.  A served session's process reports into
+the server's registry: it sends what it recorded with
+:meth:`ObsRegistry.take_deltas` / :meth:`ObsRegistry.take_spans` and the
+server folds it in with the matching ``merge_*`` call.  Emulation
+campaigns on the persistent worker pool (``repro.perf.workers``) run
+tasks in child processes whose telemetry is not merged back; run
+observed scenarios with ``jobs=1`` (the default) to capture a complete
+trace.
 """
 
 from __future__ import annotations
@@ -30,7 +34,9 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Dict, Iterator, Optional, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+
+import numpy as np
 
 from ..errors import ConfigurationError
 from .metrics import Counter, Gauge, Histogram
@@ -247,6 +253,48 @@ class ObsRegistry:
         """Emit a bare trace event (no histogram) in trace mode only."""
         if self.mode >= TRACE:
             self.trace.record(stage, t_start, t_end, frame, **fields)
+
+    # ------------------------------------------------------- across processes
+
+    def take_deltas(self) -> Tuple[Dict[str, float], Dict[str, float]]:
+        """Counters and gauges recorded since the last call, then forgotten.
+
+        A forked process calls this to report into its parent's registry
+        (see :meth:`merge_deltas`): each counter value is an increment,
+        each gauge the last value set.
+        """
+        counters = {n: c.value for n, c in self._counters.items()}
+        gauges = {n: g.value for n, g in self._gauges.items()}
+        self._counters.clear()
+        self._gauges.clear()
+        return counters, gauges
+
+    def take_spans(self) -> Tuple[Dict[str, np.ndarray], List[Dict[str, Any]]]:
+        """Histogram samples and trace events since the last call, then
+        forgotten; the trace epoch is kept, so a forked process's events
+        stay on its parent's time base."""
+        histograms = {n: h.samples.copy() for n, h in self._histograms.items()}
+        events = list(self.trace.events)
+        self._histograms.clear()
+        self.trace.events.clear()
+        return histograms, events
+
+    def merge_deltas(
+        self, counters: Mapping[str, float], gauges: Mapping[str, float]
+    ) -> None:
+        """Fold another process's :meth:`take_deltas` into this registry."""
+        for name, value in counters.items():
+            self.counter(name).inc(value)
+        for name, value in gauges.items():
+            self.gauge(name).set(value)
+
+    def merge_spans(
+        self, histograms: Mapping[str, np.ndarray], events: List[Dict[str, Any]]
+    ) -> None:
+        """Fold another process's :meth:`take_spans` into this registry."""
+        for name, samples in histograms.items():
+            self.histogram(name).extend(samples)
+        self.trace.events.extend(events)
 
     # ------------------------------------------------------------- snapshot
 

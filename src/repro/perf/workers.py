@@ -32,6 +32,7 @@ traceback; a task that keeps failing (crash or timeout) after
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import queue
@@ -49,6 +50,8 @@ from ..obs import OBS
 __all__ = [
     "JOBS_ENV_VAR",
     "effective_jobs",
+    "fork_context",
+    "start_worker",
     "SharedPayload",
     "SharedPayloadHandle",
     "PersistentPool",
@@ -215,6 +218,45 @@ class SharedPayload:
         return False
 
 
+# ------------------------------------------------------- starting a worker
+
+
+def fork_context():
+    """The multiprocessing context workers start from: fork where it exists.
+
+    A forked worker inherits the parent's heap (context, DNN, probes) for
+    free; platforms without fork fall back to their default start method.
+    """
+    return get_context("fork" if "fork" in get_all_start_methods() else None)
+
+
+def start_worker(
+    mp_ctx, target: Callable[..., None], args: Sequence, duplex: bool = False
+) -> Tuple[Any, Any]:
+    """Start ``target(*args, conn)`` in a child with a pipe of its own.
+
+    Returns ``(process, conn)``: the parent's end of the pipe.  With
+    ``duplex=False`` the child writes and the parent reads.  The parent
+    closes the child's end at once, so the child's exit reads as EOF on
+    ``conn`` and nothing ever waits on a dead worker.
+
+    The collector is frozen across the fork (the ``gc.freeze`` recipe for
+    fork without exec): everything the child inherits sits in the
+    permanent generation, so the child's collections never walk the
+    inherited heap or dirty its pages.  The parent unfreezes right after,
+    so its own garbage stays collectable.
+    """
+    conn, child_end = mp_ctx.Pipe(duplex=duplex)
+    process = mp_ctx.Process(target=target, args=(*args, child_end), daemon=True)
+    gc.freeze()
+    try:
+        process.start()
+    finally:
+        gc.unfreeze()
+    child_end.close()
+    return process, conn
+
+
 # --------------------------------------------------------------- the pool
 
 
@@ -224,8 +266,8 @@ def _worker_main(
     initializer: Optional[Callable[..., None]],
     initargs: Sequence,
     task_q,
-    results,
     parent_pid: int,
+    results,
 ) -> None:
     """Worker loop: initialize once, then serve tasks until the sentinel.
 
@@ -313,8 +355,7 @@ class PersistentPool:
         self._task_timeout_s = task_timeout_s
         self._heartbeat_s = float(heartbeat_s)
         self._max_task_retries = int(max_task_retries)
-        methods = get_all_start_methods()
-        self._ctx = get_context("fork" if "fork" in methods else None)
+        self._ctx = fork_context()
         self._workers: Dict[int, _Worker] = {}
         self._next_worker_id = 0
         self._closed = False
@@ -327,23 +368,18 @@ class PersistentPool:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
         task_q = self._ctx.Queue()
-        results, sender = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(
+        process, results = start_worker(
+            self._ctx,
+            _worker_main,
+            (
                 worker_id,
                 self._worker_fn,
                 self._initializer,
                 self._initargs,
                 task_q,
-                sender,
                 os.getpid(),
             ),
-            daemon=True,
         )
-        process.start()
-        # The worker holds the only write end, so its exit reads as EOF.
-        sender.close()
         self._workers[worker_id] = _Worker(
             process=process, task_q=task_q, results=results
         )

@@ -51,17 +51,26 @@ class PhasedArray:
         Phased arrays impose constant modulus per element plus ``phase_bits``
         phase resolution; the result is normalised to unit total power
         (``||F|| = 1``), the convention used throughout the link budget.
+        ``weights`` is one vector or a stack ``(..., num_elements)``; each
+        vector is projected on its own, bit for bit as if alone.
         """
         weights = np.asarray(weights, dtype=complex)
-        if weights.shape != (self.num_elements,):
+        if weights.shape[-1:] != (self.num_elements,):
             raise BeamformingError(
-                f"weights must have shape ({self.num_elements},), got {weights.shape}"
+                f"weights must have shape (..., {self.num_elements}), got {weights.shape}"
             )
         levels = 2**self.phase_bits
         step = 2.0 * np.pi / levels
         phases = np.round(np.angle(weights) / step) * step
         quantised = np.exp(1j * phases)
-        return quantised / np.linalg.norm(quantised)
+        # ||F|| summed as np.linalg.norm sums one complex vector: the dot of
+        # the real parts plus the dot of the imaginary parts.  A stacked
+        # (1, N) @ (N, 1) product is that same dot, row by row; an axis
+        # reduction would add in another order.
+        re = quantised.real[..., None, :]
+        im = quantised.imag[..., None, :]
+        squared = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+        return quantised / np.sqrt(squared[..., 0])
 
     def conjugate_beam(self, channel: np.ndarray) -> np.ndarray:
         """Quantised matched-filter beam ``h* / |h|`` for one receiver.

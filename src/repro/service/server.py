@@ -1,7 +1,10 @@
-"""The asyncio session server: broadcasters, receiver plane, REST control.
+"""The asyncio session server: session processes, receiver plane, REST control.
 
 One :class:`ServiceServer` owns two listeners on stdlib asyncio (no web
-framework):
+framework) and one process per live session
+(:class:`~repro.service.session.ServedSession`).  Frames stream in those
+processes; the event loop here only moves bytes, answers HTTP and keeps
+the books:
 
 * the **receiver plane** — a TCP listener speaking the length-prefixed
   JSON protocol of :mod:`repro.service.protocol`; each connection may
@@ -11,9 +14,10 @@ framework):
 
   ====================  ======================================================
   ``POST /start``       body = :class:`~repro.service.session.SessionSpec`
-                        JSON; starts a broadcaster, returns the session id
+                        JSON; checks it, forks the session's process and
+                        answers once the session is built
   ``POST /stop``        body ``{"session": id}``; stops it at the next
-                        frame boundary and returns its final status
+                        frame boundary and returns its final detail
   ``GET /status``       server state + every session's summary
   ``GET /sessions/<id>`` one session's detail (spec, membership, outcome
                         fingerprint once finished)
@@ -25,28 +29,31 @@ framework):
 Graceful shutdown (also wired to SIGTERM/SIGINT by ``repro-wigig
 serve``): stop admitting sessions, push ``bye`` to every receiver, give
 connections a drain window to flush in-flight control messages (each
-still acked), stop every broadcaster at its frame boundary, then flush
-all per-session JSONL trace recorders and the global obs trace before
-closing the listeners — so a SIGTERM'd server never leaves a truncated
-trace behind.
+still acked), stop every session process at its frame boundary — each
+writes its per-session JSONL trace and sends its final record and spans
+— then kill whatever has not ended within :data:`STOP_S`, reap every
+process and flush the global obs trace before closing the listeners.  A
+SIGTERM'd server leaves neither a truncated trace nor a process behind.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import traceback
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import ProtocolError, ReproError, ServiceError
 from ..obs import OBS, TRACE
 from ..emulation.context import ExperimentContext
 from .protocol import encode_message, read_message, validate_control_message
-from .session import Broadcaster, ServedSession, SessionSpec
+from .session import ServedSession, SessionSpec
 
 __all__ = ["ServiceServer"]
 
 _HTTP_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                 405: "Method Not Allowed", 503: "Service Unavailable"}
+                 405: "Method Not Allowed", 500: "Internal Server Error",
+                 503: "Service Unavailable"}
 
 #: Cap on a control-plane request body (a session spec is tiny).
 MAX_BODY_BYTES = 256 * 1024
@@ -54,6 +61,20 @@ MAX_BODY_BYTES = 256 * 1024
 #: Grace window, in seconds, on shutdown for receivers to flush in-flight
 #: control messages.
 DRAIN_S = 0.25
+
+#: Bound, in seconds, on shutdown's wait for the session processes' final
+#: records; whatever is still running after it is killed.
+STOP_S = 10.0
+
+
+async def _wait_all(events: List[asyncio.Event], timeout: float) -> None:
+    """Wait until every event is set or ``timeout`` passes."""
+    waits = [asyncio.ensure_future(event.wait()) for event in events]
+    if not waits:
+        return
+    _, pending = await asyncio.wait(waits, timeout=timeout)
+    for wait in pending:
+        wait.cancel()
 
 
 class _ReceiverConnection:
@@ -74,12 +95,12 @@ class ServiceServer:
     Args:
         ctx: Shared experiment context every session builds from (one
             DNN, one probe set — the same sharing discipline as the
-            sweep engine).
+            sweep engine); each session process inherits it at the fork.
         host: Bind address for both listeners.
         receiver_port: Receiver-plane TCP port (0 = ephemeral).
         control_port: Control-plane HTTP port (0 = ephemeral).
-        frame_interval_s: Wall-clock pacing between frames (0 = as fast
-            as the event loop allows).
+        frame_interval_s: How long a session process waits for commands
+            between frames (0 = stream as fast as its core allows).
         log: Optional line logger (the CLI passes ``print``).
     """
 
@@ -101,6 +122,8 @@ class ServiceServer:
         self._log = log
         self.scope = OBS.scoped("service")
         self.sessions: Dict[str, ServedSession] = {}
+        #: Every process started, sessions whose build failed included.
+        self._processes: List[ServedSession] = []
         self._next_session = 1
         self._connections: Set[_ReceiverConnection] = set()
         self._receiver_server: Optional[asyncio.base_events.Server] = None
@@ -130,7 +153,8 @@ class ServiceServer:
         self.log(f"control plane  : http://{self.host}:{self.control_port}")
 
     async def shutdown(self) -> None:
-        """Graceful stop: drain receivers, stop broadcasters, flush traces."""
+        """Graceful stop: drain receivers, stop and reap session processes,
+        flush the obs trace."""
         if self._shutdown_started:
             await self._shutdown_done.wait()
             return
@@ -156,21 +180,13 @@ class ServiceServer:
             if pending:
                 await asyncio.wait(tasks, timeout=DRAIN_S)
 
-        # Broadcasters stop at their next frame boundary.
+        # Session processes stop at their next frame boundary and send
+        # their final records; whatever outlives STOP_S is killed.
+        await self._stop_processes()
         for served in self.sessions.values():
-            served.request_stop()
-        session_tasks = [
-            served.task for served in self.sessions.values()
-            if served.task is not None
-        ]
-        if session_tasks:
-            await asyncio.gather(*session_tasks, return_exceptions=True)
-
-        # Flush every per-session recorder, then the global trace.
-        for served in self.sessions.values():
-            flushed = served.close()
-            if flushed:
-                self.log(f"shutdown: session {served.id} trace -> {flushed}")
+            if served.trace_flushed:
+                self.log(f"shutdown: session {served.id} trace -> "
+                         f"{served.trace_flushed}")
         if OBS.mode >= TRACE:
             path = OBS.trace.flush()
             if path is not None:
@@ -184,34 +200,55 @@ class ServiceServer:
 
     # ------------------------------------------------------------- sessions
 
-    def start_session(self, spec: SessionSpec) -> ServedSession:
-        """Admit one session and launch its broadcaster task."""
+    async def start_session(self, spec: SessionSpec) -> ServedSession:
+        """Admit one session: check its config here, fork its process, and
+        return once the process has built it (its build error raises)."""
         if self.draining:
             raise ServiceError("server is draining; not admitting sessions")
+        config = spec.config(self.ctx)
         session_id = f"s{self._next_session}"
         self._next_session += 1
-        served = ServedSession(session_id, spec, self.ctx)
-        served.task = asyncio.get_running_loop().create_task(
-            Broadcaster(served, self.frame_interval_s).run(),
-            name=f"broadcaster-{session_id}",
+        served = ServedSession(
+            session_id, spec, self.ctx, config, self.frame_interval_s
         )
+        self._processes.append(served)
         self.sessions[session_id] = served
+        try:
+            await served.built
+        except ServiceError:
+            del self.sessions[session_id]
+            raise
         self.scope.count("sessions.started")
         self.scope.set_gauge("sessions.live", sum(
             1 for s in self.sessions.values() if s.state == "running"
         ))
         self.log(f"session {session_id}: started "
-                 f"({spec.users} users, {spec.frames} frames, seed {spec.seed})")
+                 f"({spec.users} users, {spec.frames} frames, seed {spec.seed}, "
+                 f"pid {served.process.pid})")
         return served
 
     async def stop_session(self, session_id: str) -> ServedSession:
-        """Stop one session at its frame boundary and wait for it."""
+        """Stop one session at its frame boundary and wait for its end."""
         served = self.session(session_id)
         served.request_stop()
-        if served.task is not None:
-            await served.task
+        await served.done.wait()
         self.scope.count("sessions.stopped")
         return served
+
+    async def _stop_processes(self) -> None:
+        """Stop every session process; kill and reap what does not end."""
+        for served in self._processes:
+            served.request_stop()
+        await _wait_all([served.done for served in self._processes], STOP_S)
+        for served in self._processes:
+            if not served.done.is_set() and served.process.is_alive():
+                served.process.kill()
+        await _wait_all([served.exited for served in self._processes], STOP_S)
+        for served in self._processes:
+            # Last resort, off the happy path: nothing outlives the server.
+            if served.process.is_alive():
+                served.process.kill()
+            served.process.join(timeout=1.0)
 
     def session(self, session_id: str) -> ServedSession:
         served = self.sessions.get(session_id)
@@ -268,7 +305,7 @@ class ServiceServer:
                     break
                 if message is None:
                     break
-                response = self._dispatch_control(message, conn)
+                response = await self._dispatch_control(message, conn)
                 await self._send(writer, response)
         except asyncio.CancelledError:
             # Server shutdown cancels pending reads; the connection is
@@ -280,19 +317,34 @@ class ServiceServer:
             writer.close()
 
     def _auto_leave(self, conn: _ReceiverConnection) -> None:
-        """A dropped connection leaves every (session, user) it joined."""
+        """A dropped connection leaves every (session, user) it joined.
+
+        The leaves go out without waiting: the session processes apply
+        them at their next frame boundary.
+        """
         for session_id, user in sorted(conn.joined):
             served = self.sessions.get(session_id)
             if served is not None and served.state == "running":
-                if served.apply_leave(user):
-                    self.scope.count("receiver.auto_leaves")
+                try:
+                    served.request("leave", user).add_done_callback(
+                        self._count_auto_leave
+                    )
+                except ServiceError:
+                    pass  # ended meanwhile: nothing to leave
         conn.joined.clear()
 
-    def _dispatch_control(
+    def _count_auto_leave(self, future: asyncio.Future) -> None:
+        if (not future.cancelled() and future.exception() is None
+                and future.result()["changed"]):
+            self.scope.count("receiver.auto_leaves")
+
+    async def _dispatch_control(
         self, message: Dict[str, Any], conn: _ReceiverConnection
     ) -> Dict[str, Any]:
         """One well-framed control message -> one response object.
 
+        ``join`` / ``leave`` are answered by the session's process at its
+        next frame boundary; ``ping`` and ``feedback`` are answered here.
         Malformed-but-well-framed messages (unknown type, missing fields,
         unknown session/user) get an ``error`` response and the
         connection survives; only framing violations are fatal.
@@ -302,23 +354,18 @@ class ServiceServer:
             kind = validate_control_message(message)
             if kind == "ping":
                 response: Dict[str, Any] = {"type": "pong"}
-            elif kind == "join":
+            elif kind in ("join", "leave"):
                 served = self.session(message["session"])
-                changed = served.apply_join(message["user"])
-                conn.joined.add((served.id, message["user"]))
+                user = message["user"]
+                reply = await served.request(kind, user)
+                if kind == "join":
+                    conn.joined.add((served.id, user))
+                else:
+                    conn.joined.discard((served.id, user))
                 response = {
-                    "type": "joined", "session": served.id,
-                    "user": message["user"], "changed": changed,
-                    "members": served.members,
-                }
-            elif kind == "leave":
-                served = self.session(message["session"])
-                changed = served.apply_leave(message["user"])
-                conn.joined.discard((served.id, message["user"]))
-                response = {
-                    "type": "left", "session": served.id,
-                    "user": message["user"], "changed": changed,
-                    "members": served.members,
+                    "type": "joined" if kind == "join" else "left",
+                    "session": served.id, "user": user,
+                    "changed": reply["changed"], "members": reply["members"],
                 }
             else:  # feedback
                 served = self.session(message["session"])
@@ -380,6 +427,10 @@ class ServiceServer:
         except (ServiceError, ValueError, asyncio.IncompleteReadError) as exc:
             status, payload = 400, {"error": str(exc)}
             self.scope.count("control.http_bad_requests")
+        except Exception as exc:  # noqa: BLE001 - answer, never drop the client
+            status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
+            self.scope.count("control.http_errors")
+            self.log("control: request failed\n" + traceback.format_exc())
         blob = json.dumps(payload, sort_keys=True).encode("utf-8")
         reason = _HTTP_REASONS.get(status, "Error")
         head = (
@@ -411,15 +462,16 @@ class ServiceServer:
         if path.startswith("/sessions/") and method == "GET":
             session_id = path[len("/sessions/"):]
             try:
-                return 200, self.session(session_id).status(detail=True), False
+                served = self.session(session_id)
             except ServiceError as exc:
                 return 404, {"error": str(exc)}, False
+            return 200, await served.detail(), False
         if path == "/start" and method == "POST":
             if self.draining:
                 return 503, {"error": "server is draining"}, False
             try:
                 spec = SessionSpec.from_dict(self._json_body(body))
-                served = self.start_session(spec)
+                served = await self.start_session(spec)
             except ReproError as exc:  # a bad spec, override or config
                 return 400, {"error": str(exc)}, False
             return 200, {"session": served.id, "status": served.status()}, False
@@ -432,7 +484,7 @@ class ServiceServer:
                 served = await self.stop_session(session_id)
             except ServiceError as exc:
                 return 404, {"error": str(exc)}, False
-            return 200, served.status(detail=True), False
+            return 200, await served.detail(), False
         if path == "/shutdown" and method == "POST":
             return 200, {"ok": True, "state": "draining"}, True
         known = {"/status", "/metrics", "/start", "/stop", "/shutdown"}

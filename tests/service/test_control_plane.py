@@ -264,6 +264,27 @@ class TestMetrics:
             ({"users": 1, "frames": 1, "overrides": {"fps": 24}},
              "overrides"),
             ({"users": "two", "frames": 1}, "non-integer"),
+            ({"users": 1, "frames": 1, "placement": ["arc", None, 60]},
+             "finite"),
+            ({"users": 1, "frames": 1, "placement": ["arc", [], 60]},
+             "finite"),
+            ({"users": 1, "frames": 1, "placement": ["arc", 3, float("nan")]},
+             "finite"),
+            ({"users": 1, "frames": 1,
+              "placement": ["arc", float("inf"), 60]}, "finite"),
+            ({"users": 1, "frames": 1, "placement": ["arc", True, 60]},
+             "finite"),
+            ({"users": 1, "frames": 1, "placement": ["arc", "3", 60]},
+             "finite"),
+            ({"users": 1, "frames": 1, "placement": ["arc", 10**400, 60]},
+             "finite"),
+            ({"users": 1, "frames": 1, "placement": ["arc"]},
+             "takes 2 numbers"),
+            ({"users": 1, "frames": 1, "placement": ["range", 2, 9]},
+             "takes 3 numbers"),
+            ({"users": 1, "frames": 1, "placement": [["arc"], 3, 60]},
+             "placement"),
+            ({"users": 1, "frames": 1, "placement": "arc"}, "placement"),
         ],
     )
     def test_spec_rejections(self, raw, match):
