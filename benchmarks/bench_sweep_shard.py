@@ -3,9 +3,10 @@
 
 Times the same variant-sweep campaign two ways through
 ``run_variant_sweep`` — serial in-process (``jobs=1``), and sharded and
-checkpointed on the persistent shared-memory worker pool — and reports
-campaign points/s for each and the pool's speedup and parallel
-efficiency.
+checkpointed on the persistent worker pool, whose workers inherit the
+context by fork and take tasks and return results over one pipe each —
+and reports campaign points/s for each and the pool's speedup and
+parallel efficiency.
 
 Both arms must produce bit-identical merged results
 (``merged_identical``); the engine's per-run seeding makes the shard

@@ -9,12 +9,14 @@ executor:
   to the task count) runs the tasks in this process, in order — the
   trivially-debuggable path, where a task's exception propagates bare.
 * More workers run on a :class:`repro.perf.workers.PersistentPool`:
-  workers start once per campaign and receive the heavyweight
+  workers are forked once per campaign and inherit the heavyweight
   :class:`~repro.emulation.context.ExperimentContext` (trained DNN weights,
-  encoded probe frames) through ``multiprocessing.shared_memory`` planes —
-  shipped once, never pickled per task.  Dead or hung workers are detected
-  by the pool's heartbeat/deadline supervision and their tasks requeued;
-  a task's exception surfaces as :class:`~repro.errors.ParallelWorkerError`
+  encoded probe frames) with the fork, bound into the task with
+  ``functools.partial`` — shared copy-on-write, never pickled.  Each
+  worker receives its tasks and returns its results over one pipe of its
+  own.  Dead or hung workers are detected by the pool's
+  heartbeat/deadline supervision and their tasks requeued; a task's
+  exception surfaces as :class:`~repro.errors.ParallelWorkerError`
   carrying the worker traceback.
 
 Every task carries its own seed, so results never depend on the worker
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import os
@@ -69,13 +72,9 @@ from typing import (
 
 from ..errors import EmulationError
 from ..obs import OBS
-from ..perf.workers import (
-    PersistentPool,
-    SharedPayload,
-    effective_jobs,
-)
+from ..perf.workers import PersistentPool, effective_jobs
 from .context import ExperimentContext
-from .sweep import Sample, Variant, _run_task, install_context, merge_runs
+from .sweep import Sample, Variant, _run_task, merge_runs
 
 __all__ = [
     "CampaignSpec",
@@ -342,15 +341,14 @@ def load_checkpoint(
 # ----------------------------------------------------------------- workers
 
 
-def _shard_task(payload: Tuple) -> Tuple[int, List[Tuple[int, _RunResult]]]:
+def _shard_task(
+    ctx: ExperimentContext, payload: Tuple
+) -> Tuple[int, List[Tuple[int, _RunResult]]]:
     """One shard, worker-side: every run in the range, every variant."""
     shard_id, run_indices, *run_args = payload
-    return shard_id, [(run, _run_task((run, *run_args))) for run in run_indices]
-
-
-def _install_shared_context(handle) -> None:
-    """Pool initializer: attach the shm-shipped context as worker state."""
-    install_context(handle.load())
+    return shard_id, [
+        (run, _run_task(ctx, (run, *run_args))) for run in run_indices
+    ]
 
 
 # ------------------------------------------------------------------ engine
@@ -367,25 +365,17 @@ def _execute(
 
     The one place a campaign decides how it runs.  With one worker (see
     :func:`repro.perf.workers.effective_jobs`; never more than there are
-    payloads) the tasks run here, in order.  Otherwise ``ctx`` is shipped
-    once through shared memory to a :class:`PersistentPool`, and results
-    arrive in completion order.
+    payloads) the tasks run here, in order.  Otherwise they run on a
+    :class:`PersistentPool` whose workers inherit ``ctx`` by fork, bound
+    into the task, and results arrive in completion order.
     """
     count = min(effective_jobs(jobs), len(payloads))
     if count <= 1:
-        install_context(ctx)
         for payload in payloads:
-            on_result(_shard_task(payload))
+            on_result(_shard_task(ctx, payload))
         return
-    with SharedPayload(ctx) as shipped:
-        OBS.set_gauge("sweep.shard.context_shm_bytes", shipped.nbytes_shared)
-        with PersistentPool(
-            _shard_task,
-            jobs=count,
-            initializer=_install_shared_context,
-            initargs=(shipped.handle,),
-        ) as pool:
-            pool.run_tasks(payloads, on_result=lambda _id, res: on_result(res))
+    with PersistentPool(functools.partial(_shard_task, ctx), count) as pool:
+        pool.run_tasks(payloads, on_result=lambda _id, res: on_result(res))
 
 
 def _open_checkpoint(

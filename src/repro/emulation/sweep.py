@@ -67,7 +67,6 @@ __all__ = [
     "fault_grid",
     "ap_fault_grid",
     "sweep_num_aps",
-    "install_context",
     "multicast_session",
     "merge_runs",
 ]
@@ -314,28 +313,6 @@ def variant_from_spec(spec: str) -> Variant:
     return Variant(name, config_overrides=parse_config_overrides(pairs) or None)
 
 
-# ----------------------------------------------------------- worker plumbing
-
-#: Shared context inside pool workers (installed once per worker by the
-#: pool initializer; the serial path installs it in-process).
-_WORKER_CTX: Optional[ExperimentContext] = None
-
-
-def install_context(ctx: ExperimentContext) -> None:
-    """Make the heavyweight context the worker global the tasks read."""
-    global _WORKER_CTX
-    _WORKER_CTX = ctx
-
-
-def _worker_context() -> ExperimentContext:
-    if _WORKER_CTX is None:
-        raise EmulationError(
-            "worker context not installed — call install_context(ctx) "
-            "before running a sweep task"
-        )
-    return _WORKER_CTX
-
-
 def multicast_session(
     ctx: ExperimentContext, config: SystemConfig, trace: CsiTrace, run_seed: int
 ) -> StreamSession:
@@ -391,10 +368,9 @@ def _stream_variant(
     return mean_ssim, mean_psnr, per_frame.tolist()
 
 
-def _run_task(args: Tuple) -> Dict[str, Sample]:
+def _run_task(ctx: ExperimentContext, args: Tuple) -> Dict[str, Sample]:
     """One run, every variant on its one trace (worker task)."""
     run, num_users, placement, variants, frames, seed_base, seed_stride = args
-    ctx = _worker_context()
     run_seed = seed_base + seed_stride * run
     trace = trace_for_placement(
         ctx, num_users, placement, run_seed, num_aps=sweep_num_aps(variants)

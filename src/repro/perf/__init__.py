@@ -3,11 +3,12 @@
 ``repro.perf`` holds what runs campaigns and benchmarks, not the
 per-frame hot paths (those live with their own layer):
 
-* :mod:`repro.perf.workers` — the ``REPRO_JOBS`` worker count and the
-  persistent worker pool + shared-memory payload shipping that every
-  emulation campaign runs on (workers started once per campaign,
-  heavyweight state shipped via ``multiprocessing.shared_memory`` instead
-  of per-task pickling; deterministic at any job count).
+* :mod:`repro.perf.workers` — the ``REPRO_JOBS`` worker count, the one
+  way into a worker process (``start_worker``: a fork and one duplex
+  pipe) and the persistent worker pool every emulation campaign runs on
+  (workers forked once per campaign inherit the heavyweight state
+  instead of receiving it, and take tasks and return results over their
+  one pipe; deterministic at any job count).
 * :mod:`repro.perf.timing` — timing/throughput helpers plus the JSON
   report writer the standalone benchmarks share.
 """
@@ -17,8 +18,6 @@ from .workers import (
     DEFAULT_TASK_TIMEOUT_S,
     JOBS_ENV_VAR,
     PersistentPool,
-    SharedPayload,
-    SharedPayloadHandle,
     effective_jobs,
 )
 from .timing import (
@@ -34,8 +33,6 @@ __all__ = [
     "DEFAULT_HEARTBEAT_S",
     "DEFAULT_TASK_TIMEOUT_S",
     "PersistentPool",
-    "SharedPayload",
-    "SharedPayloadHandle",
     "speedup",
     "throughput",
     "time_call",

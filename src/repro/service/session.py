@@ -46,7 +46,7 @@ from ..errors import ReproError, ServiceError
 from ..obs import OBS, ScopedObs, TraceRecorder
 from ..emulation.context import ExperimentContext, trace_for_placement
 from ..emulation.sweep import multicast_session, parse_config_overrides
-from ..perf.workers import fork_context, start_worker
+from ..perf.workers import start_worker
 
 __all__ = ["ServedSession", "SessionSpec", "run_session"]
 
@@ -484,9 +484,8 @@ class ServedSession:
         self._request_ids = itertools.count()
         self._reaper: Optional["asyncio.Task[None]"] = None
         self.process, self.conn = start_worker(
-            fork_context(), run_session,
+            run_session,
             (session_id, spec, config, ctx, float(frame_interval_s)),
-            duplex=True,
         )
         self._loop.add_reader(self.conn.fileno(), self._on_readable)
 

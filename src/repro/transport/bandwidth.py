@@ -31,7 +31,7 @@ class CohortBandwidthEstimator:
     smoothed estimate, applied elementwise.  The batched observe draws its
     measurement noise through a single ``rng.normal(..., size=n)`` — which
     numpy fills in the same stream order as ``n`` sequential scalar draws,
-    so batched and per-user updates are interchangeable at equal seeds.
+    so one batched update equals ``n`` one-row updates at equal seeds.
 
     Per-user access (joins/resets, outage decay, strategies poking a single
     estimate) goes through :meth:`view`, a scalar adapter writing through
@@ -86,6 +86,11 @@ class CohortBandwidthEstimator:
     ) -> np.ndarray:
         """Fold delivery-fraction measurements for ``rows`` in, batched.
 
+        The emulated receiver reports the fraction of packets that arrived;
+        the sender multiplies it by each group's nominal rate to get the
+        sustainable goodput — equivalent to the paper's arrival-spacing
+        estimate (losses stretch arrival gaps by exactly this factor) but
+        independent of how much of the frame budget the group occupied.
         One noise draw per row, in row order.  Returns the updated
         estimates for ``rows``.
         """
@@ -94,8 +99,8 @@ class CohortBandwidthEstimator:
             float(fractions.min()) < 0.0 or float(fractions.max()) > 1.0
         ):
             raise TransportError("fractions must be in [0, 1]")
-        # Exact op order of CohortBandwidthView.observe_window with a 1 s
-        # window: floor at 0, noise multiply, floor at 1e-9, EWMA.
+        # Arrival-spacing measurement over a 1 s window: floor at 0,
+        # noise multiply, floor at 1e-9, EWMA.
         measured = np.maximum(0.0, fractions / 1.0)
         measured = measured * (
             1.0 + rng.normal(0.0, self.noise_std_fraction, size=rows.size)
@@ -124,11 +129,9 @@ class CohortBandwidthEstimator:
 class CohortBandwidthView:
     """Scalar adapter over one :class:`CohortBandwidthEstimator` row.
 
-    :meth:`observe_fraction` is
-    :meth:`CohortBandwidthEstimator.observe_fraction_rows` on one row,
-    operation for operation, so a session can mix scalar updates
-    (joins/resets, outage decay) and batched updates over the same state
-    without divergence.
+    Reads the row's estimate and applies the per-receiver updates
+    (outage decay, re-association reset) in place; measurements go
+    through :meth:`CohortBandwidthEstimator.observe_fraction_rows`.
     """
 
     def __init__(self, parent: CohortBandwidthEstimator, row: int) -> None:
@@ -142,58 +145,6 @@ class CohortBandwidthView:
         if not parent._has[row]:
             return None
         return float(parent._est[row])
-
-    def observe_window(
-        self,
-        delivered_bytes: float,
-        window_s: float,
-        rng: np.random.Generator,
-    ) -> float:
-        """Fold one measurement window into the estimate.
-
-        Args:
-            delivered_bytes: Payload bytes that actually arrived in the
-                window (losses reduce the measured bandwidth, exactly as they
-                stretch real arrival gaps).
-            window_s: Duration of the window.
-            rng: Measurement-noise source.
-
-        Returns:
-            The updated estimate in bytes/s.
-        """
-        if window_s <= 0:
-            raise TransportError(f"window must be positive, got {window_s}")
-        parent, row = self._parent, self._row
-        measured = max(0.0, delivered_bytes / window_s)
-        measured *= float(1.0 + rng.normal(0.0, parent.noise_std_fraction))
-        measured = max(measured, 1e-9)
-        if parent._has[row]:
-            value = (
-                parent.smoothing * measured
-                + (1.0 - parent.smoothing) * float(parent._est[row])
-            )
-        else:
-            value = measured
-        parent._est[row] = value
-        parent._has[row] = True
-        return value
-
-    def observe_fraction(
-        self, delivered_fraction: float, rng: np.random.Generator
-    ) -> float:
-        """Fold a delivery-fraction measurement into the estimate.
-
-        The emulated receiver reports the fraction of packets that arrived;
-        the sender multiplies it by each group's nominal rate to get the
-        sustainable goodput — equivalent to the paper's arrival-spacing
-        estimate (losses stretch arrival gaps by exactly this factor) but
-        independent of how much of the frame budget the group occupied.
-        """
-        if not 0.0 <= delivered_fraction <= 1.0:
-            raise TransportError(
-                f"fraction must be in [0, 1], got {delivered_fraction}"
-            )
-        return self.observe_window(delivered_fraction, 1.0, rng)
 
     def decay(self, factor: float) -> Optional[float]:
         """Exponentially shrink a stale estimate (graceful degradation).

@@ -22,7 +22,6 @@ from repro.emulation.shard import (
 from repro.emulation.sweep import (
     Variant,
     _run_task,
-    install_context,
     merge_runs,
 )
 from repro.errors import EmulationError, ParallelWorkerError
@@ -232,12 +231,11 @@ class TestMergeShards:
 
 def _placement_oracle(ctx, variants, runs, frames):
     """The campaign by hand: every run's task in order, then the merge."""
-    install_context(ctx)
     return merge_runs(
         [v.name for v in variants],
         [
-            _run_task((run, 2, ("arc", 3, 60), tuple(variants), frames,
-                       1000, 17))
+            _run_task(ctx, (run, 2, ("arc", 3, 60), tuple(variants), frames,
+                            1000, 17))
             for run in range(runs)
         ],
     )

@@ -13,7 +13,6 @@ from repro.emulation.shard import CampaignSpec, run_variant_sweep
 from repro.emulation.sweep import (
     _run_task,
     fault_grid,
-    install_context,
     merge_runs,
 )
 
@@ -60,12 +59,11 @@ class TestFaultGridSharding:
         self, sweep_ctx, tmp_path, shards
     ):
         variants = _grid()
-        install_context(sweep_ctx)
         reference = merge_runs(
             [v.name for v in variants],
             [
-                _run_task((run, 2, ("arc", 3, 60), tuple(variants), 1,
-                           1000, 17))
+                _run_task(sweep_ctx, (run, 2, ("arc", 3, 60),
+                                      tuple(variants), 1, 1000, 17))
                 for run in range(3)
             ],
         )

@@ -19,9 +19,15 @@ def _controller(events):
     return FaultController(FaultSchedule(events=list(events)))
 
 
-def _estimator(**kwargs):
-    """One receiver's bandwidth estimator, as sessions hold it."""
-    return CohortBandwidthEstimator([0], **kwargs).view(0)
+def _estimator(measured=None, **kwargs):
+    """One receiver's bandwidth estimator, as sessions hold it, after an
+    optional first delivery-fraction measurement."""
+    cohort = CohortBandwidthEstimator([0], **kwargs)
+    if measured is not None:
+        cohort.observe_fraction_rows(
+            cohort.rows([0]), np.array([measured]), np.random.default_rng(0)
+        )
+    return cohort.view(0)
 
 
 class TestControllerQueries:
@@ -91,8 +97,7 @@ class TestObsEmission:
 
 class TestEstimatorDecay:
     def test_decay_shrinks_estimate(self):
-        estimator = _estimator(noise_std_fraction=0.0)
-        estimator.observe_window(1000.0, 1.0, np.random.default_rng(0))
+        estimator = _estimator(1.0, noise_std_fraction=0.0)
         before = estimator.estimate_bytes_per_s
         after = estimator.decay(0.5)
         assert after == pytest.approx(before * 0.5)
@@ -106,8 +111,7 @@ class TestEstimatorDecay:
             _estimator().decay(factor)
 
     def test_decay_floors_above_zero(self):
-        estimator = _estimator(noise_std_fraction=0.0)
-        estimator.observe_window(1e-6, 1.0, np.random.default_rng(0))
+        estimator = _estimator(1e-6, noise_std_fraction=0.0)
         for _ in range(100):
             estimator.decay(0.1)
         assert estimator.estimate_bytes_per_s >= 1e-9

@@ -1,5 +1,7 @@
-"""Tests for the worker count, the persistent pool and shared-memory shipping."""
+"""Tests for the worker count and the persistent, pipe-fed pool."""
 
+import functools
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -14,21 +16,12 @@ from repro.errors import ConfigurationError, ParallelWorkerError
 from repro.perf.workers import (
     JOBS_ENV_VAR,
     PersistentPool,
-    SharedPayload,
     effective_jobs,
 )
 
-# Worker functions must be importable top-level callables.
 
-_STATE = {}
-
-
-def _install(handle):
-    _STATE["obj"] = handle.load()
-
-
-def _lookup(i):
-    return float(_STATE["obj"]["plane"][i])
+def _lookup(plane, i):
+    return float(plane[i]), os.getpid()
 
 
 def _double(x):
@@ -61,10 +54,6 @@ def _raise_value_error(x):
     raise ValueError(f"bad item {x}")
 
 
-def _init_boom():
-    raise RuntimeError("init exploded")
-
-
 class TestEffectiveJobs:
     def test_default_is_serial(self, monkeypatch):
         monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
@@ -86,36 +75,6 @@ class TestEffectiveJobs:
         monkeypatch.setenv(JOBS_ENV_VAR, "many")
         with pytest.raises(ConfigurationError):
             effective_jobs(None)
-
-
-class TestSharedPayload:
-    def test_numpy_planes_go_out_of_band(self):
-        plane = np.arange(4096, dtype=np.float64)
-        with SharedPayload({"plane": plane, "tag": "x"}) as payload:
-            assert payload.nbytes_shared >= plane.nbytes
-            restored = payload.handle.load()
-            assert restored["tag"] == "x"
-            np.testing.assert_array_equal(restored["plane"], plane)
-
-    def test_pure_python_payload_has_no_segment(self):
-        with SharedPayload({"a": 1, "b": [2, 3]}) as payload:
-            assert payload.nbytes_shared == 0
-            assert payload.handle.load() == {"a": 1, "b": [2, 3]}
-
-    def test_close_is_idempotent(self):
-        payload = SharedPayload({"plane": np.zeros(16)})
-        payload.close()
-        payload.close()
-
-    def test_workers_read_shared_planes(self):
-        plane = np.linspace(0.0, 1.0, 64)
-        with SharedPayload({"plane": plane}) as payload:
-            with PersistentPool(
-                _lookup, jobs=2, initializer=_install,
-                initargs=(payload.handle,), heartbeat_s=0.1,
-            ) as pool:
-                got = pool.run_tasks([0, 5, 63])
-        assert got == [plane[0], plane[5], plane[63]]
 
 
 class TestPersistentPool:
@@ -153,13 +112,6 @@ class TestPersistentPool:
         assert "worker traceback" in message
         # The traceback points at the raise site.
         assert "_raise_value_error" in message
-
-    def test_initializer_failure_surfaces(self):
-        with PersistentPool(
-            _double, jobs=1, initializer=_init_boom, heartbeat_s=0.1
-        ) as pool:
-            with pytest.raises(ParallelWorkerError, match="initializer"):
-                pool.run_tasks([1])
 
     def test_dead_worker_task_requeued(self, tmp_path):
         marker = tmp_path / "die_once"
@@ -208,6 +160,38 @@ class TestPersistentPool:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["40"]
+
+    def test_bound_worker_reads_inherited_plane_in_every_worker(self):
+        plane = np.linspace(0.0, 1.0, 64)
+        indices = [0, 5, 63] * 4
+        with PersistentPool(
+            functools.partial(_lookup, plane), jobs=2, heartbeat_s=0.1
+        ) as pool:
+            # Both ready before the first feed: each takes a task at once.
+            assert all(w.conn.poll(10.0) for w in pool._workers.values())
+            workers = {w.process.pid for w in pool._workers.values()}
+            got = pool.run_tasks(indices)
+        assert [value for value, _ in got] == [plane[i] for i in indices]
+        assert {pid for _, pid in got} == workers
+
+    def test_worker_killed_after_ready_has_its_task_requeued(self):
+        with PersistentPool(_double, jobs=1, heartbeat_s=5.0) as pool:
+            (worker,) = pool._workers.values()
+            # Its "ready" is waiting on the pipe, unread; the task is sent
+            # right after the parent reads it, into a dead worker's pipe.
+            assert worker.conn.poll(10.0)
+            worker.process.kill()
+            worker.process.join(timeout=5.0)
+            assert pool.run_tasks([21]) == [42]
+            assert pool.worker_respawns == 1
+
+    def test_close_stops_idle_workers_at_once(self):
+        pool = PersistentPool(_double, jobs=2, heartbeat_s=0.1)
+        assert pool.run_tasks([1, 2]) == [2, 4]
+        t0 = time.monotonic()
+        pool.close()
+        assert time.monotonic() - t0 < 1.0
+        assert multiprocessing.active_children() == []
 
     def test_on_result_fires_per_completion(self):
         seen = []

@@ -80,12 +80,19 @@ class _ServeProcess:
         try:
             return self.proc.wait(timeout=EXIT_TIMEOUT_S)
         finally:
-            self._reader.join(timeout=5.0)
+            self._close_stdout()
 
     def kill(self):
         if self.proc.poll() is None:
             self.proc.kill()
             self.proc.wait(timeout=10.0)
+        self._close_stdout()
+
+    def _close_stdout(self):
+        """Let the reader drain the pipe to EOF, then close it."""
+        self._reader.join(timeout=5.0)
+        if not self._reader.is_alive():
+            self.proc.stdout.close()
 
 
 def test_sigterm_flushes_traces_and_drains_feedback(tmp_path):

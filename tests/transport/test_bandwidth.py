@@ -1,10 +1,11 @@
 """Tests for the bandwidth estimator.
 
-Behaviour and validation are checked on ``view(u)``, the per-user form
-sessions use.  :class:`ScalarEstimator` is a frozen oracle: one receiver's
-arrival-spacing EWMA written as plain scalar arithmetic, against which
-every row of :class:`CohortBandwidthEstimator` must agree op for op, with
-the same rng draws, whether it is updated through a view or batched.
+Behaviour and validation are checked on a one-row cohort, measured
+through ``observe_fraction_rows`` and read through ``view(0)``, the
+per-user form sessions hold.  :class:`ScalarEstimator` is a frozen
+oracle: one receiver's arrival-spacing EWMA written as plain scalar
+arithmetic, against which every row of :class:`CohortBandwidthEstimator`
+must agree op for op, with the same rng draws.
 """
 
 from typing import Optional
@@ -18,9 +19,12 @@ from repro.errors import TransportError
 from repro.transport.bandwidth import CohortBandwidthEstimator
 
 
-def _estimator(**kwargs):
-    """One receiver's estimator: the view over a one-row cohort."""
-    return CohortBandwidthEstimator([0], **kwargs).view(0)
+def _observe(cohort, fraction, rng) -> float:
+    """Fold one delivery fraction into a one-row cohort's row."""
+    (value,) = cohort.observe_fraction_rows(
+        cohort.rows([0]), np.array([fraction]), rng
+    )
+    return float(value)
 
 
 class ScalarEstimator:
@@ -60,52 +64,46 @@ class ScalarEstimator:
 
 class TestBandwidthEstimator:
     def test_starts_unset(self):
-        assert _estimator().estimate_bytes_per_s is None
+        assert CohortBandwidthEstimator([0]).view(0).estimate_bytes_per_s is None
 
     def test_first_observation_sets_estimate(self, rng):
-        estimator = _estimator(noise_std_fraction=0.0)
-        value = estimator.observe_window(1000.0, 0.1, rng)
-        assert value == pytest.approx(10_000.0)
+        cohort = CohortBandwidthEstimator([0], noise_std_fraction=0.0)
+        assert _observe(cohort, 0.8, rng) == pytest.approx(0.8)
+        assert cohort.view(0).estimate_bytes_per_s == pytest.approx(0.8)
 
     def test_ewma_smoothing(self, rng):
-        estimator = _estimator(smoothing=0.5, noise_std_fraction=0.0)
-        estimator.observe_window(1000.0, 1.0, rng)
-        value = estimator.observe_window(2000.0, 1.0, rng)
-        assert value == pytest.approx(1500.0)
+        cohort = CohortBandwidthEstimator(
+            [0], smoothing=0.5, noise_std_fraction=0.0
+        )
+        _observe(cohort, 0.2, rng)
+        assert _observe(cohort, 0.4, rng) == pytest.approx(0.3)
 
     def test_tracks_drops(self, rng):
-        estimator = _estimator(smoothing=1.0, noise_std_fraction=0.0)
-        estimator.observe_window(10_000.0, 1.0, rng)
-        after = estimator.observe_window(1000.0, 1.0, rng)
-        assert after == pytest.approx(1000.0)
-
-    def test_fraction_interface(self, rng):
-        estimator = _estimator(smoothing=1.0, noise_std_fraction=0.0)
-        value = estimator.observe_fraction(0.8, rng)
-        assert value == pytest.approx(0.8)
+        cohort = CohortBandwidthEstimator(
+            [0], smoothing=1.0, noise_std_fraction=0.0
+        )
+        _observe(cohort, 1.0, rng)
+        assert _observe(cohort, 0.1, rng) == pytest.approx(0.1)
 
     def test_fraction_out_of_range_rejected(self, rng):
         with pytest.raises(TransportError):
-            _estimator().observe_fraction(1.5, rng)
+            _observe(CohortBandwidthEstimator([0]), 1.5, rng)
 
     def test_reset(self, rng):
-        estimator = _estimator()
-        estimator.observe_window(1000.0, 1.0, rng)
-        estimator.reset()
-        assert estimator.estimate_bytes_per_s is None
+        cohort = CohortBandwidthEstimator([0])
+        _observe(cohort, 1.0, rng)
+        cohort.view(0).reset()
+        assert cohort.view(0).estimate_bytes_per_s is None
 
     def test_noise_keeps_estimate_positive(self):
-        estimator = _estimator(noise_std_fraction=1.0)
+        cohort = CohortBandwidthEstimator([0], noise_std_fraction=1.0)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            value = estimator.observe_window(100.0, 1.0, rng)
-            assert value > 0
+            assert _observe(cohort, 1.0, rng) > 0
 
-    def test_bad_parameters_rejected(self, rng):
+    def test_bad_parameters_rejected(self):
         with pytest.raises(TransportError):
-            _estimator(smoothing=0.0)
-        with pytest.raises(TransportError):
-            _estimator().observe_window(100.0, 0.0, rng)
+            CohortBandwidthEstimator([0], smoothing=0.0)
 
 
 USERS = (3, 5, 8, 13)
@@ -170,8 +168,8 @@ class TestCohortRows:
 
     def test_views_write_through_to_the_arrays(self, rng):
         cohort = CohortBandwidthEstimator(USERS, noise_std_fraction=0.0)
-        cohort.view(8).observe_fraction(0.6, rng)
-        assert cohort.estimates()[2] == 0.6
+        cohort.observe_fraction_rows(cohort.rows([8]), np.array([0.6]), rng)
+        assert cohort.view(8).estimate_bytes_per_s == 0.6
         # A second view over the same receiver sees the same state.
         assert cohort.view(8).decay(0.5) == 0.3
         assert cohort.estimates()[2] == 0.3
@@ -215,7 +213,9 @@ class TestCohortMatchesScalarOracle:
         oracle_rng = np.random.default_rng(seed)
         for op, who, arg in ops:
             if op == "observe":
-                got = cohort.view(who).observe_fraction(arg, cohort_rng)
+                (got,) = cohort.observe_fraction_rows(
+                    cohort.rows([who]), np.array([arg]), cohort_rng
+                )
                 assert got == oracle[who].observe_fraction(arg, oracle_rng)
             elif op == "observe_rows":
                 fractions = np.asarray(arg[: len(who)])
