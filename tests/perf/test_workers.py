@@ -1,6 +1,7 @@
 """Tests for the worker count and the persistent, pipe-fed pool."""
 
 import functools
+import gc
 import multiprocessing
 import os
 import signal
@@ -17,6 +18,7 @@ from repro.perf.workers import (
     JOBS_ENV_VAR,
     PersistentPool,
     effective_jobs,
+    start_worker,
 )
 
 
@@ -54,6 +56,14 @@ def _raise_value_error(x):
     raise ValueError(f"bad item {x}")
 
 
+def _send_and_exit(value, conn):
+    conn.send(value)
+
+
+def _report_freeze_count(conn):
+    conn.send(gc.get_freeze_count())
+
+
 class TestEffectiveJobs:
     def test_default_is_serial(self, monkeypatch):
         monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
@@ -75,6 +85,34 @@ class TestEffectiveJobs:
         monkeypatch.setenv(JOBS_ENV_VAR, "many")
         with pytest.raises(ConfigurationError):
             effective_jobs(None)
+
+
+class TestStartWorker:
+    def test_child_exit_reads_as_eof(self):
+        process, conn = start_worker(_send_and_exit, ("hello",))
+        try:
+            assert conn.poll(10.0)
+            assert conn.recv() == "hello"
+            # The parent holds no copy of the child's end: its exit is EOF.
+            assert conn.poll(10.0)
+            with pytest.raises(EOFError):
+                conn.recv()
+        finally:
+            process.join(timeout=5.0)
+            conn.close()
+        assert process.exitcode == 0
+
+    def test_collector_frozen_in_child_only(self):
+        before = gc.get_freeze_count()
+        process, conn = start_worker(_report_freeze_count, ())
+        try:
+            assert gc.get_freeze_count() == before
+            assert conn.poll(10.0)
+            # The child inherited the parent's heap in the permanent generation.
+            assert conn.recv() > before
+        finally:
+            process.join(timeout=5.0)
+            conn.close()
 
 
 class TestPersistentPool:
@@ -191,6 +229,13 @@ class TestPersistentPool:
         t0 = time.monotonic()
         pool.close()
         assert time.monotonic() - t0 < 1.0
+        assert multiprocessing.active_children() == []
+
+    def test_close_is_idempotent(self):
+        pool = PersistentPool(_double, jobs=1, heartbeat_s=0.1)
+        assert pool.run_tasks([4]) == [8]
+        pool.close()
+        pool.close()
         assert multiprocessing.active_children() == []
 
     def test_on_result_fires_per_completion(self):

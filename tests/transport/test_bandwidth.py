@@ -85,6 +85,15 @@ class TestBandwidthEstimator:
         _observe(cohort, 1.0, rng)
         assert _observe(cohort, 0.1, rng) == pytest.approx(0.1)
 
+    def test_fraction_interface(self, rng):
+        cohort = CohortBandwidthEstimator(
+            [0], smoothing=1.0, noise_std_fraction=0.0
+        )
+        assert _observe(cohort, 0.8, rng) == pytest.approx(0.8)
+        # Nothing delivered floors the estimate at 1e-9, never at zero.
+        assert _observe(cohort, 0.0, rng) == 1e-9
+        assert cohort.view(0).estimate_bytes_per_s == 1e-9
+
     def test_fraction_out_of_range_rejected(self, rng):
         with pytest.raises(TransportError):
             _observe(CohortBandwidthEstimator([0]), 1.5, rng)
