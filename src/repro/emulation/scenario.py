@@ -8,6 +8,12 @@ three kinds of traces the evaluation uses:
 * moving receivers (random-walk users constrained to a high- or low-RSS
   annulus around the AP, Sec 4.3.4), and
 * moving environment (static users, walking blockers crossing the LoS).
+
+Every trace records one block per AP and beacon: all receivers' channels
+are synthesised as one ``(U, Nt)`` array (:meth:`ChannelModel.synthesise`)
+and estimated in one draw (:class:`CsiEstimator`), bit for bit what a loop
+over receivers would record.  Static receivers are traced once per AP;
+moving ones are traced again every beacon.
 """
 
 from __future__ import annotations
@@ -132,46 +138,42 @@ class EmulationScenario:
         superset trace serves 1-AP and N-AP arms under identical channel
         conditions.
         """
-        receivers = {i: p for i, p in enumerate(positions)}
-        trace = CsiTrace(beacon_interval_s=BEACON_INTERVAL_S)
-        ticks = max(1, int(round(duration_s / BEACON_INTERVAL_S)))
-        # Nobody moves: each receiver's paths are traced once per AP, and
-        # only shadowing is drawn again every tick.
-        if num_aps <= 1:
-            rng = validate_seed(seed)
-            terms = self.channel_model.receiver_terms(receivers)
-            for tick in range(ticks):
-                now = tick * BEACON_INTERVAL_S
-                state = self.channel_model.snapshot(
-                    receivers, rng, time_s=now, terms=terms
-                )
-                trace.append(
-                    CsiSnapshot(now, state, self.estimator.estimate_state(state, rng))
-                )
-            return trace
-        if not isinstance(seed, (int, np.integer)) or seed < 0:
+        if num_aps > 1 and (not isinstance(seed, (int, np.integer)) or seed < 0):
             raise EmulationError(
                 f"multi-AP traces need a non-negative int seed, got {seed!r}"
             )
-        models = self.ap_channel_models(num_aps)
+        receivers = dict(enumerate(positions))
+        models = self.ap_channel_models(max(1, num_aps))
         rngs = [validate_seed(seed)] + [
-            np.random.default_rng([seed, ap]) for ap in range(1, num_aps)
+            np.random.default_rng([seed, ap]) for ap in range(1, len(models))
         ]
-        ap_terms = [model.receiver_terms(receivers) for model in models]
+        # Nobody moves: each receiver's paths are traced once per AP, and
+        # only shadowing and estimation noise are drawn again every tick,
+        # one block per AP.
+        ap_terms = [model.terms(positions) for model in models]
+        trace = CsiTrace(beacon_interval_s=BEACON_INTERVAL_S)
+        ticks = max(1, int(round(duration_s / BEACON_INTERVAL_S)))
         for tick in range(ticks):
             now = tick * BEACON_INTERVAL_S
             ap_true: List[Dict[int, np.ndarray]] = []
             ap_est: List[Dict[int, np.ndarray]] = []
             for model, ap_rng, terms in zip(models, rngs, ap_terms):
-                state = model.snapshot(receivers, ap_rng, time_s=now, terms=terms)
-                estimate = self.estimator.estimate_state(state, ap_rng)
-                ap_true.append(state.channels)
-                ap_est.append(estimate.channels)
+                channels = model.synthesise(terms, ap_rng)
+                estimates = self.estimator.estimate_block(channels, ap_rng)
+                ap_true.append(dict(zip(receivers, channels)))
+                ap_est.append(dict(zip(receivers, estimates)))
+            multi = len(models) > 1
             trace.append(
                 CsiSnapshot(
                     now,
-                    ChannelState(ap_true[0], dict(receivers), now, ap_channels=ap_true),
-                    ChannelState(ap_est[0], dict(receivers), now, ap_channels=ap_est),
+                    ChannelState(
+                        ap_true[0], dict(receivers), now,
+                        ap_channels=ap_true if multi else None,
+                    ),
+                    ChannelState(
+                        ap_est[0], dict(receivers), now,
+                        ap_channels=ap_est if multi else None,
+                    ),
                 )
             )
         return trace

@@ -20,8 +20,10 @@ the pool hands that state over once and keeps its workers hot:
   accounting is exact: a worker that dies (``Process.is_alive()`` checked
   every heartbeat interval, or its pipe breaking) or exceeds the per-task
   deadline is killed, its task requeued to a fresh worker, and the
-  campaign continues.  Task results are keyed by submission index, so
-  retries and out-of-order completion cannot change the output.  Each
+  campaign continues.  Tasks are numbered across the pool's lifetime and
+  results keyed by submission index within their batch, so retries,
+  out-of-order completion and a late answer from an earlier batch that
+  raised cannot change the output.  Each
   pipe is written synchronously: a worker that dies mid-message breaks
   only its own pipe, never a lock the other workers would wait on.
 
@@ -220,6 +222,7 @@ class PersistentPool:
         self._max_task_retries = int(max_task_retries)
         self._workers: Dict[int, _Worker] = {}
         self._next_worker_id = 0
+        self._next_task_id = 0
         self._closed = False
         for _ in range(self._jobs):
             self._spawn_worker()
@@ -290,18 +293,22 @@ class PersistentPool:
         payloads = list(payloads)
         if not payloads:
             return []
-        pending: List[int] = list(range(len(payloads)))
+        # Task ids run on across batches; a message about an id outside
+        # this batch answers a task of a batch that raised, and is dropped.
+        first = self._next_task_id
+        self._next_task_id += len(payloads)
+        pending: List[int] = list(range(first, first + len(payloads)))
         results: Dict[int, Any] = {}
         retries: Dict[int, int] = {}
 
         def requeue(task_id: Optional[int], why: str) -> None:
-            if task_id is None:
+            if task_id is None or not first <= task_id < self._next_task_id:
                 return
             retries[task_id] = retries.get(task_id, 0) + 1
             OBS.count("sweep.pool.task_requeued")
             if retries[task_id] > self._max_task_retries:
                 raise ParallelWorkerError(
-                    f"task {task_id} abandoned after "
+                    f"task {task_id - first} abandoned after "
                     f"{self._max_task_retries} retries (last failure: {why})"
                 )
             pending.insert(0, task_id)
@@ -315,7 +322,7 @@ class PersistentPool:
                     worker.task_id = task_id
                     worker.started_at = monotonic()
                     try:
-                        worker.conn.send((task_id, payloads[task_id]))
+                        worker.conn.send((task_id, payloads[task_id - first]))
                     except OSError:
                         # It died after reporting ready.
                         requeue(
@@ -331,15 +338,18 @@ class PersistentPool:
             _, task_id, body = message
             if worker.task_id == task_id:
                 worker.task_id = None
+            index = task_id - first
+            if not 0 <= index < len(payloads):
+                return
             if kind == "error":
                 raise ParallelWorkerError(
-                    f"worker task {task_id} failed:\n"
+                    f"worker task {index} failed:\n"
                     f"--- worker traceback ---\n{body}"
                 )
-            if task_id not in results:
-                results[task_id] = body
+            if index not in results:
+                results[index] = body
                 if on_result is not None:
-                    on_result(task_id, body)
+                    on_result(index, body)
 
         feed_idle()
         while len(results) < len(payloads):

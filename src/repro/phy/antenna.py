@@ -36,14 +36,17 @@ class PhasedArray:
         if self.phase_bits < 1:
             raise BeamformingError(f"phase_bits must be >= 1, got {self.phase_bits}")
 
-    def steering_vector(self, azimuth_rad: float) -> np.ndarray:
+    def steering_vector(self, azimuth_rad) -> np.ndarray:
         """Array response for a plane wave departing at ``azimuth_rad``.
 
         Zero azimuth is array broadside.  The vector has unit-modulus entries
-        and norm ``sqrt(num_elements)``.
+        and norm ``sqrt(num_elements)``.  An array of azimuths ``(...)``
+        gives one vector per azimuth, ``(..., num_elements)``, each equal
+        bit for bit to the vector of that azimuth alone.
         """
         n = np.arange(self.num_elements)
-        return np.exp(1j * np.pi * n * np.sin(azimuth_rad))
+        phase = 1j * np.pi * n * np.sin(np.asarray(azimuth_rad, dtype=float))[..., None]
+        return np.exp(phase, out=phase)
 
     def quantise_weights(self, weights: np.ndarray) -> np.ndarray:
         """Project arbitrary complex weights onto realizable hardware weights.

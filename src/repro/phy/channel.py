@@ -10,12 +10,19 @@ reflection + blockage loss), carrier phase ``phi_l`` from the travelled
 distance, and array steering vector ``e``.  Received signal strength under a
 transmit beam ``F`` (with ``||F|| = 1``) is ``RSS = Ptx * |F^H h|^2``,
 reported in dBm.
+
+Channels are built a block of receivers at a time: :meth:`ChannelModel.terms`
+holds the traced paths of ``U`` receivers as arrays, and
+:meth:`ChannelModel.synthesise` draws their shadowing and sums their paths
+into one ``(U, Nt)`` block.  Each row is bit for bit the channel of its
+receiver synthesised alone (:meth:`ChannelModel.channel_vector` is the
+one-row call), so a block's size never changes a recorded trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -24,11 +31,6 @@ from ..types import Position
 from .antenna import PhasedArray
 from .propagation import path_amplitude, path_phase_rad
 from .raytracer import RayTracer
-
-#: One traced path's share of a channel vector: (loss in dB before
-#: shadowing, carrier phasor, steering vector).
-PathTerm = Tuple[float, complex, np.ndarray]
-
 
 @dataclass(frozen=True)
 class LinkBudget:
@@ -70,6 +72,22 @@ class LinkBudget:
                 - self.implementation_loss_db
                 + 10.0 * np.log10(beam_channel_gains)
             )
+
+
+@dataclass(frozen=True)
+class ChannelTerms:
+    """The deterministic part of ``U`` receivers' channels over ``L`` paths.
+
+    Attributes:
+        loss_db: ``(U, L)`` path loss in dB before shadowing, any extra
+            line-of-sight loss included; rows sorted strongest first.
+        phasor: ``(U, L)`` carrier phasors.
+        steering: ``(U, L, Nt)`` array steering vectors.
+    """
+
+    loss_db: np.ndarray
+    phasor: np.ndarray
+    steering: np.ndarray
 
 
 @dataclass
@@ -167,7 +185,7 @@ class ChannelModel:
         rng: np.random.Generator,
         los_extra_loss_db: float = 0.0,
     ) -> np.ndarray:
-        """Channel vector for a receiver position.
+        """Channel vector for a receiver position: a one-row :meth:`synthesise`.
 
         Args:
             receiver: STA position.
@@ -175,53 +193,50 @@ class ChannelModel:
             los_extra_loss_db: Additional loss applied to the direct path
                 (e.g. :data:`HUMAN_BLOCKAGE_DB` when a blocker crosses it).
         """
-        return self.synthesise(self.path_terms(receiver, los_extra_loss_db), rng)
+        return self.synthesise(self.terms([receiver], [los_extra_loss_db]), rng)[0]
 
-    def path_terms(
-        self, receiver: Position, los_extra_loss_db: float = 0.0
-    ) -> List[PathTerm]:
-        """The deterministic part of a receiver's channel, one term per path.
-
-        Each term is (path loss in dB before shadowing, carrier phasor,
-        steering vector).  A receiver that does not move keeps its terms,
-        so a static trace traces it once and calls :meth:`synthesise` per
-        snapshot.
-        """
-        terms = []
-        for path in self.tracer.trace(receiver):
-            loss = path.loss_db
-            if path.is_los:
-                loss += los_extra_loss_db
-            terms.append(
-                (
-                    loss,
-                    np.exp(1j * path_phase_rad(path.length_m)),
-                    self.array.steering_vector(path.aod_rad),
-                )
-            )
-        return terms
-
-    def receiver_terms(
+    def terms(
         self,
-        receivers: Dict[int, Position],
-        los_extra_loss_db: Optional[Dict[int, float]] = None,
-    ) -> Dict[int, List[PathTerm]]:
-        """:meth:`path_terms` of every receiver, keyed like ``receivers``."""
-        extra = los_extra_loss_db or {}
-        return {
-            user: self.path_terms(pos, extra.get(user, 0.0))
-            for user, pos in receivers.items()
-        }
+        receivers: Sequence[Position],
+        los_extra_loss_db: Optional[Sequence[float]] = None,
+    ) -> ChannelTerms:
+        """The deterministic part of a block of receivers' channels.
+
+        ``los_extra_loss_db`` holds one extra direct-path loss per receiver
+        (none by default).  Receivers that do not move keep their terms,
+        so a static trace traces them once and calls :meth:`synthesise`
+        per snapshot.
+        """
+        traced = self.tracer.trace_block(receivers)
+        loss = traced.loss_db
+        if los_extra_loss_db is not None:
+            extra = np.asarray(los_extra_loss_db, dtype=float)[:, None]
+            loss = np.where(traced.is_los, loss + extra, loss)
+        return ChannelTerms(
+            loss_db=loss,
+            phasor=np.exp(1j * path_phase_rad(traced.length_m)),
+            steering=self.array.steering_vector(traced.aod_rad),
+        )
 
     def synthesise(
-        self, terms: Sequence[PathTerm], rng: np.random.Generator
+        self, terms: ChannelTerms, rng: np.random.Generator
     ) -> np.ndarray:
-        """Channel vector from path terms: one shadowing draw per path, in
-        path order, and the paths summed in that order."""
-        shadowing = rng.normal(0.0, self.fading_std_db, size=len(terms)).tolist()
-        h = np.zeros(self.array.num_elements, dtype=complex)
-        for (loss, phasor, steering), fade in zip(terms, shadowing):
-            h += path_amplitude(loss + fade) * phasor * steering
+        """The ``(U, Nt)`` channel block of a snapshot.
+
+        One shadowing draw per path, receiver by receiver in path order (the
+        stream ``U`` one-receiver calls would take), and each row summed
+        path by path in that order, ``(amplitude * phasor) * steering``:
+        every row is bit for bit the channel of its receiver alone.
+        """
+        users, paths = terms.loss_db.shape
+        shadowing = rng.normal(0.0, self.fading_std_db, size=users * paths)
+        amplitude = path_amplitude(terms.loss_db + shadowing.reshape(users, paths))
+        weight = amplitude * terms.phasor
+        h = np.zeros((users, self.array.num_elements), dtype=complex)
+        term = np.empty_like(h)
+        for path in range(paths):
+            np.multiply(weight[:, path, None], terms.steering[:, path], out=term)
+            h += term
         return h
 
     def snapshot(
@@ -230,17 +245,21 @@ class ChannelModel:
         rng: np.random.Generator,
         time_s: float = 0.0,
         los_extra_loss_db: Optional[Dict[int, float]] = None,
-        terms: Optional[Dict[int, Sequence[PathTerm]]] = None,
+        terms: Optional[ChannelTerms] = None,
     ) -> ChannelState:
         """Channel vectors for a set of receivers at one instant.
 
-        ``terms`` are the receivers' :meth:`path_terms`, traced once by a
-        caller that snapshots the same static receivers many times; they
-        already carry any extra line-of-sight loss.
+        ``terms`` are the receivers' :meth:`terms`, in ``receivers`` order,
+        traced once by a caller that snapshots the same static receivers
+        many times; they already carry any extra line-of-sight loss.  Each
+        channel is a row of the synthesised block.
         """
         if terms is None:
-            terms = self.receiver_terms(receivers, los_extra_loss_db)
-        channels = {user: self.synthesise(terms[user], rng) for user in receivers}
+            extra = los_extra_loss_db or {}
+            terms = self.terms(
+                list(receivers.values()), [extra.get(u, 0.0) for u in receivers]
+            )
+        channels = dict(zip(receivers, self.synthesise(terms, rng)))
         return ChannelState(
             channels=channels, positions=dict(receivers), time_s=time_s
         )

@@ -6,7 +6,9 @@ data traffic in mobile cases — records CSI traces and replays them in
 emulation.  We mirror that structure:
 
 * :class:`CsiEstimator` degrades ground-truth channel vectors with estimation
-  noise (ACO recovers CSI only up to measurement error and quantisation).
+  noise (ACO recovers CSI only up to measurement error and quantisation),
+  one ``(U, Nt)`` block of receivers per draw; a row is bit for bit the
+  estimate of its channel alone.
 * :class:`CsiTrace` is a recorded sequence of per-user channel snapshots at
   the 100 ms beacon interval, replayable by the emulator so that competing
   algorithms see identical channel conditions — the paper's stated reason
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Union
 
 import numpy as np
 
@@ -39,38 +41,45 @@ class CsiEstimator:
     relative_error_std: float = 0.1
 
     def estimate(self, channel: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Return a noisy estimate of one channel vector."""
-        channel = np.asarray(channel, dtype=complex)
-        scale = float(np.sqrt(np.mean(np.abs(channel) ** 2)))
-        noise = rng.normal(0.0, self.relative_error_std * scale / np.sqrt(2), channel.shape)
-        noise = noise + 1j * rng.normal(
-            0.0, self.relative_error_std * scale / np.sqrt(2), channel.shape
-        )
-        return channel + noise
+        """Noisy estimate of one channel vector: a one-row :meth:`estimate_block`."""
+        return self.estimate_block(np.asarray(channel, dtype=complex)[None], rng)[0]
+
+    def estimate_block(
+        self, channels: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Noisy estimates of a ``(U, Nt)`` block of channel vectors.
+
+        One draw for the whole block, receiver by receiver (real parts,
+        then imaginary parts), each row's noise scaled by its own RMS
+        magnitude: every row is bit for bit the estimate of its channel
+        alone, from the stream ``U`` one-row calls would take.
+        """
+        scale = np.sqrt(np.mean(np.abs(channels) ** 2, axis=-1))
+        sigma = (self.relative_error_std * scale / np.sqrt(2))[:, None]
+        draws = rng.standard_normal((len(channels), 2, channels.shape[-1]))
+        # ``0.0 + sigma * g`` is how ``rng.normal(0.0, sigma)`` scales a draw.
+        noise = (0.0 + sigma * draws[:, 0]) + 1j * (0.0 + sigma * draws[:, 1])
+        return channels + noise
 
     def estimate_state(
         self, state: ChannelState, rng: np.random.Generator
     ) -> ChannelState:
-        """Noisy estimate of a whole snapshot.
+        """Noisy estimate of a whole snapshot, one block draw per AP.
 
         Multi-AP snapshots estimate AP 0's channel dict first — consuming
         exactly the rng draws a single-AP snapshot would — then the extra
         APs in AP order, so AP 0's estimates in an N-AP trace are
         bit-identical to a 1-AP trace at the same seed.
         """
-        estimated = {u: self.estimate(h, rng) for u, h in state.channels.items()}
-        ap_estimates: Optional[List[Dict[int, np.ndarray]]] = None
-        if state.ap_channels is not None:
-            ap_estimates = [estimated]
-            for ap_dict in state.ap_channels[1:]:
-                ap_estimates.append(
-                    {u: self.estimate(h, rng) for u, h in ap_dict.items()}
-                )
+        ap_estimates = []
+        for channels in state.ap_channels or [state.channels]:
+            block = np.stack(list(channels.values()))
+            ap_estimates.append(dict(zip(channels, self.estimate_block(block, rng))))
         return ChannelState(
-            channels=estimated,
+            channels=ap_estimates[0],
             positions=dict(state.positions),
             time_s=state.time_s,
-            ap_channels=ap_estimates,
+            ap_channels=ap_estimates if state.ap_channels is not None else None,
         )
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from ..errors import ChannelError
@@ -27,31 +29,50 @@ HUMAN_BLOCKAGE_DB = 22.0
 OXYGEN_ABSORPTION_DB_PER_M = 0.015
 
 
-def free_space_path_loss_db(distance_m: float, frequency_hz: float = CARRIER_HZ) -> float:
+def free_space_path_loss_db(distance_m, frequency_hz: float = CARRIER_HZ):
     """Friis free-space path loss in dB, plus oxygen absorption.
 
-    Distances below 1 cm are rejected (inside the antenna near field, where
-    the model is meaningless).
+    ``distance_m`` is one distance (a float comes back) or an array of
+    them.  Distances below 1 cm are rejected (inside the antenna near
+    field, where the model is meaningless).
     """
-    if distance_m < 0.01:
+    distance = np.asarray(distance_m, dtype=float)
+    if np.any(distance < 0.01):
         raise ChannelError(f"distance {distance_m} m too small for far-field model")
-    fspl = 20.0 * np.log10(4.0 * np.pi * distance_m * frequency_hz / SPEED_OF_LIGHT)
-    return float(fspl + OXYGEN_ABSORPTION_DB_PER_M * distance_m)
+    fspl = 20.0 * np.log10(4.0 * np.pi * distance * frequency_hz / SPEED_OF_LIGHT)
+    return _like(distance, fspl + OXYGEN_ABSORPTION_DB_PER_M * distance)
 
 
-def path_amplitude(total_loss_db: float) -> float:
-    """Linear field amplitude corresponding to a total power loss in dB."""
-    return float(10.0 ** (-total_loss_db / 20.0))
+def path_amplitude(total_loss_db):
+    """Linear field amplitude for a total power loss in dB (or an array).
+
+    Every element is Python's scalar ``pow``: numpy's array ``power``
+    rounds about one input in twenty differently, and recorded traces are
+    pinned bit for bit.
+    """
+    exponent = -np.asarray(total_loss_db, dtype=float) / 20.0
+    amplitude = np.fromiter(
+        map(pow, itertools.repeat(10.0), exponent.ravel().tolist()),
+        dtype=float,
+        count=exponent.size,
+    )
+    return _like(exponent, amplitude.reshape(exponent.shape))
 
 
-def path_phase_rad(distance_m: float) -> float:
-    """Carrier phase accumulated over ``distance_m`` (mod 2 pi).
+def path_phase_rad(distance_m):
+    """Carrier phase accumulated over ``distance_m`` (mod 2 pi; or an array).
 
     At 5 mm wavelength, millimetre-scale motion rotates this phase
     substantially — the source of the small-scale fading that makes mmWave
     throughput "fluctuate widely" (Sec 1).
     """
-    return float((-2.0 * np.pi * distance_m / WAVELENGTH_M) % (2.0 * np.pi))
+    distance = np.asarray(distance_m, dtype=float)
+    return _like(distance, (-2.0 * np.pi * distance / WAVELENGTH_M) % (2.0 * np.pi))
+
+
+def _like(argument: np.ndarray, result):
+    """``result`` as a float where ``argument`` was one value."""
+    return float(result) if argument.ndim == 0 else result
 
 
 def segment_point_distance(

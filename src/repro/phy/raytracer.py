@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
@@ -71,20 +71,49 @@ class Room:
             float(np.clip(y, margin, self.width - margin)),
         )
 
-    def _mirror(self, point: np.ndarray, wall: int) -> np.ndarray:
-        """Mirror a point across wall 0..3 (x=0, x=length, y=0, y=width)."""
-        mirrored = point.copy()
+    def _mirror(self, points: np.ndarray, wall: int) -> np.ndarray:
+        """Mirror points ``(..., 2)`` across wall 0..3 (x=0, x=length, y=0,
+        y=width)."""
+        mirrored = points.copy()
         if wall == 0:
-            mirrored[0] = -point[0]
+            mirrored[..., 0] = -points[..., 0]
         elif wall == 1:
-            mirrored[0] = 2.0 * self.length - point[0]
+            mirrored[..., 0] = 2.0 * self.length - points[..., 0]
         elif wall == 2:
-            mirrored[1] = -point[1]
+            mirrored[..., 1] = -points[..., 1]
         elif wall == 3:
-            mirrored[1] = 2.0 * self.width - point[1]
+            mirrored[..., 1] = 2.0 * self.width - points[..., 1]
         else:
             raise ChannelError(f"wall index {wall} out of range")
         return mirrored
+
+
+@dataclass(frozen=True)
+class TracedPaths:
+    """Every path from the AP to a block of ``U`` receivers.
+
+    Each attribute is a ``(U, L)`` array, one row per receiver and one
+    column per path, rows sorted by increasing loss (strongest first);
+    paths of equal loss keep image order (line of sight, the four walls,
+    then the ordered wall pairs), the order a stable sort leaves them in.
+
+    Attributes:
+        loss_db: Total power loss (free space + reflections), excluding any
+            time-varying blockage.
+        length_m: Total travelled distance.
+        aod_rad: Angle of departure at the AP, measured from its broadside.
+        num_bounces: 0 for line of sight, 1 or 2 for reflections.
+    """
+
+    loss_db: np.ndarray
+    length_m: np.ndarray
+    aod_rad: np.ndarray
+    num_bounces: np.ndarray
+
+    @property
+    def is_los(self) -> np.ndarray:
+        """Which paths are direct (blockage applies there)."""
+        return self.num_bounces == 0
 
 
 class RayTracer:
@@ -115,42 +144,58 @@ class RayTracer:
         self.max_bounces = int(max_bounces)
 
     def trace(self, receiver: Position) -> List[Path]:
-        """All propagation paths from the AP to ``receiver``.
+        """All propagation paths from the AP to ``receiver``, strongest
+        first: one row of :meth:`trace_block`."""
+        traced = self.trace_block([receiver])
+        return [
+            Path(length_m=length, aod_rad=aod, num_bounces=bounces, loss_db=loss)
+            for loss, length, aod, bounces in zip(
+                traced.loss_db[0].tolist(),
+                traced.length_m[0].tolist(),
+                traced.aod_rad[0].tolist(),
+                traced.num_bounces[0].tolist(),
+            )
+        ]
 
-        Paths are sorted by increasing loss (strongest first).
+    def trace_block(self, receivers: Sequence[Position]) -> TracedPaths:
+        """Every path from the AP to every receiver, as ``(U, L)`` arrays.
+
+        Each element is computed with the operations a receiver traced on
+        its own would see, so a row does not depend on the block around
+        it: the length is one dot product per path (a stacked
+        ``(1, 2) @ (2, 1)`` matmul, the dot ``np.linalg.norm`` takes of a
+        2-vector; ``sqrt(dx*dx + dy*dy)`` rounds otherwise), and the sort
+        is stable.
         """
-        if not self.room.contains(receiver):
-            raise ChannelError(f"receiver {receiver} outside room {self.room}")
-        ap = self.ap_position.as_array()
-        rx = receiver.as_array()
-        paths = [self._path_to_image(ap, rx, bounces=0)]
-
+        for receiver in receivers:
+            if not self.room.contains(receiver):
+                raise ChannelError(f"receiver {receiver} outside room {self.room}")
+        rx = np.array([(p.x, p.y) for p in receivers], dtype=float).reshape(-1, 2)
+        images = [rx]
+        bounces = [0]
         if self.max_bounces >= 1:
-            for wall in range(4):
-                image = self.room._mirror(rx, wall)
-                paths.append(self._path_to_image(ap, image, bounces=1))
+            images += [self.room._mirror(rx, wall) for wall in range(4)]
+            bounces += [1] * 4
         if self.max_bounces >= 2:
-            for wall_a, wall_b in itertools.permutations(range(4), 2):
-                image = self.room._mirror(self.room._mirror(rx, wall_a), wall_b)
-                paths.append(self._path_to_image(ap, image, bounces=2))
-        paths.sort(key=lambda p: p.loss_db)
-        return paths
-
-    def _path_to_image(
-        self, ap: np.ndarray, image: np.ndarray, bounces: int
-    ) -> Path:
-        delta = image - ap
-        length = float(np.linalg.norm(delta))
-        length = max(length, 0.05)
-        world_angle = float(np.arctan2(delta[1], delta[0]))
-        aod = self._wrap(world_angle - self.ap_boresight_rad)
-        loss = free_space_path_loss_db(length) + bounces * REFLECTION_LOSS_DB
-        return Path(length_m=length, aod_rad=aod, num_bounces=bounces, loss_db=loss)
-
-    @staticmethod
-    def _wrap(angle: float) -> float:
-        """Wrap an angle to (-pi, pi]."""
-        return float((angle + np.pi) % (2.0 * np.pi) - np.pi)
+            images += [
+                self.room._mirror(self.room._mirror(rx, wall_a), wall_b)
+                for wall_a, wall_b in itertools.permutations(range(4), 2)
+            ]
+            bounces += [2] * 12
+        delta = np.stack(images, axis=1) - self.ap_position.as_array()
+        squared = delta[..., None, :] @ delta[..., :, None]
+        length = np.maximum(np.sqrt(squared[..., 0, 0]), 0.05)
+        world_angle = np.arctan2(delta[..., 1], delta[..., 0])
+        aod = (world_angle - self.ap_boresight_rad + np.pi) % (2.0 * np.pi) - np.pi
+        num_bounces = np.broadcast_to(np.array(bounces), length.shape)
+        loss = free_space_path_loss_db(length) + num_bounces * REFLECTION_LOSS_DB
+        order = np.argsort(loss, axis=1, kind="stable")
+        return TracedPaths(
+            *(
+                np.take_along_axis(values, order, axis=1)
+                for values in (loss, length, aod, num_bounces)
+            )
+        )
 
 
 def _validated_placement(room: Room, x: float, y: float) -> Position:

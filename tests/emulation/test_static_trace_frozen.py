@@ -123,3 +123,84 @@ class TestChannelVectorMatchesFrozen:
             ref = frozen_channel_vector(model, position, ref_rng, extra_db)
             assert h.tobytes() == ref.tobytes()
             assert rng.random() == ref_rng.random()
+
+
+# ------------------------------------------------- block recorder, every kind
+#
+# The recorder synthesises and estimates every receiver of a tick in one
+# block.  The per-receiver calls it replaced are frozen below and plugged
+# into a scenario through the ``snapshot`` / ``estimate_state`` seam, so the
+# walk and environment traces run their own loop over frozen channels.
+
+
+def frozen_estimate(estimator, channel, rng):
+    """``CsiEstimator.estimate`` as it stood before: one receiver per call."""
+    channel = np.asarray(channel, dtype=complex)
+    scale = float(np.sqrt(np.mean(np.abs(channel) ** 2)))
+    sigma = estimator.relative_error_std * scale / np.sqrt(2)
+    noise = rng.normal(0.0, sigma, channel.shape)
+    noise = noise + 1j * rng.normal(0.0, sigma, channel.shape)
+    return channel + noise
+
+
+class _FrozenEstimator:
+    def __init__(self, estimator):
+        self.estimator = estimator
+
+    def estimate_state(self, state, rng):
+        ap_channels = state.ap_channels or [state.channels]
+        estimates = [
+            {u: frozen_estimate(self.estimator, h, rng) for u, h in channels.items()}
+            for channels in ap_channels
+        ]
+        return ChannelState(
+            estimates[0], dict(state.positions), state.time_s,
+            ap_channels=estimates if state.ap_channels is not None else None,
+        )
+
+
+def frozen_scenario():
+    """A default scenario recording through the frozen per-receiver calls."""
+    from repro.emulation.scenario import EmulationScenario
+
+    frozen = EmulationScenario(seed=0)
+    model = frozen.channel_model
+
+    def snapshot(receivers, rng, time_s=0.0, los_extra_loss_db=None):
+        extra = los_extra_loss_db or {}
+        channels = {
+            u: frozen_channel_vector(model, p, rng, extra.get(u, 0.0))
+            for u, p in receivers.items()
+        }
+        return ChannelState(channels, dict(receivers), time_s)
+
+    model.snapshot = snapshot
+    frozen.estimator = _FrozenEstimator(frozen.estimator)
+    return frozen
+
+
+class TestBlockRecorderMatchesPerReceiverCalls:
+    @pytest.mark.parametrize("regime", ["high", "low"])
+    @pytest.mark.parametrize("moving", [[1], [0, 1, 2]])
+    def test_walk_traces_equal(self, scenario, regime, moving):
+        args = (3, moving, 3.0, regime)
+        trace = scenario.mobile_receiver_trace(*args, seed=5)
+        frozen = frozen_scenario().mobile_receiver_trace(*args, seed=5)
+        _assert_same_trace(trace, frozen)
+
+    def test_environment_traces_equal(self, scenario):
+        args = (4, 5.0, 60, 3.0)
+        trace = scenario.moving_environment_trace(*args, num_blockers=3, seed=3)
+        frozen = frozen_scenario().moving_environment_trace(
+            *args, num_blockers=3, seed=3
+        )
+        _assert_same_trace(trace, frozen)
+
+    def test_thousand_receiver_static_arc(self, scenario):
+        """``crowd1000_rr``'s first session at seed 0: placement seed 0,
+        trace seed 1, 14 beacons, one AP."""
+        positions = scenario.place_arc(1000, 5.0, 60.0, seed=0)
+        trace = scenario.static_trace(positions, duration_s=1.4, seed=1)
+        frozen = frozen_static_trace(frozen_scenario(), positions, 1.4, 1, 1)
+        assert len(trace) == 14
+        _assert_same_trace(trace, frozen)

@@ -56,6 +56,14 @@ def _raise_value_error(x):
     raise ValueError(f"bad item {x}")
 
 
+def _slow_or_boom(x):
+    if x == "boom":
+        raise ValueError("boom")
+    if x.startswith("slow"):
+        time.sleep(0.5)
+    return x
+
+
 def _send_and_exit(value, conn):
     conn.send(value)
 
@@ -126,6 +134,15 @@ class TestPersistentPool:
             assert pool.run_tasks([]) == []
             assert pool.run_tasks([5]) == [10]
         assert pool.worker_respawns == 0
+
+    def test_batch_after_a_raising_batch_gets_only_its_own_results(self):
+        """A result still in flight when a batch raises is dropped, not
+        delivered to the next batch under its batch-local index."""
+        with PersistentPool(_slow_or_boom, jobs=2, heartbeat_s=0.1) as pool:
+            with pytest.raises(ParallelWorkerError, match="boom"):
+                pool.run_tasks(["slow-old", "boom"])
+            assert pool.run_tasks(["slow-new0", "new1"]) == ["slow-new0", "new1"]
+            assert pool.run_tasks(["x"]) == ["x"]
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ConfigurationError):

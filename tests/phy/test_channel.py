@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ChannelError
 from repro.phy.antenna import PhasedArray
 from repro.phy.channel import ChannelModel, LinkBudget
+from repro.phy.csi import CsiEstimator
 from repro.phy.raytracer import RayTracer, Room
 from repro.types import Position
 
@@ -82,3 +83,32 @@ class TestChannelState:
         state = model.snapshot({0: Position(3, 6)}, rng)
         with pytest.raises(ChannelError):
             state.stacked([0, 7])
+
+
+class TestBlockIndependence:
+    """A row of a block is its receiver's channel alone, from the same
+    stream: U one-receiver calls equal one U-receiver call."""
+
+    def test_snapshot_equals_one_receiver_calls(self, model):
+        receivers = {
+            u: Position(1.0 + 1.7 * u, 1.0 + 1.3 * u) for u in range(7)
+        }
+        extra = {1: 22.0, 4: 22.0}
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        state = model.snapshot(receivers, rng, los_extra_loss_db=extra)
+        for user, position in receivers.items():
+            alone = model.channel_vector(position, ref_rng, extra.get(user, 0.0))
+            assert state.channels[user].tobytes() == alone.tobytes()
+            assert state.channels[user].flags.c_contiguous
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_estimate_state_equals_one_row_estimates(self, model):
+        receivers = {u: Position(2.0 + u, 3.0 + 0.5 * u) for u in range(5)}
+        state = model.snapshot(receivers, np.random.default_rng(1))
+        estimator = CsiEstimator(0.1)
+        rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
+        estimated = estimator.estimate_state(state, rng)
+        for user, h in state.channels.items():
+            alone = estimator.estimate(h, ref_rng)
+            assert estimated.channels[user].tobytes() == alone.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.emulation.scenario import EmulationScenario
 from repro.errors import ChannelError
 from repro.phy.channel import ChannelState
 from repro.phy.csi import CsiEstimator, CsiSnapshot, CsiTrace
@@ -84,3 +85,28 @@ class TestCsiTrace:
         restored = loaded.snapshots[2].true_state.channels[1]
         np.testing.assert_allclose(original, restored)
         assert loaded.snapshots[3].estimated_state.positions[0] == Position(0.0, 1.0)
+
+
+class TestMultiApTracePersistence:
+    def test_save_load_roundtrip_is_byte_exact(self, tmp_path):
+        scenario = EmulationScenario()
+        positions = scenario.place_arc(3, 4.0, 90, seed=2)
+        trace = scenario.static_trace(positions, duration_s=0.3, seed=4, num_aps=3)
+        path = tmp_path / "trace3.npz"
+        trace.save(path)
+        loaded = CsiTrace.load(path)
+        assert loaded.n_aps == 3
+        assert len(loaded) == len(trace)
+        for snap, back in zip(trace, loaded):
+            assert back.time_s == snap.time_s
+            for state, restored in (
+                (snap.true_state, back.true_state),
+                (snap.estimated_state, back.estimated_state),
+            ):
+                assert restored.positions == state.positions
+                for ap in range(3):
+                    channels = state.for_ap(ap).channels
+                    again = restored.for_ap(ap).channels
+                    assert list(again) == list(channels)
+                    for user, h in channels.items():
+                        assert again[user].tobytes() == h.tobytes()

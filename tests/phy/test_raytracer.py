@@ -167,3 +167,34 @@ class TestValidatedPlacement:
         for user in arc + ranged:
             assert room.contains(user)
         assert counters["phy.placement.out_of_room"] >= 1
+
+
+class TestTraceBlock:
+    def test_rows_equal_one_receiver_traces(self, tracer):
+        receivers = [Position(2.0 + 1.5 * k, 1.0 + k) for k in range(8)]
+        block = tracer.trace_block(receivers)
+        for row, receiver in enumerate(receivers):
+            alone = tracer.trace(receiver)
+            assert block.loss_db[row].tolist() == [p.loss_db for p in alone]
+            assert block.aod_rad[row].tolist() == [p.aod_rad for p in alone]
+
+    def test_equal_loss_images_keep_image_order(self, tracer):
+        """On the AP's axis the y=0 (wall 2) and y=width (wall 3) images are
+        mirror twins of equal loss; the stable sort keeps wall 2 first."""
+        paths = tracer.trace(Position(10.0, 6.0))
+        first_order = [p for p in paths if p.num_bounces == 1]
+        twins = [
+            (a, b) for a, b in zip(first_order, first_order[1:])
+            if a.loss_db == b.loss_db
+        ]
+        assert twins
+        for below, above in twins:
+            # Wall 2's image lies below the AP (negative AoD), wall 3's above.
+            assert below.aod_rad < 0 < above.aod_rad
+            assert below.length_m == above.length_m
+
+    def test_length_floor_applies_in_a_block(self, tracer):
+        block = tracer.trace_block([Position(1.0, 6.0), Position(5.0, 6.0)])
+        los = block.is_los
+        assert block.length_m[0][los[0]].tolist() == [0.05]
+        assert block.length_m[1][los[1]].tolist() == [4.0]
